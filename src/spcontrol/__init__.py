@@ -9,13 +9,12 @@ front-end).
 """
 
 from .errors import NumericsError
-from .grid import (SpatialGrid, EllipticOperator, build_grid, assemble_elliptic,
-                   gradient, gradient_transpose, weak_divergence)
-from .scenario import (ScenarioTree, AdaptedField, build_tree, expectation,
+from .grid import SpatialGrid, build_grid, gradient, gradient_transpose, weak_divergence
+from .scenario import (ScenarioTree, AdaptedField, build_tree, build_path, expectation,
                        qt_integral, martingale_part, reconstruct_children, mean_square_norm)
 from .spde import (ProblemCoefficients, CoefficientTables, ForwardSolution, BackwardSolution,
-                   TreeStepper, PathStepper, forward_solve, backward_solve, duality_gap,
-                   forward_state_matrix, backward_state_matrix)
+                   TreeStepper, PathStepper, duality_gap, forward_state_matrix,
+                   backward_state_matrix)
 from .carleman import (PsiFunction, CarlemanWeightSet, AppendixCoefficients,
                        DiffusionCoefficient, CarlemanRatio, build_psi, eval_weights,
                        lambda_threshold, lambda_threshold_forward, appendix_coeffs,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient
 from .scenario import ScenarioTree
-from .spde import CoefficientTables, TreeStepper
+from .spde import TreeStepper
 
 __all__ = [
     "PsiFunction",
@@ -221,12 +221,16 @@ def eval_weights(psi: PsiFunction, lam: float, mu: float, tree: ScenarioTree) ->
         raise NumericsError("alpha must be negative on (0, T) x G")
     l = lam * alpha
     log_phi = np.log(tau)[:, None] + mu * psi.psi[None, :]
-    # spot checks of the textbook bounds: phi >= 4 e^{mu min psi} / T^2,
-    # |phi_t| <= T phi^2 and |alpha_t| <= T e^{2 mu max psi} phi^2.
+    # spot checks of the textbook bounds (explicit, so that python -O keeps them)
     gfac = -(T - 2.0 * times) * tau
-    assert np.all(phi >= 4.0 * np.exp(mu * psi.psi.min()) / T ** 2 * (1.0 - 1e-12))
-    assert np.all(np.abs(gfac[:, None] * phi) <= T * phi * phi * (1.0 + 1e-12))
-    assert np.all(np.abs(gfac[:, None] * alpha) <= T * e2 * phi * phi * (1.0 + 1e-12))
+    for bound, holds in (
+            ("phi >= 4 e^{mu min psi} / T^2",
+             phi >= 4.0 * np.exp(mu * psi.psi.min()) / T ** 2 * (1.0 - 1e-12)),
+            ("|phi_t| <= T phi^2", np.abs(gfac[:, None] * phi) <= T * phi * phi * (1.0 + 1e-12)),
+            ("|alpha_t| <= T e^{2 mu max psi} phi^2",
+             np.abs(gfac[:, None] * alpha) <= T * e2 * phi * phi * (1.0 + 1e-12))):
+        if not np.all(holds):
+            raise NumericsError(f"weight bound {bound} violated")
     return CarlemanWeightSet(lam=float(lam), mu=float(mu), T=T, times=times,
                              phi=phi, alpha=alpha, l=l, log_phi=log_phi)
 
@@ -482,7 +486,7 @@ def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         sol = st.backward(zT, mode="adjoint_1_3")
         f0_field = [-(tab.a1[n] * sol.z_half[n]) - tab.a2[n] * sol.Z[n] for n in range(tree.M)]
         flux = [tab.b1[n] * sol.z_half[n] + tab.b2[n] * sol.Z[n] for n in range(tree.M)]
-    elif mode in ("sources", "lemma_2_2"):
+    elif mode == "sources":
         sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
         zero = [np.zeros_like(sol.z_half[n]) for n in range(tree.M)]
         f0_field = f0 if f0 is not None else zero

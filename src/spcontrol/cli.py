@@ -3,7 +3,10 @@
 Output files are deterministic for a fixed config and seed: headers echo the
 resolved configuration, floats are printed with 17 significant digits, no
 timestamps.  Exit codes: 0 success, 1 config/validation error, 2 numerical
-failure (partial outputs are kept).
+failure (partial outputs are kept).  A CG solve that misses its tolerance in
+control-forward, control-backward or sweep-eps is a numerical failure too:
+every output is written as usual, then the command reports the failure on
+stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carleman import (build_psi, carleman_ratio_backward, carleman_ratio_forward,
-                       eval_weights, lambda_threshold, lambda_threshold_forward,
+from .carleman import (build_psi, carleman_ratio_backward, eval_weights, lambda_threshold,
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
@@ -257,16 +259,11 @@ def _validate(cfg: RunConfig, path) -> None:
     p = cfg.problem
     if len(p.g0) != 2 or len(p.g1) != 2:
         raise ConfigError(f"{path}: [problem] g0/g1 must be two numbers each")
-    if not (0.0 < p.g0[0] < p.g0[1] < p.L):
-        raise ConfigError(f"{path}: [problem] g0 = {tuple(p.g0)} must lie strictly inside (0, {p.L})")
-    if not (p.g0[0] < p.g1[0] < p.g1[1] < p.g0[1]):
-        raise ConfigError(f"{path}: [problem] g1 = {tuple(p.g1)} is not strictly inside g0 = {tuple(p.g0)}")
-    if p.N < 4:
-        raise ConfigError(f"{path}: [problem] N must be >= 4, got {p.N}")
-    if p.M < 2:
-        raise ConfigError(f"{path}: [problem] M must be >= 2, got {p.M}")
-    if p.T <= 0:
-        raise ConfigError(f"{path}: [problem] T must be positive, got {p.T}")
+    try:
+        build_grid(p.L, p.N, p.g0, p.g1)
+        build_tree(p.M, p.T)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [problem] {exc}") from None
     for name in ("a", "a1", "a2", "b1", "b2", "b"):
         compile_expression(getattr(p, name), f"{path}: [problem] {name}")
     if cfg.hum.epsilon != "auto":
@@ -327,6 +324,14 @@ def _write_dat(path: Path, pairs) -> None:
             f.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
+def _cg_exit(failures: list[str]) -> int:
+    """Exit code once every output is written: 2 if any CG solve did not converge."""
+    if not failures:
+        return 0
+    print(f"numerical failure: CG did not converge ({'; '.join(failures)})", file=sys.stderr)
+    return 2
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -369,7 +374,8 @@ def _hum_command(cfg, out, which: str):
         f"cg_converged = {r.cg_converged}",
         f"identity_residual = {_fmt(r.identity_residual)}",
     ])
-    return 0
+    return _cg_exit([] if r.cg_converged else
+                    [f"{r.cg_iterations} iterations, relative residual {_fmt(r.cg_residual)}"])
 
 
 def _cmd_observability(cfg, out):
@@ -447,19 +453,20 @@ def _cmd_sweep_t(cfg, out):
     grid, _, coeffs = cfg.build_problem()
     if len(cfg.experiment.t_values) < 4:
         raise ConfigError("sweep-T needs at least 4 T values in [experiment] t_values")
+
+    def write_csv(rows):
+        _write_csv(out / "sweep-T.csv", cfg, "sweep-T", ["T", "M", "collapsed", "value", "exponent"],
+                   [(r["T"], r["M"], r["collapsed"], r["value"], r["exponent"]) for r in rows])
+
     try:
         table = cost_scaling_sweep(coeffs, grid, cfg.experiment.t_values,
                                    quantity="observability", direction=cfg.experiment.direction,
                                    m_per_time=cfg.experiment.m_per_time,
                                    iters=cfg.experiment.power_iters, seed=cfg.experiment.seed)
     except SweepError as exc:
-        rows = [(r["T"], r["M"], r["collapsed"], r["value"], r["exponent"]) for r in exc.partial]
-        _write_csv(out / "sweep-T.csv", cfg, "sweep-T",
-                   ["T", "M", "collapsed", "value", "exponent"], rows)
+        write_csv(exc.partial)
         raise
-    rows = [(r["T"], r["M"], r["collapsed"], r["value"], r["exponent"]) for r in table.rows]
-    _write_csv(out / "sweep-T.csv", cfg, "sweep-T",
-               ["T", "M", "collapsed", "value", "exponent"], rows)
+    write_csv(table.rows)
     _write_dat(out / "sweep-T.dat", [(1.0 / r["T"], np.log(r["value"])) for r in table.rows])
     _write_report(out / "sweep-T_report.txt", cfg, "sweep-T", [
         f"quantity = {table.quantity}",
@@ -474,22 +481,20 @@ def _cmd_sweep_t(cfg, out):
 
 def _cmd_sweep_eps(cfg, out):
     grid, tree, coeffs = cfg.build_problem()
+    columns = ["epsilon", "terminal_norm", "control_cost", "cg_iterations", "cg_converged"]
+
+    def write_csv(rows):
+        _write_csv(out / "sweep-eps.csv", cfg, "sweep-eps", columns,
+                   [tuple(r[c] for c in columns) for r in rows])
+
     try:
         rows = epsilon_sweep(coeffs, grid, tree, np.sin(np.pi * grid.x / grid.L),
                              cfg.experiment.eps_values, cg_tol=cfg.hum.cg_tol,
                              cg_max_iter=cfg.hum.cg_max_iter)
     except SweepError as exc:
-        out_rows = [(r["epsilon"], r["terminal_norm"], r["control_cost"], r["cg_iterations"],
-                     r["cg_converged"]) for r in exc.partial]
-        _write_csv(out / "sweep-eps.csv", cfg, "sweep-eps",
-                   ["epsilon", "terminal_norm", "control_cost", "cg_iterations", "cg_converged"],
-                   out_rows)
+        write_csv(exc.partial)
         raise
-    out_rows = [(r["epsilon"], r["terminal_norm"], r["control_cost"], r["cg_iterations"],
-                 r["cg_converged"]) for r in rows]
-    _write_csv(out / "sweep-eps.csv", cfg, "sweep-eps",
-               ["epsilon", "terminal_norm", "control_cost", "cg_iterations", "cg_converged"],
-               out_rows)
+    write_csv(rows)
     _write_dat(out / "sweep-eps.dat", [(r["epsilon"], r["terminal_norm"]) for r in rows])
     decreasing = all(a["terminal_norm"] > b["terminal_norm"] for a, b in zip(rows, rows[1:]))
     costs = [r["control_cost"] for r in rows]
@@ -499,7 +504,8 @@ def _cmd_sweep_eps(cfg, out):
         f"control_cost variation (max/min) = {_fmt(max(costs) / min(costs))}",
         f"uncontrolled_norm = {_fmt(rows[-1]['uncontrolled_norm'])}",
     ])
-    return 0
+    return _cg_exit([f"eps = {_fmt(r['epsilon'])} after {r['cg_iterations']} iterations"
+                     for r in rows if not r["cg_converged"]])
 
 
 _DISPATCH = {

@@ -20,13 +20,13 @@ initial datum of the forward adjoint and the single control is u = 1_{G0} z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import SpatialGrid
-from .scenario import AdaptedField, ScenarioTree, mean_square_norm
-from .spde import PathStepper, TreeStepper
+from .scenario import AdaptedField, ScenarioTree, build_path, mean_square_norm
+from .spde import TreeStepper
 
 __all__ = [
     "HumConfig",
@@ -181,8 +181,7 @@ class _ForwardDual:
         return y.y[self.st.tree.M], bwd
 
     def apply(self, p, eps: float):
-        gp, _ = self.gram(p)
-        return gp + eps * p
+        return self.gram(p)[0] + eps * p
 
 
 def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: float, zT,
@@ -252,6 +251,8 @@ class _BackwardDual:
 
     def __init__(self, stepper: TreeStepper):
         self.st = stepper
+        # the backward solve copies its terminal data, so one zero leaf field serves every call
+        self.zero_leaves = np.zeros((stepper.tree.n_nodes(stepper.tree.M), stepper.grid.N))
 
     def inner(self, p, q) -> float:
         return self.st.grid.h * float(np.dot(p, q))
@@ -266,13 +267,11 @@ class _BackwardDual:
 
     def gram(self, p):
         z = self.st.forward(p, mode="adjoint_1_5")
-        ctrl = self.st.backward(np.zeros((self.st.tree.n_nodes(self.st.tree.M), self.st.grid.N)),
-                                mode="controlled_1_2", u=z.y)
+        ctrl = self.st.backward(self.zero_leaves, mode="controlled_1_2", u=z.y)
         return -ctrl.z[0][0], z
 
     def apply(self, p, eps: float):
-        gp, _ = self.gram(p)
-        return gp + eps * p
+        return self.gram(p)[0] + eps * p
 
 
 def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumConfig,
@@ -315,41 +314,9 @@ def hum_backward_collapsed(grid: SpatialGrid, n_steps: int, T: float, coeffs, yT
                            config: HumConfig) -> HumResult:
     """Deterministic single-branch twin of hum_backward (zero-noise oracle).
 
-    With a2 = 0 and terminal data constant across leaves the tree problem
-    degenerates to this one; the two must agree to rounding/CG tolerance.
+    hum_backward itself, run on `build_path(n_steps, T)`.  With a2 = 0 and
+    terminal data constant across leaves the tree problem degenerates to this
+    one; the two must agree to rounding/CG tolerance.
     """
-    st = PathStepper(grid, n_steps, T, coeffs)
-    dt = st.dt
-    eps = config.epsilon
-    yT_vec = np.asarray(yT_vec, dtype=float)
-    mask = grid.g0_mask
-
-    def inner(p, q):
-        return grid.h * float(np.dot(p, q))
-
-    def observation(z):
-        return dt * grid.h * float(np.sum(z[:-1][:, mask] ** 2))
-
-    def gram(p):
-        z = st.forward(p, mode="adjoint_1_5")
-        y, _ = st.backward(np.zeros(grid.N), mode="controlled_1_2", u=z[:-1])
-        return -y[0], z
-
-    b, _ = st.backward(yT_vec, mode="controlled_1_2")
-    b0 = b[0]
-    p, trace = _cg(lambda q: gram(q)[0] + eps * q, b0, inner, config.cg_tol, config.cg_max_iter)
-    z = st.forward(p, mode="adjoint_1_5")
-    u = mask * z[:-1]
-    controlled, _ = st.backward(yT_vec, mode="controlled_1_2", u=z[:-1])
-    initial = grid.h * float(np.dot(controlled[0], controlled[0]))
-    cost = observation(z)
-    exponent = m_cost_exponent(T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf)
-    yT_norm = grid.h * float(np.dot(yT_vec, yT_vec))
-    report = HumReport(epsilon=eps, control_cost=cost, terminal_norm=initial,
-                       uncontrolled_norm=inner(b0, b0), cg_iterations=trace["iterations"],
-                       cg_residual=trace["residual"], cg_converged=trace["converged"],
-                       cost_exponent=exponent,
-                       bound_ratio=cost / (np.exp(config.bound_c * exponent) * yT_norm) if yT_norm else 0.0,
-                       identity_residual=abs(cost + initial / eps - inner(b0, p))
-                       / (cost + initial / eps + abs(inner(b0, p)) + 1e-300))
-    return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)
+    yT = np.asarray(yT_vec, dtype=float).reshape(1, grid.N)
+    return hum_backward(grid, build_path(n_steps, T), coeffs, yT, config)

@@ -12,7 +12,9 @@ transpose and G is the observation Gramian; iterates are normalized by the
 observation form and the reported quotient <M p, p>/<G p, p> is
 non-decreasing.  For the forward direction both operators act on R^N and are
 assembled densely; for the backward direction the dual lives on the leaves
-and G^{-1} is applied by warm-started inner CG.
+and G^{-1} is applied by warm-started inner CG.  G is the HUM Gramian
+(`control._BackwardDual.gram` resp. `control._ForwardDual.gram`), on a tree
+or, when the noise coupling vanishes, on a single-branch path (`build_path`).
 
 All randomness flows from an explicit seed; sweep rows are independent and
 deterministic given that seed.
@@ -20,15 +22,16 @@ deterministic given that seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .control import HumConfig, _cg, hum_forward, k_cost_exponent, m_cost_exponent
+from .control import (HumConfig, _BackwardDual, _cg, _ForwardDual, hum_forward,
+                      k_cost_exponent, m_cost_exponent)
 from .errors import NumericsError
-from .grid import SpatialGrid, build_grid
-from .scenario import ScenarioTree, build_tree
-from .spde import PathStepper, ProblemCoefficients, TreeStepper
+from .grid import SpatialGrid
+from .scenario import ScenarioTree, build_path, build_tree
+from .spde import ProblemCoefficients, TreeStepper
 
 __all__ = [
     "ObservabilityEstimate",
@@ -65,41 +68,16 @@ def _forward_pencil(stepper: TreeStepper):
     observation Gramian of the backward HUM problem.  Both are symmetric to
     rounding and symmetrized before use.
     """
-    grid, tree = stepper.grid, stepper.tree
-    n = grid.N
-    zeros_leaf = np.zeros((tree.n_nodes(tree.M), n))
+    n = stepper.grid.N
+    dual = _BackwardDual(stepper)
     energy = np.empty((n, n))
     obs = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        z = stepper.forward(e, mode="adjoint_1_5")
+        obs[:, j], z = dual.gram(e)
         # the leaf probability weight is already carried by the transpose solver
-        energy[:, j] = stepper.backward(z.y[tree.M], mode="controlled_1_2").z[0][0]
-        obs[:, j] = -stepper.backward(zeros_leaf, mode="controlled_1_2", u=z.y).z[0][0]
-    energy = 0.5 * (energy + energy.T)
-    obs = 0.5 * (obs + obs.T)
-    return energy, obs
-
-
-def _forward_pencil_collapsed(stepper: PathStepper):
-    """Single-branch twin of _forward_pencil for noise-free adjoints (a2 = 0).
-
-    The collapsed operators coincide with the tree ones by the zero-noise
-    degeneration property and cost n_steps instead of 2^M work, which lets
-    short-horizon sweep rows keep a resolved time grid.
-    """
-    grid = stepper.grid
-    n = grid.N
-    energy = np.empty((n, n))
-    obs = np.empty((n, n))
-    zeros = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        z = stepper.forward(e, mode="adjoint_1_5")
-        energy[:, j] = stepper.backward(z[-1], mode="controlled_1_2")[0][0]
-        obs[:, j] = -stepper.backward(zeros, mode="controlled_1_2", u=z[:-1])[0][0]
+        energy[:, j] = stepper.backward(z.y[stepper.tree.M], mode="controlled_1_2").z[0][0]
     energy = 0.5 * (energy + energy.T)
     obs = 0.5 * (obs + obs.T)
     return energy, obs
@@ -137,58 +115,46 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
                            direction: str = "forward_1_5", iters: int = 30,
                            seed: int = 0, inner_tol: float = 1e-10,
                            inner_max_iter: int = 400,
-                           stepper: TreeStepper | None = None,
-                           collapsed: bool = False) -> ObservabilityEstimate:
+                           stepper: TreeStepper | None = None) -> ObservabilityEstimate:
     """Estimate the observability constant by generalized power iteration.
 
     Every iterate's quotient is a certified lower bound on the constant; the
     reported trace is the running best of those bounds (safeguarded
     iteration), so it is non-decreasing by construction even when the
     near-singular observation solve makes raw quotients wobble at rounding
-    level.  `collapsed` switches the forward direction to the single-branch
-    pencil, valid only when the noise coupling vanishes (a2 = 0).
+    level.
     """
     if iters < 5:
         raise ValueError("iters must be >= 5")
+    if direction not in ("forward_1_5", "backward_1_3"):
+        raise ValueError(f"unknown direction {direction!r}")
     rng = np.random.default_rng(seed)
+    st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     if direction == "forward_1_5":
-        if collapsed:
-            ps = PathStepper(grid, tree.M, tree.T, coeffs)
-            if ps.tab.a2_inf != 0.0:
-                raise ValueError("collapsed pencil requires a2 = 0 (noise-free adjoint)")
-            energy, obs = _forward_pencil_collapsed(ps)
-        else:
-            st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-            energy, obs = _forward_pencil(st)
+        energy, obs = _forward_pencil(st)
         rayleigh = _pencil_power_iteration(energy, obs, iters, rng)
-    elif direction == "backward_1_3":
-        st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
+    else:
+        dual = _ForwardDual(st)
         leaf_shape = (tree.n_nodes(tree.M), grid.N)
-        leaf_w = tree.node_weight(tree.M) * grid.h
-
-        def inner(p, q):
-            return leaf_w * float(np.sum(p * q))
 
         def gram(p):
-            bwd = st.backward(p, mode="adjoint_1_3")
-            return st.forward(np.zeros(grid.N), u=bwd.z_half, v=bwd.Z).y[tree.M]
+            return dual.gram(p)[0]
 
         p = rng.standard_normal(leaf_shape)
-        while inner(p, gram(p)) <= 0.0:
+        while dual.inner(p, gram(p)) <= 0.0:
             p = rng.standard_normal(leaf_shape)  # reseed: invisible iterate
         rayleigh = []
         for _ in range(iters):
-            z0 = st.backward(p, mode="adjoint_1_3").z[0][0]
-            gp = gram(p)
-            den = inner(p, gp)
+            gp, bwd = dual.gram(p)
+            z0 = bwd.z[0][0]
+            den = dual.inner(p, gp)
             if den <= 0.0:
                 raise NumericsError("observation form vanished on a nonzero iterate")
             rayleigh.append(grid.h * float(np.dot(z0, z0)) / den)
             mp = st.forward(z0).y[tree.M]
-            p, _ = _cg(gram, mp, inner, inner_tol, inner_max_iter, x0=p * (rayleigh[-1] if rayleigh[-1] > 0 else 1.0))
-            p = p / np.sqrt(max(inner(p, gram(p)), 1e-300))
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+            p, _ = _cg(gram, mp, dual.inner, inner_tol, inner_max_iter,
+                       x0=p * (rayleigh[-1] if rayleigh[-1] > 0 else 1.0))
+            p = p / np.sqrt(max(dual.inner(p, gram(p)), 1e-300))
     rayleigh = np.maximum.accumulate(np.asarray(rayleigh, dtype=float))
     resid = abs(rayleigh[-1] - rayleigh[-2]) / abs(rayleigh[-1]) if len(rayleigh) > 1 else np.inf
     return ObservabilityEstimate(c_obs=float(rayleigh[-1]), iterations=iters,
@@ -231,49 +197,42 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     The number of time steps per row follows round(m_per_time * T), so the
     step size is held roughly constant across rows (flagged by the M column).
     When the forward-direction adjoint is noise-free (a2 = 0) the row runs on
-    the collapsed single-branch pencil, which is exact there and keeps deep
-    time grids affordable; otherwise the tree depth is clipped to depth_cap.
+    a single-branch path, which is exact there and keeps deep time grids
+    affordable; otherwise the tree depth is clipped to depth_cap.
     Rows are computed in sorted-T order; a row failure aborts the sweep with
     the completed rows attached to the raised SweepError.
     """
     t_values = sorted(float(t) for t in t_values)
     if len(t_values) < 4:
         raise ValueError("need at least 4 distinct T values for the fit")
+    collapsible = quantity == "observability" and direction == "forward_1_5"
     rows = []
     for T in t_values:
         n_steps = max(2, int(round(m_per_time * T)))
         try:
-            if quantity == "observability" and direction == "forward_1_5":
-                ps = PathStepper(grid, n_steps, T, coeffs)
-                if ps.tab.a2_inf == 0.0:
-                    energy, obs = _forward_pencil_collapsed(ps)
-                    ray = _pencil_power_iteration(energy, obs, iters, np.random.default_rng(seed))
-                    value, tab, m_used, collapsed = float(max(ray)), ps.tab, n_steps, True
-                else:
-                    tree = build_tree(min(n_steps, depth_cap), T, depth_cap=depth_cap)
-                    est = observability_constant(grid, tree, coeffs, direction=direction,
-                                                 iters=iters, seed=seed)
-                    value, tab, m_used, collapsed = est.c_obs, coeffs.sample(grid, tree.times), tree.M, False
-            elif quantity == "observability":
-                tree = build_tree(min(n_steps, depth_cap), T, depth_cap=depth_cap)
-                st = TreeStepper(grid, tree, coeffs)
-                est = observability_constant(grid, tree, coeffs, direction=direction,
-                                             iters=iters, seed=seed, stepper=st)
-                value, tab, m_used, collapsed = est.c_obs, st.tab, tree.M, False
+            tree = build_tree(min(n_steps, depth_cap), T, depth_cap=depth_cap)
+            path = build_path(n_steps, T)
+            tab = coeffs.sample(grid, path.times if collapsible else tree.times)
+            if collapsible and tab.a2_inf == 0.0:  # noise-free adjoint: the path is exact
+                tree = path
+            elif collapsible and tree.M != n_steps:
+                tab = coeffs.sample(grid, tree.times)
+            st = TreeStepper(grid, tree, tab)
+            if quantity == "observability":
+                value = observability_constant(grid, tree, coeffs, direction=direction,
+                                               iters=iters, seed=seed, stepper=st).c_obs
             elif quantity == "control_cost":
-                tree = build_tree(min(n_steps, depth_cap), T, depth_cap=depth_cap)
-                st = TreeStepper(grid, tree, coeffs)
                 eps = epsilon_rule(grid, tree) if callable(epsilon_rule) else (epsilon_rule or grid.h ** 2)
                 res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x / grid.L),
                                   HumConfig(epsilon=eps), stepper=st)
-                value, tab, m_used, collapsed = res.report.control_cost, st.tab, tree.M, False
+                value = res.report.control_cost
             else:
                 raise ValueError(f"unknown quantity {quantity!r}")
             if direction == "backward_1_3" or quantity == "control_cost":
                 expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
             else:
                 expo = m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf)
-            rows.append({"T": T, "M": m_used, "collapsed": collapsed,
+            rows.append({"T": T, "M": tree.M, "collapsed": not tree.branching,
                          "value": value, "exponent": expo})
         except Exception as exc:  # noqa: BLE001 - partial table must survive
             raise SweepError(f"sweep row T = {T} failed: {exc}", rows) from exc

@@ -1,18 +1,19 @@
 """1-D Dirichlet mesh and the discrete spatial operators everything else uses.
 
 All fields live on the interior nodes x_i = i*h, i = 1..N, of a uniform mesh
-over (0, L) with homogeneous Dirichlet ends (ghost values are zero).  Three
-operators fix the discrete calculus:
+over (0, L) with homogeneous Dirichlet ends (ghost values are zero).  Two
+operators fix the discrete calculus of the lower-order terms (the steppers
+assemble the conservative stencil of d/dx(a(x) d/dx) from face samples of a
+themselves, directly into their banded implicit factor):
 
-* conservative three-point stencil for d/dx(a(x) d/dx) with face-sampled a;
 * centered first-derivative stencil (zero ghost closure at the boundary);
 * weak divergence, defined as minus the transpose of that stencil, so the
   discrete integration-by-parts identity <div q, u> = -<q, grad u> holds to
   rounding.  The tree solvers rely on this exact pairing, not on the
   boundary consistency order.
 
-Grids and operators are immutable after construction; all functions here are
-pure and safe to call concurrently.
+Grids are immutable after construction; all functions here are pure and safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import numpy as np
 
 __all__ = [
     "SpatialGrid",
-    "EllipticOperator",
     "build_grid",
-    "assemble_elliptic",
     "gradient",
     "gradient_transpose",
     "weak_divergence",
@@ -88,59 +87,6 @@ def build_grid(L: float, N: int, g0: tuple[float, float], g1: tuple[float, float
         raise ValueError("g0 touches the first or last interior node; refine or shrink g0")
     return SpatialGrid(L=float(L), N=int(N), h=h, x=x, g0_mask=g0_mask, g1_mask=g1_mask,
                        g0=(a0, b0), g1=(a1, b1))
-
-
-class EllipticOperator:
-    """Symmetric tridiagonal discretization of u -> d/dx(a(x) du/dx).
-
-    (E u)_i = [a_{i+1/2}(u_{i+1} - u_i) - a_{i-1/2}(u_i - u_{i-1})] / h^2
-    with zero Dirichlet closure.  E is symmetric and -E is positive definite
-    whenever all face samples of a are positive.
-    """
-
-    structure = "tridiagonal"
-
-    def __init__(self, a_faces: np.ndarray, h: float):
-        a_faces = np.asarray(a_faces, dtype=float)
-        self.a_faces = a_faces
-        self.h = float(h)
-        h2 = self.h * self.h
-        self.diag = -(a_faces[:-1] + a_faces[1:]) / h2          # length N
-        self.off = a_faces[1:-1] / h2                           # length N-1
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = self.diag * u
-        out[..., :-1] += self.off * u[..., 1:]
-        out[..., 1:] += self.off * u[..., :-1]
-        return out
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
-
-
-def assemble_elliptic(grid: SpatialGrid, a) -> EllipticOperator:
-    """Assemble the conservative stencil from a scalar, callable, or face array.
-
-    A callable is sampled at the N+1 face midpoints.  Every sample must be
-    strictly positive (uniform ellipticity).
-    """
-    if callable(a):
-        a_faces = np.broadcast_to(np.asarray(a(grid.faces), dtype=float), (grid.N + 1,)).copy()
-    elif np.isscalar(a):
-        a_faces = np.full(grid.N + 1, float(a))
-    else:
-        a_faces = np.asarray(a, dtype=float)
-        if a_faces.shape != (grid.N + 1,):
-            raise ValueError(f"face array must have shape ({grid.N + 1},), got {a_faces.shape}")
-        a_faces = a_faces.copy()
-    if not np.all(a_faces > 0.0):
-        raise ValueError(f"diffusion coefficient must be positive at all faces; min sample = {a_faces.min()}")
-    return EllipticOperator(a_faces, grid.h)
 
 
 def _check_last_axis(grid: SpatialGrid, u: np.ndarray) -> np.ndarray:

@@ -10,11 +10,14 @@ duality pairings used by HUM exact in floating point.
 Child ordering convention: node j at level n has children 2j ("+" branch) and
 2j+1 ("-" branch) at level n+1.  All reductions sum left-to-right within a
 level (numpy's deterministic order), so results are reproducible bit for bit.
+A single-branch path (`build_path`) is the degenerate tree with one node of
+weight 1 per level: the noise-free history, on which the same solvers run with
+the martingale part identically zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +25,7 @@ __all__ = [
     "ScenarioTree",
     "AdaptedField",
     "build_tree",
+    "build_path",
     "expectation",
     "qt_integral",
     "martingale_part",
@@ -34,57 +38,76 @@ DEFAULT_DEPTH_CAP = 16
 
 @dataclass(frozen=True)
 class ScenarioTree:
-    """Binary tree of Brownian histories over [0, T] with M steps."""
+    """Binary tree of Brownian histories over [0, T] with M steps.
+
+    With branching=False (see `build_path`) every level holds a single node
+    of weight 1.
+    """
 
     M: int
     T: float
     dt: float
     sqrt_dt: float
     times: np.ndarray = field(repr=False)
+    branching: bool = True
 
     def n_nodes(self, level: int) -> int:
         if not 0 <= level <= self.M:
             raise ValueError(f"level {level} outside 0..{self.M}")
-        return 1 << level
+        return 1 << level if self.branching else 1
 
     def node_weight(self, level: int) -> float:
-        return 2.0 ** (-level)
+        return 2.0 ** (-level) if self.branching else 1.0
 
     @property
     def total_nodes(self) -> int:
-        return (1 << (self.M + 1)) - 1
+        return (1 << (self.M + 1)) - 1 if self.branching else self.M + 1
 
 
 def build_tree(M: int, T: float, depth_cap: int = DEFAULT_DEPTH_CAP) -> ScenarioTree:
     """Build the tree; depth is capped to keep per-field memory bounded."""
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
     if M > depth_cap:
         nodes = (1 << (M + 1)) - 1
         mb = nodes * 64 * 8 / 1e6  # one N=64 field, float64
         raise ValueError(
             f"M = {M} exceeds the depth cap {depth_cap}: {nodes} nodes "
             f"(~{mb:.0f} MB for a single N=64 field)")
+    return replace(build_path(M, T), branching=True)
+
+
+def build_path(M: int, T: float) -> ScenarioTree:
+    """Single-branch path over [0, T] with M steps: one node of weight 1 per level.
+
+    It holds M + 1 nodes instead of 2^(M+1) - 1, so it has no depth cap.
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T}")
     dt = T / M
     times = dt * np.arange(M + 1)
-    return ScenarioTree(M=int(M), T=float(T), dt=dt, sqrt_dt=float(np.sqrt(dt)), times=times)
+    return ScenarioTree(M=int(M), T=float(T), dt=dt, sqrt_dt=float(np.sqrt(dt)), times=times,
+                        branching=False)
 
 
 class AdaptedField:
     """One spatial vector per tree node, levels 0..n_levels-1.
 
-    Level n is stored as an array of shape (2^n, N).  Adaptedness is
+    Level n is stored as an array of shape (2^n, N), or (1, N) at every level
+    on a single-branch path (told apart by level 1).  Adaptedness is
     structural: solvers only ever write level n from data at levels <= n
     (forward) or define level n from its children after the fact (backward).
     """
 
     def __init__(self, levels):
         self.levels = [np.asarray(a, dtype=float) for a in levels]
+        path = len(self.levels) > 1 and self.levels[1].shape[:1] == (1,)
         for n, a in enumerate(self.levels):
-            if a.ndim != 2 or a.shape[0] != (1 << n):
-                raise ValueError(f"level {n} must have shape (2^{n}, N), got {a.shape}")
+            rows = 1 if path else 1 << n
+            if a.ndim != 2 or a.shape[0] != rows:
+                raise ValueError(f"level {n} must have shape ({rows}, N), got {a.shape}")
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -110,14 +133,14 @@ class AdaptedField:
         levels = []
         for n in range(n_levels):
             row = np.broadcast_to(np.asarray(fn(tree.times[n], grid.x), dtype=float), (grid.N,))
-            levels.append(np.tile(row, (1 << n, 1)))
+            levels.append(np.tile(row, (tree.n_nodes(n), 1)))
         return cls(levels)
 
     @classmethod
     def random(cls, tree: ScenarioTree, n_space: int, rng: np.random.Generator,
                n_levels: int | None = None, scale: float = 1.0) -> "AdaptedField":
         n_levels = tree.M + 1 if n_levels is None else n_levels
-        return cls([scale * rng.standard_normal((1 << n, n_space)) for n in range(n_levels)])
+        return cls([scale * rng.standard_normal((tree.n_nodes(n), n_space)) for n in range(n_levels)])
 
 
 def expectation(tree: ScenarioTree, field, level: int) -> np.ndarray:

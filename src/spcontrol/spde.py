@@ -1,13 +1,15 @@
 """Scenario-tree time steppers for the controlled and adjoint parabolic pairs.
 
-Forward step (diffusion implicit, lower-order terms explicit and adapted):
+Every equation here is one step map per level: a drift part A_n and a noise
+part B_n, with the diffusion implicit and the lower-order terms explicit and
+adapted.  The forward sweep is
 
     (I - dt*E(t_{n+1})) y_{n+1}^{+/-} = y_n + dt*drift(t_n) +/- sqrt(dt)*noise(t_n)
 
-with E the conservative elliptic stencil.  The backward steppers are the
-algebraic transposes of this map: fold each sibling pair through the same SPD
-solve, split into conditional mean ("half step" value) and martingale part,
-then apply the transposed lower-order couplings:
+with E the conservative elliptic stencil.  The backward sweep is its
+algebraic transpose: fold each sibling pair through the same SPD solve, split
+into conditional mean ("half step" value) and martingale part, then apply the
+transposed lower-order couplings:
 
     w = S_{n+1}^{-1} children
     z_half_n = (w_+ + w_-)/2,   Z_n = (w_+ - w_-)/(2 sqrt(dt))
@@ -25,6 +27,9 @@ the two roles of the backward solution: the nodal values z (consistent with
 the backward equation) carry the initial pairing, while the half-step values
 z_half carry the space-time pairings and the control feedback.
 
+Both sweeps exist once, in TreeStepper, for every mode.  On a single-branch
+path (`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
+
 Solvers are pure: steppers hold only immutable per-level factorizations and
 coefficient tables, so independent solves may run concurrently.
 """
@@ -32,14 +37,15 @@ coefficient tables, so independent solves may run concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import NumericsError
-from .grid import SpatialGrid, gradient, gradient_transpose, weak_divergence
-from .scenario import AdaptedField, ScenarioTree, mean_square_norm
+from .grid import SpatialGrid, gradient, weak_divergence
+from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
+                       reconstruct_children)
 
 __all__ = [
     "ProblemCoefficients",
@@ -48,8 +54,6 @@ __all__ = [
     "BackwardSolution",
     "TreeStepper",
     "PathStepper",
-    "forward_solve",
-    "backward_solve",
     "duality_gap",
     "forward_state_matrix",
     "backward_state_matrix",
@@ -110,11 +114,15 @@ class ProblemCoefficients:
     def sample(self, grid: SpatialGrid, times: np.ndarray) -> CoefficientTables:
         times = np.asarray(times, dtype=float)
         a_faces = _sample(self.a, times, grid.faces)
+        left = times[:-1]
+        tabs = {k: _sample(getattr(self, k), left, grid.x) for k in ("a1", "a2", "b1", "b2", "b")}
+        for name, table, at in (("a", a_faces, times), *((k, v, left) for k, v in tabs.items())):
+            bad = ~np.isfinite(table).all(axis=1)
+            if bad.any():
+                raise ValueError(f"coefficient {name} is not finite at t = {at[bad.argmax()]:.6g}")
         beta = float(a_faces.min())
         if beta <= 0.0:
             raise ValueError(f"diffusion coefficient must stay positive; min sample = {beta}")
-        left = times[:-1]
-        tabs = {k: _sample(getattr(self, k), left, grid.x) for k in ("a1", "a2", "b1", "b2", "b")}
         sup = {k: float(np.abs(v).max()) for k, v in tabs.items()}
         return CoefficientTables(times=times, a_faces=a_faces, beta=beta,
                                  a1=tabs["a1"], a2=tabs["a2"], b1=tabs["b1"],
@@ -146,19 +154,17 @@ class BackwardSolution:
     z_half: AdaptedField
 
 
-def _as_tables(coeffs, grid: SpatialGrid, times: np.ndarray) -> CoefficientTables:
-    if isinstance(coeffs, CoefficientTables):
-        return coeffs
-    return coeffs.sample(grid, times)
-
-
 class _StepperBase:
-    """Shared per-level factorization of S_n = I - dt*E(t_n)."""
+    """Shared per-level factorization of S_n = I - dt*E(t_n).
+
+    (E u)_i = [a_{i+1/2}(u_{i+1} - u_i) - a_{i-1/2}(u_i - u_{i-1})] / h^2 with
+    zero Dirichlet closure, so S_n is symmetric positive definite when a > 0.
+    """
 
     def __init__(self, grid: SpatialGrid, times: np.ndarray, dt: float, coeffs):
         self.grid = grid
         self.dt = float(dt)
-        self.tab = _as_tables(coeffs, grid, times)
+        self.tab = coeffs if isinstance(coeffs, CoefficientTables) else coeffs.sample(grid, times)
         h2 = grid.h * grid.h
         self._facts = [None]
         for n in range(1, times.size):
@@ -197,6 +203,7 @@ class TreeStepper(_StepperBase):
                            + weak_div(drift_div)], noise = a2*y + b2*grad(y) + v.
         adjoint_1_5 mode:  drift = -a1*y + weak_div(y*b), noise = -a2*y
                            (controls/sources not accepted).
+        On a single-branch path nothing splits and the noise drops out.
         """
         if mode not in FORWARD_MODES:
             raise ValueError(f"unknown forward mode {mode!r}")
@@ -211,25 +218,24 @@ class TreeStepper(_StepperBase):
         for n in range(tree.M):
             y = levels[n]
             if mode == "general":
-                drift = tab.a1[n] * y + tab.b1[n] * gradient(grid, y)
+                grad = gradient(grid, y)
+                drift = tab.a1[n] * y + tab.b1[n] * grad
                 if u is not None:
                     drift = drift + mask * u[n]
                 if drift_src is not None:
                     drift = drift + drift_src[n]
                 if drift_div is not None:
                     drift = drift + weak_divergence(grid, drift_div[n])
-                noise = tab.a2[n] * y + tab.b2[n] * gradient(grid, y)
+                noise = tab.a2[n] * y + tab.b2[n] * grad
                 if v is not None:
                     noise = noise + v[n]
             else:  # adjoint_1_5
                 drift = -(tab.a1[n] * y) + weak_divergence(grid, tab.b[n] * y)
                 noise = -(tab.a2[n] * y)
             base = y + self.dt * drift
-            bump = tree.sqrt_dt * noise
-            rhs = np.empty((2 * y.shape[0], grid.N))
-            rhs[0::2] = base + bump
-            rhs[1::2] = base - bump
-            levels.append(self._solve(n + 1, rhs))
+            if tree.n_nodes(n + 1) > y.shape[0]:
+                base = reconstruct_children(tree, base, noise)
+            levels.append(self._solve(n + 1, base))
         return ForwardSolution(y=AdaptedField(levels))
 
     # -- backward --------------------------------------------------------
@@ -242,6 +248,7 @@ class TreeStepper(_StepperBase):
                              F = z_half*b1 + Z*b2;
         controlled_1_2 mode: z_n = z_half_n - dt*(a1*z_half + b*grad(z_half)
                              + a2*Z + 1_{G0} u_n).
+        On a single-branch path there is no sibling to fold: z_half = w, Z = 0.
         """
         if mode not in BACKWARD_MODES:
             raise ValueError(f"unknown backward mode {mode!r}")
@@ -262,9 +269,10 @@ class TreeStepper(_StepperBase):
         z_levels[tree.M] = cur.copy()
         for n in range(tree.M - 1, -1, -1):
             w = self._solve(n + 1, cur)
-            z_half = 0.5 * (w[0::2] + w[1::2])
-            half_diff = 0.5 * (w[0::2] - w[1::2])
-            z_mart = half_diff / tree.sqrt_dt
+            if tree.n_nodes(n) < w.shape[0]:
+                z_half, z_mart = martingale_part(tree, w)
+            else:
+                z_half, z_mart = w, np.zeros_like(w)
             if mode == "adjoint_1_3":
                 src = -(tab.a1[n] * z_half) - tab.a2[n] * z_mart
                 flux = tab.b1[n] * z_half + tab.b2[n] * z_mart
@@ -285,87 +293,21 @@ class TreeStepper(_StepperBase):
                                 z_half=AdaptedField(z_half_levels))
 
 
-class PathStepper(_StepperBase):
+class PathStepper:
     """Single-branch deterministic counterpart of TreeStepper.
 
+    A thin entry point: TreeStepper's sweeps on `build_path(n_steps, T)`.
     Used as the collapsed-tree oracle (zero-noise degeneration) and for
-    time-resolved runs whose tree would be too deep; states are plain arrays
-    of shape (n_steps+1, N).
+    time-resolved runs whose tree would be too deep; `forward` returns the
+    states stacked into one array of shape (n_steps+1, N).
     """
 
     def __init__(self, grid: SpatialGrid, n_steps: int, T: float, coeffs):
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        dt = T / n_steps
-        times = dt * np.arange(n_steps + 1)
-        super().__init__(grid, times, dt, coeffs)
-        self.n_steps = int(n_steps)
-        self.T = float(T)
-        self.times = times
+        self.stepper = TreeStepper(grid, build_path(n_steps, T), coeffs)
 
     def forward(self, y0, u=None, drift_src=None, drift_div=None, mode: str = "general") -> np.ndarray:
-        if mode not in FORWARD_MODES:
-            raise ValueError(f"unknown forward mode {mode!r}")
-        grid, tab = self.grid, self.tab
-        out = np.empty((self.n_steps + 1, grid.N))
-        out[0] = np.asarray(y0, dtype=float)
-        mask = grid.g0_mask
-        for n in range(self.n_steps):
-            y = out[n]
-            if mode == "general":
-                drift = tab.a1[n] * y + tab.b1[n] * gradient(grid, y)
-                if u is not None:
-                    drift = drift + mask * u[n]
-                if drift_src is not None:
-                    drift = drift + drift_src[n]
-                if drift_div is not None:
-                    drift = drift + weak_divergence(grid, drift_div[n])
-            else:
-                drift = -(tab.a1[n] * y) + weak_divergence(grid, tab.b[n] * y)
-            rhs = y + self.dt * drift
-            out[n + 1] = self._solve(n + 1, rhs.reshape(1, -1))[0]
-        return out
-
-    def backward(self, zT, mode: str = "generic", f0=None, f_div=None, u=None):
-        """Deterministic backward solve; returns (z, z_half) arrays."""
-        if mode not in BACKWARD_MODES:
-            raise ValueError(f"unknown backward mode {mode!r}")
-        grid, tab = self.grid, self.tab
-        z = np.empty((self.n_steps + 1, grid.N))
-        z_half = np.empty((self.n_steps, grid.N))
-        z[self.n_steps] = np.asarray(zT, dtype=float)
-        mask = grid.g0_mask
-        for n in range(self.n_steps - 1, -1, -1):
-            zh = self._solve(n + 1, z[n + 1].reshape(1, -1))[0]
-            if mode == "adjoint_1_3":
-                corr = -(tab.a1[n] * zh) + weak_divergence(grid, tab.b1[n] * zh)
-            elif mode == "controlled_1_2":
-                corr = tab.a1[n] * zh + tab.b[n] * gradient(grid, zh)
-                if u is not None:
-                    corr = corr + mask * u[n]
-            else:
-                corr = np.zeros_like(zh)
-                if f0 is not None:
-                    corr = corr + f0[n]
-                if f_div is not None:
-                    corr = corr + weak_divergence(grid, f_div[n])
-            z[n] = zh - self.dt * corr
-            z_half[n] = zh
-        return z, z_half
-
-
-# -- module-level conveniences ------------------------------------------
-
-
-def forward_solve(grid, tree, coeffs, y0, u=None, v=None, drift_src=None,
-                  drift_div=None, mode: str = "general") -> ForwardSolution:
-    return TreeStepper(grid, tree, coeffs).forward(y0, u=u, v=v, drift_src=drift_src,
-                                                   drift_div=drift_div, mode=mode)
-
-
-def backward_solve(grid, tree, coeffs, zT, mode: str = "generic",
-                   f0=None, f_div=None, u=None) -> BackwardSolution:
-    return TreeStepper(grid, tree, coeffs).backward(zT, mode=mode, f0=f0, f_div=f_div, u=u)
+        sol = self.stepper.forward(y0, u=u, drift_src=drift_src, drift_div=drift_div, mode=mode)
+        return np.concatenate(sol.y.levels)
 
 
 def _pairing_terms(stepper: TreeStepper, fwd: ForwardSolution, bwd: BackwardSolution,

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from spcontrol import AdaptedField, ProblemCoefficients, TreeStepper, build_grid, build_tree
+from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper,
+                       build_grid, build_tree)
 from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, _appendix_at,
                                 appendix_coeffs, build_psi, carleman_ratio_backward,
                                 carleman_ratio_forward, eval_weights, lambda_threshold,
@@ -206,6 +209,16 @@ def test_backward_ratio_median_sweep(grid32, tree8):
     assert medians[0] >= medians[1] >= medians[2]
 
 
+def test_eval_weights_bound_violation_raises(grid32, tree8):
+    # a strongly negative profile entry keeps alpha < 0 but breaks
+    # |phi_t| <= T phi^2 there; the check must not depend on assert (python -O)
+    psi = build_psi(grid32)
+    bad = psi.psi.copy()
+    bad[3] = -10.0
+    with pytest.raises(NumericsError, match=r"\|phi_t\| <= T phi\^2"):
+        eval_weights(dataclasses.replace(psi, psi=bad), 10.0, 2.0, tree8)
+
+
 def test_backward_ratio_lemma_baseline(grid32, tree8, full_coeffs):
     # no-flux configuration: random F0 and terminal data, ratio finite
     psi = build_psi(grid32)
@@ -216,7 +229,7 @@ def test_backward_ratio_lemma_baseline(grid32, tree8, full_coeffs):
         zT = rng.standard_normal((tree8.n_nodes(tree8.M), grid32.N))
         f0 = AdaptedField.random(tree8, grid32.N, rng, n_levels=tree8.M)
         r = carleman_ratio_backward(grid32, tree8, full_coeffs, w, zT,
-                                    mode="lemma_2_2", f0=f0, stepper=st)
+                                    mode="sources", f0=f0, stepper=st)
         assert np.isfinite(r.ratio) and r.ratio > 0.0
         assert r.rhs_terms["flux"] == 0.0
 

@@ -146,6 +146,30 @@ output_dir = {tmp_path / 'out'}
     assert len(data) == 3  # partial rows preserved
 
 
+@pytest.mark.parametrize("command,outputs", [
+    ("control-forward", ("control-forward.csv", "control-forward_report.txt")),
+    ("control-backward", ("control-backward.csv", "control-backward_report.txt")),
+    ("sweep-eps", ("sweep-eps.csv", "sweep-eps.dat", "sweep-eps_report.txt")),
+])
+def test_cg_nonconvergence_exit_code_with_outputs(tmp_path, capsys, command, outputs):
+    cfg = DESK.replace("cg_max_iter = 500", "cg_max_iter = 5")
+    cfg_path = write(tmp_path, cfg + f"output_dir = {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert "numerical failure: CG did not converge" in capsys.readouterr().err
+    for name in outputs:
+        assert (tmp_path / "out" / name).exists()
+    if command != "sweep-eps":
+        assert "cg_converged = False" in (tmp_path / "out" / outputs[1]).read_text()
+
+
+def test_nonfinite_coefficient_exit_code(tmp_path, capsys):
+    cfg_path = write(tmp_path, MINIMAL + f"a = sqrt(x - 0.5)\n\n[experiment]\n"
+                                         f"output_dir = {tmp_path / 'out'}\n")
+    with np.errstate(invalid="ignore"):
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert "coefficient a is not finite" in capsys.readouterr().err
+
+
 def test_bad_config_exit_code(tmp_path):
     path = write(tmp_path, "[problem]\nN = 2\n")
     assert main(["simulate", "--config", str(path)]) == 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spcontrol import (assemble_elliptic, build_grid, gradient, gradient_transpose,
-                       weak_divergence)
+from spcontrol import (PathStepper, ProblemCoefficients, build_grid, gradient,
+                       gradient_transpose, weak_divergence)
 
 
 def test_build_grid_masks_small_example():
@@ -31,46 +31,67 @@ def test_build_grid_mask_count_by_enumeration():
     assert int(grid.g0_mask.sum()) == expected
 
 
-def test_elliptic_constant_coefficient_stencil():
-    # N = 3 interior nodes at h = 0.25: diagonal -2/h^2, off-diagonal 1/h^2
-    from spcontrol import EllipticOperator
+# The elliptic stencil is tested through the band the steppers factor: one
+# implicit step y1 = S^{-1} y0 with S = I - dt*E and all lower-order terms off.
 
-    op = EllipticOperator(np.ones(4), 0.25)
-    dense = op.dense()
-    assert np.allclose(np.diag(dense), -32.0)
-    assert np.allclose(np.diag(dense, 1), 16.0)
-    assert np.allclose(np.diag(dense, -1), 16.0)
+
+def _implicit_step(grid, a, dt):
+    return PathStepper(grid, 1, dt, ProblemCoefficients(a=a))
+
+
+def _stencil(grid, a, dt=1e-3):
+    """Dense E recovered from the stepper's implicit step: E = (I - S) / dt."""
+    step = _implicit_step(grid, a, dt)
+    s_inv = np.stack([step.forward(e)[1] for e in np.eye(grid.N)], axis=1)
+    return (np.eye(grid.N) - np.linalg.inv(s_inv)) / dt
+
+
+def test_elliptic_constant_coefficient_stencil():
+    # N = 4 interior nodes at h = 0.2: diagonal -2/h^2, off-diagonal 1/h^2
+    grid = build_grid(1.0, 4, (0.3, 0.8), (0.45, 0.65))
+    dense = _stencil(grid, 1.0)
+    assert np.allclose(np.diag(dense), -50.0, rtol=1e-10)
+    assert np.allclose(np.diag(dense, 1), 25.0, rtol=1e-10)
+    assert np.allclose(np.diag(dense, -1), 25.0, rtol=1e-10)
+    assert np.allclose(np.diag(dense, 2), 0.0, atol=1e-9)
 
 
 def test_elliptic_eigenfunction_second_order():
+    # the discrete sine mode decays by 1/(1 + dt*lambda_h) per implicit step,
+    # lambda_h = pi^2 + O(h^2)
+    dt = 0.1
     errs = []
     for N in (32, 65):
         grid = build_grid(1.0, N, (0.3, 0.8), (0.45, 0.65))
-        op = assemble_elliptic(grid, 1.0)
         u = np.sin(np.pi * grid.x)
-        resid = op.apply(u) + np.pi ** 2 * u
-        errs.append(np.abs(resid).max() / np.abs(u).max())
+        y1 = _implicit_step(grid, 1.0, dt).forward(u)[1]
+        errs.append(np.abs(y1 - u / (1.0 + dt * np.pi ** 2)).max() / np.abs(u).max())
     # h halves from N=32 to N=65; O(h^2) means error drops by >= 3.5
     assert errs[0] / errs[1] >= 3.5
 
 
 def test_elliptic_symmetry_variable_coefficient():
+    # the implicit solve is symmetric, which the transposed sweeps rely on
     grid = build_grid(1.0, 12, (0.3, 0.8), (0.45, 0.65))
-    op = assemble_elliptic(grid, lambda x: 1.0 + x)
-    dense = op.dense()
-    assert np.array_equal(dense, dense.T)
+    step = _implicit_step(grid, lambda t, x: 1.0 + x, 0.05)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        u, v = rng.standard_normal((2, grid.N))
+        lhs = float(np.dot(step.forward(u)[1], v))
+        rhs = float(np.dot(u, step.forward(v)[1]))
+        assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def test_elliptic_rejects_nonpositive_coefficient():
     grid = build_grid(1.0, 8, (0.3, 0.8), (0.45, 0.65))
-    with pytest.raises(ValueError):
-        assemble_elliptic(grid, lambda x: x - 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        _implicit_step(grid, lambda t, x: x - 0.5, 0.1)
 
 
 def test_elliptic_spd_by_inverse_power_iteration():
     grid = build_grid(1.0, 8, (0.3, 0.8), (0.45, 0.65))
-    op = assemble_elliptic(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
-    dense = -op.dense()
+    dense = -_stencil(grid, lambda t, x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    assert np.allclose(dense, dense.T, rtol=0.0, atol=1e-9 * np.abs(dense).max())
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.N)
     for _ in range(200):

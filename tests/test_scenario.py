@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spcontrol import (AdaptedField, build_grid, build_tree, expectation,
+from spcontrol import (AdaptedField, build_grid, build_path, build_tree, expectation,
                        martingale_part, qt_integral, reconstruct_children)
 
 
@@ -148,3 +148,18 @@ def test_martingale_reconstruction():
     mean, z = martingale_part(tree, children)
     back = reconstruct_children(tree, mean, z)
     assert np.abs(back - children).max() <= 4e-16 * np.abs(children).max()
+
+
+def test_single_path_tree_and_fields():
+    path = build_path(5, 2.0)
+    assert [path.n_nodes(n) for n in range(6)] == [1] * 6
+    assert path.node_weight(3) == 1.0 and path.total_nodes == 6
+    assert np.array_equal(path.times, build_tree(5, 2.0).times)
+    field = AdaptedField([np.ones((1, 3))] * 4)
+    assert len(field) == 4
+    with pytest.raises(ValueError, match="level 2"):
+        AdaptedField([np.ones((1, 3)), np.ones((1, 3)), np.ones((2, 3))])
+    with pytest.raises(ValueError, match="level 2"):
+        AdaptedField([np.ones((1, 3)), np.ones((2, 3)), np.ones((1, 3))])
+    with pytest.raises(ValueError):
+        build_path(0, 1.0)

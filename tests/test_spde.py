@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spcontrol import (AdaptedField, NumericsError, PathStepper, ProblemCoefficients,
-                       TreeStepper, backward_state_matrix, build_grid, build_tree,
+                       TreeStepper, backward_state_matrix, build_grid, build_path, build_tree,
                        duality_gap, forward_state_matrix, mean_square_norm)
 
 
@@ -26,6 +26,40 @@ def test_zero_noise_matches_single_branch_bitwise(grid16, tree6):
     # martingale part of the deterministic solution vanishes exactly
     bwd = st.backward(np.tile(det[-1], (tree6.n_nodes(tree6.M), 1)), mode="adjoint_1_3")
     assert all(np.all(bwd.Z[n] == 0.0) for n in range(tree6.M))
+
+
+def test_zero_noise_backward_matches_single_branch_bitwise(grid16, tree6):
+    """With a2 = b2 = 0 and leaf-constant data every backward mode on the tree
+    repeats the single-path run row for row, with Z = 0."""
+    coeffs = ProblemCoefficients(a=lambda t, x: 1.0 + 0.2 * np.sin(2 * np.pi * x),
+                                 a1=0.7, b1=0.3, b=0.4)
+    path = build_path(tree6.M, tree6.T)
+    on_tree = TreeStepper(grid16, tree6, coeffs)
+    on_path = TreeStepper(grid16, path, coeffs)
+    zT = np.cos(np.pi * grid16.x)
+
+    def sources(tree, fn):
+        return AdaptedField.from_function(tree, grid16, fn, n_levels=tree6.M)
+
+    def f0(t, x):
+        return np.sin(3 * x) + t
+
+    def flux(t, x):
+        return x * (1.0 - x) * np.exp(-t)
+
+    runs = [("generic", {"f0": f0, "f_div": flux}), ("adjoint_1_3", {}),
+            ("controlled_1_2", {"u": flux})]
+    for mode, fns in runs:
+        tree_kw = {k: sources(tree6, fn) for k, fn in fns.items()}
+        path_kw = {k: sources(path, fn) for k, fn in fns.items()}
+        bt = on_tree.backward(np.tile(zT, (tree6.n_nodes(tree6.M), 1)), mode=mode, **tree_kw)
+        bp = on_path.backward(zT[None, :], mode=mode, **path_kw)
+        for n in range(tree6.M + 1):
+            assert np.array_equal(bt.z[n], np.tile(bp.z[n], (tree6.n_nodes(n), 1))), (mode, n)
+        for n in range(tree6.M):
+            rows = (tree6.n_nodes(n), 1)
+            assert np.array_equal(bt.z_half[n], np.tile(bp.z_half[n], rows)), (mode, n)
+            assert np.all(bt.Z[n] == 0.0) and np.all(bp.Z[n] == 0.0), (mode, n)
 
 
 def test_heat_kernel_decay_rate():
@@ -159,3 +193,12 @@ def test_coefficient_positivity_enforced(grid16, tree6):
     coeffs = ProblemCoefficients(a=lambda t, x: 0.5 - t)
     with pytest.raises(ValueError):
         coeffs.sample(grid16, tree6.times)
+
+
+@pytest.mark.parametrize("name", ["a", "a1", "a2", "b1", "b2", "b"])
+def test_nonfinite_coefficient_rejected_at_sampling(grid16, tree6, name):
+    # log(0.5 - t): -inf at t = 0.5, NaN after it (numpy warns and returns them)
+    coeffs = ProblemCoefficients(**{name: lambda t, x: 1.0 + np.log(0.5 - t + 0.0 * x)})
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(ValueError, match=rf"coefficient {name} is not finite at t = 0\.5"):
+            coeffs.sample(grid16, tree6.times)
