@@ -20,14 +20,14 @@ batches are independent and safe to run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient
 from .scenario import ScenarioTree
-from .spde import TreeStepper
+from .spde import TreeStepper, _sample
 
 __all__ = [
     "PsiFunction",
@@ -49,16 +49,53 @@ __all__ = [
 _CAP_SAFETY = 0.9
 
 
+def _profile(g1, x_c, curv, quint_left, quint_right, x, order, side):
+    """Evaluate the piecewise profile or a derivative (order <= 5) at points x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    c, d = g1
+    if side == "auto":
+        in_left = x < c
+        in_right = x > d
+    elif side == "left":
+        in_left = x <= c
+        in_right = x > d
+    elif side == "right":
+        in_left = x < c
+        in_right = x >= d
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    in_cap = ~(in_left | in_right)
+    out = np.zeros_like(x)
+    if order == 0:
+        out[in_cap] = (1.0 - curv * (x - x_c) ** 2)[in_cap]
+    elif order == 1:
+        out[in_cap] = (-2.0 * curv * (x - x_c))[in_cap]
+    elif order == 2:
+        out[in_cap] = -2.0 * curv
+    for where, knot, quint in ((in_left, c, quint_left), (in_right, d, quint_right)):
+        s = x[where] - knot
+        val_k = 1.0 - curv * (knot - x_c) ** 2
+        slope_k = -2.0 * curv * (knot - x_c)
+        out[where] = {
+            0: val_k + slope_k * s - curv * s * s + quint * s ** 5,
+            1: slope_k - 2.0 * curv * s + 5.0 * quint * s ** 4,
+            2: -2.0 * curv + 20.0 * quint * s ** 3,
+            3: 60.0 * quint * s ** 2,
+            4: 120.0 * quint * s,
+            5: 120.0 * quint * np.ones_like(s),
+        }[order]
+    return out
+
+
 @dataclass(frozen=True)
 class PsiFunction:
-    """Piecewise-quintic weight profile and its derivatives on the mesh.
+    """Piecewise-quintic weight profile, tabulated with its slope on the mesh.
 
     Pieces: rising quintic on [0, c], parabolic cap 1 - curv*(x - x_c)^2 on
     [c, d] = g1, falling quintic on [d, L]; all joins are C^4 by construction
     (third and fourth derivatives vanish identically at the knots).
     """
 
-    L: float
     g1: tuple[float, float]
     x_c: float
     curv: float
@@ -66,9 +103,6 @@ class PsiFunction:
     quint_right: float
     psi: np.ndarray
     dpsi: np.ndarray
-    d2psi: np.ndarray
-    d3psi: np.ndarray
-    d4psi: np.ndarray
     psi_inf: float = 1.0
 
     def evaluate(self, x, order: int = 0, side: str = "auto") -> np.ndarray:
@@ -78,41 +112,8 @@ class PsiFunction:
         knots to the cap, "left"/"right" force the adjacent outer piece
         (used by the C^4 join checks).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        c, d = self.g1
-        if side == "auto":
-            in_left = x < c
-            in_right = x > d
-        elif side == "left":
-            in_left = x <= c
-            in_right = x > d
-        elif side == "right":
-            in_left = x < c
-            in_right = x >= d
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        in_cap = ~(in_left | in_right)
-        out = np.zeros_like(x)
-        if order == 0:
-            out[in_cap] = (1.0 - self.curv * (x - self.x_c) ** 2)[in_cap]
-        elif order == 1:
-            out[in_cap] = (-2.0 * self.curv * (x - self.x_c))[in_cap]
-        elif order == 2:
-            out[in_cap] = -2.0 * self.curv
-        for where, knot, quint in ((in_left, c, self.quint_left),
-                                   (in_right, d, self.quint_right)):
-            s = x[where] - knot
-            val_k = 1.0 - self.curv * (knot - self.x_c) ** 2
-            slope_k = -2.0 * self.curv * (knot - self.x_c)
-            out[where] = {
-                0: val_k + slope_k * s - self.curv * s * s + quint * s ** 5,
-                1: slope_k - 2.0 * self.curv * s + 5.0 * quint * s ** 4,
-                2: -2.0 * self.curv + 20.0 * quint * s ** 3,
-                3: 60.0 * quint * s ** 2,
-                4: 120.0 * quint * s,
-                5: 120.0 * quint * np.ones_like(s),
-            }[order]
-        return out
+        return _profile(self.g1, self.x_c, self.curv, self.quint_left, self.quint_right,
+                        x, order, side)
 
 
 def build_psi(grid: SpatialGrid, g1: tuple[float, float] | None = None) -> PsiFunction:
@@ -142,13 +143,10 @@ def build_psi(grid: SpatialGrid, g1: tuple[float, float] | None = None) -> PsiFu
     slope_d = -2.0 * curv * (d - x_c)
     quint_right = -(val_d + slope_d * (L - d) - curv * (L - d) ** 2) / (L - d) ** 5
 
-    proto = PsiFunction(L=L, g1=g1, x_c=x_c, curv=curv, quint_left=quint_left,
-                        quint_right=quint_right, psi=np.empty(0), dpsi=np.empty(0),
-                        d2psi=np.empty(0), d3psi=np.empty(0), d4psi=np.empty(0))
-    tabs = [proto.evaluate(grid.x, order=k) for k in range(5)]
-    psi = PsiFunction(L=L, g1=g1, x_c=x_c, curv=curv, quint_left=quint_left,
-                      quint_right=quint_right, psi=tabs[0], dpsi=tabs[1], d2psi=tabs[2],
-                      d3psi=tabs[3], d4psi=tabs[4])
+    psi0, dpsi = (_profile(g1, x_c, curv, quint_left, quint_right, grid.x, k, "auto")
+                  for k in (0, 1))
+    psi = PsiFunction(g1=g1, x_c=x_c, curv=curv, quint_left=quint_left,
+                      quint_right=quint_right, psi=psi0, dpsi=dpsi)
     outside = ~((grid.x > c) & (grid.x < d))
     if not np.all(psi.psi > 0.0):
         raise NumericsError("psi construction failed: non-positive interior value")
@@ -185,15 +183,10 @@ class CarlemanWeightSet:
     alpha: np.ndarray
     l: np.ndarray
     log_phi: np.ndarray
-    level_offset: int = 1
-
-    @property
-    def n_levels(self) -> int:
-        return self.times.size
 
     def row(self, tree_level: int) -> int:
-        k = tree_level - self.level_offset
-        if not 0 <= k < self.n_levels:
+        k = tree_level - 1
+        if not 0 <= k < self.times.size:
             raise ValueError(f"tree level {tree_level} has no tabulated weights (t = 0, T excluded)")
         return k
 
@@ -238,32 +231,15 @@ def eval_weights(psi: PsiFunction, lam: float, mu: float, tree: ScenarioTree) ->
 # -- appendix coefficient formulas (1-D instantiation) --------------------
 
 
+@dataclass(frozen=True)
 class DiffusionCoefficient:
-    """Diffusion coefficient with the analytic derivatives the formulas need."""
+    """Diffusion coefficient and the analytic derivatives the formulas need (constants or f(t, x))."""
 
-    def __init__(self, value=1.0, dx=0.0, dxx=0.0, dt=0.0, dxt=0.0):
-        self._fns = (value, dx, dxx, dt, dxt)
-
-    def _eval(self, idx: int, t: float, x: np.ndarray) -> np.ndarray:
-        f = self._fns[idx]
-        if callable(f):
-            return np.broadcast_to(np.asarray(f(t, x), dtype=float), x.shape).copy()
-        return np.full_like(x, float(f))
-
-    def value(self, t, x):
-        return self._eval(0, t, x)
-
-    def dx(self, t, x):
-        return self._eval(1, t, x)
-
-    def dxx(self, t, x):
-        return self._eval(2, t, x)
-
-    def dt(self, t, x):
-        return self._eval(3, t, x)
-
-    def dxt(self, t, x):
-        return self._eval(4, t, x)
+    value: object = 1.0
+    dx: object = 0.0
+    dxx: object = 0.0
+    dt: object = 0.0
+    dxt: object = 0.0
 
 
 @dataclass(frozen=True)
@@ -271,8 +247,6 @@ class AppendixCoefficients:
     """Nodal values of the weighted-identity coefficients at one time level."""
 
     t: float
-    lam: float
-    mu: float
     A: np.ndarray
     B: np.ndarray
     c11: np.ndarray
@@ -282,12 +256,12 @@ class AppendixCoefficients:
     c11_lead: np.ndarray
 
 
-def appendix_coeffs(psi: PsiFunction, weights: CarlemanWeightSet, a, lam: float,
-                    mu: float, tree_level: int, x: np.ndarray,
-                    beta: float | None = None) -> AppendixCoefficients:
-    """Evaluate A, B, c^{11}, Psi at one interior time level.
+def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
+                    x: np.ndarray, beta: float | None = None) -> AppendixCoefficients:
+    """Evaluate A, B, c^{11}, Psi at time t in (0, T).
 
-    1-D instantiation with Psi = -2 a l_xx:
+    `a` is a constant or a DiffusionCoefficient.  1-D instantiation with
+    Psi = -2 a l_xx:
 
         A    = a l_x^2 - a_x l_x - a l_xx - Psi - l_t
         B    = 2 [A Psi + (A a l_x)_x] - A_t + (a Psi_x)_x
@@ -299,14 +273,7 @@ def appendix_coeffs(psi: PsiFunction, weights: CarlemanWeightSet, a, lam: float,
     B_lead = 2 beta^2 lam^3 mu^4 phi^3 psi'^4 and
     c11_lead = beta^2 lam mu^2 phi psi'^2.
     """
-    k = weights.row(tree_level)
-    t = float(weights.times[k])
-    return _appendix_at(psi, a, lam, mu, t, weights.T, x, beta)
-
-
-def _appendix_at(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
-                 x: np.ndarray, beta: float | None = None) -> AppendixCoefficients:
-    if np.isscalar(a) or isinstance(a, (int, float)):
+    if not isinstance(a, DiffusionCoefficient):
         a = DiffusionCoefficient(value=float(a))
     if not (0.0 < t < T):
         raise ValueError(f"level time {t} must be strictly inside (0, {T})")
@@ -316,8 +283,9 @@ def _appendix_at(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
     p3 = psi.evaluate(x, 3)
     p4 = psi.evaluate(x, 4)
     tau = 1.0 / (t * (T - t))
-    phi = tau * np.exp(mu * psi.evaluate(x, 0))
-    alpha = tau * (np.exp(mu * psi.evaluate(x, 0)) - np.exp(2.0 * mu * psi.psi_inf))
+    e_mu_psi = np.exp(mu * psi.evaluate(x, 0))
+    phi = tau * e_mu_psi
+    alpha = tau * (e_mu_psi - np.exp(2.0 * mu * psi.psi_inf))
     g = -(T - 2.0 * t) * tau
     g_t = 2.0 * tau + (T - 2.0 * t) ** 2 * tau * tau
 
@@ -332,11 +300,8 @@ def _appendix_at(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
     lxt = g * lx
     lxxt = g * lxx
 
-    av = a.value(t, x)
-    ax = a.dx(t, x)
-    axx = a.dxx(t, x)
-    at = a.dt(t, x)
-    axt = a.dxt(t, x)
+    av, ax, axx, at, axt = (_sample(spec, np.array([t]), x)[0]
+                            for spec in (a.value, a.dx, a.dxx, a.dt, a.dxt))
 
     Psi = -2.0 * av * lxx
     Psi_x = -2.0 * (ax * lxx + av * lxxx)
@@ -358,54 +323,53 @@ def _appendix_at(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
     for name, arr in (("A", A), ("B", B), ("c11", c11), ("Psi", Psi)):
         if not np.all(np.isfinite(arr)):
             raise NumericsError(f"appendix coefficient {name} overflowed at t = {t}")
-    return AppendixCoefficients(t=t, lam=float(lam), mu=float(mu), A=A, B=B, c11=c11,
-                                Psi=Psi, A_lead=A_lead, B_lead=B_lead, c11_lead=c11_lead)
+    return AppendixCoefficients(t=t, A=A, B=B, c11=c11, Psi=Psi, A_lead=A_lead, B_lead=B_lead,
+                                c11_lead=c11_lead)
 
 
 @dataclass(frozen=True)
 class DeviationRow:
-    """Leading-order deviations for one (mu, lambda) pair, nodes outside G1."""
+    """Leading-order deviations for one (mu, lambda) pair, nodes outside G1.
+
+    Every pair sits at the parameter threshold, so `valid` is always True; it
+    is kept as a column of the appendix-check table.
+    """
 
     mu: float
     lam: float
-    valid: bool
-    dev_A: float = np.nan
-    dev_B: float = np.nan
-    min_B: float = np.nan
-    c11_margin: float = np.nan
+    dev_A: float
+    dev_B: float
+    min_B: float
+    c11_margin: float
+    valid: bool = True
 
 
 def leading_order_check(psi: PsiFunction, a, mu_values, T: float, grid: SpatialGrid,
-                        c0: float = 1.0, lam_multiple: float = 1.0,
-                        n_times: int = 9) -> list[DeviationRow]:
+                        c0: float = 1.0) -> list[DeviationRow]:
     """Tabulate relative deviations from the leading asymptotics.
 
-    For each mu the pair is (mu, lam_multiple * threshold(mu)).  Deviations
-    are taken over nodes outside G1 (where psi' is bounded away from zero)
-    and an interior time grid: dev_A = max |A - A_lead| / |A_lead|,
-    dev_B likewise, min_B = min B / B_lead, and c11_margin =
-    min c11 / c11_lead.  Pairs below threshold are flagged, not evaluated.
+    For each mu the pair is (mu, threshold(mu)).  Deviations are taken over
+    nodes outside G1 (where psi' is bounded away from zero) and nine interior
+    times T/10, ..., 9T/10: dev_A = max |A - A_lead| / |A_lead|, dev_B
+    likewise, min_B = min B / B_lead, and c11_margin = min c11 / c11_lead.
     """
     outside = ~grid.g1_mask
-    times = np.linspace(T / (n_times + 1), T * n_times / (n_times + 1), n_times)
+    times = np.linspace(T / 10, T * 9 / 10, 9)
     rows = []
     for mu in mu_values:
-        lam = lam_multiple * lambda_threshold(mu, psi, T, c0=c0)
-        if lam < lambda_threshold(mu, psi, T, c0=c0) * (1.0 - 1e-12):
-            rows.append(DeviationRow(mu=float(mu), lam=float(lam), valid=False))
-            continue
+        lam = lambda_threshold(mu, psi, T, c0=c0)
         dev_a = 0.0
         dev_b = 0.0
         min_b = np.inf
         margin = np.inf
         for t in times:
-            co = _appendix_at(psi, a, lam, mu, float(t), T, grid.x)
+            co = appendix_coeffs(psi, a, lam, mu, float(t), T, grid.x)
             dev_a = max(dev_a, float(np.max(np.abs(co.A - co.A_lead)[outside] / co.A_lead[outside])))
             dev_b = max(dev_b, float(np.max(np.abs(co.B - co.B_lead)[outside] / np.abs(co.B)[outside])))
             min_b = min(min_b, float(np.min(co.B[outside] / co.B_lead[outside])))
             margin = min(margin, float(np.min(co.c11[outside] / co.c11_lead[outside])))
-        rows.append(DeviationRow(mu=float(mu), lam=float(lam), valid=True,
-                                 dev_A=dev_a, dev_B=dev_b, min_B=min_b, c11_margin=margin))
+        rows.append(DeviationRow(mu=float(mu), lam=float(lam), dev_A=dev_a, dev_B=dev_b,
+                                 min_B=min_b, c11_margin=margin))
     return rows
 
 
@@ -436,13 +400,13 @@ def _quad_levels(tree: ScenarioTree, exclude: int) -> range:
     return range(lo, hi + 1)
 
 
-def _weighted_integral(tree, grid, weights, field, power, levels, shift,
-                       mask=None, square=True):
+def _weighted_integral(tree, grid, weights, field, power, levels, shift, mask=None):
+    """I[th^2 phi^power field^2] over the quadrature levels, in units of e^shift."""
     total = 0.0
     for n in levels:
         w = weights.theta2_phi_pow(n, power, log_shift=shift)
         vals = np.asarray(field[n], dtype=float)
-        vals = vals * vals if square else vals
+        vals = vals * vals
         if mask is not None:
             block = float(np.sum(vals[:, mask] * w[mask]))
         else:
@@ -451,16 +415,39 @@ def _weighted_integral(tree, grid, weights, field, power, levels, shift,
     return total
 
 
-def _ratio_from_terms(lhs_terms: dict, rhs_terms: dict, shift: float) -> CarlemanRatio:
+def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
+    """The weighted inequality shared by both estimates.
+
+    lhs  = lam^3 mu^4 I[th^2 phi^3 z^2] + lam mu^2 I[th^2 phi |grad z|^2]
+    rhs  = lam^3 mu^4 I_{G0}[th^2 phi^3 z^2] + sum of factor * I[th^2 phi^power F^2]
+
+    over `sources`, a sequence of (name, F, power, factor); F may be indexed
+    by level (only the quadrature levels are read) or None for an absent
+    source, whose term is 0.  The forward estimate passes mu = 1.
+    """
+    shift = weights.max_log_theta2(levels)
+    lam = weights.lam
+    lam3mu4 = lam ** 3 * mu ** 4
+    grad_z = {n: gradient(grid, z[n]) for n in levels}
+    lhs_terms = {
+        "state": lam3mu4 * _weighted_integral(tree, grid, weights, z, 3.0, levels, shift),
+        "gradient": lam * mu * mu * _weighted_integral(tree, grid, weights, grad_z, 1.0, levels, shift),
+    }
+    rhs_terms = {"observation": lam3mu4 * _weighted_integral(tree, grid, weights, z, 3.0, levels,
+                                                             shift, mask=grid.g0_mask)}
+    for name, f, power, factor in sources:
+        rhs_terms[name] = 0.0 if f is None else factor * _weighted_integral(
+            tree, grid, weights, f, power, levels, shift)
     lhs = sum(lhs_terms.values())
     rhs = sum(rhs_terms.values())
     if rhs == 0.0:
         if lhs > 0.0:
             raise NumericsError("Carleman rhs vanished while lhs is positive")
-        return CarlemanRatio(lhs=0.0, lhs_terms=lhs_terms, rhs=0.0, rhs_terms=rhs_terms,
-                             ratio=0.0, log_shift=shift)
+        lhs = rhs = ratio = 0.0
+    else:
+        ratio = lhs / rhs
     return CarlemanRatio(lhs=lhs, lhs_terms=lhs_terms, rhs=rhs, rhs_terms=rhs_terms,
-                         ratio=lhs / rhs, log_shift=shift)
+                         ratio=ratio, log_shift=shift)
 
 
 def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
@@ -479,46 +466,33 @@ def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
            + lam^2 mu^2 I[th^2 phi^2 |F|^2] + lam^2 mu^2 I[th^2 phi^2 Z^2]
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    tab = st.tab
+    levels = _quad_levels(tree, exclude)
     if mode == "adjoint_1_3":
         if f0 is not None or f_div is not None:
             raise ValueError("adjoint_1_3 mode derives its sources from the solution")
         sol = st.backward(zT, mode="adjoint_1_3")
-        f0_field = [-(tab.a1[n] * sol.z_half[n]) - tab.a2[n] * sol.Z[n] for n in range(tree.M)]
-        flux = [tab.b1[n] * sol.z_half[n] + tab.b2[n] * sol.Z[n] for n in range(tree.M)]
+        tab, z_half, Z = st.tab, sol.z_half, sol.Z
+        f0 = {n: -(tab.a1[n] * z_half[n]) - tab.a2[n] * Z[n] for n in levels}
+        f_div = {n: tab.b1[n] * z_half[n] + tab.b2[n] * Z[n] for n in levels}
     elif mode == "sources":
         sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
-        zero = [np.zeros_like(sol.z_half[n]) for n in range(tree.M)]
-        f0_field = f0 if f0 is not None else zero
-        flux = f_div if f_div is not None else zero
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
-    levels = _quad_levels(tree, exclude)
-    shift = weights.max_log_theta2(levels)
-    lam, mu = weights.lam, weights.mu
-    lam3mu4 = lam ** 3 * mu ** 4
-    lam2mu2 = lam * lam * mu * mu
-
-    grad_z = [gradient(grid, sol.z[n]) for n in range(tree.M)]
-    lhs_terms = {
-        "state": lam3mu4 * _weighted_integral(tree, grid, weights, sol.z, 3.0, levels, shift),
-        "gradient": lam * mu * mu * _weighted_integral(tree, grid, weights, grad_z, 1.0, levels, shift),
-    }
-    rhs_terms = {
-        "observation": lam3mu4 * _weighted_integral(tree, grid, weights, sol.z, 3.0, levels, shift,
-                                                    mask=grid.g0_mask),
-        "f0": _weighted_integral(tree, grid, weights, f0_field, 0.0, levels, shift),
-        "flux": lam2mu2 * _weighted_integral(tree, grid, weights, flux, 2.0, levels, shift),
-        "martingale": lam2mu2 * _weighted_integral(tree, grid, weights, sol.Z, 2.0, levels, shift),
-    }
-    return _ratio_from_terms(lhs_terms, rhs_terms, shift)
+    lam2mu2 = weights.lam * weights.lam * weights.mu * weights.mu
+    sources = (("f0", f0, 0.0, 1.0), ("flux", f_div, 2.0, lam2mu2),
+               ("martingale", sol.Z, 2.0, lam2mu2))
+    return _ratio(grid, tree, weights, sol.z, sources, levels, weights.mu)
 
 
 def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
                            weights: CarlemanWeightSet, z0, f1=None, f2=None, f_div=None,
                            mode: str = "sources", exclude: int = 1,
                            stepper: TreeStepper | None = None) -> CarlemanRatio:
-    """Weighted-inequality ratio for the forward equation (mu frozen at mu0).
+    """Weighted-inequality ratio for the forward equation.
+
+    mu is frozen in the weight (phi and theta are those of `weights`), so the
+    prefactors carry no mu: lam^3, lam and lam^2 where the backward estimate
+    has lam^3 mu^4, lam mu^2 and lam^2 mu^2.
 
     mode "sources": dz - (a z_x)_x dt = (f1 + div f_div) dt + f2 dW driven by
     the supplied sources.  mode "adjoint_1_5": the observability
@@ -529,33 +503,17 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
            + lam^2 I[th^2 phi^2 F2^2] + lam^2 I[th^2 phi^2 |F|^2]
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    tab = st.tab
+    levels = _quad_levels(tree, exclude)
     if mode == "sources":
         sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="general")
-        zero = [np.zeros_like(sol.y[n]) for n in range(tree.M)]
-        f1_field = f1 if f1 is not None else zero
-        f2_field = f2 if f2 is not None else zero
-        flux = f_div if f_div is not None else zero
     elif mode == "adjoint_1_5":
         sol = st.forward(z0, mode="adjoint_1_5")
-        f1_field = [-(tab.a1[n] * sol.y[n]) for n in range(tree.M)]
-        f2_field = [-(tab.a2[n] * sol.y[n]) for n in range(tree.M)]
-        flux = [tab.b[n] * sol.y[n] for n in range(tree.M)]
+        tab, y = st.tab, sol.y
+        f1 = {n: -(tab.a1[n] * y[n]) for n in levels}
+        f2 = {n: -(tab.a2[n] * y[n]) for n in levels}
+        f_div = {n: tab.b[n] * y[n] for n in levels}
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
-    levels = _quad_levels(tree, exclude)
-    shift = weights.max_log_theta2(levels)
-    lam = weights.lam
-    grad_z = [gradient(grid, sol.y[n]) for n in range(tree.M)]
-    lhs_terms = {
-        "state": lam ** 3 * _weighted_integral(tree, grid, weights, sol.y, 3.0, levels, shift),
-        "gradient": lam * _weighted_integral(tree, grid, weights, grad_z, 1.0, levels, shift),
-    }
-    rhs_terms = {
-        "observation": lam ** 3 * _weighted_integral(tree, grid, weights, sol.y, 3.0, levels, shift,
-                                                     mask=grid.g0_mask),
-        "f1": _weighted_integral(tree, grid, weights, f1_field, 0.0, levels, shift),
-        "f2": lam * lam * _weighted_integral(tree, grid, weights, f2_field, 2.0, levels, shift),
-        "flux": lam * lam * _weighted_integral(tree, grid, weights, flux, 2.0, levels, shift),
-    }
-    return _ratio_from_terms(lhs_terms, rhs_terms, shift)
+    lam2 = weights.lam * weights.lam
+    sources = (("f1", f1, 0.0, 1.0), ("f2", f2, 2.0, lam2), ("flux", f_div, 2.0, lam2))
+    return _ratio(grid, tree, weights, sol.y, sources, levels, 1.0)

@@ -30,7 +30,7 @@ from .control import (HumConfig, _BackwardDual, _cg, _ForwardDual, hum_forward,
                       k_cost_exponent, m_cost_exponent)
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import ScenarioTree, build_path, build_tree
+from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_path, build_tree
 from .spde import ProblemCoefficients, TreeStepper
 
 __all__ = [
@@ -41,6 +41,10 @@ __all__ = [
     "cost_scaling_sweep",
     "epsilon_sweep",
 ]
+
+# inner CG that applies G^{-1} in the backward-direction power iteration
+_INNER_TOL = 1e-10
+_INNER_MAX_ITER = 400
 
 
 @dataclass
@@ -113,9 +117,7 @@ def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
 
 def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
                            direction: str = "forward_1_5", iters: int = 30,
-                           seed: int = 0, inner_tol: float = 1e-10,
-                           inner_max_iter: int = 400,
-                           stepper: TreeStepper | None = None) -> ObservabilityEstimate:
+                           seed: int = 0, stepper: TreeStepper | None = None) -> ObservabilityEstimate:
     """Estimate the observability constant by generalized power iteration.
 
     Every iterate's quotient is a certified lower bound on the constant; the
@@ -152,7 +154,7 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
                 raise NumericsError("observation form vanished on a nonzero iterate")
             rayleigh.append(grid.h * float(np.dot(z0, z0)) / den)
             mp = st.forward(z0).y[tree.M]
-            p, _ = _cg(gram, mp, dual.inner, inner_tol, inner_max_iter,
+            p, _ = _cg(gram, mp, dual.inner, _INNER_TOL, _INNER_MAX_ITER,
                        x0=p * (rayleigh[-1] if rayleigh[-1] > 0 else 1.0))
             p = p / np.sqrt(max(dual.inner(p, gram(p)), 1e-300))
     rayleigh = np.maximum.accumulate(np.asarray(rayleigh, dtype=float))
@@ -175,7 +177,6 @@ class ScalingTable:
     slope: float
     intercept: float
     r2: float
-    slope_alt: float
     r2_alt: float
 
 
@@ -190,7 +191,7 @@ def _ols(x: np.ndarray, y: np.ndarray):
 
 def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                        quantity: str = "observability", direction: str = "forward_1_5",
-                       m_per_time: float = 8.0, depth_cap: int = 16, iters: int = 30,
+                       m_per_time: float = 8.0, iters: int = 30,
                        seed: int = 0, epsilon_rule=None) -> ScalingTable:
     """Tabulate c_obs or control cost against T and fit the e^{C/T} law.
 
@@ -198,7 +199,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     step size is held roughly constant across rows (flagged by the M column).
     When the forward-direction adjoint is noise-free (a2 = 0) the row runs on
     a single-branch path, which is exact there and keeps deep time grids
-    affordable; otherwise the tree depth is clipped to depth_cap.
+    affordable; otherwise the tree depth is clipped to scenario.DEFAULT_DEPTH_CAP.
     Rows are computed in sorted-T order; a row failure aborts the sweep with
     the completed rows attached to the raised SweepError.
     """
@@ -210,7 +211,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     for T in t_values:
         n_steps = max(2, int(round(m_per_time * T)))
         try:
-            tree = build_tree(min(n_steps, depth_cap), T, depth_cap=depth_cap)
+            tree = build_tree(min(n_steps, DEFAULT_DEPTH_CAP), T)
             path = build_path(n_steps, T)
             tab = coeffs.sample(grid, path.times if collapsible else tree.times)
             if collapsible and tab.a2_inf == 0.0:  # noise-free adjoint: the path is exact
@@ -239,9 +240,9 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     x = 1.0 / np.array([r["T"] for r in rows])
     y = np.log(np.array([r["value"] for r in rows]))
     slope, intercept, r2 = _ols(x, y)
-    slope_alt, _, r2_alt = _ols(x ** 4, y)
+    _, _, r2_alt = _ols(x ** 4, y)
     return ScalingTable(quantity=quantity, rows=rows, slope=slope, intercept=intercept,
-                        r2=r2, slope_alt=slope_alt, r2_alt=r2_alt)
+                        r2=r2, r2_alt=r2_alt)
 
 
 def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: ScenarioTree,

@@ -67,8 +67,10 @@ def _sample(spec, times: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Tabulate a scalar/callable coefficient on a times-by-points grid."""
     out = np.empty((times.size, x.size))
     if callable(spec):
-        for k, t in enumerate(times):
-            out[k] = np.broadcast_to(np.asarray(spec(t, x), dtype=float), x.shape)
+        # non-finite samples are reported by the caller, naming the coefficient
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for k, t in enumerate(times):
+                out[k] = np.broadcast_to(np.asarray(spec(t, x), dtype=float), x.shape)
     else:
         out[:] = float(spec)
     return out
@@ -180,7 +182,8 @@ class _StepperBase:
 
     def _solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Apply S_level^{-1} to rows of rhs (the solve is symmetric)."""
-        out = cho_solve_banded((self._facts[level], False), rhs.T).T
+        # a non-finite rhs propagates through both triangular solves into `out`
+        out = cho_solve_banded((self._facts[level], False), rhs.T, check_finite=False).T
         if not np.all(np.isfinite(out)):
             raise NumericsError(f"non-finite values after implicit solve into level {level}")
         return np.ascontiguousarray(out)

@@ -5,8 +5,8 @@ import pytest
 
 from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper,
                        build_grid, build_tree)
-from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, _appendix_at,
-                                appendix_coeffs, build_psi, carleman_ratio_backward,
+from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, appendix_coeffs,
+                                build_psi, carleman_ratio_backward,
                                 carleman_ratio_forward, eval_weights, lambda_threshold,
                                 lambda_threshold_forward, leading_order_check)
 
@@ -109,7 +109,7 @@ def test_appendix_critical_node_reduction():
     grid = build_grid(1.0, 15, (0.2, 0.55), (0.25, 0.5))
     psi = build_psi(grid)
     lam, mu, t, T = 30.0, 4.0, 0.5, 1.0
-    co = _appendix_at(psi, 1.0, lam, mu, t, T, grid.x)
+    co = appendix_coeffs(psi, 1.0, lam, mu, t, T, grid.x)
     node = np.argmin(np.abs(grid.x - psi.x_c))
     # independent term-by-term evaluation
     tau = 1.0 / (t * (T - t))
@@ -128,8 +128,8 @@ def test_appendix_lambda_scaling_quadratic():
     outside = ~grid.g1_mask
     ratios = []
     for lam in 2.0 ** np.arange(6, 13):
-        c1 = _appendix_at(psi, 1.0, lam, mu, t, T, grid.x)
-        c2 = _appendix_at(psi, 1.0, 2.0 * lam, mu, t, T, grid.x)
+        c1 = appendix_coeffs(psi, 1.0, lam, mu, t, T, grid.x)
+        c2 = appendix_coeffs(psi, 1.0, 2.0 * lam, mu, t, T, grid.x)
         ratios.append(np.abs(c2.A / c1.A)[outside].mean())
     # quadratic leading term: the doubling ratio approaches 4 from below
     assert abs(ratios[-1] - 4.0) < abs(ratios[0] - 4.0)
@@ -143,7 +143,7 @@ def test_appendix_c11_margin_large_mu():
     psi = build_psi(grid)
     mu = 64.0
     lam = lambda_threshold(mu, psi, 1.0)
-    co = _appendix_at(psi, 1.0, lam, mu, 0.5, 1.0, grid.x)
+    co = appendix_coeffs(psi, 1.0, lam, mu, 0.5, 1.0, grid.x)
     outside = ~grid.g1_mask
     assert np.all(np.abs(psi.dpsi[outside]) > 0.0)
     assert np.all(co.c11[outside] >= co.c11_lead[outside] * (1.0 - 10.0 / mu))
@@ -170,8 +170,9 @@ def test_appendix_coeffs_via_weight_table(grid32):
     psi = build_psi(grid32)
     tree = build_tree(8, 1.0)
     w = eval_weights(psi, 40.0, 4.0, tree)
-    co = appendix_coeffs(psi, w, DiffusionCoefficient(1.0), 40.0, 4.0, 4, grid32.x)
-    assert co.t == pytest.approx(tree.times[4])
+    t = float(w.times[w.row(4)])
+    co = appendix_coeffs(psi, DiffusionCoefficient(1.0), w.lam, w.mu, t, w.T, grid32.x)
+    assert co.t == tree.times[4]
     assert np.all(np.isfinite(co.B))
     with pytest.raises(ValueError):
         w.row(0)  # t = 0 has no weights
@@ -273,3 +274,119 @@ def test_forward_ratio_adjoint_config_bounded(grid32, tree8, full_coeffs):
                                      mode="adjoint_1_5", stepper=st).ratio
               for _ in range(10)]
     assert np.isfinite(ratios).all() and max(ratios) < 10.0
+
+
+def _node_integral(grid, tree, w, field, power, levels, shift, mask=None):
+    """Node-by-node I[th^2 phi^power field^2] with th^2 phi^p = exp(2l + p log phi - shift)."""
+    total = 0.0
+    for n in levels:
+        for node in range(tree.n_nodes(n)):
+            for i in range(grid.N):
+                if mask is None or mask[i]:
+                    wt = np.exp(2.0 * w.l[n - 1, i] + power * w.log_phi[n - 1, i] - shift)
+                    total += tree.dt * 0.5 ** n * grid.h * wt * field[n][node, i] ** 2
+    return total
+
+
+def _node_gradient(grid, z):
+    padded = np.pad(np.asarray(z, dtype=float), ((0, 0), (1, 1)))
+    return (padded[:, 2:] - padded[:, :-2]) / (2.0 * grid.h)
+
+
+def _reference_ratio(grid, tree, w, z, sources, mu):
+    levels = range(2, tree.M - 1)  # exclude = 1
+    shift = 2.0 * max(w.l[n - 1].max() for n in levels)
+    lam = w.lam
+    grad = {n: _node_gradient(grid, z[n]) for n in levels}
+    lhs = {"state": lam ** 3 * mu ** 4 * _node_integral(grid, tree, w, z, 3.0, levels, shift),
+           "gradient": lam * mu ** 2 * _node_integral(grid, tree, w, grad, 1.0, levels, shift)}
+    rhs = {"observation": lam ** 3 * mu ** 4 * _node_integral(grid, tree, w, z, 3.0, levels, shift,
+                                                               mask=grid.g0_mask)}
+    for name, f, power, factor in sources:
+        rhs[name] = factor * _node_integral(grid, tree, w, f, power, levels, shift)
+    return lhs, rhs, shift
+
+
+def _assert_terms_match(res, lhs, rhs, shift):
+    assert res.log_shift == pytest.approx(shift, rel=1e-13)
+    assert list(res.lhs_terms) == list(lhs) and list(res.rhs_terms) == list(rhs)
+    for got, want in ((res.lhs_terms, lhs), (res.rhs_terms, rhs)):
+        for name in want:
+            assert want[name] > 0.0
+            assert got[name] == pytest.approx(want[name], rel=1e-13), name
+    assert res.ratio == pytest.approx(sum(lhs.values()) / sum(rhs.values()), rel=1e-13)
+
+
+def test_ratio_terms_recomputed_node_by_node(full_coeffs):
+    grid = build_grid(1.0, 8, (0.2, 0.8), (0.35, 0.65))
+    tree = build_tree(5, 1.0)
+    psi = build_psi(grid)
+    st = TreeStepper(grid, tree, full_coeffs)
+    tab = st.tab
+    rng = np.random.default_rng(11)
+    zT = rng.standard_normal((tree.n_nodes(tree.M), grid.N))
+    z0 = rng.standard_normal(grid.N)
+    f0, f1, f2 = (AdaptedField.random(tree, grid.N, rng, n_levels=tree.M) for _ in range(3))
+
+    mu = 2.0
+    wb = eval_weights(psi, 2.0 * lambda_threshold(mu, psi, tree.T), mu, tree)
+    l2m2 = wb.lam ** 2 * mu ** 2
+    sol = st.backward(zT, mode="adjoint_1_3")
+    F0 = [-tab.a1[n] * sol.z_half[n] - tab.a2[n] * sol.Z[n] for n in range(tree.M)]
+    F = [tab.b1[n] * sol.z_half[n] + tab.b2[n] * sol.Z[n] for n in range(tree.M)]
+    res = carleman_ratio_backward(grid, tree, full_coeffs, wb, zT, stepper=st)
+    _assert_terms_match(res, *_reference_ratio(grid, tree, wb, sol.z, (
+        ("f0", F0, 0.0, 1.0), ("flux", F, 2.0, l2m2), ("martingale", sol.Z, 2.0, l2m2)), mu))
+
+    sol = st.backward(zT, mode="generic", f0=f0, f_div=f1)
+    res = carleman_ratio_backward(grid, tree, full_coeffs, wb, zT, mode="sources",
+                                  f0=f0, f_div=f1, stepper=st)
+    _assert_terms_match(res, *_reference_ratio(grid, tree, wb, sol.z, (
+        ("f0", f0, 0.0, 1.0), ("flux", f1, 2.0, l2m2), ("martingale", sol.Z, 2.0, l2m2)), mu))
+
+    # forward: mu = 4 is frozen in the weight only; the reference prefactors
+    # are lam^3, lam, lam^2 (a stray mu^k would be off by a factor >= 16)
+    wf = eval_weights(psi, 10.0 * lambda_threshold_forward(tree.T), 4.0, tree)
+    lam2 = wf.lam ** 2
+    y = st.forward(z0, v=f2, drift_src=f1, drift_div=f0).y
+    res = carleman_ratio_forward(grid, tree, full_coeffs, wf, z0, f1=f1, f2=f2, f_div=f0,
+                                 stepper=st)
+    _assert_terms_match(res, *_reference_ratio(grid, tree, wf, y, (
+        ("f1", f1, 0.0, 1.0), ("f2", f2, 2.0, lam2), ("flux", f0, 2.0, lam2)), 1.0))
+
+    y = st.forward(z0, mode="adjoint_1_5").y
+    res = carleman_ratio_forward(grid, tree, full_coeffs, wf, z0, mode="adjoint_1_5", stepper=st)
+    _assert_terms_match(res, *_reference_ratio(grid, tree, wf, y, (
+        ("f1", [-tab.a1[n] * y[n] for n in range(tree.M)], 0.0, 1.0),
+        ("f2", [-tab.a2[n] * y[n] for n in range(tree.M)], 2.0, lam2),
+        ("flux", [tab.b[n] * y[n] for n in range(tree.M)], 2.0, lam2)), 1.0))
+
+
+def test_appendix_variable_diffusion_matches_differences():
+    # a = 1 + 0.3 sin(pi x) + 0.2 t: every a_x, a_xx, a_t term is switched on
+    grid = build_grid(1.0, 32, (0.1, 0.9), (0.3, 0.7))
+    psi = build_psi(grid)
+    a = DiffusionCoefficient(value=lambda t, x: 1.0 + 0.3 * np.sin(np.pi * x) + 0.2 * t,
+                             dx=lambda t, x: 0.3 * np.pi * np.cos(np.pi * x),
+                             dxx=lambda t, x: -0.3 * np.pi ** 2 * np.sin(np.pi * x),
+                             dt=0.2)
+    # small lam and mu, so that the a_x, a_xx and a_t terms are not swamped
+    lam, mu, t, T, d = 1.0, 2.0, 0.3, 1.0, 1e-4
+    x = grid.x[~grid.g1_mask]
+
+    def at(tt, xx):
+        co = appendix_coeffs(psi, a, lam, mu, tt, T, xx)
+        av = a.value(tt, xx)
+        lx = lam * mu * np.exp(mu * psi.evaluate(xx)) / (tt * (T - tt)) * psi.evaluate(xx, 1)
+        return co, av, lx
+
+    co, av, lx = at(t, x)
+    (cp, ap, lxp), (cm, am, lxm) = at(t, x + d), at(t, x - d)
+    a_half_p, a_half_m = a.value(t, x + 0.5 * d), a.value(t, x - 0.5 * d)
+    A_t = (at(t + d, x)[0].A - at(t - d, x)[0].A) / (2.0 * d)
+    B = (2.0 * (co.A * co.Psi + (cp.A * ap * lxp - cm.A * am * lxm) / (2.0 * d)) - A_t
+         + (a_half_p * (cp.Psi - co.Psi) - a_half_m * (co.Psi - cm.Psi)) / d ** 2)
+    c11 = (2.0 * av * (ap * lxp - am * lxm) / (2.0 * d) - (ap ** 2 * lxp - am ** 2 * lxm) / (2.0 * d)
+           + 0.5 * 0.2 - co.Psi * av)
+    assert np.max(np.abs(co.B - B) / np.abs(co.B)) <= 1e-5
+    assert np.max(np.abs(co.c11 - c11) / np.abs(co.c11)) <= 1e-5

@@ -165,10 +165,31 @@ def test_cg_nonconvergence_exit_code_with_outputs(tmp_path, capsys, command, out
 def test_nonfinite_coefficient_exit_code(tmp_path, capsys):
     cfg_path = write(tmp_path, MINIMAL + f"a = sqrt(x - 0.5)\n\n[experiment]\n"
                                          f"output_dir = {tmp_path / 'out'}\n")
-    with np.errstate(invalid="ignore"):
-        assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
     assert "coefficient a is not finite" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("command,rows,key", [
+    ("appendix-check", 4, "dev_A log-log slope = "),
+    ("observability", 10, "c_obs = "),
+    ("sweep-T", 4, "slope = "),
+])
+def test_subcommand_smoke(tmp_path, command, rows, key):
+    cfg_path = write(tmp_path, DESK + f"m_per_time = 4\noutput_dir = {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(cfg_path)]) == 0
+    lines = (tmp_path / "out" / f"{command}.csv").read_text().splitlines()
+    assert len([l for l in lines if not l.startswith("#")]) == 1 + rows
+    assert key in (tmp_path / "out" / f"{command}_report.txt").read_text()
+    if command == "sweep-T":
+        assert len((tmp_path / "out" / "sweep-T.dat").read_text().splitlines()) == rows
+
+
+def test_appendix_check_rejects_variable_diffusion(tmp_path, capsys):
+    cfg_path = write(tmp_path, DESK.replace("a = 0.2", "a = 0.2 + 0.1*x")
+                     + f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["appendix-check", "--config", str(cfg_path)]) == 1
+    assert "constant diffusion coefficient" in capsys.readouterr().err
 
 def test_bad_config_exit_code(tmp_path):
     path = write(tmp_path, "[problem]\nN = 2\n")

@@ -161,6 +161,16 @@ def test_nonfinite_inputs_raise(grid16, tree6, full_coeffs):
         st.backward(zT, mode="adjoint_1_3")
 
 
+def test_nonfinite_control_names_solve_level(grid16, tree6, full_coeffs):
+    # the implicit solve skips scipy's input check; its own output check must
+    # still catch a NaN that enters through the right-hand side
+    st = TreeStepper(grid16, tree6, full_coeffs)
+    u = AdaptedField.zeros(tree6.M, grid16.N)
+    u[2][0, 5] = np.nan
+    with pytest.raises(NumericsError, match="implicit solve into level 3"):
+        st.forward(np.zeros(grid16.N), u=u)
+
+
 def test_mode_validation(grid16, tree6, full_coeffs):
     st = TreeStepper(grid16, tree6, full_coeffs)
     zT = np.zeros((tree6.n_nodes(tree6.M), grid16.N))
@@ -199,6 +209,5 @@ def test_coefficient_positivity_enforced(grid16, tree6):
 def test_nonfinite_coefficient_rejected_at_sampling(grid16, tree6, name):
     # log(0.5 - t): -inf at t = 0.5, NaN after it (numpy warns and returns them)
     coeffs = ProblemCoefficients(**{name: lambda t, x: 1.0 + np.log(0.5 - t + 0.0 * x)})
-    with np.errstate(invalid="ignore", divide="ignore"):
-        with pytest.raises(ValueError, match=rf"coefficient {name} is not finite at t = 0\.5"):
-            coeffs.sample(grid16, tree6.times)
+    with pytest.raises(ValueError, match=rf"coefficient {name} is not finite at t = 0\.5"):
+        coeffs.sample(grid16, tree6.times)
