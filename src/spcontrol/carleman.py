@@ -51,6 +51,8 @@ _CAP_SAFETY = 0.9
 
 def _profile(g1, x_c, curv, quint_left, quint_right, x, order, side):
     """Evaluate the piecewise profile or a derivative (order <= 5) at points x."""
+    if not 0 <= order <= 5:
+        raise ValueError(f"derivative order must lie in 0..5, got {order}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c, d = g1
     if side == "auto":
@@ -76,14 +78,14 @@ def _profile(g1, x_c, curv, quint_left, quint_right, x, order, side):
         s = x[where] - knot
         val_k = 1.0 - curv * (knot - x_c) ** 2
         slope_k = -2.0 * curv * (knot - x_c)
-        out[where] = {
-            0: val_k + slope_k * s - curv * s * s + quint * s ** 5,
-            1: slope_k - 2.0 * curv * s + 5.0 * quint * s ** 4,
-            2: -2.0 * curv + 20.0 * quint * s ** 3,
-            3: 60.0 * quint * s ** 2,
-            4: 120.0 * quint * s,
-            5: 120.0 * quint * np.ones_like(s),
-        }[order]
+        out[where] = (  # only the requested derivative is evaluated
+            lambda: val_k + slope_k * s - curv * s * s + quint * s ** 5,
+            lambda: slope_k - 2.0 * curv * s + 5.0 * quint * s ** 4,
+            lambda: -2.0 * curv + 20.0 * quint * s ** 3,
+            lambda: 60.0 * quint * s ** 2,
+            lambda: 120.0 * quint * s,
+            lambda: 120.0 * quint * np.ones_like(s),
+        )[order]()
     return out
 
 

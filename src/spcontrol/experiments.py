@@ -6,15 +6,15 @@ the pair (energy form, observation form):
   backward direction:  sup E|z(0)|^2 / (E int_{Q0} z^2 + E int_Q Z^2)
   forward direction:   sup E|z(T)|^2 /  E int_{Q0} z^2
 
-Both are estimated by generalized power iteration p <- G^{-1} M p, where one
-application of M alternates a solve of the equation with a solve of its
-transpose and G is the observation Gramian; iterates are normalized by the
-observation form and the reported quotient <M p, p>/<G p, p> is
-non-decreasing.  For the forward direction both operators act on R^N and are
-assembled densely; for the backward direction the dual lives on the leaves
-and G^{-1} is applied by warm-started inner CG.  G is the HUM Gramian
-(`control._BackwardDual.gram` resp. `control._ForwardDual.gram`), on a tree
-or, when the noise coupling vanishes, on a single-branch path (`build_path`).
+Both are estimated by generalized power iteration p <- G^{-1} M p, with M
+the energy form and G the observation form (the HUM Gramian); iterates are
+normalized by G and the reported quotient <M p, p>/<G p, p> is
+non-decreasing.  In the forward direction both forms act on R^N: they are
+second moments of the forward adjoint, assembled densely by N x N backward
+recursions over the time levels (no tree sweep, hence no depth cap).  In the
+backward direction the dual lives on the leaves: M alternates a tree sweep
+with its transpose, and G^{-1} is applied by warm-started inner CG on
+`control._ForwardDual.gram`; those sweeps keep the depth cap.
 
 All randomness flows from an explicit seed; sweep rows are independent and
 deterministic given that seed.
@@ -22,12 +22,11 @@ deterministic given that seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (HumConfig, _BackwardDual, _cg, _ForwardDual, hum_forward,
-                      k_cost_exponent, m_cost_exponent)
+from .control import HumConfig, _cg, _ForwardDual, hum_forward, k_cost_exponent, m_cost_exponent
 from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_path, build_tree
@@ -67,24 +66,30 @@ class SweepError(RuntimeError):
 def _forward_pencil(stepper: TreeStepper):
     """Dense (energy, observation) operator pair on R^N for the forward direction.
 
-    energy = F* F with F: z0 -> z(T) through the forward adjoint equation and
-    F* its exact transpose (homogeneous backward transport); obs is the
-    observation Gramian of the backward HUM problem.  Both are symmetric to
-    rounding and symmetrized before use.
+    The matrices of z0 -> E|z(T)|^2 and z0 -> E int_{Q0} |z|^2 (the backward-HUM
+    Gramian) for the forward adjoint z_{n+1} = G_n z_n +/- sqrt(dt) H_n z_n, where
+    G_n = S_{n+1}^{-1}(I + dt A_n) and H_n = S_{n+1}^{-1} B_n.  These second moments
+    follow exactly from N x N backward recursions instead of 2^M-leaf sweeps:
+
+      X_n = G_n^T X_{n+1} G_n + dt H_n^T X_{n+1} H_n,                    X_M = I,
+      O_n = G_n^T O_{n+1} G_n + dt H_n^T O_{n+1} H_n + dt diag(1_{G0}),  O_M = 0.
+
+    G_n and H_n are the identity's rows pushed through the stepper's own step
+    terms and solve; on a path the noise term is absent.
     """
-    n = stepper.grid.N
-    dual = _BackwardDual(stepper)
-    energy = np.empty((n, n))
-    obs = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        obs[:, j], z = dual.gram(e)
-        # the leaf probability weight is already carried by the transpose solver
-        energy[:, j] = stepper.backward(z.y[stepper.tree.M], mode="controlled_1_2").z[0][0]
-    energy = 0.5 * (energy + energy.T)
-    obs = 0.5 * (obs + obs.T)
-    return energy, obs
+    grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
+    eye = np.eye(grid.N)
+    forms = np.stack([eye, np.zeros_like(eye)])  # (X_M, O_M)
+    for n in range(tree.M - 1, -1, -1):
+        drift, noise = stepper.adjoint_1_5_terms(n, eye)
+        gt = stepper._solve(n + 1, eye + dt * drift)  # rows of the identity: G_n^T
+        step = gt @ forms @ gt.T
+        if tree.branching:  # a2 = 0 makes this term exactly zero
+            ht = stepper._solve(n + 1, noise)  # H_n^T
+            step += dt * (ht @ forms @ ht.T)
+        step[1] += dt * np.diag(grid.g0_mask)
+        forms = step
+    return 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
 
 
 def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
@@ -197,26 +202,29 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
 
     The number of time steps per row follows round(m_per_time * T), so the
     step size is held roughly constant across rows (flagged by the M column).
-    When the forward-direction adjoint is noise-free (a2 = 0) the row runs on
-    a single-branch path, which is exact there and keeps deep time grids
-    affordable; otherwise the tree depth is clipped to scenario.DEFAULT_DEPTH_CAP.
-    Rows are computed in sorted-T order; a row failure aborts the sweep with
-    the completed rows attached to the raised SweepError.
+    Forward-direction observability rows take their pencil from N x N moment
+    recursions, which allocate nothing per tree node, so they keep every M;
+    when the adjoint is noise-free (a2 = 0) the row runs on a single-branch
+    path (flagged by the collapsed column).  Rows that sweep the tree (control
+    cost, backward direction) have their depth clipped to
+    scenario.DEFAULT_DEPTH_CAP.  Rows are computed in sorted-T order; a row
+    failure aborts the sweep with the completed rows attached to the raised
+    SweepError.
     """
     t_values = sorted(float(t) for t in t_values)
     if len(t_values) < 4:
         raise ValueError("need at least 4 distinct T values for the fit")
-    collapsible = quantity == "observability" and direction == "forward_1_5"
+    moments = quantity == "observability" and direction == "forward_1_5"
     rows = []
     for T in t_values:
         n_steps = max(2, int(round(m_per_time * T)))
         try:
-            tree = build_tree(min(n_steps, DEFAULT_DEPTH_CAP), T)
-            path = build_path(n_steps, T)
-            tab = coeffs.sample(grid, path.times if collapsible else tree.times)
-            if collapsible and tab.a2_inf == 0.0:  # noise-free adjoint: the path is exact
-                tree = path
-            elif collapsible and tree.M != n_steps:
+            if moments:
+                tree = build_path(n_steps, T)
+                tab = coeffs.sample(grid, tree.times)
+                tree = replace(tree, branching=tab.a2_inf > 0.0)  # uncapped: no per-node field
+            else:
+                tree = build_tree(min(n_steps, DEFAULT_DEPTH_CAP), T)
                 tab = coeffs.sample(grid, tree.times)
             st = TreeStepper(grid, tree, tab)
             if quantity == "observability":

@@ -198,6 +198,11 @@ class TreeStepper(_StepperBase):
 
     # -- forward ---------------------------------------------------------
 
+    def adjoint_1_5_terms(self, n: int, y: np.ndarray):
+        """Drift -a1*y + weak_div(b*y) and noise -a2*y of the adjoint_1_5 step at level n."""
+        tab = self.tab
+        return -(tab.a1[n] * y) + weak_divergence(self.grid, tab.b[n] * y), -(tab.a2[n] * y)
+
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
                 mode: str = "general") -> ForwardSolution:
         """March level 0 -> M; see module docstring for the step map.
@@ -232,9 +237,8 @@ class TreeStepper(_StepperBase):
                 noise = tab.a2[n] * y + tab.b2[n] * grad
                 if v is not None:
                     noise = noise + v[n]
-            else:  # adjoint_1_5
-                drift = -(tab.a1[n] * y) + weak_divergence(grid, tab.b[n] * y)
-                noise = -(tab.a2[n] * y)
+            else:
+                drift, noise = self.adjoint_1_5_terms(n, y)
             base = y + self.dt * drift
             if tree.n_nodes(n + 1) > y.shape[0]:
                 base = reconstruct_children(tree, base, noise)

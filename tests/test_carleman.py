@@ -35,6 +35,13 @@ def test_psi_invariants_random_placements():
                 assert abs(outer - cap) <= 1e-9 * max(abs(cap), 1.0)
 
 
+@pytest.mark.parametrize("order", [-1, 6])
+def test_psi_derivative_order_out_of_range_raises(order):
+    psi = build_psi(build_grid(1.0, 16, (0.2, 0.8), (0.4, 0.6)))
+    with pytest.raises(ValueError, match="order"):
+        psi.evaluate(np.array([0.1, 0.5, 0.9]), order)
+
+
 def test_psi_symmetric_for_centered_region():
     grid = build_grid(1.0, 31, (0.2, 0.8), (0.4, 0.6))
     psi = build_psi(grid)

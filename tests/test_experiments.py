@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_tree
-from spcontrol.control import k_cost_exponent, m_cost_exponent
+from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree
+from spcontrol.control import _BackwardDual, k_cost_exponent, m_cost_exponent
 from spcontrol.errors import NumericsError
-from spcontrol.experiments import (SweepError, _pencil_power_iteration, cost_scaling_sweep,
-                                   epsilon_sweep, observability_constant)
+from spcontrol.experiments import (SweepError, _forward_pencil, _pencil_power_iteration,
+                                   cost_scaling_sweep, epsilon_sweep, observability_constant)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,55 @@ def test_backward_direction_estimate(obs_setup):
                   * (float(np.sum(bwd.z_half[n][:, grid.g0_mask] ** 2))
                      + float(np.sum(bwd.Z[n] ** 2))) for n in range(tree.M))
         assert num / den <= est.c_obs * (1.0 + 1e-6)
+
+
+def _swept_pencil(stepper):
+    """Oracle: the forward pencil column by column from tree sweeps.
+
+    obs[:, j] is the backward-HUM Gramian applied to e_j; energy[:, j] folds
+    the resulting leaf field z(T) back to level 0 through the transpose sweep.
+    """
+    n = stepper.grid.N
+    dual = _BackwardDual(stepper)
+    energy = np.empty((n, n))
+    obs = np.empty((n, n))
+    for j in range(n):
+        obs[:, j], z = dual.gram(np.eye(n)[j])
+        energy[:, j] = stepper.backward(z.y[stepper.tree.M], mode="controlled_1_2").z[0][0]
+    return energy, obs
+
+
+@pytest.mark.parametrize("build", [build_tree, build_path])
+def test_forward_pencil_moments_match_tree_sweeps(build):
+    grid = build_grid(1.0, 8, (0.2, 0.85), (0.4, 0.65))
+    coeffs = ProblemCoefficients(a=lambda t, x: 0.2 + 0.1 * x + 0.05 * t, a1=0.7,
+                                 a2=lambda t, x: 0.4 + 0.1 * np.cos(np.pi * x), b1=0.2, b2=0.1,
+                                 b=lambda t, x: 0.3 * np.sin(np.pi * x) + 0.1 * t)
+    st = TreeStepper(grid, build(6, 0.8), coeffs)
+    energy, obs = _forward_pencil(st)
+    ref_energy, ref_obs = _swept_pencil(st)
+    for got, ref in ((energy, ref_energy), (obs, ref_obs)):
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_forward_observability_needs_no_tree_sweep(monkeypatch):
+    """The forward pencil never sweeps the tree, so no depth cap applies to it."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("tree sweep in the forward-direction pencil")
+
+    monkeypatch.setattr(TreeStepper, "forward", no_sweep)
+    monkeypatch.setattr(TreeStepper, "backward", no_sweep)
+    grid = build_grid(1.0, 12, (0.2, 0.85), (0.4, 0.65))
+    coeffs = ProblemCoefficients(a=0.2, a1=0.5, a2=0.3, b=0.2)
+    est = observability_constant(grid, build_tree(6, 1.0), coeffs, direction="forward_1_5",
+                                 iters=10, seed=0)
+    assert est.c_obs > 0.0
+    table = cost_scaling_sweep(coeffs, grid, [0.5, 1.0, 2.0, 5.0], m_per_time=8.0,
+                               iters=10, seed=0)
+    assert [r["M"] for r in table.rows] == [4, 8, 16, 40]
+    assert not any(r["collapsed"] for r in table.rows)
+    assert all(np.isfinite(r["value"]) and r["value"] > 0.0 for r in table.rows)
 
 
 def test_vanishing_observation_flagged():
