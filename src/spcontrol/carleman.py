@@ -468,6 +468,13 @@ def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
            + lam^2 mu^2 I[th^2 phi^2 |F|^2] + lam^2 mu^2 I[th^2 phi^2 Z^2]
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
+    return _backward_ratios(st, (weights,), zT, mode, f0, f_div, exclude)[0]
+
+
+def _backward_ratios(st: TreeStepper, weight_sets, zT, mode: str = "adjoint_1_3",
+                     f0=None, f_div=None, exclude: int = 1) -> list[CarlemanRatio]:
+    """carleman_ratio_backward for each weight set, from one backward solve."""
+    grid, tree = st.grid, st.tree
     levels = _quad_levels(tree, exclude)
     if mode == "adjoint_1_3":
         if f0 is not None or f_div is not None:
@@ -480,10 +487,13 @@ def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
-    lam2mu2 = weights.lam * weights.lam * weights.mu * weights.mu
-    sources = (("f0", f0, 0.0, 1.0), ("flux", f_div, 2.0, lam2mu2),
-               ("martingale", sol.Z, 2.0, lam2mu2))
-    return _ratio(grid, tree, weights, sol.z, sources, levels, weights.mu)
+    out = []
+    for weights in weight_sets:
+        lam2mu2 = weights.lam * weights.lam * weights.mu * weights.mu
+        sources = (("f0", f0, 0.0, 1.0), ("flux", f_div, 2.0, lam2mu2),
+                   ("martingale", sol.Z, 2.0, lam2mu2))
+        out.append(_ratio(grid, tree, weights, sol.z, sources, levels, weights.mu))
+    return out
 
 
 def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,

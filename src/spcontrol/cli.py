@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carleman import (build_psi, carleman_ratio_backward, eval_weights, lambda_threshold,
+from .carleman import (_backward_ratios, build_psi, eval_weights, lambda_threshold,
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
@@ -397,17 +397,16 @@ def _cmd_carleman_check(cfg, out):
                   AdaptedField.random(tree, grid.N, rng, n_levels=tree.M),
                   AdaptedField.random(tree, grid.N, rng, n_levels=tree.M))
                  for _ in range(cfg.carleman.samples)]
+    mults = cfg.carleman.lambda_multiples
+    weight_sets = [eval_weights(psi, mult * lam0, mu, tree) for mult in mults]
+    # the backward solution does not depend on lambda: one solve per instance
+    results = [_backward_ratios(st, weight_sets, zT, mode="sources", f0=f0, f_div=fd,
+                                exclude=cfg.carleman.exclude) for zT, f0, fd in instances]
     rows = []
     medians = []
-    for mult in cfg.carleman.lambda_multiples:
-        weights = eval_weights(psi, mult * lam0, mu, tree)
-        ratios = []
-        for k, (zT, f0, fd) in enumerate(instances):
-            res = carleman_ratio_backward(grid, tree, coeffs, weights, zT, mode="sources",
-                                          f0=f0, f_div=fd, exclude=cfg.carleman.exclude,
-                                          stepper=st)
-            rows.append((k, mult, res.lhs, res.rhs, res.ratio))
-            ratios.append(res.ratio)
+    for j, mult in enumerate(mults):
+        ratios = [res[j].ratio for res in results]
+        rows += [(k, mult, res[j].lhs, res[j].rhs, res[j].ratio) for k, res in enumerate(results)]
         medians.append((mult, float(np.median(ratios)), float(np.max(ratios))))
     _write_csv(out / "carleman-check.csv", cfg, "carleman-check",
                ["sample", "lambda_multiple", "lhs", "rhs", "ratio"], rows)

@@ -4,7 +4,7 @@ All fields live on the interior nodes x_i = i*h, i = 1..N, of a uniform mesh
 over (0, L) with homogeneous Dirichlet ends (ghost values are zero).  Two
 operators fix the discrete calculus of the lower-order terms (the steppers
 assemble the conservative stencil of d/dx(a(x) d/dx) from face samples of a
-themselves, directly into their banded implicit factor):
+themselves, directly into their tridiagonal LDL^T implicit factor):
 
 * centered first-derivative stencil (zero ghost closure at the boundary);
 * weak divergence, defined as minus the transpose of that stencil, so the

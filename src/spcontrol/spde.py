@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient, weak_divergence
@@ -159,8 +159,9 @@ class BackwardSolution:
 class _StepperBase:
     """Shared per-level factorization of S_n = I - dt*E(t_n).
 
-    (E u)_i = [a_{i+1/2}(u_{i+1} - u_i) - a_{i-1/2}(u_i - u_{i-1})] / h^2 with
-    zero Dirichlet closure, so S_n is symmetric positive definite when a > 0.
+    (E u)_i = [a_{i+1/2}(u_{i+1} - u_i) - a_{i-1/2}(u_i - u_{i-1})] / h^2, zero Dirichlet
+    closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf).
+    dpttrs solves every row by the same loop, so no row depends on how many come with it.
     """
 
     def __init__(self, grid: SpatialGrid, times: np.ndarray, dt: float, coeffs):
@@ -171,10 +172,10 @@ class _StepperBase:
         self._facts = [None]
         for n in range(1, times.size):
             af = self.tab.a_faces[n]
-            ab = np.zeros((2, grid.N))
-            ab[0, 1:] = -self.dt * af[1:-1] / h2
-            ab[1, :] = 1.0 + self.dt * (af[:-1] + af[1:]) / h2
-            self._facts.append(cholesky_banded(ab, lower=False))
+            d, e, info = dpttrf(1.0 + self.dt * (af[:-1] + af[1:]) / h2, -self.dt * af[1:-1] / h2)
+            if info != 0:
+                raise NumericsError(f"implicit step matrix of level {n} is not positive definite")
+            self._facts.append((d, e))
         cfl = self.dt * (self.tab.b1_inf ** 2 / self.tab.beta + self.tab.a1_inf)
         if cfl > 1.0:
             warnings.warn(f"explicit lower-order terms are large: dt*(|B1|^2/beta + |a1|) = {cfl:.3g} > 1",
@@ -182,11 +183,10 @@ class _StepperBase:
 
     def _solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Apply S_level^{-1} to rows of rhs (the solve is symmetric)."""
-        # a non-finite rhs propagates through both triangular solves into `out`
-        out = cho_solve_banded((self._facts[level], False), rhs.T, check_finite=False).T
-        if not np.all(np.isfinite(out)):
+        out = dpttrs(*self._facts[level], rhs.T)[0].T  # a non-finite rhs propagates into `out`
+        if not np.isfinite(out).all():
             raise NumericsError(f"non-finite values after implicit solve into level {level}")
-        return np.ascontiguousarray(out)
+        return out
 
 
 class TreeStepper(_StepperBase):
@@ -219,7 +219,7 @@ class TreeStepper(_StepperBase):
             raise ValueError("adjoint_1_5 mode takes no controls or sources")
         grid, tree, tab = self.grid, self.tree, self.tab
         y0 = np.asarray(y0, dtype=float).reshape(1, grid.N)
-        if not np.all(np.isfinite(y0)):
+        if not np.isfinite(y0).all():
             raise NumericsError("non-finite initial state")
         mask = grid.g0_mask
         levels = [y0.copy()]
@@ -267,7 +267,7 @@ class TreeStepper(_StepperBase):
         cur = np.asarray(zT, dtype=float)
         if cur.shape != (tree.n_nodes(tree.M), grid.N):
             raise ValueError(f"terminal data must have shape {(tree.n_nodes(tree.M), grid.N)}, got {cur.shape}")
-        if not np.all(np.isfinite(cur)):
+        if not np.isfinite(cur).all():
             raise NumericsError("non-finite terminal data")
         mask = grid.g0_mask
         z_levels: list = [None] * (tree.M + 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spcontrol.cli import ConfigError, compile_expression, main, parse_config, run
+from spcontrol.spde import TreeStepper
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -113,6 +114,61 @@ def test_carleman_check_csv_columns(tmp_path):
     assert header == "sample,lambda_multiple,lhs,rhs,ratio"
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 3 * 3  # samples x lambda multiples
+
+
+def test_carleman_check_solves_each_instance_once(tmp_path, monkeypatch):
+    # the backward solution does not depend on lambda: one sweep per sample,
+    # shared by every lambda multiple
+    calls = []
+    sweep = TreeStepper.backward
+    monkeypatch.setattr(TreeStepper, "backward",
+                        lambda self, *a, **k: calls.append(1) or sweep(self, *a, **k))
+    cfg = DESK + f"output_dir = {tmp_path / 'out'}\n\n[carleman]\nsamples = 3\n"
+    assert main(["carleman-check", "--config", str(write(tmp_path, cfg))]) == 0
+    assert len(calls) == 3
+
+
+def _table(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+
+
+def _report(path, *keys):
+    """The numbers on the report lines `key = value[, max_ratio = value]`, in key order."""
+    body = path.read_text().split("\n\n", 1)[1].replace(", max_ratio = ", " = ")
+    fields = dict(l.split(" = ", 1) for l in body.splitlines() if " = " in l)
+    return [float(v) for k in keys for v in fields[k].split(" = ")]
+
+
+def test_desk_outputs_match_recorded_values(tmp_path):
+    # drift guard: physical values recorded on this config with the earlier
+    # banded-Cholesky implicit solve; CG residuals, traces and iteration counts
+    # are not compared
+    cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n")
+    for command in ("simulate", "control-backward", "observability", "carleman-check"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    close = dict(rtol=1e-7, atol=0.0)
+    np.testing.assert_allclose(_table(out / "simulate.csv")[:, 2],
+                               [0.5, 0.29435389891089253, 0.1684065236431602,
+                                0.09490258238127704, 0.05307691439982745], **close)
+    np.testing.assert_allclose(
+        _report(out / "control-backward_report.txt", "terminal_norm", "uncontrolled_norm",
+                "control_cost", "M", "bound_ratio"),
+        [0.00016872668805660812, 0.0067859723808719758, 0.039619959616861614,
+         3.4899605249474366, 0.002416982056015953], **close)
+    np.testing.assert_allclose(_report(out / "observability_report.txt", "c_obs"),
+                               [0.91110046933825117], **close)
+    np.testing.assert_allclose(
+        _report(out / "carleman-check_report.txt", "lambda_threshold",
+                *(f"lambda x{m}: median_ratio" for m in (1, 2, 4))),
+        [8.3890560989306504, 1.0213234275207861, 1.0409087913260986, 1.0050052456409122,
+         1.0097024663606635, 1.0010833828877628, 1.0021865363051785], **close)
+    rows = _table(out / "carleman-check.csv")
+    np.testing.assert_allclose(
+        [rows[rows[:, 1] == m][:, 2:4].sum(axis=0) for m in (1, 2, 4)],
+        [[3716579.1650392856, 3627861.4498910005], [28873477.224703327, 28708857.126860857],
+         [229841205.80117607, 229555989.82262403]], **close)
 
 
 def test_sweep_t_requires_four_values(tmp_path):

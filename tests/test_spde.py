@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,49 @@ def test_nonfinite_control_names_solve_level(grid16, tree6, full_coeffs):
     u[2][0, 5] = np.nan
     with pytest.raises(NumericsError, match="implicit solve into level 3"):
         st.forward(np.zeros(grid16.N), u=u)
+
+
+def _dense_step_matrix(st, level):
+    """S_level = I - dt*E assembled from the face samples, as the docstring states."""
+    af, N = st.tab.a_faces[level], st.grid.N
+    E = (np.diag(af[1:-1], 1) + np.diag(af[1:-1], -1) - np.diag(af[:-1] + af[1:])) / st.grid.h ** 2
+    return np.eye(N) - st.dt * E
+
+
+@pytest.mark.parametrize("N", [4, 32, 128])
+def test_implicit_solve_matches_dense_solve(N):
+    grid = build_grid(1.0, N, (0.3, 0.8), (0.45, 0.65))
+    coeffs = ProblemCoefficients(a=lambda t, x: 1.0 + 0.5 * np.sin(3 * np.pi * x) + 0.8 * t)
+    st = TreeStepper(grid, build_path(6, 1.0), coeffs)
+    rhs = np.random.default_rng(N).standard_normal((5, N))
+    for level in range(1, 7):
+        ref = np.linalg.solve(_dense_step_matrix(st, level), rhs.T).T
+        out = st._solve(level, rhs)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_implicit_solve_row_count_invariance(grid32, full_coeffs):
+    # acceptance criterion 6 (zero-noise tree == path, bitwise) rests on this:
+    # a row's solution must not depend on how many rows are solved with it
+    st = TreeStepper(grid32, build_path(3, 1.0), full_coeffs)
+    rhs = np.random.default_rng(6).standard_normal((256, grid32.N))
+    alone = np.concatenate([st._solve(2, rhs[k:k + 1]) for k in range(rhs.shape[0])])
+    for block in (2, 3, 64, 256):
+        together = np.concatenate([st._solve(2, rhs[k:k + block])
+                                   for k in range(0, rhs.shape[0], block)])
+        assert np.array_equal(together, alone), (
+            f"implicit solve of {block} rows at once differs from one row at a time; "
+            "a GEMM-style solve breaks the bitwise tree/path identity")
+
+
+def test_factorization_failure_names_level(grid16, tree6):
+    # the constructor takes hand-built tables as they are; sample() would
+    # reject a negative diffusion coefficient
+    tab = ProblemCoefficients(a=1.0).sample(grid16, tree6.times)
+    a_faces = tab.a_faces.copy()
+    a_faces[3, 5] = -10.0
+    with pytest.raises(NumericsError, match="level 3 is not positive definite"):
+        TreeStepper(grid16, tree6, dataclasses.replace(tab, a_faces=a_faces))
 
 
 def test_mode_validation(grid16, tree6, full_coeffs):
