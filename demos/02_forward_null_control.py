@@ -3,9 +3,11 @@
 The forward problem carries a distributed control u on the region G0 in the
 drift and a global control v in the noise term.  The penalized HUM recipe
 minimizes |u|^2 + |v|^2 + (1/eps)|y(T)|^2 by conjugate gradients on the
-adjoint terminal datum; as the penalty weight eps shrinks, the terminal
-energy falls like eps^2 while the control cost saturates at the true
-null-control cost, below the e^{CK} budget with the explicit exponent
+adjoint terminal datum, preconditioned by the discrete Riccati recursion of
+the same LQ problem (so one iteration suffices); as the penalty weight eps
+shrinks, the terminal energy falls like eps^2 while the control cost
+saturates at the true null-control cost, below the e^{CK} budget with the
+explicit exponent
 
     K = 1 + 1/T + |a1|^{2/3} + T|a1| + |a2|^{2/3} + T|a2|^2
         + (1+T)|B1|^2 + |B2|^2.

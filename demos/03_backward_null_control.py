@@ -3,7 +3,8 @@
 The backward equation prescribes terminal data and asks for a single control
 u on G0 driving the *initial* state to zero.  The dual variable is now a
 deterministic vector (the initial datum of the forward adjoint), so the CG
-iteration runs in R^N and converges in a handful of steps.
+iteration runs in R^N; preconditioned by a Cholesky factor of the dense
+Gramian plus eps I, it converges in one step.
 
 When the noise coupling a2 vanishes the whole construction degenerates to a
 deterministic parabolic HUM problem; the tree solution then agrees with a

@@ -268,6 +268,8 @@ def _validate(cfg: RunConfig, path) -> None:
             raise ConfigError(f"{path}: [hum] epsilon must be positive")
     if not 0.0 < cfg.hum.cg_tol < 1.0:
         raise ConfigError(f"{path}: [hum] cg_tol must lie in (0, 1)")
+    if cfg.hum.cg_max_iter < 1:
+        raise ConfigError(f"{path}: [hum] cg_max_iter must be >= 1")
     if cfg.carleman.mu < 1.0:
         raise ConfigError(f"{path}: [carleman] mu must be >= 1")
     if cfg.carleman.samples < 1:

@@ -7,8 +7,16 @@ Both constructions minimize a strictly convex quadratic over adjoint data p:
 where Gram is the observation Gramian (solve the adjoint, restrict to the
 observation quantities, inject them back as controls, read off the reachable
 state) and lin transports the problem data.  Because the tree solvers are
-exact transposes of each other, Gram is self-adjoint to rounding and plain
-conjugate gradients is the right minimizer.  The optimal penalized state
+exact transposes of each other, Gram is self-adjoint to rounding and
+conjugate gradients applies.  Unpreconditioned, its iteration count grows
+like eps^{-1/2}, so hum_forward and hum_backward precondition CG with the
+exact inverse of Gram + eps I, built from N x N matrices: forward, the
+discrete Riccati recursion of the tracking LQ problem on the tree
+(_ForwardRiccati); backward, a Cholesky factor of the dense Gramian that
+the second-moment recursions of _forward_pencil give.  CG still measures its residual through
+the Gramian's own sweeps, so its convergence test keeps its meaning; one
+iteration reaches rounding level except at the smallest eps, where rounding
+in the preconditioner costs one or two more.  The optimal penalized state
 satisfies  y_opt = -eps * p_opt  (forward target y(T)) respectively
 y_opt(0) = +eps * p_opt  (backward problem), so the terminal/initial energy
 decays like eps^2 |p|^2 as the penalty is driven to zero.
@@ -23,9 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .grid import SpatialGrid
-from .scenario import AdaptedField, ScenarioTree, build_path, mean_square_norm
+from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
+                       mean_square_norm)
 from .spde import TreeStepper
 
 __all__ = [
@@ -78,6 +88,8 @@ class HumConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.cg_tol < 1.0:
             raise ValueError("cg_tol must lie in (0, 1)")
+        if self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be >= 1")
 
 
 @dataclass
@@ -104,14 +116,18 @@ class HumResult:
     cg_trace: dict
 
 
-def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None):
+def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
     """Conjugate gradients for an SPD operator; returns (x, trace).
 
-    The trace records relative residuals and the quadratic functional
-    1/2 <x, Ax> - <b, x>, which must be non-increasing.
+    `precond` applies an SPD approximation of the operator's inverse (None:
+    the identity).  Convergence is always tested on the unpreconditioned
+    relative residual |b - A x| / |b|, and the trace reports the last one
+    measured, the start residual when no iteration ran.  The trace also
+    records the quadratic functional 1/2 <x, Ax> - <b, x>, which must be
+    non-increasing.
     """
     b_norm = np.sqrt(inner(b, b))
-    if b_norm == 0.0 and x0 is None:
+    if b_norm == 0.0:
         return np.zeros_like(b), {"iterations": 0, "residuals": [], "values": [],
                                   "converged": True, "residual": 0.0}
     if x0 is None:
@@ -121,34 +137,35 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None):
         x = np.array(x0, dtype=float)
         ax = apply_op(x)
     r = b - ax
-    d = r.copy()
-    rr = inner(r, r)
+    z = r if precond is None else precond(r)
+    d = z.copy()
+    rz = inner(r, z)
+    residual = np.sqrt(inner(r, r)) / b_norm
     residuals = []
     values = []
-    converged = np.sqrt(rr) <= tol * b_norm
+    converged = residual <= tol
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        if converged:
-            n_iter -= 1
-            break
+    while not converged and n_iter < max_iter:
         q = apply_op(d)
         dq = inner(d, q)
-        if dq <= 0.0:
-            break  # operator lost positivity to rounding; stop with best iterate
-        step = rr / dq
+        if dq <= 0.0 or rz <= 0.0:
+            break  # positivity lost to rounding or underflow; stop with best iterate
+        step = rz / dq
         x += step * d
         ax += step * q
         r -= step * q
-        rr_new = inner(r, r)
-        residuals.append(np.sqrt(rr_new) / b_norm)
+        n_iter += 1
+        residual = np.sqrt(inner(r, r)) / b_norm
+        residuals.append(residual)
         values.append(0.5 * inner(x, ax) - inner(b, x))
-        if residuals[-1] <= tol:
-            converged = True
-            break
-        d = r + (rr_new / rr) * d
-        rr = rr_new
+        converged = residual <= tol
+        if not converged:
+            z = r if precond is None else precond(r)
+            rz_new = inner(r, z)
+            d = z + (rz_new / rz) * d
+            rz = rz_new
     return x, {"iterations": n_iter, "residuals": residuals, "values": values,
-               "converged": converged, "residual": residuals[-1] if residuals else 0.0}
+               "converged": converged, "residual": residual}
 
 
 # -- forward problem -------------------------------------------------------
@@ -184,6 +201,90 @@ class _ForwardDual:
         return self.gram(p)[0] + eps * p
 
 
+class _ForwardRiccati:
+    """(Gram + eps I)^{-1} of the forward HUM problem, through its tracking LQ problem.
+
+    For leaf data r, p = (Gram + eps I)^{-1} r equals (r - y_M) / eps, where
+    y_M ends the state (from y_0 = 0) under the control pair minimizing
+
+        1/2 E sum_n dt (|1_{G0} u_n|^2 + |v_n|^2) + 1/(2 eps) E|y_M - r|^2
+
+    on the general-mode step y_{n+1}^{+/-} = S^{-1}(G y + dt 1_{G0} u +/- sqrt(dt)(B y + v)),
+    G = I + dt A_n, B = B_n.  The value is 1/2 y^T P_n y + s_n^T y + const.  The
+    discrete Riccati recursion (Yong & Zhou, Stochastic Controls, ch. 6) runs once
+    per eps, with no tree: P_M = I/eps, Q = S^{-1} P_{n+1} S^{-1},
+
+        K_u = -(I + dt Q_gg)^{-1} (Q G)_g,   K_v = -(I + Q)^{-1} Q B,
+        P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v),
+
+    with g the G0 rows.  Each application folds the feedforward back from
+    s_M = -r/eps (w = S^{-1} s_{n+1}, split into conditional mean m and martingale mu):
+
+        k_u = -(I + dt Q_gg)^{-1} m_g,   k_v = -(I + Q)^{-1} mu,
+        s_n = G^T (dt Q 1_{G0} k_u + m) + dt B^T (Q k_v + mu),
+
+    then runs the closed loop u = K_u y + k_u, v = K_v y + k_v through the
+    stepper's own forward sweep.  On a path the noise, K_v and the B terms drop.
+    Gains are column-form matrices and fields are rows, so a gain K acts as y @ K.T.
+    """
+
+    def __init__(self, stepper: TreeStepper, eps: float):
+        self.st, self.eps = stepper, eps
+        grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
+        g = grid.g0_mask
+        eye = np.eye(grid.N)
+        p = eye / eps
+        self.fold: list = [None] * tree.M  # per level: Q, G^T, B^T and the two factors
+        self.gains: list = [None] * tree.M  # per level: K_u, K_v
+        for n in range(tree.M - 1, -1, -1):
+            q = stepper._solve(n + 1, stepper._solve(n + 1, p).T)
+            q = 0.5 * (q + q.T)
+            drift, bt = stepper.general_terms(n, eye)  # rows of the identity: A_n^T, B_n^T
+            gt = eye + dt * drift
+            cu = cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)])
+            ku = -cho_solve(cu, (q @ gt.T)[g])
+            closed = gt.T.copy()
+            closed[g] += dt * ku
+            p = gt @ q @ closed
+            cv = kv = None
+            if tree.branching:
+                cv = cho_factor(eye + q)
+                kv = -cho_solve(cv, q @ bt.T)
+                p += dt * (bt @ q @ (bt.T + kv))
+            p = 0.5 * (p + p.T)
+            self.fold[n] = (q, gt, bt, cu, cv)
+            self.gains[n] = (ku, kv)
+        self.p0 = p  # from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0
+
+    def __call__(self, r):
+        st, eps = self.st, self.eps
+        grid, tree, dt = st.grid, st.tree, st.dt
+        g = grid.g0_mask
+        s = -r / eps
+        feed: list = [None] * tree.M
+        for n in range(tree.M - 1, -1, -1):
+            q, gt, bt, cu, cv = self.fold[n]
+            w = st._solve(n + 1, s)
+            m, mu = martingale_part(tree, w) if tree.branching else (w, None)
+            k_u = -cho_solve(cu, m[:, g].T).T
+            s = (m + dt * k_u @ q[g]) @ gt.T
+            k_v = 0.0
+            if mu is not None:
+                k_v = -cho_solve(cv, mu.T).T
+                s += dt * (mu + k_v @ q) @ bt.T
+            feed[n] = (k_u, k_v)
+
+        def feedback(n, y):
+            ku, kv = self.gains[n]
+            k_u, k_v = feed[n]
+            u = np.zeros_like(y)
+            u[:, g] = y @ ku.T + k_u
+            return u, (y @ kv.T + k_v if tree.branching else 0.0)
+
+        y_m = st.forward(np.zeros(grid.N), feedback=feedback).y[tree.M]
+        return (r - y_m) / eps
+
+
 def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: float, zT,
                     stepper: TreeStepper | None = None) -> dict:
     """Value and gradient of the forward dual functional at leaf data zT.
@@ -211,9 +312,10 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
                 stepper: TreeStepper | None = None, p_start=None) -> HumResult:
     """Drive E|y(T)|^2 to O(eps) with the control pair (u, v) = (1_{G0} z, Z).
 
-    Solves (Gram + eps I) p = -b by CG, where b is the free terminal state;
-    the controlled terminal state equals -eps p at the optimum.  CG
-    non-convergence is reported, not raised.
+    Solves (Gram + eps I) p = -b by CG preconditioned with the Riccati
+    inverse, where b is the free terminal state; the controlled terminal
+    state equals -eps p at the optimum.  CG non-convergence is reported, not
+    raised.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     dual = _ForwardDual(st)
@@ -221,8 +323,8 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     eps = config.epsilon
     b = st.forward(y0).y[tree.M]
     uncontrolled = dual.inner(b, b)
-    p, trace = _cg(lambda q: dual.apply(q, eps), -b, dual.inner,
-                   config.cg_tol, config.cg_max_iter, x0=p_start)
+    p, trace = _cg(lambda q: dual.apply(q, eps), -b, dual.inner, config.cg_tol,
+                   config.cg_max_iter, x0=p_start, precond=_ForwardRiccati(st, eps))
     bwd = st.backward(p, mode="adjoint_1_3")
     u = AdaptedField([grid.g0_mask * bwd.z_half[n] for n in range(tree.M)])
     v = AdaptedField([bwd.Z[n].copy() for n in range(tree.M)])
@@ -274,12 +376,42 @@ class _BackwardDual:
         return self.gram(p)[0] + eps * p
 
 
+def _forward_pencil(stepper: TreeStepper):
+    """Dense (energy, observation) operator pair on R^N for the forward direction.
+
+    The matrices of z0 -> E|z(T)|^2 and z0 -> E int_{Q0} |z|^2 (the backward-HUM
+    Gramian) for the forward adjoint z_{n+1} = G_n z_n +/- sqrt(dt) H_n z_n, where
+    G_n = S_{n+1}^{-1}(I + dt A_n) and H_n = S_{n+1}^{-1} B_n.  These second moments
+    follow exactly from N x N backward recursions instead of 2^M-leaf sweeps:
+
+      X_n = G_n^T X_{n+1} G_n + dt H_n^T X_{n+1} H_n,                    X_M = I,
+      O_n = G_n^T O_{n+1} G_n + dt H_n^T O_{n+1} H_n + dt diag(1_{G0}),  O_M = 0.
+
+    G_n and H_n are the identity's rows pushed through the stepper's own step
+    terms and solve; on a path the noise term is absent.
+    """
+    grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
+    eye = np.eye(grid.N)
+    forms = np.stack([eye, np.zeros_like(eye)])  # (X_M, O_M)
+    for n in range(tree.M - 1, -1, -1):
+        drift, noise = stepper.adjoint_1_5_terms(n, eye)
+        gt = stepper._solve(n + 1, eye + dt * drift)  # rows of the identity: G_n^T
+        step = gt @ forms @ gt.T
+        if tree.branching:  # a2 = 0 makes this term exactly zero
+            ht = stepper._solve(n + 1, noise)  # H_n^T
+            step += dt * (ht @ forms @ ht.T)
+        step[1] += dt * np.diag(grid.g0_mask)
+        forms = step
+    return 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
+
+
 def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumConfig,
                  stepper: TreeStepper | None = None) -> HumResult:
     """Drive E|y(0)|^2 to O(eps) for the backward problem with u = 1_{G0} z.
 
     The dual variable is the deterministic initial datum of the forward
-    adjoint; CG solves (Gram + eps I) p = y_free(0) and the controlled
+    adjoint; CG, preconditioned by the Cholesky factor of the dense Gramian
+    plus eps I, solves (Gram + eps I) p = y_free(0), and the controlled
     initial state equals +eps p at the optimum.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
@@ -289,8 +421,9 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     free = st.backward(yT, mode="controlled_1_2")
     b = free.z[0][0]
     uncontrolled = dual.inner(b, b)
-    p, trace = _cg(lambda q: dual.apply(q, eps), b, dual.inner,
-                   config.cg_tol, config.cg_max_iter)
+    factor = cho_factor(_forward_pencil(st)[1] + eps * np.eye(grid.N))
+    p, trace = _cg(lambda q: dual.apply(q, eps), b, dual.inner, config.cg_tol,
+                   config.cg_max_iter, precond=lambda r: cho_solve(factor, r))
     z = st.forward(p, mode="adjoint_1_5")
     u = AdaptedField([grid.g0_mask * z.y[n] for n in range(tree.M)])
     controlled = st.backward(yT, mode="controlled_1_2", u=z.y)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import HumConfig, _cg, _ForwardDual, hum_forward, k_cost_exponent, m_cost_exponent
+from .control import (HumConfig, _cg, _forward_pencil, _ForwardDual, hum_forward, k_cost_exponent,
+                      m_cost_exponent)
 from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_path, build_tree
@@ -61,35 +62,6 @@ class SweepError(RuntimeError):
     def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial
-
-
-def _forward_pencil(stepper: TreeStepper):
-    """Dense (energy, observation) operator pair on R^N for the forward direction.
-
-    The matrices of z0 -> E|z(T)|^2 and z0 -> E int_{Q0} |z|^2 (the backward-HUM
-    Gramian) for the forward adjoint z_{n+1} = G_n z_n +/- sqrt(dt) H_n z_n, where
-    G_n = S_{n+1}^{-1}(I + dt A_n) and H_n = S_{n+1}^{-1} B_n.  These second moments
-    follow exactly from N x N backward recursions instead of 2^M-leaf sweeps:
-
-      X_n = G_n^T X_{n+1} G_n + dt H_n^T X_{n+1} H_n,                    X_M = I,
-      O_n = G_n^T O_{n+1} G_n + dt H_n^T O_{n+1} H_n + dt diag(1_{G0}),  O_M = 0.
-
-    G_n and H_n are the identity's rows pushed through the stepper's own step
-    terms and solve; on a path the noise term is absent.
-    """
-    grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
-    eye = np.eye(grid.N)
-    forms = np.stack([eye, np.zeros_like(eye)])  # (X_M, O_M)
-    for n in range(tree.M - 1, -1, -1):
-        drift, noise = stepper.adjoint_1_5_terms(n, eye)
-        gt = stepper._solve(n + 1, eye + dt * drift)  # rows of the identity: G_n^T
-        step = gt @ forms @ gt.T
-        if tree.branching:  # a2 = 0 makes this term exactly zero
-            ht = stepper._solve(n + 1, noise)  # H_n^T
-            step += dt * (ht @ forms @ ht.T)
-        step[1] += dt * np.diag(grid.g0_mask)
-        forms = step
-    return 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
 
 
 def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
@@ -266,15 +238,13 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
         raise ValueError("need >= 3 strictly decreasing eps values")
     st = TreeStepper(grid, tree, coeffs)
     rows = []
-    prev = None
     for eps in eps_values:
         try:
             res = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=cg_tol,
                                                                 cg_max_iter=cg_max_iter),
-                              stepper=st, p_start=prev)
+                              stepper=st)
         except Exception as exc:  # noqa: BLE001
             raise SweepError(f"sweep row eps = {eps} failed: {exc}", rows) from exc
-        prev = res.adjoint_data
         r = res.report
         rows.append({"epsilon": eps, "terminal_norm": r.terminal_norm,
                      "control_cost": r.control_cost, "cg_iterations": r.cg_iterations,

@@ -198,26 +198,35 @@ class TreeStepper(_StepperBase):
 
     # -- forward ---------------------------------------------------------
 
+    def general_terms(self, n: int, y: np.ndarray):
+        """Drift a1*y + b1*grad(y) and noise a2*y + b2*grad(y) of the general step at level n."""
+        tab = self.tab
+        grad = gradient(self.grid, y)
+        return tab.a1[n] * y + tab.b1[n] * grad, tab.a2[n] * y + tab.b2[n] * grad
+
     def adjoint_1_5_terms(self, n: int, y: np.ndarray):
         """Drift -a1*y + weak_div(b*y) and noise -a2*y of the adjoint_1_5 step at level n."""
         tab = self.tab
         return -(tab.a1[n] * y) + weak_divergence(self.grid, tab.b[n] * y), -(tab.a2[n] * y)
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
-                mode: str = "general") -> ForwardSolution:
+                mode: str = "general", feedback=None) -> ForwardSolution:
         """March level 0 -> M; see module docstring for the step map.
 
         general mode:      drift = a1*y + b1*grad(y) + 1_{G0} u [+ drift_src
                            + weak_div(drift_div)], noise = a2*y + b2*grad(y) + v.
+                           `feedback(n, y) -> (u_n, v_n)` adds a control pair
+                           computed from the level-n state (closed loop).
         adjoint_1_5 mode:  drift = -a1*y + weak_div(y*b), noise = -a2*y
                            (controls/sources not accepted).
         On a single-branch path nothing splits and the noise drops out.
         """
         if mode not in FORWARD_MODES:
             raise ValueError(f"unknown forward mode {mode!r}")
-        if mode == "adjoint_1_5" and any(s is not None for s in (u, v, drift_src, drift_div)):
+        if mode == "adjoint_1_5" and any(s is not None for s in (u, v, drift_src, drift_div,
+                                                                 feedback)):
             raise ValueError("adjoint_1_5 mode takes no controls or sources")
-        grid, tree, tab = self.grid, self.tree, self.tab
+        grid, tree = self.grid, self.tree
         y0 = np.asarray(y0, dtype=float).reshape(1, grid.N)
         if not np.isfinite(y0).all():
             raise NumericsError("non-finite initial state")
@@ -226,17 +235,19 @@ class TreeStepper(_StepperBase):
         for n in range(tree.M):
             y = levels[n]
             if mode == "general":
-                grad = gradient(grid, y)
-                drift = tab.a1[n] * y + tab.b1[n] * grad
+                drift, noise = self.general_terms(n, y)
                 if u is not None:
                     drift = drift + mask * u[n]
                 if drift_src is not None:
                     drift = drift + drift_src[n]
                 if drift_div is not None:
                     drift = drift + weak_divergence(grid, drift_div[n])
-                noise = tab.a2[n] * y + tab.b2[n] * grad
                 if v is not None:
                     noise = noise + v[n]
+                if feedback is not None:
+                    fu, fv = feedback(n, y)
+                    drift = drift + mask * fu
+                    noise = noise + fv
             else:
                 drift, noise = self.adjoint_1_5_terms(n, y)
             base = y + self.dt * drift

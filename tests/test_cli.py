@@ -208,7 +208,7 @@ output_dir = {tmp_path / 'out'}
     ("sweep-eps", ("sweep-eps.csv", "sweep-eps.dat", "sweep-eps_report.txt")),
 ])
 def test_cg_nonconvergence_exit_code_with_outputs(tmp_path, capsys, command, outputs):
-    cfg = DESK.replace("cg_max_iter = 500", "cg_max_iter = 5")
+    cfg = DESK.replace("cg_max_iter = 500", "cg_max_iter = 5\ncg_tol = 1e-300")
     cfg_path = write(tmp_path, cfg + f"output_dir = {tmp_path / 'out'}\n")
     assert main([command, "--config", str(cfg_path)]) == 2
     assert "numerical failure: CG did not converge" in capsys.readouterr().err
@@ -216,6 +216,16 @@ def test_cg_nonconvergence_exit_code_with_outputs(tmp_path, capsys, command, out
         assert (tmp_path / "out" / name).exists()
     if command != "sweep-eps":
         assert "cg_converged = False" in (tmp_path / "out" / outputs[1]).read_text()
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_cg_max_iter_must_be_positive(tmp_path, capsys, budget):
+    cfg = DESK.replace("cg_max_iter = 500", f"cg_max_iter = {budget}")
+    cfg_path = write(tmp_path, cfg + f"output_dir = {tmp_path / 'out'}\n")
+    with pytest.raises(ConfigError, match=r"\[hum\] cg_max_iter"):
+        parse_config(cfg_path)
+    assert main(["control-forward", "--config", str(cfg_path)]) == 1
+    assert "[hum] cg_max_iter must be >= 1" in capsys.readouterr().err
 
 
 def test_nonfinite_coefficient_exit_code(tmp_path, capsys):

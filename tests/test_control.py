@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_tree
-from spcontrol.control import (HumConfig, dual_functional, hum_backward,
-                               hum_backward_collapsed, hum_forward, k_cost_exponent,
-                               m_cost_exponent)
+from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree
+from spcontrol import control
+from spcontrol.control import (HumConfig, _cg, _ForwardDual, _ForwardRiccati, dual_functional,
+                               hum_backward, hum_backward_collapsed, hum_forward,
+                               k_cost_exponent, m_cost_exponent)
 
 
 def test_k_exponent_paper_substitutions():
@@ -122,7 +123,7 @@ def test_hum_forward_eps_sweep_decreases(hum_setup):
 def test_cg_functional_trace_monotone(hum_setup):
     grid, tree, coeffs, st = hum_setup
     res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x),
-                      HumConfig(epsilon=1e-3, cg_tol=1e-10, cg_max_iter=3000), stepper=st)
+                      HumConfig(epsilon=1e-3, cg_tol=1e-300, cg_max_iter=3000), stepper=st)
     vals = res.cg_trace["values"]
     assert len(vals) > 2
     assert all(a >= b - 1e-12 * abs(a) for a, b in zip(vals, vals[1:]))
@@ -130,11 +131,11 @@ def test_cg_functional_trace_monotone(hum_setup):
 
 def test_hum_forward_reports_nonconvergence(hum_setup):
     grid, tree, coeffs, st = hum_setup
-    res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x),
-                      HumConfig(epsilon=1e-4, cg_tol=1e-12, cg_max_iter=3), stepper=st)
+    cfg = HumConfig(epsilon=1e-4, cg_tol=1e-300, cg_max_iter=3)
+    res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x), cfg, stepper=st)
     assert not res.report.cg_converged
     assert res.report.cg_iterations == 3
-    assert res.report.cg_residual > 1e-12
+    assert res.report.cg_residual > cfg.cg_tol
 
 
 def test_cost_monotone_as_horizon_shrinks(hum_setup):
@@ -183,3 +184,102 @@ def test_hum_backward_deterministic_degeneration():
     assert np.abs(res_tree.adjoint_data - res_path.adjoint_data).max() <= 1e-12 * scale
     assert res_tree.report.terminal_norm == pytest.approx(res_path.report.terminal_norm,
                                                           rel=1e-12)
+
+
+def test_cg_reports_start_residual_of_converged_warm_start():
+    mat = np.diag([1.0, 2.0, 3.0])
+    b = np.array([1.0, 1.0, 1.0])
+    x0 = np.linalg.solve(mat, b) * (1.0 + 1e-12)
+    x, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-9, 10, x0=x0)
+    assert trace["iterations"] == 0 and trace["converged"]
+    expected = np.linalg.norm(b - mat @ x0) / np.linalg.norm(b)
+    assert 0.0 < trace["residual"] == pytest.approx(expected, rel=1e-6)
+    assert np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("x0", [None, np.array([0.5, 0.0, 0.0])], ids=["cold", "warm"])
+def test_cg_reports_start_residual_without_budget(x0):
+    mat = np.diag([1.0, 2.0, 3.0])
+    b = np.array([1.0, 1.0, 1.0])
+    _, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-9, 0, x0=x0)
+    assert trace["iterations"] == 0 and not trace["converged"]
+    start = b if x0 is None else b - mat @ x0
+    assert trace["residual"] == pytest.approx(np.linalg.norm(start) / np.linalg.norm(b), rel=1e-15)
+
+
+def test_hum_config_rejects_nonpositive_cg_budget():
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="cg_max_iter"):
+            HumConfig(epsilon=1e-3, cg_max_iter=budget)
+
+
+# -- preconditioned HUM against the unpreconditioned oracle -----------------
+
+GRID8 = build_grid(1.0, 8, (0.2, 0.85), (0.4, 0.65))
+
+
+@pytest.fixture(scope="module", params=[build_tree, build_path])
+def lq_setup(request, full_coeffs):
+    return TreeStepper(GRID8, request.param(5, 1.0), full_coeffs)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_riccati_preconditioner_inverts_penalized_gramian(lq_setup, eps):
+    st = lq_setup
+    dual = _ForwardDual(st)
+    r = np.random.default_rng(5).standard_normal((st.tree.n_nodes(st.tree.M), GRID8.N))
+    back = dual.apply(_ForwardRiccati(st, eps)(r), eps)
+    assert np.sqrt(dual.inner(back - r, back - r) / dual.inner(r, r)) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5])
+def test_riccati_value_is_optimal_cost(lq_setup, eps):
+    """1/2 h y0^T P_0 y0 is the minimal penalized cost 1/2 (cost + terminal / eps)."""
+    st = lq_setup
+    y0 = np.sin(np.pi * GRID8.x) + 0.3 * np.cos(3 * np.pi * GRID8.x)
+    res = hum_forward(GRID8, st.tree, None, y0, HumConfig(epsilon=eps, cg_tol=1e-12), stepper=st)
+    assert res.report.cg_converged
+    value = 0.5 * GRID8.h * y0 @ _ForwardRiccati(st, eps).p0 @ y0
+    penalized = 0.5 * (res.report.control_cost + res.report.terminal_norm / eps)
+    assert value == pytest.approx(penalized, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def criterion4():
+    grid = build_grid(1.0, 32, (0.1, 0.95), (0.3, 0.7))
+    tree = build_tree(8, 1.0)
+    coeffs = ProblemCoefficients(a=0.15, a1=1.0, a2=0.5, b1=0.5, b2=0.5, b=0.5)
+    return grid, tree, coeffs, TreeStepper(grid, tree, coeffs)
+
+
+@pytest.mark.parametrize("which,eps", [("forward", 1e-2), ("forward", 1e-4),
+                                       ("backward", 1e-2), ("backward", 1e-4)])
+def test_preconditioned_hum_matches_plain_cg(criterion4, monkeypatch, which, eps):
+    grid, tree, coeffs, st = criterion4
+    y0 = np.sin(np.pi * grid.x / grid.L)
+    cfg = HumConfig(epsilon=eps, cg_tol=1e-12, cg_max_iter=8000)
+    if which == "forward":
+        def solve():
+            return hum_forward(grid, tree, coeffs, y0, cfg, stepper=st).report
+    else:
+        def solve():
+            return hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg,
+                                stepper=st).report
+    pcg = solve()
+    plain_cg = control._cg
+    monkeypatch.setattr(control, "_cg", lambda *args, precond=None, **kw: plain_cg(*args, **kw))
+    plain = solve()
+    assert pcg.cg_converged and plain.cg_converged
+    assert pcg.cg_iterations <= 2 < plain.cg_iterations
+    assert pcg.control_cost == pytest.approx(plain.control_cost, rel=1e-8)
+    assert pcg.terminal_norm == pytest.approx(plain.terminal_norm, rel=1e-8)
+
+
+def test_hum_forward_runs_at_eps_1e_8(criterion4):
+    grid, tree, coeffs, st = criterion4
+    y0 = np.sin(np.pi * grid.x / grid.L)
+    rows = [hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=1e-10),
+                        stepper=st).report for eps in (1e-4, 1e-8)]
+    assert rows[1].cg_converged and rows[1].cg_iterations <= 3
+    assert rows[1].terminal_norm < rows[0].terminal_norm
+    assert rows[1].identity_residual <= 1e-8
