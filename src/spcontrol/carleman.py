@@ -331,11 +331,7 @@ def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: flo
 
 @dataclass(frozen=True)
 class DeviationRow:
-    """Leading-order deviations for one (mu, lambda) pair, nodes outside G1.
-
-    Every pair sits at the parameter threshold, so `valid` is always True; it
-    is kept as a column of the appendix-check table.
-    """
+    """Leading-order deviations for one (mu, lambda) pair, nodes outside G1."""
 
     mu: float
     lam: float
@@ -343,7 +339,6 @@ class DeviationRow:
     dev_B: float
     min_B: float
     c11_margin: float
-    valid: bool = True
 
 
 def leading_order_check(psi: PsiFunction, a, mu_values, T: float, grid: SpatialGrid,

@@ -35,7 +35,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .grid import SpatialGrid
 from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
-                       mean_square_norm)
+                       mean_square_norm, qt_integral)
 from .spde import TreeStepper
 
 __all__ = [
@@ -166,6 +166,25 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
             rz = rz_new
     return x, {"iterations": n_iter, "residuals": residuals, "values": values,
                "converged": converged, "residual": residual}
+
+
+def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
+                uncontrolled: float, pairing: float, exponent: float, data_norm: float) -> HumReport:
+    """Report of a HUM solve whose optimum satisfies cost + final_norm/eps + pairing = 0.
+
+    final_norm: energy of the penalized controlled state (y(T) forward, y(0) backward);
+    pairing: signed pairing of the problem data with the adjoint datum;
+    data_norm: energy of that data, which scales the cost bound e^{bound_c * exponent}.
+    """
+    eps = config.epsilon
+    identity = cost + final_norm / eps + pairing
+    scale = cost + final_norm / eps + abs(pairing) + 1e-300
+    bound = cost / (np.exp(config.bound_c * exponent) * data_norm) if data_norm > 0 else 0.0
+    return HumReport(epsilon=eps, control_cost=cost, terminal_norm=final_norm,
+                     uncontrolled_norm=uncontrolled, cg_iterations=trace["iterations"],
+                     cg_residual=trace["residual"], cg_converged=trace["converged"],
+                     cost_exponent=exponent, bound_ratio=bound,
+                     identity_residual=abs(identity) / scale)
 
 
 # -- forward problem -------------------------------------------------------
@@ -329,19 +348,11 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     u = AdaptedField([grid.g0_mask * bwd.z_half[n] for n in range(tree.M)])
     v = AdaptedField([bwd.Z[n].copy() for n in range(tree.M)])
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
-    terminal = mean_square_norm(tree, grid, y.y, tree.M)
-    cost = dual.observation(bwd)
-    pairing = grid.h * float(np.dot(y0, bwd.z[0][0]))
-    identity = cost + terminal / eps + pairing
-    scale = cost + terminal / eps + abs(pairing) + 1e-300
-    exponent = k_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b1_inf, st.tab.b2_inf)
-    y0_norm = grid.h * float(np.dot(y0, y0))
-    bound = cost / (np.exp(config.bound_c * exponent) * y0_norm) if y0_norm > 0 else 0.0
-    report = HumReport(epsilon=eps, control_cost=cost, terminal_norm=terminal,
-                       uncontrolled_norm=uncontrolled, cg_iterations=trace["iterations"],
-                       cg_residual=trace["residual"], cg_converged=trace["converged"],
-                       cost_exponent=exponent, bound_ratio=bound,
-                       identity_residual=abs(identity) / scale)
+    report = _hum_report(
+        config, trace, cost=dual.observation(bwd), final_norm=mean_square_norm(tree, grid, y.y, tree.M),
+        uncontrolled=uncontrolled, pairing=grid.h * float(np.dot(y0, bwd.z[0][0])),
+        exponent=k_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b1_inf, st.tab.b2_inf),
+        data_norm=grid.h * float(np.dot(y0, y0)))
     return HumResult(u=u, v=v, y=y, adjoint_data=p, report=report, cg_trace=trace)
 
 
@@ -349,7 +360,7 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
 
 
 class _BackwardDual:
-    """Gramian and quadratures for the backward HUM problem (dual lives in R^N)."""
+    """Gramian and inner product of the backward HUM problem (dual lives in R^N)."""
 
     def __init__(self, stepper: TreeStepper):
         self.st = stepper
@@ -358,14 +369,6 @@ class _BackwardDual:
 
     def inner(self, p, q) -> float:
         return self.st.grid.h * float(np.dot(p, q))
-
-    def observation(self, z_field) -> float:
-        grid, tree = self.st.grid, self.st.tree
-        total = 0.0
-        for n in range(tree.M):
-            w = tree.dt * tree.node_weight(n) * grid.h
-            total += w * float(np.sum(z_field[n][:, grid.g0_mask] ** 2))
-        return total
 
     def gram(self, p):
         z = self.st.forward(p, mode="adjoint_1_5")
@@ -427,19 +430,12 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     z = st.forward(p, mode="adjoint_1_5")
     u = AdaptedField([grid.g0_mask * z.y[n] for n in range(tree.M)])
     controlled = st.backward(yT, mode="controlled_1_2", u=z.y)
-    initial = grid.h * float(np.dot(controlled.z[0][0], controlled.z[0][0]))
-    cost = dual.observation(z.y)
-    pairing = dual.inner(b, p)
-    identity = cost + initial / eps - pairing
-    scale = cost + initial / eps + abs(pairing) + 1e-300
-    exponent = m_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf)
-    yT_norm = tree.node_weight(tree.M) * grid.h * float(np.sum(yT * yT))
-    bound = cost / (np.exp(config.bound_c * exponent) * yT_norm) if yT_norm > 0 else 0.0
-    report = HumReport(epsilon=eps, control_cost=cost, terminal_norm=initial,
-                       uncontrolled_norm=uncontrolled, cg_iterations=trace["iterations"],
-                       cg_residual=trace["residual"], cg_converged=trace["converged"],
-                       cost_exponent=exponent, bound_ratio=bound,
-                       identity_residual=abs(identity) / scale)
+    y_0 = controlled.z[0][0]
+    report = _hum_report(
+        config, trace, cost=qt_integral(tree, grid, z.y, square=True, mask=grid.g0_mask),
+        final_norm=dual.inner(y_0, y_0), uncontrolled=uncontrolled, pairing=-dual.inner(b, p),
+        exponent=m_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf),
+        data_norm=tree.node_weight(tree.M) * grid.h * float(np.sum(yT * yT)))
     return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)
 
 

@@ -30,7 +30,7 @@ from .control import (HumConfig, _cg, _forward_pencil, _ForwardDual, hum_forward
                       m_cost_exponent)
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_path, build_tree
+from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_tree
 from .spde import ProblemCoefficients, TreeStepper
 
 __all__ = [
@@ -169,7 +169,7 @@ def _ols(x: np.ndarray, y: np.ndarray):
 def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                        quantity: str = "observability", direction: str = "forward_1_5",
                        m_per_time: float = 8.0, iters: int = 30,
-                       seed: int = 0, epsilon_rule=None) -> ScalingTable:
+                       seed: int = 0) -> ScalingTable:
     """Tabulate c_obs or control cost against T and fit the e^{C/T} law.
 
     The number of time steps per row follows round(m_per_time * T), so the
@@ -179,9 +179,9 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     when the adjoint is noise-free (a2 = 0) the row runs on a single-branch
     path (flagged by the collapsed column).  Rows that sweep the tree (control
     cost, backward direction) have their depth clipped to
-    scenario.DEFAULT_DEPTH_CAP.  Rows are computed in sorted-T order; a row
-    failure aborts the sweep with the completed rows attached to the raised
-    SweepError.
+    scenario.DEFAULT_DEPTH_CAP.  Control-cost rows use eps = h^2.  Rows are
+    computed in sorted-T order; a row failure aborts the sweep with the
+    completed rows attached to the raised SweepError.
     """
     t_values = sorted(float(t) for t in t_values)
     if len(t_values) < 4:
@@ -191,21 +191,17 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     for T in t_values:
         n_steps = max(2, int(round(m_per_time * T)))
         try:
-            if moments:
-                tree = build_path(n_steps, T)
-                tab = coeffs.sample(grid, tree.times)
-                tree = replace(tree, branching=tab.a2_inf > 0.0)  # uncapped: no per-node field
-            else:
-                tree = build_tree(min(n_steps, DEFAULT_DEPTH_CAP), T)
-                tab = coeffs.sample(grid, tree.times)
+            tree = build_tree(n_steps if moments else min(n_steps, DEFAULT_DEPTH_CAP), T)
+            tab = coeffs.sample(grid, tree.times)
+            if moments:  # uncapped: the pencil allocates no per-node field
+                tree = replace(tree, branching=tab.a2_inf > 0.0)
             st = TreeStepper(grid, tree, tab)
             if quantity == "observability":
                 value = observability_constant(grid, tree, coeffs, direction=direction,
                                                iters=iters, seed=seed, stepper=st).c_obs
             elif quantity == "control_cost":
-                eps = epsilon_rule(grid, tree) if callable(epsilon_rule) else (epsilon_rule or grid.h ** 2)
                 res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x / grid.L),
-                                  HumConfig(epsilon=eps), stepper=st)
+                                  HumConfig(epsilon=grid.h ** 2), stepper=st)
                 value = res.report.control_cost
             else:
                 raise ValueError(f"unknown quantity {quantity!r}")
@@ -236,6 +232,7 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
     eps_values = [float(e) for e in eps_values]
     if len(eps_values) < 3 or any(a <= b for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("need >= 3 strictly decreasing eps values")
+    tree.n_nodes(tree.M)  # a tree too deep to sweep is bad input, not a failed row
     st = TreeStepper(grid, tree, coeffs)
     rows = []
     for eps in eps_values:

@@ -10,7 +10,8 @@ themselves, directly into their tridiagonal LDL^T implicit factor):
 * weak divergence, defined as minus the transpose of that stencil, so the
   discrete integration-by-parts identity <div q, u> = -<q, grad u> holds to
   rounding.  The tree solvers rely on this exact pairing, not on the
-  boundary consistency order.
+  boundary consistency order.  With zero ghosts the stencil is skew, so the
+  weak divergence is the stencil itself and its transpose is its negative.
 
 Grids are immutable after construction; all functions here are pure and safe
 to call concurrently.
@@ -89,16 +90,11 @@ def build_grid(L: float, N: int, g0: tuple[float, float], g1: tuple[float, float
                        g0=(a0, b0), g1=(a1, b1))
 
 
-def _check_last_axis(grid: SpatialGrid, u: np.ndarray) -> np.ndarray:
+def gradient(grid: SpatialGrid, u) -> np.ndarray:
+    """Centered difference with zero ghost values: (u_{i+1} - u_{i-1}) / 2h."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != grid.N:
         raise ValueError(f"expected last axis of length {grid.N}, got shape {u.shape}")
-    return u
-
-
-def gradient(grid: SpatialGrid, u) -> np.ndarray:
-    """Centered difference with zero ghost values: (u_{i+1} - u_{i-1}) / 2h."""
-    u = _check_last_axis(grid, u)
     two_h = 2.0 * grid.h
     out = np.empty_like(u)
     out[..., 0] = u[..., 1] / two_h
@@ -108,16 +104,10 @@ def gradient(grid: SpatialGrid, u) -> np.ndarray:
 
 
 def gradient_transpose(grid: SpatialGrid, q) -> np.ndarray:
-    """Exact transpose of `gradient`: (q_{i-1} - q_{i+1}) / 2h, zero ghosts."""
-    q = _check_last_axis(grid, q)
-    two_h = 2.0 * grid.h
-    out = np.empty_like(q)
-    out[..., 0] = -q[..., 1] / two_h
-    out[..., 1:-1] = (q[..., :-2] - q[..., 2:]) / two_h
-    out[..., -1] = q[..., -2] / two_h
-    return out
+    """Exact transpose of `gradient`: the stencil is skew, so this is -gradient."""
+    return -gradient(grid, q)
 
 
 def weak_divergence(grid: SpatialGrid, q) -> np.ndarray:
-    """Divergence in the duality sense: weak_divergence = -(gradient)^T."""
-    return -gradient_transpose(grid, q)
+    """Divergence in the duality sense: weak_divergence = -(gradient)^T = gradient."""
+    return gradient(grid, q)

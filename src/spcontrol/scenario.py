@@ -52,9 +52,18 @@ class ScenarioTree:
     branching: bool = True
 
     def n_nodes(self, level: int) -> int:
+        """Nodes at a level; refused past the depth cap, which bounds every per-node array."""
         if not 0 <= level <= self.M:
             raise ValueError(f"level {level} outside 0..{self.M}")
-        return 1 << level if self.branching else 1
+        if not self.branching:
+            return 1
+        if self.M > DEFAULT_DEPTH_CAP:
+            nodes = (1 << (self.M + 1)) - 1
+            mb = nodes * 64 * 8 / 1e6  # one N=64 field, float64
+            raise ValueError(
+                f"M = {self.M} exceeds the depth cap {DEFAULT_DEPTH_CAP}: {nodes} nodes "
+                f"(~{mb:.0f} MB for a single N=64 field)")
+        return 1 << level
 
     def node_weight(self, level: int) -> float:
         return 2.0 ** (-level) if self.branching else 1.0
@@ -64,16 +73,10 @@ class ScenarioTree:
         return (1 << (self.M + 1)) - 1 if self.branching else self.M + 1
 
 
-def build_tree(M: int, T: float, depth_cap: int = DEFAULT_DEPTH_CAP) -> ScenarioTree:
-    """Build the tree; depth is capped to keep per-field memory bounded."""
+def build_tree(M: int, T: float) -> ScenarioTree:
+    """Build the tree; `ScenarioTree.n_nodes` refuses per-node arrays past the depth cap."""
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
-    if M > depth_cap:
-        nodes = (1 << (M + 1)) - 1
-        mb = nodes * 64 * 8 / 1e6  # one N=64 field, float64
-        raise ValueError(
-            f"M = {M} exceeds the depth cap {depth_cap}: {nodes} nodes "
-            f"(~{mb:.0f} MB for a single N=64 field)")
     return replace(build_path(M, T), branching=True)
 
 
@@ -138,9 +141,9 @@ class AdaptedField:
 
     @classmethod
     def random(cls, tree: ScenarioTree, n_space: int, rng: np.random.Generator,
-               n_levels: int | None = None, scale: float = 1.0) -> "AdaptedField":
+               n_levels: int | None = None) -> "AdaptedField":
         n_levels = tree.M + 1 if n_levels is None else n_levels
-        return cls([scale * rng.standard_normal((tree.n_nodes(n), n_space)) for n in range(n_levels)])
+        return cls([rng.standard_normal((tree.n_nodes(n), n_space)) for n in range(n_levels)])
 
 
 def expectation(tree: ScenarioTree, field, level: int) -> np.ndarray:
@@ -159,18 +162,15 @@ def expectation(tree: ScenarioTree, field, level: int) -> np.ndarray:
 
 
 def qt_integral(tree: ScenarioTree, grid, field, square: bool = False,
-                mask: np.ndarray | None = None, levels=None) -> float:
+                mask: np.ndarray | None = None) -> float:
     """Time-space-probability integral with left-endpoint time quadrature.
 
-    Sums dt * 2^-n * h * field (or field squared) over levels 0..M-1 by
-    default; `mask` restricts the spatial sum (e.g. to G0), `levels` selects
-    a different time range (used by the Carleman integrals, which drop the
-    singular endpoint levels).
+    Sums dt * 2^-n * h * field (or field squared) over the levels 0..M-1 the
+    field holds; `mask` restricts the spatial sum (e.g. to G0, as in the
+    backward-HUM control cost).
     """
-    if levels is None:
-        levels = range(min(len(field), tree.M))
     total = 0.0
-    for n in levels:
+    for n in range(min(len(field), tree.M)):
         vals = np.asarray(field[n], dtype=float)
         if mask is not None:
             vals = vals[:, mask]

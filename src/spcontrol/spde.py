@@ -323,25 +323,8 @@ class PathStepper:
     def __init__(self, grid: SpatialGrid, n_steps: int, T: float, coeffs):
         self.stepper = TreeStepper(grid, build_path(n_steps, T), coeffs)
 
-    def forward(self, y0, u=None, drift_src=None, drift_div=None, mode: str = "general") -> np.ndarray:
-        sol = self.stepper.forward(y0, u=u, drift_src=drift_src, drift_div=drift_div, mode=mode)
-        return np.concatenate(sol.y.levels)
-
-
-def _pairing_terms(stepper: TreeStepper, fwd: ForwardSolution, bwd: BackwardSolution,
-                   y0, u, v) -> dict:
-    grid, tree = stepper.grid, stepper.tree
-    t_terminal = tree.node_weight(tree.M) * grid.h * float(np.sum(fwd.y[tree.M] * bwd.z[tree.M]))
-    t_initial = grid.h * float(np.dot(np.ravel(y0), bwd.z[0][0]))
-    t_u = 0.0
-    t_v = 0.0
-    for n in range(tree.M):
-        w = tree.dt * tree.node_weight(n) * grid.h
-        if u is not None:
-            t_u += w * float(np.sum((grid.g0_mask * u[n]) * bwd.z_half[n]))
-        if v is not None:
-            t_v += w * float(np.sum(v[n] * bwd.Z[n]))
-    return {"terminal": t_terminal, "initial": t_initial, "u": t_u, "v": t_v}
+    def forward(self, y0) -> np.ndarray:
+        return np.concatenate(self.stepper.forward(y0).y.levels)
 
 
 def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:
@@ -354,9 +337,18 @@ def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:
     stepper = TreeStepper(grid, tree, coeffs)
     fwd = stepper.forward(y0, u=u, v=v)
     bwd = stepper.backward(zT, mode="adjoint_1_3")
-    t = _pairing_terms(stepper, fwd, bwd, y0, u, v)
-    gap = abs(t["terminal"] - t["initial"] - t["u"] - t["v"])
-    scale = abs(t["terminal"]) + abs(t["initial"]) + abs(t["u"]) + abs(t["v"])
+    t_terminal = tree.node_weight(tree.M) * grid.h * float(np.sum(fwd.y[tree.M] * bwd.z[tree.M]))
+    t_initial = grid.h * float(np.dot(np.ravel(y0), bwd.z[0][0]))
+    t_u = 0.0
+    t_v = 0.0
+    for n in range(tree.M):
+        w = tree.dt * tree.node_weight(n) * grid.h
+        if u is not None:
+            t_u += w * float(np.sum((grid.g0_mask * u[n]) * bwd.z_half[n]))
+        if v is not None:
+            t_v += w * float(np.sum(v[n] * bwd.Z[n]))
+    gap = abs(t_terminal - t_initial - t_u - t_v)
+    scale = abs(t_terminal) + abs(t_initial) + abs(t_u) + abs(t_v)
     if scale == 0.0:
         return 0.0
     return gap / scale

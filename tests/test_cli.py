@@ -128,9 +128,11 @@ def test_carleman_check_solves_each_instance_once(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
-def _table(path):
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    return np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+def _table(path, *columns):
+    """The named CSV columns as floats, one row per data line."""
+    lines = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]
+    index = [lines[0].index(c) for c in columns]
+    return np.array([[float(l[i]) for i in index] for l in lines[1:]])
 
 
 def _report(path, *keys):
@@ -141,15 +143,15 @@ def _report(path, *keys):
 
 
 def test_desk_outputs_match_recorded_values(tmp_path):
-    # drift guard: physical values recorded on this config with the earlier
-    # banded-Cholesky implicit solve; CG residuals, traces and iteration counts
-    # are not compared
+    # drift guard on every subcommand: physical values recorded on this config;
+    # CG residuals, traces and iteration counts are not compared
     cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n")
-    for command in ("simulate", "control-backward", "observability", "carleman-check"):
+    for command in ("simulate", "control-forward", "control-backward", "observability",
+                    "carleman-check", "appendix-check", "sweep-T", "sweep-eps"):
         assert main([command, "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
     close = dict(rtol=1e-7, atol=0.0)
-    np.testing.assert_allclose(_table(out / "simulate.csv")[:, 2],
+    np.testing.assert_allclose(_table(out / "simulate.csv", "mean_square_norm")[:, 0],
                                [0.5, 0.29435389891089253, 0.1684065236431602,
                                 0.09490258238127704, 0.05307691439982745], **close)
     np.testing.assert_allclose(
@@ -164,11 +166,52 @@ def test_desk_outputs_match_recorded_values(tmp_path):
                 *(f"lambda x{m}: median_ratio" for m in (1, 2, 4))),
         [8.3890560989306504, 1.0213234275207861, 1.0409087913260986, 1.0050052456409122,
          1.0097024663606635, 1.0010833828877628, 1.0021865363051785], **close)
-    rows = _table(out / "carleman-check.csv")
+    rows = _table(out / "carleman-check.csv", "lambda_multiple", "lhs", "rhs")
     np.testing.assert_allclose(
-        [rows[rows[:, 1] == m][:, 2:4].sum(axis=0) for m in (1, 2, 4)],
+        [rows[rows[:, 0] == m][:, 1:].sum(axis=0) for m in (1, 2, 4)],
         [[3716579.1650392856, 3627861.4498910005], [28873477.224703327, 28708857.126860857],
          [229841205.80117607, 229555989.82262403]], **close)
+    np.testing.assert_allclose(
+        _report(out / "control-forward_report.txt", "terminal_norm", "uncontrolled_norm",
+                "control_cost", "K", "bound_ratio"),
+        [0.00038374810018379469, 0.053076914399827646, 0.24840885274359753,
+         3.7881009996031532, 0.011247233299205829], **close)
+    np.testing.assert_allclose(
+        _table(out / "sweep-eps.csv", "epsilon", "terminal_norm", "control_cost"),
+        [[1e-1, 0.0063250789707594074, 0.11524526630902204],
+         [1e-2, 0.00038374810018379469, 0.24840885274359753],
+         [1e-3, 7.5628817307479143e-05, 0.33162419536298482],
+         [1e-4, 8.4122281103578581e-06, 0.53194457411739604]], **close)
+    np.testing.assert_allclose(
+        _report(out / "sweep-eps_report.txt", "control_cost variation (max/min)",
+                "uncontrolled_norm"),
+        [4.6157607262672657, 0.053076914399827646], **close)
+    np.testing.assert_allclose(
+        _table(out / "sweep-T.csv", "T", "M", "value", "exponent"),
+        [[0.25, 8, 22.304681324899711, 5.9799605249474359],
+         [0.5, 16, 1.5777126380491853, 4.1499605249474367],
+         [1.0, 32, 0.1038318898113126, 3.4899605249474366],
+         [2.0, 64, 0.00070305664743919088, 3.6699605249474367]], **close)
+    np.testing.assert_allclose(
+        _report(out / "sweep-T_report.txt", "slope", "intercept", "r2",
+                "r2 against 1/T^4 (reported only)"),
+        [2.5904903807638298, -6.3482400988452863, 0.82037776131149065, 0.5251313453375841],
+        **close)
+    # dev_A at mu = 64 (4.8e-16) sits at rounding level, so this pin and the
+    # slope fitted through it hold for one numpy/libm build
+    np.testing.assert_allclose(
+        _table(out / "appendix-check.csv", "mu", "lambda", "dev_A", "dev_B", "min_B_ratio",
+               "c11_margin"),
+        [[8, 8886111.5205078721, 7.2702330236812434e-05, 4.1198872052996807,
+          0.19531680287114203, 0.58595042143192722],
+         [16, 78962960182681.688, 3.1143428896835688e-07, 0.67319658524562498,
+          0.59765840357198685, 1.7929752107159638],
+         [32, 6.2351490808116167e+27, 2.2860272398196709e-11, 0.25183205341546855,
+          0.79882920178599359, 2.3964876053579816],
+         [64, 3.8877084059945954e+55, 4.8390168646169765e-16, 0.11183429644919682,
+          0.89941460089299663, 2.6982438026789901]], **close)
+    np.testing.assert_allclose(_report(out / "appendix-check_report.txt", "dev_A log-log slope"),
+                               [-12.511928762619073], **close)
 
 
 def test_sweep_t_requires_four_values(tmp_path):
@@ -256,6 +299,24 @@ def test_appendix_check_rejects_variable_diffusion(tmp_path, capsys):
                      + f"output_dir = {tmp_path / 'out'}\n")
     assert main(["appendix-check", "--config", str(cfg_path)]) == 1
     assert "constant diffusion coefficient" in capsys.readouterr().err
+
+def test_depth_cap_applies_where_nodes_are_counted(tmp_path, capsys):
+    # M = 20 parses; commands that size per-node arrays exit 1 naming M and the
+    # cap and write nothing, while the forward-direction pencil (N x N
+    # recursions over the levels) runs at that depth
+    cfg = DESK.replace("M = 4", "M = 20") + f"output_dir = {tmp_path / 'out'}\n"
+    for command, direction, code in (
+            ("simulate", "forward_1_5", 1), ("control-forward", "forward_1_5", 1),
+            ("control-backward", "forward_1_5", 1), ("carleman-check", "forward_1_5", 1),
+            ("sweep-eps", "forward_1_5", 1), ("observability", "backward_1_3", 1),
+            ("observability", "forward_1_5", 0)):
+        cfg_path = write(tmp_path, cfg + f"direction = {direction}\n")
+        assert main([command, "--config", str(cfg_path)]) == code
+        if code:
+            assert "M = 20 exceeds the depth cap 16" in capsys.readouterr().err
+            assert not any((tmp_path / "out").glob("*"))
+    assert (tmp_path / "out" / "observability_report.txt").exists()
+
 
 def test_bad_config_exit_code(tmp_path):
     path = write(tmp_path, "[problem]\nN = 2\n")

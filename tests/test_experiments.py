@@ -160,8 +160,7 @@ def test_scaling_sweep_k_exponent_column():
     grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
     coeffs = ProblemCoefficients(a=0.3, a1=0.5, a2=0.2, b1=0.1, b2=0.1)
     table = cost_scaling_sweep(coeffs, grid, [0.25, 0.5, 0.75, 1.0],
-                               quantity="control_cost", m_per_time=6.0, seed=3,
-                               epsilon_rule=1e-2)
+                               quantity="control_cost", m_per_time=6.0, seed=3)
     for r in table.rows:
         assert r["exponent"] == k_cost_exponent(r["T"], 0.5, 0.2, 0.1, 0.1)
 

@@ -121,6 +121,17 @@ def test_weak_divergence_is_negative_transpose():
         assert abs(lhs - rhs) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("N", [4, 33, 65])
+def test_skew_stencil_serves_all_three_operators(N):
+    # with zero ghosts the centered stencil is skew: its transpose is its
+    # negative and the weak divergence is the stencil itself, bit for bit
+    grid = build_grid(1.0, N, (0.3, 0.8), (0.45, 0.65))
+    rng = np.random.default_rng(N)
+    q = rng.standard_normal((5, N)) * 10.0 ** rng.uniform(-5.0, 5.0, (5, N))
+    assert np.array_equal(weak_divergence(grid, q), gradient(grid, q))
+    assert np.array_equal(gradient_transpose(grid, q), -gradient(grid, q))
+
+
 def test_gradient_transpose_matrices_match():
     grid = build_grid(1.0, 9, (0.3, 0.8), (0.45, 0.65))
     eye = np.eye(grid.N)

@@ -16,8 +16,8 @@ def test_build_tree_basic_counts():
 
 
 def test_build_tree_guards():
-    with pytest.raises(ValueError, match="cap"):
-        build_tree(20, 1.0)
+    with pytest.raises(ValueError, match="M = 20 exceeds the depth cap 16"):
+        build_tree(20, 1.0).n_nodes(0)
     with pytest.raises(ValueError):
         build_tree(1, 1.0)
     with pytest.raises(ValueError):
@@ -80,7 +80,7 @@ def test_qt_integral_constant_field():
 
 def test_qt_integral_time_ramp():
     grid = build_grid(1.0, 31, (0.3, 0.8), (0.45, 0.65))
-    tree = build_tree(10, 1.0, depth_cap=10)
+    tree = build_tree(10, 1.0)
     ramp = AdaptedField.from_function(tree, grid, lambda t, x: t * np.ones_like(x))
     total = qt_integral(tree, grid, ramp)
     exact = tree.T ** 2 * grid.L / 2.0
