@@ -475,9 +475,9 @@ def _backward_ratios(st: TreeStepper, weight_sets, zT, mode: str = "adjoint_1_3"
         if f0 is not None or f_div is not None:
             raise ValueError("adjoint_1_3 mode derives its sources from the solution")
         sol = st.backward(zT, mode="adjoint_1_3")
-        tab, z_half, Z = st.tab, sol.z_half, sol.Z
-        f0 = {n: -(tab.a1[n] * z_half[n]) - tab.a2[n] * Z[n] for n in levels}
-        f_div = {n: tab.b1[n] * z_half[n] + tab.b2[n] * Z[n] for n in levels}
+        f0, f_div = {}, {}
+        for n in levels:
+            f0[n], f_div[n] = st.adjoint_1_3_sources(n, sol.z_half[n], sol.Z[n])
     elif mode == "sources":
         sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
     else:
@@ -515,10 +515,9 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="general")
     elif mode == "adjoint_1_5":
         sol = st.forward(z0, mode="adjoint_1_5")
-        tab, y = st.tab, sol.y
-        f1 = {n: -(tab.a1[n] * y[n]) for n in levels}
-        f2 = {n: -(tab.a2[n] * y[n]) for n in levels}
-        f_div = {n: tab.b[n] * y[n] for n in levels}
+        f1, f_div, f2 = {}, {}, {}
+        for n in levels:
+            f1[n], f_div[n], f2[n] = st.adjoint_1_5_sources(n, sol.y[n])
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
     lam2 = weights.lam * weights.lam

@@ -6,7 +6,8 @@ timestamps.  Exit codes: 0 success, 1 config/validation error, 2 numerical
 failure (partial outputs are kept).  A CG solve that misses its tolerance in
 control-forward, control-backward or sweep-eps is a numerical failure too:
 every output is written as usual, then the command reports the failure on
-stderr and exits 2.
+stderr and exits 2.  The output directory is created at the first write, so a
+command that fails on its input leaves none.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from .carleman import (_backward_ratios, build_psi, eval_weights, lambda_thresho
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
-from .experiments import (SweepError, cost_scaling_sweep, epsilon_sweep,
+from .experiments import (DIRECTIONS, SweepError, cost_scaling_sweep, epsilon_sweep,
                           observability_constant)
 from .grid import build_grid
 from .scenario import AdaptedField, build_tree, mean_square_norm
 from .spde import ProblemCoefficients, TreeStepper, _sample
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
-
-SUBCOMMANDS = ("simulate", "control-forward", "control-backward", "observability",
-               "carleman-check", "appendix-check", "sweep-T", "sweep-eps")
 
 
 class ConfigError(ValueError):
@@ -136,13 +134,8 @@ class RunConfig:
         p = self.problem
         grid = build_grid(p.L, p.N, p.g0, p.g1)
         tree = build_tree(p.M, p.T)
-        coeffs = ProblemCoefficients(
-            a=compile_expression(p.a, "[problem] a"),
-            a1=compile_expression(p.a1, "[problem] a1"),
-            a2=compile_expression(p.a2, "[problem] a2"),
-            b1=compile_expression(p.b1, "[problem] b1"),
-            b2=compile_expression(p.b2, "[problem] b2"),
-            b=compile_expression(p.b, "[problem] b"))
+        coeffs = ProblemCoefficients(**{name: compile_expression(getattr(p, name), f"[problem] {name}")
+                                        for name in ("a", "a1", "a2", "b1", "b2", "b")})
         return grid, tree, coeffs
 
     def epsilon(self, grid) -> float:
@@ -158,7 +151,8 @@ class RunConfig:
                          cg_max_iter=self.hum.cg_max_iter, bound_c=self.hum.bound_c)
 
     def echo(self) -> list[str]:
-        lines = []
+        """Header of every CSV and report: the seed, then the resolved configuration."""
+        lines = [f"seed = {self.experiment.seed}"]
         for section_name, section in (("problem", self.problem), ("carleman", self.carleman),
                                        ("hum", self.hum), ("experiment", self.experiment)):
             for f in fields(section):
@@ -170,14 +164,13 @@ class RunConfig:
 
 
 def _parse_scalar(raw: str, kind, where: str):
+    """`raw` as an int or float where the default is one; other keys keep the text."""
+    if kind not in (int, float):
+        return raw
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
-    return raw
 
 
 def _parse_tuple(raw: str, where: str) -> tuple:
@@ -234,15 +227,11 @@ def parse_config(path) -> RunConfig:
             where = f"{path}:{lineno}: [{name}] {key}"
             if key not in known:
                 raise ConfigError(f"{where}: unknown key")
-            cur = getattr(defaults, key)
-            if isinstance(cur, tuple):
+            default = getattr(defaults, key)
+            if isinstance(default, tuple):
                 setattr(defaults, key, _parse_tuple(value, where))
-            elif isinstance(cur, int):
-                setattr(defaults, key, _parse_scalar(value, int, where))
-            elif isinstance(cur, float):
-                setattr(defaults, key, _parse_scalar(value, float, where))
             else:
-                setattr(defaults, key, value)
+                setattr(defaults, key, _parse_scalar(value, type(default), where))
         built[name] = defaults
 
     cfg = RunConfig(problem=built["problem"], carleman=built["carleman"],
@@ -256,12 +245,11 @@ def _validate(cfg: RunConfig, path) -> None:
     if len(p.g0) != 2 or len(p.g1) != 2:
         raise ConfigError(f"{path}: [problem] g0/g1 must be two numbers each")
     try:
-        grid = build_grid(p.L, p.N, p.g0, p.g1)
-        build_tree(p.M, p.T)
+        grid, _, _ = cfg.build_problem()
+    except ConfigError as exc:  # a coefficient expression; its message names the key
+        raise ConfigError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: [problem] {exc}") from None
-    for name in ("a", "a1", "a2", "b1", "b2", "b"):
-        compile_expression(getattr(p, name), f"{path}: [problem] {name}")
     try:
         cfg.hum_config(grid)
     except ValueError as exc:
@@ -270,8 +258,8 @@ def _validate(cfg: RunConfig, path) -> None:
         raise ConfigError(f"{path}: [carleman] mu must be >= 1")
     if cfg.carleman.samples < 1:
         raise ConfigError(f"{path}: [carleman] samples must be >= 1")
-    if cfg.experiment.direction not in ("forward_1_5", "backward_1_3"):
-        raise ConfigError(f"{path}: [experiment] direction must be forward_1_5 or backward_1_3")
+    if cfg.experiment.direction not in DIRECTIONS:
+        raise ConfigError(f"{path}: [experiment] direction must be {' or '.join(DIRECTIONS)}")
 
 
 # -- output helpers ----------------------------------------------------------
@@ -287,32 +275,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, cfg: RunConfig, command: str, header: list[str], rows) -> None:
+def _write(path: Path, lines) -> None:
+    """Write one output file; its directory is created at the first write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as f:
-        f.write(f"# command = {command}\n")
-        f.write(f"# seed = {cfg.experiment.seed}\n")
-        for line in cfg.echo():
-            f.write(f"# {line}\n")
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(line + "\n" for line in lines)
+
+
+def _write_csv(path: Path, cfg: RunConfig, command: str, header: list[str], rows) -> None:
+    _write(path, [f"# {line}" for line in (f"command = {command}", *cfg.echo())]
+           + [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
 
 
 def _write_report(path: Path, cfg: RunConfig, command: str, lines: list[str]) -> None:
-    with path.open("w", newline="\n") as f:
-        f.write(f"{command} report\n{'=' * (len(command) + 7)}\n")
-        f.write(f"seed = {cfg.experiment.seed}\n")
-        for line in cfg.echo():
-            f.write(f"{line}\n")
-        f.write("\n")
-        for line in lines:
-            f.write(line + "\n")
-
-
-def _write_dat(path: Path, pairs) -> None:
-    with path.open("w", newline="\n") as f:
-        for x, y in pairs:
-            f.write(f"{_fmt(x)} {_fmt(y)}\n")
+    _write(path, [f"{command} report", "=" * (len(command) + 7), *cfg.echo(), "", *lines])
 
 
 def _cg_exit(failures: list[str]) -> int:
@@ -454,7 +430,7 @@ def _cmd_sweep_t(cfg, out):
         write_csv(exc.partial)
         raise
     write_csv(table.rows)
-    _write_dat(out / "sweep-T.dat", [(1.0 / r["T"], np.log(r["value"])) for r in table.rows])
+    _write(out / "sweep-T.dat", [f"{_fmt(1.0 / r['T'])} {_fmt(np.log(r['value']))}" for r in table.rows])
     _write_report(out / "sweep-T_report.txt", cfg, "sweep-T", [
         f"quantity = {table.quantity}",
         f"fit log(value) = slope / T + intercept",
@@ -482,7 +458,7 @@ def _cmd_sweep_eps(cfg, out):
         write_csv(exc.partial)
         raise
     write_csv(rows)
-    _write_dat(out / "sweep-eps.dat", [(r["epsilon"], r["terminal_norm"]) for r in rows])
+    _write(out / "sweep-eps.dat", [f"{_fmt(r['epsilon'])} {_fmt(r['terminal_norm'])}" for r in rows])
     decreasing = all(a["terminal_norm"] > b["terminal_norm"] for a, b in zip(rows, rows[1:]))
     costs = [r["control_cost"] for r in rows]
     _write_report(out / "sweep-eps_report.txt", cfg, "sweep-eps", [
@@ -505,15 +481,14 @@ _DISPATCH = {
     "sweep-T": _cmd_sweep_t,
     "sweep-eps": _cmd_sweep_eps,
 }
+SUBCOMMANDS = tuple(_DISPATCH)
 
 
 def run(subcommand: str, config: RunConfig) -> int:
     """Dispatch a subcommand; returns the process exit code."""
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
-    out = Path(config.experiment.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[subcommand](config, out)
+    return _DISPATCH[subcommand](config, Path(config.experiment.output_dir))
 
 
 def main(argv=None) -> int:

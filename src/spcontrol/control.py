@@ -124,9 +124,21 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
     relative residual |b - A x| / |b|, and the trace reports the last one
     measured, the start residual when no iteration ran.  The trace also
     records the quadratic functional 1/2 <x, Ax> - <b, x>, which must be
-    non-increasing.
+    non-increasing.  CG runs on b divided by a power of two near max|b|:
+    the scaling is exact, so it changes no bit where nothing underflows, and
+    tiny data no longer reads as b = 0.  |r| is measured on r / max|r| where
+    <r, r> underflows, so a nonzero residual never reads as zero.
     """
-    b_norm = np.sqrt(inner(b, b))
+    def norm(r):
+        rr = inner(r, r)
+        if rr >= np.finfo(float).tiny:
+            return np.sqrt(rr)
+        top = np.max(np.abs(r))
+        return top * np.sqrt(inner(r / top, r / top)) if top > 0.0 else 0.0
+
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(b)))[1] - 1)  # max|b| / scale in [1, 2)
+    b = b / scale
+    b_norm = norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), {"iterations": 0, "residuals": [], "values": [],
                                   "converged": True, "residual": 0.0}
@@ -134,13 +146,13 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
         x = np.zeros_like(b)
         ax = np.zeros_like(b)
     else:
-        x = np.array(x0, dtype=float)
+        x = np.asarray(x0, dtype=float) / scale
         ax = apply_op(x)
     r = b - ax
     z = r if precond is None else precond(r)
     d = z.copy()
     rz = inner(r, z)
-    residual = np.sqrt(inner(r, r)) / b_norm
+    residual = norm(r) / b_norm
     residuals = []
     values = []
     converged = residual <= tol
@@ -155,17 +167,17 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
         ax += step * q
         r -= step * q
         n_iter += 1
-        residual = np.sqrt(inner(r, r)) / b_norm
+        residual = norm(r) / b_norm
         residuals.append(residual)
-        values.append(0.5 * inner(x, ax) - inner(b, x))
+        values.append((0.5 * inner(x, ax) - inner(b, x)) * scale * scale)
         converged = residual <= tol
         if not converged:
             z = r if precond is None else precond(r)
             rz_new = inner(r, z)
             d = z + (rz_new / rz) * d
             rz = rz_new
-    return x, {"iterations": n_iter, "residuals": residuals, "values": values,
-               "converged": converged, "residual": residual}
+    return x * scale, {"iterations": n_iter, "residuals": residuals, "values": values,
+                       "converged": converged, "residual": residual}
 
 
 def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
@@ -215,9 +227,6 @@ class _ForwardDual:
         bwd = self.st.backward(p, mode="adjoint_1_3")
         y = self.st.forward(np.zeros(self.st.grid.N), u=bwd.z_half, v=bwd.Z)
         return y.y[self.st.tree.M], bwd
-
-    def apply(self, p, eps: float):
-        return self.gram(p)[0] + eps * p
 
 
 class _ForwardRiccati:
@@ -322,7 +331,7 @@ def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: floa
     bwd = st.backward(zT, mode="adjoint_1_3")
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
     value = (0.5 * dual.observation(bwd) + 0.5 * eps * dual.inner(zT, zT)
-             + grid.h * float(np.dot(y0, bwd.z[0][0])))
+             + grid.inner(y0, bwd.z[0][0]))
     gradient = y.y[tree.M] + eps * zT
     return {"value": value, "gradient": gradient}
 
@@ -342,7 +351,7 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     eps = config.epsilon
     b = st.forward(y0).y[tree.M]
     uncontrolled = dual.inner(b, b)
-    p, trace = _cg(lambda q: dual.apply(q, eps), -b, dual.inner, config.cg_tol,
+    p, trace = _cg(lambda q: dual.gram(q)[0] + eps * q, -b, dual.inner, config.cg_tol,
                    config.cg_max_iter, x0=p_start, precond=_ForwardRiccati(st, eps))
     bwd = st.backward(p, mode="adjoint_1_3")
     u = AdaptedField([grid.g0_mask * bwd.z_half[n] for n in range(tree.M)])
@@ -350,9 +359,9 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
     report = _hum_report(
         config, trace, cost=dual.observation(bwd), final_norm=mean_square_norm(tree, grid, y.y, tree.M),
-        uncontrolled=uncontrolled, pairing=grid.h * float(np.dot(y0, bwd.z[0][0])),
+        uncontrolled=uncontrolled, pairing=grid.inner(y0, bwd.z[0][0]),
         exponent=k_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b1_inf, st.tab.b2_inf),
-        data_norm=grid.h * float(np.dot(y0, y0)))
+        data_norm=grid.inner(y0, y0))
     return HumResult(u=u, v=v, y=y, adjoint_data=p, report=report, cg_trace=trace)
 
 
@@ -360,23 +369,17 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
 
 
 class _BackwardDual:
-    """Gramian and inner product of the backward HUM problem (dual lives in R^N)."""
+    """Gramian of the backward HUM problem (dual lives in R^N, paired by grid.inner)."""
 
     def __init__(self, stepper: TreeStepper):
         self.st = stepper
         # the backward solve copies its terminal data, so one zero leaf field serves every call
         self.zero_leaves = np.zeros((stepper.tree.n_nodes(stepper.tree.M), stepper.grid.N))
 
-    def inner(self, p, q) -> float:
-        return self.st.grid.h * float(np.dot(p, q))
-
     def gram(self, p):
         z = self.st.forward(p, mode="adjoint_1_5")
         ctrl = self.st.backward(self.zero_leaves, mode="controlled_1_2", u=z.y)
         return -ctrl.z[0][0], z
-
-    def apply(self, p, eps: float):
-        return self.gram(p)[0] + eps * p
 
 
 def _forward_pencil(stepper: TreeStepper):
@@ -423,9 +426,9 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     eps = config.epsilon
     free = st.backward(yT, mode="controlled_1_2")
     b = free.z[0][0]
-    uncontrolled = dual.inner(b, b)
+    uncontrolled = grid.inner(b, b)
     factor = cho_factor(_forward_pencil(st)[1] + eps * np.eye(grid.N))
-    p, trace = _cg(lambda q: dual.apply(q, eps), b, dual.inner, config.cg_tol,
+    p, trace = _cg(lambda q: dual.gram(q)[0] + eps * q, b, grid.inner, config.cg_tol,
                    config.cg_max_iter, precond=lambda r: cho_solve(factor, r))
     z = st.forward(p, mode="adjoint_1_5")
     u = AdaptedField([grid.g0_mask * z.y[n] for n in range(tree.M)])
@@ -433,9 +436,9 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     y_0 = controlled.z[0][0]
     report = _hum_report(
         config, trace, cost=qt_integral(tree, grid, z.y, square=True, mask=grid.g0_mask),
-        final_norm=dual.inner(y_0, y_0), uncontrolled=uncontrolled, pairing=-dual.inner(b, p),
+        final_norm=grid.inner(y_0, y_0), uncontrolled=uncontrolled, pairing=-grid.inner(b, p),
         exponent=m_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf),
-        data_norm=tree.node_weight(tree.M) * grid.h * float(np.sum(yT * yT)))
+        data_norm=_ForwardDual(st).inner(yT, yT))
     return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)
 
 

@@ -37,10 +37,13 @@ __all__ = [
     "ObservabilityEstimate",
     "ScalingTable",
     "SweepError",
+    "DIRECTIONS",
     "observability_constant",
     "cost_scaling_sweep",
     "epsilon_sweep",
 ]
+
+DIRECTIONS = ("forward_1_5", "backward_1_3")  # observability_constant's two quotients
 
 # inner CG that applies G^{-1} in the backward-direction power iteration
 _INNER_TOL = 1e-10
@@ -105,7 +108,7 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     """
     if iters < 5:
         raise ValueError("iters must be >= 5")
-    if direction not in ("forward_1_5", "backward_1_3"):
+    if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     rng = np.random.default_rng(seed)
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
@@ -129,7 +132,7 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
             den = dual.inner(p, gp)
             if den <= 0.0:
                 raise NumericsError("observation form vanished on a nonzero iterate")
-            rayleigh.append(grid.h * float(np.dot(z0, z0)) / den)
+            rayleigh.append(grid.inner(z0, z0) / den)
             mp = st.forward(z0).y[tree.M]
             p, _ = _cg(gram, mp, dual.inner, _INNER_TOL, _INNER_MAX_ITER,
                        x0=p * (rayleigh[-1] if rayleigh[-1] > 0 else 1.0))

@@ -118,13 +118,6 @@ class AdaptedField:
     def __getitem__(self, n: int) -> np.ndarray:
         return self.levels[n]
 
-    @property
-    def n_space(self) -> int:
-        return self.levels[0].shape[1]
-
-    def copy(self) -> "AdaptedField":
-        return AdaptedField([a.copy() for a in self.levels])
-
     @classmethod
     def zeros(cls, n_levels: int, n_space: int) -> "AdaptedField":
         return cls([np.zeros((1 << n, n_space)) for n in range(n_levels)])

@@ -44,7 +44,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient, weak_divergence
-from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
+from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part, qt_integral,
                        reconstruct_children)
 
 __all__ = [
@@ -204,10 +204,15 @@ class TreeStepper(_StepperBase):
         grad = gradient(self.grid, y)
         return tab.a1[n] * y + tab.b1[n] * grad, tab.a2[n] * y + tab.b2[n] * grad
 
-    def adjoint_1_5_terms(self, n: int, y: np.ndarray):
-        """Drift -a1*y + weak_div(b*y) and noise -a2*y of the adjoint_1_5 step at level n."""
+    def adjoint_1_5_sources(self, n: int, y: np.ndarray):
+        """Couplings F1 = -a1*y, F = b*y and F2 = -a2*y of the adjoint_1_5 step at level n."""
         tab = self.tab
-        return -(tab.a1[n] * y) + weak_divergence(self.grid, tab.b[n] * y), -(tab.a2[n] * y)
+        return -(tab.a1[n] * y), tab.b[n] * y, -(tab.a2[n] * y)
+
+    def adjoint_1_5_terms(self, n: int, y: np.ndarray):
+        """Drift F1 + weak_div(F) and noise F2 of the adjoint_1_5 step at level n."""
+        f1, flux, f2 = self.adjoint_1_5_sources(n, y)
+        return f1 + weak_divergence(self.grid, flux), f2
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
                 mode: str = "general", feedback=None) -> ForwardSolution:
@@ -258,6 +263,11 @@ class TreeStepper(_StepperBase):
 
     # -- backward --------------------------------------------------------
 
+    def adjoint_1_3_sources(self, n: int, z_half: np.ndarray, Z: np.ndarray):
+        """Couplings F0 = -a1*z_half - a2*Z and F = b1*z_half + b2*Z of the adjoint_1_3 fold."""
+        tab = self.tab
+        return -(tab.a1[n] * z_half) - tab.a2[n] * Z, tab.b1[n] * z_half + tab.b2[n] * Z
+
     def backward(self, zT, mode: str = "generic", f0=None, f_div=None, u=None) -> BackwardSolution:
         """Fold level M -> 0 through the transposed step map.
 
@@ -292,8 +302,7 @@ class TreeStepper(_StepperBase):
             else:
                 z_half, z_mart = w, np.zeros_like(w)
             if mode == "adjoint_1_3":
-                src = -(tab.a1[n] * z_half) - tab.a2[n] * z_mart
-                flux = tab.b1[n] * z_half + tab.b2[n] * z_mart
+                src, flux = self.adjoint_1_3_sources(n, z_half, z_mart)
                 corr = src + weak_divergence(grid, flux)
             elif mode == "controlled_1_2":
                 corr = tab.a1[n] * z_half + tab.b[n] * gradient(grid, z_half) + tab.a2[n] * z_mart
@@ -338,15 +347,10 @@ def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:
     fwd = stepper.forward(y0, u=u, v=v)
     bwd = stepper.backward(zT, mode="adjoint_1_3")
     t_terminal = tree.node_weight(tree.M) * grid.h * float(np.sum(fwd.y[tree.M] * bwd.z[tree.M]))
-    t_initial = grid.h * float(np.dot(np.ravel(y0), bwd.z[0][0]))
-    t_u = 0.0
-    t_v = 0.0
-    for n in range(tree.M):
-        w = tree.dt * tree.node_weight(n) * grid.h
-        if u is not None:
-            t_u += w * float(np.sum((grid.g0_mask * u[n]) * bwd.z_half[n]))
-        if v is not None:
-            t_v += w * float(np.sum(v[n] * bwd.Z[n]))
+    t_initial = grid.inner(y0, bwd.z[0][0])
+    t_u = 0.0 if u is None else qt_integral(
+        tree, grid, [(grid.g0_mask * u[n]) * bwd.z_half[n] for n in range(tree.M)])
+    t_v = 0.0 if v is None else qt_integral(tree, grid, [v[n] * bwd.Z[n] for n in range(tree.M)])
     gap = abs(t_terminal - t_initial - t_u - t_v)
     scale = abs(t_terminal) + abs(t_initial) + abs(t_u) + abs(t_v)
     if scale == 0.0:

@@ -70,6 +70,24 @@ def test_invalid_region_names_both_intervals(tmp_path):
     assert "0.1" in msg and "0.3" in msg  # both intervals named
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[problem]\nN = 2\n", ": [problem] N must be >= 4, got 2"),
+    ("[problem]\ng0 = 0.3, 0.8\ng1 = 0.1, 0.6\n",
+     ": [problem] g1 = (0.1, 0.6) is not strictly contained in g0 = (0.3, 0.8)"),
+    (MINIMAL + "a = 1 +\n", ": [problem] a: cannot parse expression '1 +': invalid syntax"),
+    (MINIMAL + "\n[hum]\nepsilon = x\n", ": [hum] epsilon must be 'auto' or a number"),
+    (MINIMAL + "\n[hum]\ncg_max_iter = 1.5\n", ":9: [hum] cg_max_iter: expected int, got '1.5'"),
+    (MINIMAL + "\n[experiment]\ndirection = up\n",
+     ": [experiment] direction must be forward_1_5 or backward_1_3"),
+], ids=["N", "g1", "a", "epsilon", "int", "direction"])
+def test_validation_messages(tmp_path, text, message):
+    # the exact text after the config path
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}{message}"
+
+
 def test_unknown_key_and_section_with_location(tmp_path):
     path = write(tmp_path, "[problem]\nwibble = 3\n")
     with pytest.raises(ConfigError, match=r":2:.*wibble"):
@@ -299,10 +317,11 @@ def test_appendix_check_rejects_variable_diffusion(tmp_path, capsys):
                      + f"output_dir = {tmp_path / 'out'}\n")
     assert main(["appendix-check", "--config", str(cfg_path)]) == 1
     assert "constant diffusion coefficient" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 def test_depth_cap_applies_where_nodes_are_counted(tmp_path, capsys):
     # M = 20 parses; commands that size per-node arrays exit 1 naming M and the
-    # cap and write nothing, while the forward-direction pencil (N x N
+    # cap and leave no output directory, while the forward-direction pencil (N x N
     # recursions over the levels) runs at that depth
     cfg = DESK.replace("M = 4", "M = 20") + f"output_dir = {tmp_path / 'out'}\n"
     for command, direction, code in (
@@ -314,7 +333,7 @@ def test_depth_cap_applies_where_nodes_are_counted(tmp_path, capsys):
         assert main([command, "--config", str(cfg_path)]) == code
         if code:
             assert "M = 20 exceeds the depth cap 16" in capsys.readouterr().err
-            assert not any((tmp_path / "out").glob("*"))
+            assert not (tmp_path / "out").exists()
     assert (tmp_path / "out" / "observability_report.txt").exists()
 
 

@@ -207,6 +207,30 @@ def test_cg_reports_start_residual_without_budget(x0):
     assert trace["residual"] == pytest.approx(np.linalg.norm(start) / np.linalg.norm(b), rel=1e-15)
 
 
+@pytest.fixture
+def spd6():
+    a = np.random.default_rng(0).standard_normal((6, 6))
+    return a @ a.T + 6.0 * np.eye(6), np.random.default_rng(1).standard_normal(6)
+
+
+def test_cg_does_not_converge_on_an_underflowed_residual(spd6):
+    # below ~1e-154 <r, r> underflows to zero; the residual must still be measured
+    mat, b = spd6
+    _, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-300, 200)
+    assert not trace["converged"]
+    assert trace["residual"] > 1e-300
+    assert all(r > 0.0 for r in trace["residuals"])
+
+
+def test_cg_solves_data_whose_norm_underflows(spd6):
+    mat, b = spd6
+    b = b * 1e-170  # <b, b> underflows to zero
+    x, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-12, 200)
+    exact = np.linalg.solve(mat, b)
+    assert trace["converged"] and trace["iterations"] > 0
+    assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_hum_config_rejects_nonpositive_cg_budget():
     for budget in (0, -3):
         with pytest.raises(ValueError, match="cg_max_iter"):
@@ -228,7 +252,8 @@ def test_riccati_preconditioner_inverts_penalized_gramian(lq_setup, eps):
     st = lq_setup
     dual = _ForwardDual(st)
     r = np.random.default_rng(5).standard_normal((st.tree.n_nodes(st.tree.M), GRID8.N))
-    back = dual.apply(_ForwardRiccati(st, eps)(r), eps)
+    p = _ForwardRiccati(st, eps)(r)
+    back = dual.gram(p)[0] + eps * p
     assert np.sqrt(dual.inner(back - r, back - r) / dual.inner(r, r)) <= 1e-10
 
 
