@@ -397,21 +397,6 @@ def _quad_levels(tree: ScenarioTree, exclude: int) -> range:
     return range(lo, hi + 1)
 
 
-def _weighted_integral(tree, grid, weights, field, power, levels, shift, mask=None):
-    """I[th^2 phi^power field^2] over the quadrature levels, in units of e^shift."""
-    total = 0.0
-    for n in levels:
-        w = weights.theta2_phi_pow(n, power, log_shift=shift)
-        vals = np.asarray(field[n], dtype=float)
-        vals = vals * vals
-        if mask is not None:
-            block = float(np.sum(vals[:, mask] * w[mask]))
-        else:
-            block = float(np.sum(vals * w))
-        total += tree.dt * tree.node_weight(n) * grid.h * block
-    return total
-
-
 def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
     """The weighted inequality shared by both estimates.
 
@@ -423,18 +408,34 @@ def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
     source, whose term is 0.  The forward estimate passes mu = 1.
     """
     shift = weights.max_log_theta2(levels)
+    tables = {}  # power -> th^2 phi^power per level, built once however many integrals use it
+
+    def integral(field, power, mask=None):
+        """I[th^2 phi^power field^2] over the quadrature levels, in units of e^shift."""
+        if power not in tables:
+            tables[power] = {n: weights.theta2_phi_pow(n, power, log_shift=shift) for n in levels}
+        total = 0.0
+        for n in levels:
+            w = tables[power][n]
+            vals = np.asarray(field[n], dtype=float)
+            vals = vals * vals
+            if mask is not None:
+                block = float(np.sum(vals[:, mask] * w[mask]))
+            else:
+                block = float(np.sum(vals * w))
+            total += tree.dt * tree.node_weight(n) * grid.h * block
+        return total
+
     lam = weights.lam
     lam3mu4 = lam ** 3 * mu ** 4
     grad_z = {n: gradient(grid, z[n]) for n in levels}
     lhs_terms = {
-        "state": lam3mu4 * _weighted_integral(tree, grid, weights, z, 3.0, levels, shift),
-        "gradient": lam * mu * mu * _weighted_integral(tree, grid, weights, grad_z, 1.0, levels, shift),
+        "state": lam3mu4 * integral(z, 3.0),
+        "gradient": lam * mu * mu * integral(grad_z, 1.0),
     }
-    rhs_terms = {"observation": lam3mu4 * _weighted_integral(tree, grid, weights, z, 3.0, levels,
-                                                             shift, mask=grid.g0_mask)}
+    rhs_terms = {"observation": lam3mu4 * integral(z, 3.0, mask=grid.g0_mask)}
     for name, f, power, factor in sources:
-        rhs_terms[name] = 0.0 if f is None else factor * _weighted_integral(
-            tree, grid, weights, f, power, levels, shift)
+        rhs_terms[name] = 0.0 if f is None else factor * integral(f, power)
     lhs = sum(lhs_terms.values())
     rhs = sum(rhs_terms.values())
     if rhs == 0.0:

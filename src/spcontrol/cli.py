@@ -16,7 +16,7 @@ import argparse
 import ast
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,12 @@ _ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name
 
 
 def compile_expression(text: str, where: str):
-    """Compile an arithmetic expression in (t, x) into a coefficient callable."""
+    """Compile an arithmetic expression in (t, x) into a coefficient callable.
+
+    An expression that names neither t nor x is a constant and comes back as
+    its float value, which ProblemCoefficients samples in one assignment
+    instead of one evaluation per time level (the tables are the same).
+    """
     try:
         node = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -69,10 +74,12 @@ def compile_expression(text: str, where: str):
 
     try:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            np.asarray(fn(0.1, np.array([0.25, 0.5])), dtype=float)
+            probe = np.asarray(fn(0.1, np.array([0.25, 0.5])), dtype=float)
     except Exception as exc:  # noqa: BLE001 - surface any evaluation problem at parse time
         raise ConfigError(f"{where}: expression {text!r} fails to evaluate: {exc}") from None
-    return fn
+    if any(isinstance(sub, ast.Name) and sub.id in ("t", "x") for sub in ast.walk(node)):
+        return fn
+    return float(probe)
 
 
 # -- config schema -----------------------------------------------------------
@@ -129,14 +136,24 @@ class RunConfig:
     carleman: CarlemanSection
     hum: HumSection
     experiment: ExperimentSection
+    _built: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def build_problem(self):
-        p = self.problem
-        grid = build_grid(p.L, p.N, p.g0, p.g1)
-        tree = build_tree(p.M, p.T)
-        coeffs = ProblemCoefficients(**{name: compile_expression(getattr(p, name), f"[problem] {name}")
-                                        for name in ("a", "a1", "a2", "b1", "b2", "b")})
-        return grid, tree, coeffs
+        """(grid, tree, coeffs) of [problem].
+
+        Built once, when parse_config validates the file, and kept; built
+        again only if [problem] has been edited since.
+        """
+        key = astuple(self.problem)
+        if self._built[0] != key:
+            p = self.problem
+            grid = build_grid(p.L, p.N, p.g0, p.g1)
+            tree = build_tree(p.M, p.T)
+            coeffs = ProblemCoefficients(**{name: compile_expression(getattr(p, name),
+                                                                     f"[problem] {name}")
+                                            for name in ("a", "a1", "a2", "b1", "b2", "b")})
+            self._built = (key, (grid, tree, coeffs))
+        return self._built[1]
 
     def epsilon(self, grid) -> float:
         if self.hum.epsilon == "auto":

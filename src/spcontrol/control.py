@@ -13,10 +13,11 @@ like eps^{-1/2}, so hum_forward and hum_backward precondition CG with the
 exact inverse of Gram + eps I, built from N x N matrices: forward, the
 discrete Riccati recursion of the tracking LQ problem on the tree
 (_ForwardRiccati); backward, a Cholesky factor of the dense Gramian that
-the second-moment recursions of _forward_pencil give.  CG still measures its residual through
-the Gramian's own sweeps, so its convergence test keeps its meaning; one
-iteration reaches rounding level except at the smallest eps, where rounding
-in the preconditioner costs one or two more.  The optimal penalized state
+the second-moment recursions of _forward_pencil give.  Both factor and solve
+with LAPACK's dpotrf/dpotrs, called directly.  CG still measures its
+residual through the Gramian's own sweeps, so its convergence test keeps its
+meaning; one iteration reaches rounding level except at the smallest eps,
+where rounding in the preconditioner costs one or two more.  The optimal penalized state
 satisfies  y_opt = -eps * p_opt  (forward target y(T)) respectively
 y_opt(0) = +eps * p_opt  (backward problem), so the terminal/initial energy
 decays like eps^2 |p|^2 as the penalty is driven to zero.
@@ -31,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
                        mean_square_norm, qt_integral)
@@ -180,6 +182,22 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
                        "converged": converged, "residual": residual}
 
 
+def _cholesky(matrix, what: str) -> np.ndarray:
+    """Upper Cholesky factor of an SPD matrix (LAPACK dpotrf); `what` names it if that fails."""
+    factor, info = dpotrf(matrix, clean=0)
+    if info != 0:
+        raise NumericsError(f"{what} is not positive definite (dpotrf info = {info})")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, rhs) -> np.ndarray:
+    """Solve with a _cholesky factor (LAPACK dpotrs) for the columns of rhs."""
+    out, info = dpotrs(factor, rhs)
+    if info != 0:
+        raise NumericsError(f"dpotrs rejected its argument {-info}")
+    return out
+
+
 def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
                 uncontrolled: float, pairing: float, exponent: float, data_norm: float) -> HumReport:
     """Report of a HUM solve whose optimum satisfies cost + final_norm/eps + pairing = 0.
@@ -260,24 +278,24 @@ class _ForwardRiccati:
         self.st, self.eps = stepper, eps
         grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
         g = grid.g0_mask
-        eye = np.eye(grid.N)
+        gg = np.ix_(g, g)
+        eye, eye_g = np.eye(grid.N), np.eye(int(g.sum()))
         p = eye / eps
         self.fold: list = [None] * tree.M  # per level: Q, G^T, B^T and the two factors
         self.gains: list = [None] * tree.M  # per level: K_u, K_v
         for n in range(tree.M - 1, -1, -1):
             q = stepper._solve(n + 1, stepper._solve(n + 1, p).T)
             q = 0.5 * (q + q.T)
-            drift, bt = stepper.general_terms(n, eye)  # rows of the identity: A_n^T, B_n^T
-            gt = eye + dt * drift
-            cu = cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)])
-            ku = -cho_solve(cu, (q @ gt.T)[g])
+            gt, bt = stepper.general_steps[n]
+            cu = _cholesky(eye_g + dt * q[gg], f"I + dt Q_gg of level {n}")
+            ku = -_cho_solve(cu, (q @ gt.T)[g])
             closed = gt.T.copy()
             closed[g] += dt * ku
             p = gt @ q @ closed
             cv = kv = None
             if tree.branching:
-                cv = cho_factor(eye + q)
-                kv = -cho_solve(cv, q @ bt.T)
+                cv = _cholesky(eye + q, f"I + Q of level {n}")
+                kv = -_cho_solve(cv, q @ bt.T)
                 p += dt * (bt @ q @ (bt.T + kv))
             p = 0.5 * (p + p.T)
             self.fold[n] = (q, gt, bt, cu, cv)
@@ -294,11 +312,11 @@ class _ForwardRiccati:
             q, gt, bt, cu, cv = self.fold[n]
             w = st._solve(n + 1, s)
             m, mu = martingale_part(tree, w) if tree.branching else (w, None)
-            k_u = -cho_solve(cu, m[:, g].T).T
+            k_u = -_cho_solve(cu, m[:, g].T).T
             s = (m + dt * k_u @ q[g]) @ gt.T
             k_v = 0.0
             if mu is not None:
-                k_v = -cho_solve(cv, mu.T).T
+                k_v = -_cho_solve(cv, mu.T).T
                 s += dt * (mu + k_v @ q) @ bt.T
             feed[n] = (k_u, k_v)
 
@@ -427,9 +445,10 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     free = st.backward(yT, mode="controlled_1_2")
     b = free.z[0][0]
     uncontrolled = grid.inner(b, b)
-    factor = cho_factor(_forward_pencil(st)[1] + eps * np.eye(grid.N))
+    factor = _cholesky(_forward_pencil(st)[1] + eps * np.eye(grid.N),
+                       f"obs + eps I at eps = {eps:g}")
     p, trace = _cg(lambda q: dual.gram(q)[0] + eps * q, b, grid.inner, config.cg_tol,
-                   config.cg_max_iter, precond=lambda r: cho_solve(factor, r))
+                   config.cg_max_iter, precond=lambda r: _cho_solve(factor, r))
     z = st.forward(p, mode="adjoint_1_5")
     u = AdaptedField([grid.g0_mask * z.y[n] for n in range(tree.M)])
     controlled = st.backward(yT, mode="controlled_1_2", u=z.y)

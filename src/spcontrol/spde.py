@@ -30,14 +30,17 @@ z_half carry the space-time pairings and the control feedback.
 Both sweeps exist once, in TreeStepper, for every mode.  On a single-branch
 path (`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
 
-Solvers are pure: steppers hold only immutable per-level factorizations and
-coefficient tables, so independent solves may run concurrently.
+Solvers are pure: steppers hold only immutable per-level factorizations,
+coefficient tables and the data-independent step matrices (built on first
+use, with the same values whoever builds them), so independent solves may
+run concurrently.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -203,6 +206,20 @@ class TreeStepper(_StepperBase):
         tab = self.tab
         grad = gradient(self.grid, y)
         return tab.a1[n] * y + tab.b1[n] * grad, tab.a2[n] * y + tab.b2[n] * grad
+
+    @cached_property
+    def general_steps(self) -> list:
+        """Per level n: (G^T, B^T) = (I + dt A_n^T, B_n^T), the general step on the identity's rows.
+
+        They do not depend on the data, so every Riccati set-up on this stepper
+        (one per eps of a sweep) shares one build.
+        """
+        eye = np.eye(self.grid.N)
+        steps = []
+        for n in range(self.tree.M):
+            drift, noise = self.general_terms(n, eye)
+            steps.append((eye + self.dt * drift, noise))
+        return steps
 
     def adjoint_1_5_sources(self, n: int, y: np.ndarray):
         """Couplings F1 = -a1*y, F = b*y and F2 = -a2*y of the adjoint_1_5 step at level n."""

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spcontrol import cli
 from spcontrol.cli import ConfigError, compile_expression, main, parse_config, run
-from spcontrol.spde import TreeStepper
+from spcontrol.spde import ProblemCoefficients, TreeStepper
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -60,6 +61,45 @@ def test_expression_rejections():
         compile_expression("q * x", "test")
     with pytest.raises(ConfigError, match="cannot parse"):
         compile_expression("1 +", "test")
+
+
+@pytest.mark.parametrize("text", ["0.15", "sqrt(2) * exp(-1) / 3", "2 ** -0.5 + pi", "-log(7)"])
+def test_constant_expression_samples_like_its_callable(grid16, tree6, text):
+    const = compile_expression(text, "[problem] a1")
+    assert isinstance(const, float)
+
+    def callable_form(t, x):
+        return eval(text, {"__builtins__": {}}, dict(cli._ALLOWED_NAMES))
+
+    tabs = [ProblemCoefficients(a=1.0, a1=spec, b=spec).sample(grid16, tree6.times)
+            for spec in (const, callable_form)]
+    assert np.array_equal(tabs[0].a1, tabs[1].a1)
+    assert np.array_equal(tabs[0].b, tabs[1].b)
+
+
+def test_constant_expression_errors_keep_their_messages(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="fails to evaluate"):
+        compile_expression("1 / 0", "[problem] a1")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        compile_expression("(2", "[problem] a1")
+    cfg_path = write(tmp_path, MINIMAL + f"a1 = log(0)\n\n[experiment]\n"
+                                         f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: coefficient a1 is not finite at t = 0\n"
+
+
+def test_problem_is_built_once_per_run(tmp_path, monkeypatch):
+    compiled = []
+    original = cli.compile_expression
+    monkeypatch.setattr(cli, "compile_expression",
+                        lambda text, where: compiled.append(where) or original(text, where))
+    cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert len(compiled) == 6  # parse_config's validation build is the one the command uses
+    cfg = parse_config(cfg_path)
+    assert cfg.build_problem() is cfg.build_problem()
+    cfg.problem.N = 8  # an edited [problem] is built again
+    assert cfg.build_problem()[0].N == 8
 
 
 def test_invalid_region_names_both_intervals(tmp_path):

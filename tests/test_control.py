@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree
-from spcontrol import control
-from spcontrol.control import (HumConfig, _cg, _ForwardDual, _ForwardRiccati, dual_functional,
-                               hum_backward, hum_backward_collapsed, hum_forward,
+from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_grid, build_path,
+                       build_tree, control, experiments)
+from spcontrol.control import (HumConfig, _cg, _cholesky, _ForwardDual, _ForwardRiccati,
+                               dual_functional, hum_backward, hum_backward_collapsed, hum_forward,
                                k_cost_exponent, m_cost_exponent)
 
 
@@ -255,6 +256,62 @@ def test_riccati_preconditioner_inverts_penalized_gramian(lq_setup, eps):
     p = _ForwardRiccati(st, eps)(r)
     back = dual.gram(p)[0] + eps * p
     assert np.sqrt(dual.inner(back - r, back - r) / dual.inner(r, r)) <= 1e-10
+
+
+def _reference_riccati(st, eps):
+    """The Riccati recursion with scipy's cho_factor/cho_solve and fresh step matrices."""
+    g, dt, eye = st.grid.g0_mask, st.dt, np.eye(st.grid.N)
+    p, gains = eye / eps, [None] * st.tree.M
+    for n in range(st.tree.M - 1, -1, -1):
+        q = st._solve(n + 1, st._solve(n + 1, p).T)
+        q = 0.5 * (q + q.T)
+        drift, bt = st.general_terms(n, eye)
+        gt = eye + dt * drift
+        ku = -cho_solve(cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)]), (q @ gt.T)[g])
+        closed = gt.T.copy()
+        closed[g] += dt * ku
+        p = gt @ q @ closed
+        kv = None
+        if st.tree.branching:
+            kv = -cho_solve(cho_factor(eye + q), q @ bt.T)
+            p += dt * (bt @ q @ (bt.T + kv))
+        p = 0.5 * (p + p.T)
+        gains[n] = (ku, kv)
+    return p, gains
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-4])
+def test_riccati_matches_scipy_cholesky_reference(lq_setup, eps):
+    # LAPACK dpotrf/dpotrs called directly give the bits of cho_factor/cho_solve
+    ric = _ForwardRiccati(lq_setup, eps)
+    p0, gains = _reference_riccati(lq_setup, eps)
+    assert np.array_equal(ric.p0, p0)
+    for (ku, kv), (ku_ref, kv_ref) in zip(ric.gains, gains):
+        assert np.array_equal(ku, ku_ref)
+        assert (kv is None and kv_ref is None) or np.array_equal(kv, kv_ref)
+
+
+def test_cholesky_names_an_indefinite_matrix():
+    with pytest.raises(NumericsError, match=r"I \+ Q of level 3 is not positive definite"):
+        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), "I + Q of level 3")
+
+
+def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
+    tree = build_tree(5, 1.0)
+    coeffs = ProblemCoefficients(a=0.5, a1=0.5, a2=0.3, b1=0.2, b2=0.2)
+    eye = np.eye(GRID8.N)
+    identity_calls = []
+    terms = TreeStepper.general_terms
+
+    def counted(self, n, y):
+        if np.array_equal(y, eye):
+            identity_calls.append(n)
+        return terms(self, n, y)
+
+    monkeypatch.setattr(TreeStepper, "general_terms", counted)
+    experiments.epsilon_sweep(coeffs, GRID8, tree, np.sin(np.pi * GRID8.x),
+                              [1e-1, 1e-2, 1e-3, 1e-4])
+    assert sorted(identity_calls) == list(range(tree.M))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5])

@@ -206,6 +206,18 @@ def test_implicit_solve_row_count_invariance(grid32, full_coeffs):
             "a GEMM-style solve breaks the bitwise tree/path identity")
 
 
+@pytest.mark.parametrize("tree", [build_tree(4, 1.0), build_path(4, 1.0)])
+def test_general_steps_are_the_step_on_the_identity(grid16, tree, full_coeffs):
+    st = TreeStepper(grid16, tree, full_coeffs)
+    eye = np.eye(grid16.N)
+    steps = st.general_steps
+    assert len(steps) == tree.M and st.general_steps is steps  # built once per stepper
+    for n, (gt, bt) in enumerate(steps):
+        drift, noise = st.general_terms(n, eye)
+        assert np.array_equal(gt, eye + st.dt * drift)
+        assert np.array_equal(bt, noise)
+
+
 def test_factorization_failure_names_level(grid16, tree6):
     # the constructor takes hand-built tables as they are; sample() would
     # reject a negative diffusion coefficient
