@@ -14,7 +14,8 @@ exact inverse of Gram + eps I, built from N x N matrices: forward, the
 discrete Riccati recursion of the tracking LQ problem on the tree
 (_ForwardRiccati); backward, a Cholesky factor of the dense Gramian that
 the second-moment recursions of _forward_pencil give.  Both factor and solve
-with LAPACK's dpotrf/dpotrs, called directly.  CG still measures its
+with LAPACK's dpotrf/dpotrs, called directly through `_lapack`, which loads
+scipy's compiled wrapper without importing scipy.linalg.  CG still measures its
 residual through the Gramian's own sweeps, so its convergence test keeps its
 meaning; one iteration reaches rounding level except at the smallest eps,
 where rounding in the preconditioner costs one or two more.  The optimal penalized state
@@ -32,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
@@ -355,19 +356,22 @@ def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: floa
 
 
 def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumConfig,
-                stepper: TreeStepper | None = None, p_start=None) -> HumResult:
+                stepper: TreeStepper | None = None, p_start=None, *,
+                free_terminal=None) -> HumResult:
     """Drive E|y(T)|^2 to O(eps) with the control pair (u, v) = (1_{G0} z, Z).
 
     Solves (Gram + eps I) p = -b by CG preconditioned with the Riccati
     inverse, where b is the free terminal state; the controlled terminal
     state equals -eps p at the optimum.  CG non-convergence is reported, not
-    raised.
+    raised.  `free_terminal`, if given, is b for this y0 and stepper (the
+    leaf field of `stepper.forward(y0).y[M]`, which depends on neither eps
+    nor the CG settings); None computes it.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     dual = _ForwardDual(st)
     y0 = np.asarray(y0, dtype=float)
     eps = config.epsilon
-    b = st.forward(y0).y[tree.M]
+    b = st.forward(y0).y[tree.M] if free_terminal is None else free_terminal
     uncontrolled = dual.inner(b, b)
     p, trace = _cg(lambda q: dual.gram(q)[0] + eps * q, -b, dual.inner, config.cg_tol,
                    config.cg_max_iter, x0=p_start, precond=_ForwardRiccati(st, eps))

@@ -228,6 +228,10 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
                   y0, eps_values, cg_tol: float = 1e-10, cg_max_iter: int = 8000) -> list:
     """Run hum_forward across decreasing eps; rows carry norm/cost/iteration data.
 
+    All rows share one stepper and one free terminal state: the uncontrolled
+    sweep of y0 does not depend on eps, so it runs once, inside the first
+    row, and every row's hum_forward receives it.
+
     The terminal norm must decrease strictly along the sweep and the control
     cost stays within the uniform penalty-free bound; both are the caller's
     (or the acceptance suite's) assertions, this function only tabulates.
@@ -237,12 +241,16 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
         raise ValueError("need >= 3 strictly decreasing eps values")
     tree.n_nodes(tree.M)  # a tree too deep to sweep is bad input, not a failed row
     st = TreeStepper(grid, tree, coeffs)
+    y0 = np.asarray(y0, dtype=float)
+    free = None
     rows = []
     for eps in eps_values:
         try:
+            if free is None:
+                free = st.forward(y0).y[tree.M]
             res = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=cg_tol,
                                                                 cg_max_iter=cg_max_iter),
-                              stepper=st)
+                              stepper=st, free_terminal=free)
         except Exception as exc:  # noqa: BLE001
             raise SweepError(f"sweep row eps = {eps} failed: {exc}", rows) from exc
         r = res.report

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient, weak_divergence
 from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part, qt_integral,
@@ -163,7 +163,8 @@ class _StepperBase:
     """Shared per-level factorization of S_n = I - dt*E(t_n).
 
     (E u)_i = [a_{i+1/2}(u_{i+1} - u_i) - a_{i-1/2}(u_i - u_{i-1})] / h^2, zero Dirichlet
-    closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf).
+    closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf, from
+    `_lapack`, which loads scipy's compiled wrapper without importing scipy.linalg).
     dpttrs solves every row by the same loop, so no row depends on how many come with it.
     """
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -270,6 +275,25 @@ def test_desk_outputs_match_recorded_values(tmp_path):
           0.89941460089299663, 2.6982438026789901]], **close)
     np.testing.assert_allclose(_report(out / "appendix-check_report.txt", "dev_A log-log slope"),
                                [-12.511928762619073], **close)
+
+
+def test_fresh_interpreter_writes_the_in_process_bytes(tmp_path):
+    """`python -m spcontrol.cli` (LAPACK loaded as a cold process does) matches main() to the byte."""
+    root = Path(__file__).resolve().parents[1]
+    desk = str(root / "demos" / "desk.ini")
+    src = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    command = [sys.executable, "-m", "spcontrol.cli", "control-forward", "--config", desk,
+               "--output-dir", str(fresh)]
+    done = subprocess.run(command, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(["control-forward", "--config", desk, "--output-dir", str(here)]) == 0
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir()) and len(names) == 2
+    for name in names:  # the echoed output_dir line is the one place the runs differ
+        echoed = (fresh / name).read_bytes().replace(os.fsencode(fresh), os.fsencode(here))
+        assert echoed == (here / name).read_bytes()
 
 
 def test_sweep_t_requires_four_values(tmp_path):

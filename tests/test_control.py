@@ -314,6 +314,35 @@ def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
     assert sorted(identity_calls) == list(range(tree.M))
 
 
+def test_hum_forward_with_given_free_state_is_bitwise_the_same(hum_setup):
+    grid, tree, coeffs, st = hum_setup
+    y0 = np.sin(np.pi * grid.x) + 0.2 * np.cos(2 * np.pi * grid.x)
+    cfg = HumConfig(epsilon=1e-3, cg_tol=1e-10)
+    ref = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st)
+    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free_terminal=st.forward(y0).y[tree.M])
+    assert repr(res.report) == repr(ref.report)  # repr round-trips every float exactly
+    assert res.adjoint_data.tobytes() == ref.adjoint_data.tobytes()
+    for field, field_ref in ((res.u, ref.u), (res.v, ref.v), (res.y.y, ref.y.y)):
+        assert [a.tobytes() for a in field.levels] == [a.tobytes() for a in field_ref.levels]
+
+
+def test_epsilon_sweep_runs_the_free_sweep_once(monkeypatch):
+    tree = build_tree(5, 1.0)
+    coeffs = ProblemCoefficients(a=0.5, a1=0.5, a2=0.3, b1=0.2, b2=0.2)
+    free_sweeps = []
+    forward = TreeStepper.forward
+
+    def counted(self, y0, *args, **kwargs):
+        if not args and not kwargs:  # no control, source or feedback: the free state
+            free_sweeps.append(y0)
+        return forward(self, y0, *args, **kwargs)
+
+    monkeypatch.setattr(TreeStepper, "forward", counted)
+    rows = experiments.epsilon_sweep(coeffs, GRID8, tree, np.sin(np.pi * GRID8.x),
+                                     [1e-1, 1e-2, 1e-3, 1e-4])
+    assert len(rows) == 4 and len(free_sweeps) == 1
+
+
 @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5])
 def test_riccati_value_is_optimal_cost(lq_setup, eps):
     """1/2 h y0^T P_0 y0 is the minimal penalized cost 1/2 (cost + terminal / eps)."""
