@@ -13,8 +13,8 @@ single-branch solve to rounding precision, which this script verifies.
 
 import numpy as np
 
-from spcontrol import (HumConfig, ProblemCoefficients, TreeStepper, build_grid,
-                       build_tree, hum_backward, hum_backward_collapsed)
+from spcontrol import (HumConfig, ProblemCoefficients, TreeStepper, build_grid, build_path,
+                       build_tree, hum_backward)
 
 grid = build_grid(L=1.0, N=32, g0=(0.1, 0.95), g1=(0.3, 0.7))
 tree = build_tree(M=8, T=1.0)
@@ -37,6 +37,6 @@ det = ProblemCoefficients(a=0.15, a1=1.0, a2=0.0, b=0.5)
 cfg = HumConfig(epsilon=1e-3, cg_tol=1e-12, cg_max_iter=2000)
 yT_vec = np.sin(np.pi * grid.x)
 on_tree = hum_backward(grid, tree, det, np.tile(yT_vec, (tree.n_nodes(tree.M), 1)), cfg)
-collapsed = hum_backward_collapsed(grid, tree.M, tree.T, det, yT_vec, cfg)
+collapsed = hum_backward(grid, build_path(tree.M, tree.T), det, yT_vec[None, :], cfg)
 dev = np.abs(on_tree.adjoint_data - collapsed.adjoint_data).max()
 print(f"  max |tree - collapsed| on the dual variable = {dev:.3e}")

@@ -478,7 +478,7 @@ def _backward_ratios(st: TreeStepper, weight_sets, zT, mode: str = "adjoint_1_3"
         sol = st.backward(zT, mode="adjoint_1_3")
         f0, f_div = {}, {}
         for n in levels:
-            f0[n], f_div[n] = st.adjoint_1_3_sources(n, sol.z_half[n], sol.Z[n])
+            (f0[n], f_div[n]), = st.apply(n, "adjoint_1_3", (sol.z_half[n], sol.Z[n]), split=True)
     elif mode == "sources":
         sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
     else:
@@ -518,7 +518,7 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         sol = st.forward(z0, mode="adjoint_1_5")
         f1, f_div, f2 = {}, {}, {}
         for n in levels:
-            f1[n], f_div[n], f2[n] = st.adjoint_1_5_sources(n, sol.y[n])
+            (f1[n], f_div[n]), (f2[n], _) = st.apply(n, "adjoint_1_5", (sol.y[n],), split=True)
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
     lam2 = weights.lam * weights.lam

@@ -25,8 +25,8 @@ from .carleman import (_backward_ratios, build_psi, eval_weights, lambda_thresho
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
-from .experiments import (DIRECTIONS, SweepError, cost_scaling_sweep, epsilon_sweep,
-                          observability_constant)
+from .experiments import (DIRECTIONS, MIN_POWER_ITERS, SweepError, cost_scaling_sweep,
+                          epsilon_sweep, observability_constant)
 from .grid import build_grid
 from .scenario import AdaptedField, build_tree, mean_square_norm
 from .spde import ProblemCoefficients, TreeStepper, _sample
@@ -271,11 +271,23 @@ def _validate(cfg: RunConfig, path) -> None:
         cfg.hum_config(grid)
     except ValueError as exc:
         raise ConfigError(f"{path}: [hum] {exc}") from None
-    if cfg.carleman.mu < 1.0:
-        raise ConfigError(f"{path}: [carleman] mu must be >= 1")
-    if cfg.carleman.samples < 1:
-        raise ConfigError(f"{path}: [carleman] samples must be >= 1")
-    if cfg.experiment.direction not in DIRECTIONS:
+    c, e = cfg.carleman, cfg.experiment
+    positive = (lambda v: 0.0 < v < np.inf, "positive and finite")  # NaN fails every comparison
+    at_least_1 = (lambda v: 1.0 <= v < np.inf, "finite and >= 1")
+    for key, values, (test, rule) in (
+            ("[carleman] mu", c.mu, at_least_1), ("[carleman] c0", c.c0, positive),
+            ("[carleman] lambda_multiples", c.lambda_multiples, positive),
+            ("[carleman] mu_values", c.mu_values, at_least_1),
+            ("[carleman] samples", c.samples, (lambda v: v >= 1, ">= 1")),
+            ("[experiment] seed", e.seed, (lambda v: v >= 0, ">= 0")),
+            ("[experiment] power_iters", e.power_iters,
+             (lambda v: v >= MIN_POWER_ITERS, f">= {MIN_POWER_ITERS}")),
+            ("[experiment] m_per_time", e.m_per_time, positive),
+            ("[experiment] t_values", e.t_values, positive),
+            ("[experiment] eps_values", e.eps_values, positive)):
+        if not all(map(test, np.atleast_1d(values))):
+            raise ConfigError(f"{path}: {key} must be {rule}")
+    if e.direction not in DIRECTIONS:
         raise ConfigError(f"{path}: [experiment] direction must be {' or '.join(DIRECTIONS)}")
 
 

@@ -37,8 +37,7 @@ import numpy as np
 from ._lapack import dpotrf, dpotrs
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part,
-                       mean_square_norm, qt_integral)
+from .scenario import AdaptedField, ScenarioTree, martingale_part, mean_square_norm, qt_integral
 from .spde import TreeStepper
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "dual_functional",
     "hum_forward",
     "hum_backward",
-    "hum_backward_collapsed",
 ]
 
 
@@ -87,12 +85,14 @@ class HumConfig:
     bound_c: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.cg_tol < 1.0:
             raise ValueError("cg_tol must lie in (0, 1)")
         if self.cg_max_iter < 1:
             raise ValueError("cg_max_iter must be >= 1")
+        if not 0.0 < self.bound_c < np.inf:
+            raise ValueError(f"bound_c must be positive and finite, got {self.bound_c}")
 
 
 @dataclass
@@ -422,7 +422,7 @@ def _forward_pencil(stepper: TreeStepper):
     eye = np.eye(grid.N)
     forms = np.stack([eye, np.zeros_like(eye)])  # (X_M, O_M)
     for n in range(tree.M - 1, -1, -1):
-        drift, noise = stepper.adjoint_1_5_terms(n, eye)
+        drift, noise = stepper.apply(n, "adjoint_1_5", (eye,))
         gt = stepper._solve(n + 1, eye + dt * drift)  # rows of the identity: G_n^T
         step = gt @ forms @ gt.T
         if tree.branching:  # a2 = 0 makes this term exactly zero
@@ -464,14 +464,3 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
         data_norm=_ForwardDual(st).inner(yT, yT))
     return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)
 
-
-def hum_backward_collapsed(grid: SpatialGrid, n_steps: int, T: float, coeffs, yT_vec,
-                           config: HumConfig) -> HumResult:
-    """Deterministic single-branch twin of hum_backward (zero-noise oracle).
-
-    hum_backward itself, run on `build_path(n_steps, T)`.  With a2 = 0 and
-    terminal data constant across leaves the tree problem degenerates to this
-    one; the two must agree to rounding/CG tolerance.
-    """
-    yT = np.asarray(yT_vec, dtype=float).reshape(1, grid.N)
-    return hum_backward(grid, build_path(n_steps, T), coeffs, yT, config)

@@ -38,12 +38,14 @@ __all__ = [
     "ScalingTable",
     "SweepError",
     "DIRECTIONS",
+    "MIN_POWER_ITERS",
     "observability_constant",
     "cost_scaling_sweep",
     "epsilon_sweep",
 ]
 
 DIRECTIONS = ("forward_1_5", "backward_1_3")  # observability_constant's two quotients
+MIN_POWER_ITERS = 5  # observability_constant's fewest iterations
 
 # inner CG that applies G^{-1} in the backward-direction power iteration
 _INNER_TOL = 1e-10
@@ -106,8 +108,8 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     near-singular observation solve makes raw quotients wobble at rounding
     level.
     """
-    if iters < 5:
-        raise ValueError("iters must be >= 5")
+    if iters < MIN_POWER_ITERS:
+        raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     rng = np.random.default_rng(seed)

@@ -27,7 +27,6 @@ __all__ = [
     "SpatialGrid",
     "build_grid",
     "gradient",
-    "gradient_transpose",
     "weak_divergence",
 ]
 
@@ -69,8 +68,8 @@ def build_grid(L: float, N: int, g0: tuple[float, float], g1: tuple[float, float
     """
     if N < 4:
         raise ValueError(f"N must be >= 4, got {N}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0.0 < L < np.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     a0, b0 = map(float, g0)
     a1, b1 = map(float, g1)
     if not (0.0 < a0 < b0 < L):
@@ -101,11 +100,6 @@ def gradient(grid: SpatialGrid, u) -> np.ndarray:
     out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / two_h
     out[..., -1] = -u[..., -2] / two_h
     return out
-
-
-def gradient_transpose(grid: SpatialGrid, q) -> np.ndarray:
-    """Exact transpose of `gradient`: the stencil is skew, so this is -gradient."""
-    return -gradient(grid, q)
 
 
 def weak_divergence(grid: SpatialGrid, q) -> np.ndarray:

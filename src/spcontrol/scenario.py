@@ -87,8 +87,8 @@ def build_path(M: int, T: float) -> ScenarioTree:
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     dt = T / M
     times = dt * np.arange(M + 1)
     return ScenarioTree(M=int(M), T=float(T), dt=dt, sqrt_dt=float(np.sqrt(dt)), times=times,

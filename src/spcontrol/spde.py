@@ -1,34 +1,37 @@
 """Scenario-tree time steppers for the controlled and adjoint parabolic pairs.
 
-Every equation here is one step map per level: a drift part A_n and a noise
-part B_n, with the diffusion implicit and the lower-order terms explicit and
-adapted.  The forward sweep is
+Every equation here is one pair of per-level operators, a drift part A_n and a
+noise part B_n, with the diffusion implicit and the lower-order terms explicit
+and adapted.  An operator is a triple of coefficient tables (c0, cg, cd) that
+maps y to c0*y + cg*grad(y) + weak_div(cd*y).  The forward sweep applies a pair,
 
-    (I - dt*E(t_{n+1})) y_{n+1}^{+/-} = y_n + dt*drift(t_n) +/- sqrt(dt)*noise(t_n)
+    (I - dt*E(t_{n+1})) y_{n+1}^{+/-} = y_n + dt*(A_n y_n + sources) +/- sqrt(dt)*(B_n y_n + v_n)
 
-with E the conservative elliptic stencil.  The backward sweep is its
+with E the conservative elliptic stencil: mode general (the controlled forward
+problem) has A = (a1, b1, -), B = (a2, b2, -), and mode adjoint_1_5 (the
+forward adjoint) A = (-a1, -, b), B = (-a2, -, -).  The backward sweep is its
 algebraic transpose: fold each sibling pair through the same SPD solve, split
 into conditional mean ("half step" value) and martingale part, then apply the
-transposed lower-order couplings:
+transposed pair, under the rule (c0, cg, cd)^T = (c0, -cd, -cg), which holds
+because weak_div = -grad^T:
 
     w = S_{n+1}^{-1} children
     z_half_n = (w_+ + w_-)/2,   Z_n = (w_+ - w_-)/(2 sqrt(dt))
-    z_n = z_half_n - dt*(F0_n + weak_div(F_n))
+    z_n = z_half_n + dt*(A_n^T z_half_n + B_n^T Z_n) - dt*(F0_n + weak_div(F_n))
 
-where for the adjoint of the controlled forward equation the sources are the
-couplings F0 = -a1*z_half - a2*Z and F = z_half*B1 + Z*B2.  Because solve,
-gradient transpose, and weights mirror the forward operations exactly, the
+Mode adjoint_1_3 (the adjoint of the controlled problem) transposes the
+general pair, controlled_1_2 (the controlled backward problem) the
+adjoint_1_5 pair; generic has no pair and folds given sources F0, F.  Both
+sweeps take their numbers from the same tables through one routine, so the
 discrete duality identity
 
     E<y(T), zT> = <y0, z(0)> + E int_{Q0} u * z_half + E int_Q v * Z
 
-holds to rounding; everything in the HUM construction leans on that.  Note
-the two roles of the backward solution: the nodal values z (consistent with
-the backward equation) carry the initial pairing, while the half-step values
-z_half carry the space-time pairings and the control feedback.
-
-Both sweeps exist once, in TreeStepper, for every mode.  On a single-branch
-path (`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
+holds to rounding by construction; everything in the HUM construction leans
+on that.  Note the two roles of the backward solution: the nodal values z
+carry the initial pairing, while the half-step values z_half carry the
+space-time pairings and the control feedback.  On a single-branch path
+(`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
 
 Solvers are pure: steppers hold only immutable per-level factorizations,
 coefficient tables and the data-independent step matrices (built on first
@@ -47,8 +50,7 @@ import numpy as np
 from ._lapack import dpttrf, dpttrs
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient, weak_divergence
-from .scenario import (AdaptedField, ScenarioTree, build_path, martingale_part, qt_integral,
-                       reconstruct_children)
+from .scenario import AdaptedField, ScenarioTree, martingale_part, qt_integral, reconstruct_children
 
 __all__ = [
     "ProblemCoefficients",
@@ -56,14 +58,13 @@ __all__ = [
     "ForwardSolution",
     "BackwardSolution",
     "TreeStepper",
-    "PathStepper",
     "duality_gap",
     "forward_state_matrix",
     "backward_state_matrix",
 ]
 
-FORWARD_MODES = ("general", "adjoint_1_5")
-BACKWARD_MODES = ("generic", "adjoint_1_3", "controlled_1_2")
+# the forward pair each backward mode folds with the transpose of (generic: none)
+_TRANSPOSES = {"generic": None, "adjoint_1_3": "general", "controlled_1_2": "adjoint_1_5"}
 
 
 def _sample(spec, times: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -194,19 +195,52 @@ class _StepperBase:
 
 
 class TreeStepper(_StepperBase):
-    """Forward/backward solvers on a scenario tree for one coefficient set."""
+    """Forward/backward solvers on a scenario tree for one coefficient set.
+
+    `pairs`: each forward mode's (A, B) as table triples, None for an absent
+    coefficient.  `blocks`: what each mode's sweep applies through `apply`, a
+    forward mode the column (A; B), a backward mode the row (-A^T, -B^T).
+    """
 
     def __init__(self, grid: SpatialGrid, tree: ScenarioTree, coeffs):
         super().__init__(grid, tree.times, tree.dt, coeffs)
         self.tree = tree
-
-    # -- forward ---------------------------------------------------------
-
-    def general_terms(self, n: int, y: np.ndarray):
-        """Drift a1*y + b1*grad(y) and noise a2*y + b2*grad(y) of the general step at level n."""
         tab = self.tab
-        grad = gradient(self.grid, y)
-        return tab.a1[n] * y + tab.b1[n] * grad, tab.a2[n] * y + tab.b2[n] * grad
+        self.pairs = {"general": ((tab.a1, tab.b1, None), (tab.a2, tab.b2, None)),
+                      "adjoint_1_5": ((-tab.a1, None, tab.b), (-tab.a2, None, None))}
+        self.blocks = {mode: ((a,), (b,)) for mode, (a, b) in self.pairs.items()}
+        for mode, pair in _TRANSPOSES.items():  # -(c0, cg, cd)^T = (-c0, cd, cg): weak_div = -grad^T
+            self.blocks[mode] = (tuple((-c0, cd, cg) for c0, cg, cd in self.pairs[pair]) if pair else (),)
+
+    def apply(self, n: int, mode: str, fields, sources=None, split: bool = False) -> list:
+        """Each row of mode's block at level n on `fields`: zeroth + weak_div(flux).
+
+        split=True gives the parts (zeroth-order part, flux or None) instead.
+        sources[i] = (zeroth-order terms, flux or None) adds to row i.  The
+        outputs' bits rest on this order: c0*x then cg*grad(x), field by field,
+        then the zeroth-order sources; the flux sums cd*x over the fields, then
+        the source flux.  grad(x) is computed once per field.
+        """
+        grads = [None] * len(fields)
+        out = []
+        for row, (src, flux) in zip(self.blocks[mode], sources or (((), None),) * 2):
+            acc = div = None
+            for j, (c0, cg, cd) in enumerate(row):
+                x = fields[j]
+                term = c0[n] * x
+                if cg is not None:
+                    if grads[j] is None:
+                        grads[j] = gradient(self.grid, x)
+                    term += cg[n] * grads[j]
+                acc = term if acc is None else acc + term
+                if cd is not None:
+                    div = cd[n] * x if div is None else div + cd[n] * x
+            for s in src:
+                acc = s if acc is None else acc + s
+            if flux is not None:
+                div = flux if div is None else div + flux
+            out.append((acc, div) if split else acc if div is None else acc + weak_divergence(self.grid, div))
+        return out
 
     @cached_property
     def general_steps(self) -> list:
@@ -216,39 +250,22 @@ class TreeStepper(_StepperBase):
         (one per eps of a sweep) shares one build.
         """
         eye = np.eye(self.grid.N)
-        steps = []
-        for n in range(self.tree.M):
-            drift, noise = self.general_terms(n, eye)
-            steps.append((eye + self.dt * drift, noise))
-        return steps
-
-    def adjoint_1_5_sources(self, n: int, y: np.ndarray):
-        """Couplings F1 = -a1*y, F = b*y and F2 = -a2*y of the adjoint_1_5 step at level n."""
-        tab = self.tab
-        return -(tab.a1[n] * y), tab.b[n] * y, -(tab.a2[n] * y)
-
-    def adjoint_1_5_terms(self, n: int, y: np.ndarray):
-        """Drift F1 + weak_div(F) and noise F2 of the adjoint_1_5 step at level n."""
-        f1, flux, f2 = self.adjoint_1_5_sources(n, y)
-        return f1 + weak_divergence(self.grid, flux), f2
+        rows = (self.apply(n, "general", (eye,)) for n in range(self.tree.M))
+        return [(eye + self.dt * drift, noise) for drift, noise in rows]
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
                 mode: str = "general", feedback=None) -> ForwardSolution:
-        """March level 0 -> M; see module docstring for the step map.
+        """March level 0 -> M with mode's pair (A, B); see module docstring for the step map.
 
-        general mode:      drift = a1*y + b1*grad(y) + 1_{G0} u [+ drift_src
-                           + weak_div(drift_div)], noise = a2*y + b2*grad(y) + v.
-                           `feedback(n, y) -> (u_n, v_n)` adds a control pair
-                           computed from the level-n state (closed loop).
-        adjoint_1_5 mode:  drift = -a1*y + weak_div(y*b), noise = -a2*y
-                           (controls/sources not accepted).
-        On a single-branch path nothing splits and the noise drops out.
+        drift = A y [+ 1_{G0} u + drift_src + weak_div(drift_div)], noise = B y [+ v];
+        `feedback(n, y) -> (u_n, v_n)` adds a control pair computed from the
+        level-n state (closed loop).  Only general mode takes controls and
+        sources.  On a single-branch path nothing splits: no noise.
         """
-        if mode not in FORWARD_MODES:
+        if mode not in self.pairs:
             raise ValueError(f"unknown forward mode {mode!r}")
-        if mode == "adjoint_1_5" and any(s is not None for s in (u, v, drift_src, drift_div,
-                                                                 feedback)):
-            raise ValueError("adjoint_1_5 mode takes no controls or sources")
+        if mode != "general" and any(s is not None for s in (u, v, drift_src, drift_div, feedback)):
+            raise ValueError(f"{mode} mode takes no controls or sources")
         grid, tree = self.grid, self.tree
         y0 = np.asarray(y0, dtype=float).reshape(1, grid.N)
         if not np.isfinite(y0).all():
@@ -257,52 +274,39 @@ class TreeStepper(_StepperBase):
         levels = [y0.copy()]
         for n in range(tree.M):
             y = levels[n]
-            if mode == "general":
-                drift, noise = self.general_terms(n, y)
-                if u is not None:
-                    drift = drift + mask * u[n]
-                if drift_src is not None:
-                    drift = drift + drift_src[n]
-                if drift_div is not None:
-                    drift = drift + weak_divergence(grid, drift_div[n])
-                if v is not None:
-                    noise = noise + v[n]
-                if feedback is not None:
-                    fu, fv = feedback(n, y)
-                    drift = drift + mask * fu
-                    noise = noise + fv
-            else:
-                drift, noise = self.adjoint_1_5_terms(n, y)
+            src = [] if u is None else [mask * u[n]]
+            if drift_src is not None:
+                src.append(drift_src[n])
+            noise_src = [] if v is None else [v[n]]
+            if feedback is not None:
+                fu, fv = feedback(n, y)
+                src.append(mask * fu)
+                noise_src.append(fv)
+            drift, noise = self.apply(n, mode, (y,), ((src, None if drift_div is None else drift_div[n]),
+                                                      (noise_src, None)))
             base = y + self.dt * drift
             if tree.n_nodes(n + 1) > y.shape[0]:
                 base = reconstruct_children(tree, base, noise)
             levels.append(self._solve(n + 1, base))
         return ForwardSolution(y=AdaptedField(levels))
 
-    # -- backward --------------------------------------------------------
-
-    def adjoint_1_3_sources(self, n: int, z_half: np.ndarray, Z: np.ndarray):
-        """Couplings F0 = -a1*z_half - a2*Z and F = b1*z_half + b2*Z of the adjoint_1_3 fold."""
-        tab = self.tab
-        return -(tab.a1[n] * z_half) - tab.a2[n] * Z, tab.b1[n] * z_half + tab.b2[n] * Z
-
     def backward(self, zT, mode: str = "generic", f0=None, f_div=None, u=None) -> BackwardSolution:
         """Fold level M -> 0 through the transposed step map.
 
-        generic mode:        z_n = z_half_n - dt*(f0_n + weak_div(f_div_n));
-        adjoint_1_3 mode:    sources are the couplings F0 = -a1*z_half - a2*Z,
-                             F = z_half*b1 + Z*b2;
-        controlled_1_2 mode: z_n = z_half_n - dt*(a1*z_half + b*grad(z_half)
-                             + a2*Z + 1_{G0} u_n).
-        On a single-branch path there is no sibling to fold: z_half = w, Z = 0.
+        z_n = z_half_n - dt*(couplings + f0_n + 1_{G0} u_n + weak_div(f_div_n)), the
+        couplings -(A^T z_half_n + B^T Z_n) being mode's row: adjoint_1_3
+        transposes the general pair, controlled_1_2 the adjoint_1_5 pair, and
+        generic has none.  f0/f_div are accepted in generic mode only, u in
+        controlled_1_2 mode only.  On a single-branch path there is no sibling
+        to fold: z_half = w, Z = 0.
         """
-        if mode not in BACKWARD_MODES:
+        if mode not in _TRANSPOSES:
             raise ValueError(f"unknown backward mode {mode!r}")
         if mode != "generic" and (f0 is not None or f_div is not None):
             raise ValueError("explicit sources are only accepted in generic mode")
         if mode != "controlled_1_2" and u is not None:
             raise ValueError("a control is only accepted in controlled_1_2 mode")
-        grid, tree, tab = self.grid, self.tree, self.tab
+        grid, tree = self.grid, self.tree
         cur = np.asarray(zT, dtype=float)
         if cur.shape != (tree.n_nodes(tree.M), grid.N):
             raise ValueError(f"terminal data must have shape {(tree.n_nodes(tree.M), grid.N)}, got {cur.shape}")
@@ -319,39 +323,12 @@ class TreeStepper(_StepperBase):
                 z_half, z_mart = martingale_part(tree, w)
             else:
                 z_half, z_mart = w, np.zeros_like(w)
-            if mode == "adjoint_1_3":
-                src, flux = self.adjoint_1_3_sources(n, z_half, z_mart)
-                corr = src + weak_divergence(grid, flux)
-            elif mode == "controlled_1_2":
-                corr = tab.a1[n] * z_half + tab.b[n] * gradient(grid, z_half) + tab.a2[n] * z_mart
-                if u is not None:
-                    corr = corr + mask * u[n]
-            else:
-                corr = np.zeros_like(z_half)
-                if f0 is not None:
-                    corr = corr + f0[n]
-                if f_div is not None:
-                    corr = corr + weak_divergence(grid, f_div[n])
-            cur = z_half - self.dt * corr
+            src = [f0[n]] if f0 is not None else [mask * u[n]] if u is not None else []
+            corr, = self.apply(n, mode, (z_half, z_mart), ((src, None if f_div is None else f_div[n]),))
+            cur = z_half.copy() if corr is None else z_half - self.dt * corr
             z_levels[n], z_half_levels[n], mart_levels[n] = cur, z_half, z_mart
         return BackwardSolution(z=AdaptedField(z_levels), Z=AdaptedField(mart_levels),
                                 z_half=AdaptedField(z_half_levels))
-
-
-class PathStepper:
-    """Single-branch deterministic counterpart of TreeStepper.
-
-    A thin entry point: TreeStepper's sweeps on `build_path(n_steps, T)`.
-    Used as the collapsed-tree oracle (zero-noise degeneration) and for
-    time-resolved runs whose tree would be too deep; `forward` returns the
-    states stacked into one array of shape (n_steps+1, N).
-    """
-
-    def __init__(self, grid: SpatialGrid, n_steps: int, T: float, coeffs):
-        self.stepper = TreeStepper(grid, build_path(n_steps, T), coeffs)
-
-    def forward(self, y0) -> np.ndarray:
-        return np.concatenate(self.stepper.forward(y0).y.levels)
 
 
 def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:

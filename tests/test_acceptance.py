@@ -11,15 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from spcontrol import (AdaptedField, PathStepper, ProblemCoefficients, TreeStepper,
-                       backward_state_matrix, build_grid, build_tree, duality_gap,
-                       forward_state_matrix)
+from spcontrol import (AdaptedField, ProblemCoefficients, TreeStepper, backward_state_matrix,
+                       build_grid, build_path, build_tree, duality_gap, forward_state_matrix)
 from spcontrol.carleman import (build_psi, carleman_ratio_backward, carleman_ratio_forward,
                                 eval_weights, lambda_threshold, lambda_threshold_forward,
                                 leading_order_check)
-from spcontrol.control import (HumConfig, dual_functional, hum_backward,
-                               hum_backward_collapsed, hum_forward, k_cost_exponent,
-                               m_cost_exponent)
+from spcontrol.control import (HumConfig, dual_functional, hum_backward, hum_forward,
+                               k_cost_exponent, m_cost_exponent)
 from spcontrol.experiments import cost_scaling_sweep
 
 
@@ -141,7 +139,7 @@ def test_criterion_05_hum_backward_sweep_and_degeneration():
     yT_vec = np.sin(np.pi * grid.x / grid.L)
     res_tree = hum_backward(grid, tree, det_coeffs,
                             np.tile(yT_vec, (tree.n_nodes(tree.M), 1)), cfg)
-    res_path = hum_backward_collapsed(grid, tree.M, tree.T, det_coeffs, yT_vec, cfg)
+    res_path = hum_backward(grid, build_path(tree.M, tree.T), det_coeffs, yT_vec[None, :], cfg)
     scale = float(np.abs(res_path.adjoint_data).max())
     det_dev = float(np.abs(res_tree.adjoint_data - res_path.adjoint_data).max()) / scale
     ok = decreasing and reduction >= 1e3 and det_dev <= 1e-12
@@ -159,7 +157,7 @@ def test_criterion_06_zero_noise_oracle():
     st = TreeStepper(grid, tree, coeffs)
     y0 = np.sin(np.pi * grid.x)
     fwd = st.forward(y0)
-    det = PathStepper(grid, tree.M, tree.T, coeffs).forward(y0)
+    det = np.concatenate(TreeStepper(grid, build_path(tree.M, tree.T), coeffs).forward(y0).y.levels)
     bitwise = all(np.array_equal(fwd.y[n], np.tile(det[n], (tree.n_nodes(n), 1)))
                   for n in range(tree.M + 1))
     bwd = st.backward(np.tile(det[-1], (tree.n_nodes(tree.M), 1)), mode="adjoint_1_3")
@@ -171,8 +169,8 @@ def test_criterion_07_heat_decay_oracle():
     """Eigenmode decay rate within 5% of (pi/L)^2 at N = 64, M = 64."""
     grid = build_grid(1.0, 64, (0.3, 0.8), (0.45, 0.65))
     T = 0.5
-    path = PathStepper(grid, 64, T, ProblemCoefficients(a=1.0))
-    y = path.forward(np.sin(np.pi * grid.x / grid.L))
+    path = TreeStepper(grid, build_path(64, T), ProblemCoefficients(a=1.0))
+    y = np.concatenate(path.forward(np.sin(np.pi * grid.x / grid.L)).y.levels)
     rate = -np.log(np.linalg.norm(y[-1]) / np.linalg.norm(y[0])) / T
     target = (np.pi / grid.L) ** 2
     err = abs(rate - target) / target

@@ -124,13 +124,39 @@ def test_invalid_region_names_both_intervals(tmp_path):
     (MINIMAL + "\n[hum]\ncg_max_iter = 1.5\n", ":9: [hum] cg_max_iter: expected int, got '1.5'"),
     (MINIMAL + "\n[experiment]\ndirection = up\n",
      ": [experiment] direction must be forward_1_5 or backward_1_3"),
-], ids=["N", "g1", "a", "epsilon", "int", "direction"])
+    # NaN fails every comparison, so a check written as `x <= 0` lets it through
+    (MINIMAL + "\n[hum]\nepsilon = nan\n", ": [hum] epsilon must be positive and finite, got nan"),
+    (MINIMAL + "T = nan\n", ": [problem] T must be positive and finite, got nan"),
+    (MINIMAL + "L = inf\n", ": [problem] L must be positive and finite, got inf"),
+    (MINIMAL + "\n[hum]\nbound_c = nan\n", ": [hum] bound_c must be positive and finite, got nan"),
+    (MINIMAL + "\n[carleman]\nmu = nan\n", ": [carleman] mu must be finite and >= 1"),
+    (MINIMAL + "\n[carleman]\nc0 = nan\n", ": [carleman] c0 must be positive and finite"),
+    (MINIMAL + "\n[experiment]\npower_iters = 3\n", ": [experiment] power_iters must be >= 5"),
+    (MINIMAL + "\n[experiment]\nt_values = -1, 0.5, 1, 2\n",
+     ": [experiment] t_values must be positive and finite"),
+    (MINIMAL + "\n[experiment]\nm_per_time = nan\n",
+     ": [experiment] m_per_time must be positive and finite"),
+    (MINIMAL + "\n[experiment]\nseed = -1\n", ": [experiment] seed must be >= 0"),
+], ids=["N", "g1", "a", "epsilon", "int", "direction", "epsilon-nan", "T-nan", "L-inf", "bound_c-nan",
+        "mu-nan", "c0-nan", "power_iters", "t_values", "m_per_time-nan", "seed"])
 def test_validation_messages(tmp_path, text, message):
     # the exact text after the config path
     path = write(tmp_path, text)
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("line,key", [("power_iters = 3", "power_iters"),
+                                      ("t_values = -1, 0.5, 1, 2", "t_values"),
+                                      ("m_per_time = -3", "m_per_time"),
+                                      ("m_per_time = nan", "m_per_time")])
+def test_experiment_values_fail_at_parse_time(tmp_path, capsys, line, key):
+    # checked before any sweep row runs: exit 1 naming the key, no output directory
+    cfg_path = write(tmp_path, DESK + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["sweep-T", "--config", str(cfg_path)]) == 1
+    assert f"[experiment] {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_and_section_with_location(tmp_path):

@@ -5,8 +5,8 @@ from scipy.linalg import cho_factor, cho_solve
 from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_grid, build_path,
                        build_tree, control, experiments)
 from spcontrol.control import (HumConfig, _cg, _cholesky, _ForwardDual, _ForwardRiccati,
-                               dual_functional, hum_backward, hum_backward_collapsed, hum_forward,
-                               k_cost_exponent, m_cost_exponent)
+                               dual_functional, hum_backward, hum_forward, k_cost_exponent,
+                               m_cost_exponent)
 
 
 def test_k_exponent_paper_substitutions():
@@ -180,7 +180,7 @@ def test_hum_backward_deterministic_degeneration():
     yT_vec = np.sin(np.pi * grid.x)
     res_tree = hum_backward(grid, tree, coeffs,
                             np.tile(yT_vec, (tree.n_nodes(tree.M), 1)), cfg)
-    res_path = hum_backward_collapsed(grid, tree.M, tree.T, coeffs, yT_vec, cfg)
+    res_path = hum_backward(grid, build_path(tree.M, tree.T), coeffs, yT_vec[None, :], cfg)
     scale = np.abs(res_path.adjoint_data).max()
     assert np.abs(res_tree.adjoint_data - res_path.adjoint_data).max() <= 1e-12 * scale
     assert res_tree.report.terminal_norm == pytest.approx(res_path.report.terminal_norm,
@@ -265,7 +265,7 @@ def _reference_riccati(st, eps):
     for n in range(st.tree.M - 1, -1, -1):
         q = st._solve(n + 1, st._solve(n + 1, p).T)
         q = 0.5 * (q + q.T)
-        drift, bt = st.general_terms(n, eye)
+        drift, bt = st.apply(n, "general", (eye,))
         gt = eye + dt * drift
         ku = -cho_solve(cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)]), (q @ gt.T)[g])
         closed = gt.T.copy()
@@ -301,14 +301,14 @@ def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
     coeffs = ProblemCoefficients(a=0.5, a1=0.5, a2=0.3, b1=0.2, b2=0.2)
     eye = np.eye(GRID8.N)
     identity_calls = []
-    terms = TreeStepper.general_terms
+    apply = TreeStepper.apply
 
-    def counted(self, n, y):
-        if np.array_equal(y, eye):
+    def counted(self, n, mode, fields, *args, **kwargs):
+        if np.array_equal(fields[0], eye):
             identity_calls.append(n)
-        return terms(self, n, y)
+        return apply(self, n, mode, fields, *args, **kwargs)
 
-    monkeypatch.setattr(TreeStepper, "general_terms", counted)
+    monkeypatch.setattr(TreeStepper, "apply", counted)
     experiments.epsilon_sweep(coeffs, GRID8, tree, np.sin(np.pi * GRID8.x),
                               [1e-1, 1e-2, 1e-3, 1e-4])
     assert sorted(identity_calls) == list(range(tree.M))

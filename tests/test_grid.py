@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spcontrol import (PathStepper, ProblemCoefficients, build_grid, gradient,
-                       gradient_transpose, weak_divergence)
+from spcontrol import (ProblemCoefficients, TreeStepper, build_grid, build_path, gradient,
+                       weak_divergence)
 
 
 def test_build_grid_masks_small_example():
@@ -36,13 +36,13 @@ def test_build_grid_mask_count_by_enumeration():
 
 
 def _implicit_step(grid, a, dt):
-    return PathStepper(grid, 1, dt, ProblemCoefficients(a=a))
+    return TreeStepper(grid, build_path(1, dt), ProblemCoefficients(a=a))
 
 
 def _stencil(grid, a, dt=1e-3):
     """Dense E recovered from the stepper's implicit step: E = (I - S) / dt."""
     step = _implicit_step(grid, a, dt)
-    s_inv = np.stack([step.forward(e)[1] for e in np.eye(grid.N)], axis=1)
+    s_inv = np.stack([step.forward(e).y[1][0] for e in np.eye(grid.N)], axis=1)
     return (np.eye(grid.N) - np.linalg.inv(s_inv)) / dt
 
 
@@ -64,7 +64,7 @@ def test_elliptic_eigenfunction_second_order():
     for N in (32, 65):
         grid = build_grid(1.0, N, (0.3, 0.8), (0.45, 0.65))
         u = np.sin(np.pi * grid.x)
-        y1 = _implicit_step(grid, 1.0, dt).forward(u)[1]
+        y1 = _implicit_step(grid, 1.0, dt).forward(u).y[1][0]
         errs.append(np.abs(y1 - u / (1.0 + dt * np.pi ** 2)).max() / np.abs(u).max())
     # h halves from N=32 to N=65; O(h^2) means error drops by >= 3.5
     assert errs[0] / errs[1] >= 3.5
@@ -77,8 +77,8 @@ def test_elliptic_symmetry_variable_coefficient():
     rng = np.random.default_rng(4)
     for _ in range(10):
         u, v = rng.standard_normal((2, grid.N))
-        lhs = float(np.dot(step.forward(u)[1], v))
-        rhs = float(np.dot(u, step.forward(v)[1]))
+        lhs = float(np.dot(step.forward(u).y[1][0], v))
+        rhs = float(np.dot(u, step.forward(v).y[1][0]))
         assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
@@ -129,15 +129,8 @@ def test_skew_stencil_serves_all_three_operators(N):
     rng = np.random.default_rng(N)
     q = rng.standard_normal((5, N)) * 10.0 ** rng.uniform(-5.0, 5.0, (5, N))
     assert np.array_equal(weak_divergence(grid, q), gradient(grid, q))
-    assert np.array_equal(gradient_transpose(grid, q), -gradient(grid, q))
-
-
-def test_gradient_transpose_matrices_match():
-    grid = build_grid(1.0, 9, (0.3, 0.8), (0.45, 0.65))
-    eye = np.eye(grid.N)
-    d = np.stack([gradient(grid, eye[j]) for j in range(grid.N)], axis=1)
-    dt = np.stack([gradient_transpose(grid, eye[j]) for j in range(grid.N)], axis=1)
-    assert np.array_equal(d.T, dt)
+    stencil = gradient(grid, np.eye(N))
+    assert np.array_equal(stencil.T, -stencil)
 
 
 def test_gradient_quadratic_profile():

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spcontrol import (AdaptedField, NumericsError, PathStepper, ProblemCoefficients,
-                       TreeStepper, backward_state_matrix, build_grid, build_path, build_tree,
-                       duality_gap, forward_state_matrix, mean_square_norm)
+from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper, build_grid,
+                       build_path, build_tree, duality_gap, mean_square_norm)
 
 
 def test_zero_data_gives_zero_solutions(grid16, tree6, full_coeffs):
@@ -22,7 +21,7 @@ def test_zero_noise_matches_single_branch_bitwise(grid16, tree6):
     st = TreeStepper(grid16, tree6, coeffs)
     y0 = np.sin(np.pi * grid16.x)
     fwd = st.forward(y0)
-    det = PathStepper(grid16, tree6.M, tree6.T, coeffs).forward(y0)
+    det = np.concatenate(TreeStepper(grid16, build_path(tree6.M, tree6.T), coeffs).forward(y0).y.levels)
     for n in range(tree6.M + 1):
         assert np.array_equal(fwd.y[n], np.tile(det[n], (tree6.n_nodes(n), 1)))
     # martingale part of the deterministic solution vanishes exactly
@@ -66,8 +65,8 @@ def test_zero_noise_backward_matches_single_branch_bitwise(grid16, tree6):
 
 def test_heat_kernel_decay_rate():
     grid = build_grid(1.0, 64, (0.3, 0.8), (0.45, 0.65))
-    path = PathStepper(grid, 64, 0.5, ProblemCoefficients(a=1.0))
-    y = path.forward(np.sin(np.pi * grid.x))
+    path = TreeStepper(grid, build_path(64, 0.5), ProblemCoefficients(a=1.0))
+    y = np.concatenate(path.forward(np.sin(np.pi * grid.x)).y.levels)
     rate = -np.log(np.linalg.norm(y[-1]) / np.linalg.norm(y[0])) / 0.5
     assert abs(rate - np.pi ** 2) / np.pi ** 2 <= 0.05
 
@@ -94,12 +93,19 @@ def test_duality_gap_zero_inputs(grid16, tree6, full_coeffs):
     assert duality_gap(grid16, tree6, full_coeffs, np.zeros(grid16.N), None, None, zT) == 0.0
 
 
-def test_dense_transpose_exactness(full_coeffs):
+@pytest.mark.parametrize("tree", [build_tree(4, 1.0), build_path(4, 1.0)], ids=["tree", "path"])
+@pytest.mark.parametrize("forward_mode,backward_mode",
+                         [("general", "adjoint_1_3"), ("adjoint_1_5", "controlled_1_2")])
+def test_dense_transpose_exactness(full_coeffs, tree, forward_mode, backward_mode):
+    # each backward mode folds with the transpose of its forward pair
     grid = build_grid(1.0, 8, (0.3, 0.8), (0.45, 0.65))
-    tree = build_tree(4, 1.0)
     st = TreeStepper(grid, tree, full_coeffs)
-    fwd = 2.0 ** (-tree.M) * forward_state_matrix(st).T
-    bwd = backward_state_matrix(st)
+    leaves = tree.n_nodes(tree.M)
+    eye = np.eye(leaves * grid.N)
+    fwd = tree.node_weight(tree.M) * np.stack(
+        [st.forward(e, mode=forward_mode).y[tree.M].ravel() for e in np.eye(grid.N)])
+    bwd = np.stack([st.backward(e.reshape(leaves, grid.N), mode=backward_mode).z[0][0]
+                    for e in eye], axis=1)
     nz = (fwd != 0) | (bwd != 0)
     dev = (np.abs(fwd - bwd)[nz] / np.maximum(np.abs(fwd), np.abs(bwd))[nz]).max()
     assert dev <= 1e-12
@@ -213,7 +219,7 @@ def test_general_steps_are_the_step_on_the_identity(grid16, tree, full_coeffs):
     steps = st.general_steps
     assert len(steps) == tree.M and st.general_steps is steps  # built once per stepper
     for n, (gt, bt) in enumerate(steps):
-        drift, noise = st.general_terms(n, eye)
+        drift, noise = st.apply(n, "general", (eye,))
         assert np.array_equal(gt, eye + st.dt * drift)
         assert np.array_equal(bt, noise)
 
