@@ -91,8 +91,8 @@ class HumConfig:
             raise ValueError("cg_tol must lie in (0, 1)")
         if self.cg_max_iter < 1:
             raise ValueError("cg_max_iter must be >= 1")
-        if not 0.0 < self.bound_c < np.inf:
-            raise ValueError(f"bound_c must be positive and finite, got {self.bound_c}")
+        if not np.isfinite(self.bound_c):
+            raise ValueError(f"bound_c must be finite, got {self.bound_c}")
 
 
 @dataclass

@@ -33,10 +33,9 @@ carry the initial pairing, while the half-step values z_half carry the
 space-time pairings and the control feedback.  On a single-branch path
 (`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
 
-Solvers are pure: steppers hold only immutable per-level factorizations,
-coefficient tables and the data-independent step matrices (built on first
-use, with the same values whoever builds them), so independent solves may
-run concurrently.
+Solvers are pure: steppers hold only immutable factorizations, coefficient
+tables and data-independent step matrices (built on first use, the same
+whoever builds them), so independent solves may run concurrently.
 """
 
 from __future__ import annotations
@@ -63,8 +62,17 @@ __all__ = [
     "backward_state_matrix",
 ]
 
+# Each forward mode's pair (A, B); an operator (c0, cg, cd) names CoefficientTables
+# fields, None for an absent term, a leading "-" for the negated table.
+_PAIRS = {"general": (("a1", "b1", None), ("a2", "b2", None)),
+          "adjoint_1_5": (("-a1", None, "b"), ("-a2", None, None))}
 # the forward pair each backward mode folds with the transpose of (generic: none)
 _TRANSPOSES = {"generic": None, "adjoint_1_3": "general", "controlled_1_2": "adjoint_1_5"}
+# what each mode's sweep applies through TreeStepper.apply (see TreeStepper)
+_BLOCKS = {**{mode: ((a,), (b,)) for mode, (a, b) in _PAIRS.items()},
+           **{mode: (tuple((("-" + c0).replace("--", ""), cd, cg) for c0, cg, cd in _PAIRS[pair])
+                     if pair else (),) for mode, pair in _TRANSPOSES.items()}}
+_TABLES = sorted({name for block in _BLOCKS.values() for row in block for op in row for name in op if name})
 
 
 def _sample(spec, times: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -130,11 +138,8 @@ class ProblemCoefficients:
         if beta <= 0.0:
             raise ValueError(f"diffusion coefficient must stay positive; min sample = {beta}")
         sup = {k: float(np.abs(v).max()) for k, v in tabs.items()}
-        return CoefficientTables(times=times, a_faces=a_faces, beta=beta,
-                                 a1=tabs["a1"], a2=tabs["a2"], b1=tabs["b1"],
-                                 b2=tabs["b2"], b=tabs["b"],
-                                 a1_inf=sup["a1"], a2_inf=sup["a2"], b1_inf=sup["b1"],
-                                 b2_inf=sup["b2"], b_inf=sup["b"])
+        return CoefficientTables(times=times, a_faces=a_faces, beta=beta, **tabs,
+                                 **{k + "_inf": v for k, v in sup.items()})
 
 
 @dataclass
@@ -197,48 +202,37 @@ class _StepperBase:
 class TreeStepper(_StepperBase):
     """Forward/backward solvers on a scenario tree for one coefficient set.
 
-    `pairs`: each forward mode's (A, B) as table triples, None for an absent
-    coefficient.  `blocks`: what each mode's sweep applies through `apply`, a
-    forward mode the column (A; B), a backward mode the row (-A^T, -B^T).
+    A forward mode applies its pair, the column (A; B); a backward mode folds with the
+    row (-A^T, -B^T) of the pair it transposes, by -(c0, cg, cd)^T = (-c0, cd, cg).
     """
 
     def __init__(self, grid: SpatialGrid, tree: ScenarioTree, coeffs):
         super().__init__(grid, tree.times, tree.dt, coeffs)
         self.tree = tree
-        tab = self.tab
-        self.pairs = {"general": ((tab.a1, tab.b1, None), (tab.a2, tab.b2, None)),
-                      "adjoint_1_5": ((-tab.a1, None, tab.b), (-tab.a2, None, None))}
-        self.blocks = {mode: ((a,), (b,)) for mode, (a, b) in self.pairs.items()}
-        for mode, pair in _TRANSPOSES.items():  # -(c0, cg, cd)^T = (-c0, cd, cg): weak_div = -grad^T
-            self.blocks[mode] = (tuple((-c0, cd, cg) for c0, cg, cd in self.pairs[pair]) if pair else (),)
+        tab = vars(self.tab)  # each table the blocks name, the negated ones made once
+        self.tables = {name: -tab[name[1:]] if name[0] == "-" else tab[name] for name in _TABLES}
 
-    def apply(self, n: int, mode: str, fields, sources=None, split: bool = False) -> list:
+    def apply(self, n: int, mode: str, fields, split: bool = False) -> list:
         """Each row of mode's block at level n on `fields`: zeroth + weak_div(flux).
 
-        split=True gives the parts (zeroth-order part, flux or None) instead.
-        sources[i] = (zeroth-order terms, flux or None) adds to row i.  The
-        outputs' bits rest on this order: c0*x then cg*grad(x), field by field,
-        then the zeroth-order sources; the flux sums cd*x over the fields, then
-        the source flux.  grad(x) is computed once per field.
+        split=True gives the parts (zeroth-order part, flux or None); an empty row
+        (generic mode) gives None.  The bits rest on this order: c0*x, then cg*grad(x)
+        (grad once per field), field by field; the flux sums cd*x over the fields.
         """
-        grads = [None] * len(fields)
+        tables, grads = self.tables, [None] * len(fields)
         out = []
-        for row, (src, flux) in zip(self.blocks[mode], sources or (((), None),) * 2):
+        for row in _BLOCKS[mode]:
             acc = div = None
             for j, (c0, cg, cd) in enumerate(row):
                 x = fields[j]
-                term = c0[n] * x
+                term = tables[c0][n] * x
                 if cg is not None:
                     if grads[j] is None:
                         grads[j] = gradient(self.grid, x)
-                    term += cg[n] * grads[j]
-                acc = term if acc is None else acc + term
+                    term += tables[cg][n] * grads[j]
+                acc = term if acc is None else np.add(acc, term, out=acc)
                 if cd is not None:
-                    div = cd[n] * x if div is None else div + cd[n] * x
-            for s in src:
-                acc = s if acc is None else acc + s
-            if flux is not None:
-                div = flux if div is None else div + flux
+                    div = tables[cd][n] * x if div is None else np.add(div, tables[cd][n] * x, out=div)
             out.append((acc, div) if split else acc if div is None else acc + weak_divergence(self.grid, div))
         return out
 
@@ -262,7 +256,7 @@ class TreeStepper(_StepperBase):
         level-n state (closed loop).  Only general mode takes controls and
         sources.  On a single-branch path nothing splits: no noise.
         """
-        if mode not in self.pairs:
+        if mode not in _PAIRS:
             raise ValueError(f"unknown forward mode {mode!r}")
         if mode != "general" and any(s is not None for s in (u, v, drift_src, drift_div, feedback)):
             raise ValueError(f"{mode} mode takes no controls or sources")
@@ -274,17 +268,20 @@ class TreeStepper(_StepperBase):
         levels = [y0.copy()]
         for n in range(tree.M):
             y = levels[n]
-            src = [] if u is None else [mask * u[n]]
+            drift, noise = self.apply(n, mode, (y,))  # fresh arrays: the sources add in place
+            if u is not None:
+                drift += mask * u[n]
             if drift_src is not None:
-                src.append(drift_src[n])
-            noise_src = [] if v is None else [v[n]]
+                drift += drift_src[n]
+            if drift_div is not None:
+                drift += weak_divergence(grid, drift_div[n])
+            if v is not None:
+                noise += v[n]
             if feedback is not None:
                 fu, fv = feedback(n, y)
-                src.append(mask * fu)
-                noise_src.append(fv)
-            drift, noise = self.apply(n, mode, (y,), ((src, None if drift_div is None else drift_div[n]),
-                                                      (noise_src, None)))
-            base = y + self.dt * drift
+                drift += mask * fu
+                noise += fv
+            base = np.add(y, np.multiply(self.dt, drift, out=drift), out=drift)  # y + dt*drift
             if tree.n_nodes(n + 1) > y.shape[0]:
                 base = reconstruct_children(tree, base, noise)
             levels.append(self._solve(n + 1, base))
@@ -323,8 +320,14 @@ class TreeStepper(_StepperBase):
                 z_half, z_mart = martingale_part(tree, w)
             else:
                 z_half, z_mart = w, np.zeros_like(w)
-            src = [f0[n]] if f0 is not None else [mask * u[n]] if u is not None else []
-            corr, = self.apply(n, mode, (z_half, z_mart), ((src, None if f_div is None else f_div[n]),))
+            corr, = self.apply(n, mode, (z_half, z_mart))  # None in generic mode
+            if u is not None:
+                corr += mask * u[n]
+            if f0 is not None:
+                corr = f0[n] if corr is None else corr + f0[n]
+            if f_div is not None:
+                flux = weak_divergence(grid, f_div[n])
+                corr = flux if corr is None else corr + flux
             cur = z_half.copy() if corr is None else z_half - self.dt * corr
             z_levels[n], z_half_levels[n], mart_levels[n] = cur, z_half, z_mart
         return BackwardSolution(z=AdaptedField(z_levels), Z=AdaptedField(mart_levels),

@@ -128,7 +128,7 @@ def test_invalid_region_names_both_intervals(tmp_path):
     (MINIMAL + "\n[hum]\nepsilon = nan\n", ": [hum] epsilon must be positive and finite, got nan"),
     (MINIMAL + "T = nan\n", ": [problem] T must be positive and finite, got nan"),
     (MINIMAL + "L = inf\n", ": [problem] L must be positive and finite, got inf"),
-    (MINIMAL + "\n[hum]\nbound_c = nan\n", ": [hum] bound_c must be positive and finite, got nan"),
+    (MINIMAL + "\n[hum]\nbound_c = nan\n", ": [hum] bound_c must be finite, got nan"),
     (MINIMAL + "\n[carleman]\nmu = nan\n", ": [carleman] mu must be finite and >= 1"),
     (MINIMAL + "\n[carleman]\nc0 = nan\n", ": [carleman] c0 must be positive and finite"),
     (MINIMAL + "\n[experiment]\npower_iters = 3\n", ": [experiment] power_iters must be >= 5"),

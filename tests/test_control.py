@@ -232,6 +232,15 @@ def test_cg_solves_data_whose_norm_underflows(spd6):
     assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+def test_hum_config_bound_c_needs_only_be_finite():
+    # bound_c = 0 makes the cost bound the plain cost/data ratio
+    for value in (0.0, -1.0):
+        assert HumConfig(epsilon=1e-3, bound_c=value).bound_c == value
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bound_c must be finite"):
+            HumConfig(epsilon=1e-3, bound_c=value)
+
+
 def test_hum_config_rejects_nonpositive_cg_budget():
     for budget in (0, -3):
         with pytest.raises(ValueError, match="cg_max_iter"):

@@ -254,6 +254,20 @@ def test_backward_shape_validation(grid16, tree6, full_coeffs):
         st.backward(np.zeros((3, grid16.N)), mode="generic")
 
 
+@pytest.mark.parametrize("given", ["f0", "f_div"])
+def test_generic_backward_takes_one_source_alone(grid16, tree6, full_coeffs, given):
+    # a source left out counts as zero
+    st = TreeStepper(grid16, tree6, full_coeffs)
+    rng = np.random.default_rng(4)
+    zT = rng.standard_normal((tree6.n_nodes(tree6.M), grid16.N))
+    src = AdaptedField.random(tree6, grid16.N, rng, n_levels=tree6.M)
+    zeros = AdaptedField.zeros(tree6.M, grid16.N)
+    alone = st.backward(zT, mode="generic", **{given: src})
+    spelled = st.backward(zT, mode="generic", **{given: src, ("f_div" if given == "f0" else "f0"): zeros})
+    for n in range(tree6.M + 1):
+        np.testing.assert_allclose(alone.z[n], spelled.z[n], rtol=1e-14, atol=1e-14)
+
+
 def test_coefficient_tables_cache_sup_norms(grid16, tree6, full_coeffs):
     tab = full_coeffs.sample(grid16, tree6.times)
     assert tab.a1_inf == pytest.approx(np.abs(tab.a1).max())
