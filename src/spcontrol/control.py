@@ -23,6 +23,14 @@ satisfies  y_opt = -eps * p_opt  (forward target y(T)) respectively
 y_opt(0) = +eps * p_opt  (backward problem), so the terminal/initial energy
 decays like eps^2 |p|^2 as the penalty is driven to zero.
 
+A Gramian application also returns its by-products: the adjoint fields that
+become the controls, and the state those controls drive from zero.  They are
+linear in p, so CG keeps them current at its iterate as it keeps Gram p, and
+the drivers build the controls, the controlled state (free solution plus
+carried state) and the report from them: one Gramian application per CG
+iteration and no sweep on p after CG.  Summed over the CG steps rather than
+swept afresh from p, these fields differ from a fresh sweep by rounding only.
+
 Forward problem: p is terminal adjoint data on the leaves, the control pair
 is (u, v) = (1_{G0} z_half, Z).  Backward problem: p is the deterministic
 initial datum of the forward adjoint and the single control is u = 1_{G0} z.
@@ -38,7 +46,7 @@ from ._lapack import dpotrf, dpotrs
 from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import AdaptedField, ScenarioTree, martingale_part, mean_square_norm, qt_integral
-from .spde import TreeStepper
+from .spde import BackwardSolution, ForwardSolution, TreeStepper
 
 __all__ = [
     "HumConfig",
@@ -119,8 +127,33 @@ class HumResult:
     cg_trace: dict
 
 
+def _axpy(step: float, new, acc):
+    """acc + step * new over by-products (sequences of lists of arrays), in place.
+
+    acc None stands for zero; then `new`, whose arrays are the operator's own,
+    is scaled in place and becomes the accumulator.
+    """
+    if acc is None:
+        for levels in new:
+            for a in levels:
+                a *= step
+        return new
+    for acc_levels, levels in zip(acc, new):
+        for a, b in zip(acc_levels, levels):
+            a += step * b
+    return acc
+
+
 def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
     """Conjugate gradients for an SPD operator; returns (x, trace).
+
+    `apply_op(x)` returns (A x, by-products): a sequence of lists of fresh
+    arrays, each linear in x (empty where the caller needs none), which CG
+    may update in place.  CG keeps them current at its iterate the way it
+    keeps A x, by linearity, so trace["products"] holds the by-products at
+    the returned x without a further application of the operator; None
+    stands for zero by-products (x = 0: b = 0, or no step taken from a cold
+    start).
 
     `precond` applies an SPD approximation of the operator's inverse (None:
     the identity).  Convergence is always tested on the unpreconditioned
@@ -144,13 +177,14 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
     b_norm = norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), {"iterations": 0, "residuals": [], "values": [],
-                                  "converged": True, "residual": 0.0}
+                                  "converged": True, "residual": 0.0, "products": None}
     if x0 is None:
         x = np.zeros_like(b)
         ax = np.zeros_like(b)
+        products = None
     else:
         x = np.asarray(x0, dtype=float) / scale
-        ax = apply_op(x)
+        ax, products = apply_op(x)
     r = b - ax
     z = r if precond is None else precond(r)
     d = z.copy()
@@ -161,13 +195,14 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
     converged = residual <= tol
     n_iter = 0
     while not converged and n_iter < max_iter:
-        q = apply_op(d)
+        q, q_products = apply_op(d)
         dq = inner(d, q)
         if dq <= 0.0 or rz <= 0.0:
             break  # positivity lost to rounding or underflow; stop with best iterate
         step = rz / dq
         x += step * d
         ax += step * q
+        products = _axpy(step, q_products, products)
         r -= step * q
         n_iter += 1
         residual = norm(r) / b_norm
@@ -179,8 +214,25 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
             rz_new = inner(r, z)
             d = z + (rz_new / rz) * d
             rz = rz_new
+    if products is not None:
+        for levels in products:
+            for a in levels:
+                a *= scale
     return x * scale, {"iterations": n_iter, "residuals": residuals, "values": values,
-                       "converged": converged, "residual": residual}
+                       "converged": converged, "residual": residual, "products": products}
+
+
+def _penalized(gram, eps: float):
+    """The CG operator q -> (Gram q + eps q, by-products of Gram at q)."""
+    def apply_op(q):
+        gq, products = gram(q)
+        return gq + eps * q, products
+    return apply_op
+
+
+def _zero_levels(stepper: TreeStepper, n_levels: int) -> list:
+    """Zero fields over levels 0..n_levels-1 of the stepper's tree."""
+    return [np.zeros((stepper.tree.n_nodes(n), stepper.grid.N)) for n in range(n_levels)]
 
 
 def _cholesky(matrix, what: str) -> np.ndarray:
@@ -232,20 +284,26 @@ class _ForwardDual:
     def inner(self, p, q) -> float:
         return self.leaf_weight * float(np.sum(p * q))
 
-    def observation(self, bwd) -> float:
+    def observation(self, z_half, Z) -> float:
         """E int_{Q0} z_half^2 + E int_Q Z^2 (all time levels)."""
         grid, tree = self.st.grid, self.st.tree
         total = 0.0
         for n in range(tree.M):
             w = tree.dt * tree.node_weight(n) * grid.h
-            zh = bwd.z_half[n]
-            total += w * (float(np.sum(zh[:, grid.g0_mask] ** 2)) + float(np.sum(bwd.Z[n] ** 2)))
+            zh = z_half[n]
+            total += w * (float(np.sum(zh[:, grid.g0_mask] ** 2)) + float(np.sum(Z[n] ** 2)))
         return total
 
     def gram(self, p):
+        """(Gram p, by-products): the adjoint's z_half, Z and [z(0)], and the state y driven from 0."""
         bwd = self.st.backward(p, mode="adjoint_1_3")
         y = self.st.forward(np.zeros(self.st.grid.N), u=bwd.z_half, v=bwd.Z)
-        return y.y[self.st.tree.M], bwd
+        return y.y[self.st.tree.M], (bwd.z_half.levels, bwd.Z.levels, bwd.z.levels[:1], y.y.levels)
+
+    def zeros(self):
+        """The by-products of gram at p = 0."""
+        m = self.st.tree.M
+        return tuple(_zero_levels(self.st, k) for k in (m, m, 1, m + 1))
 
 
 class _ForwardRiccati:
@@ -349,42 +407,43 @@ def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: floa
     y0 = np.asarray(y0, dtype=float)
     bwd = st.backward(zT, mode="adjoint_1_3")
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
-    value = (0.5 * dual.observation(bwd) + 0.5 * eps * dual.inner(zT, zT)
+    value = (0.5 * dual.observation(bwd.z_half, bwd.Z) + 0.5 * eps * dual.inner(zT, zT)
              + grid.inner(y0, bwd.z[0][0]))
     gradient = y.y[tree.M] + eps * zT
     return {"value": value, "gradient": gradient}
 
 
 def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumConfig,
-                stepper: TreeStepper | None = None, p_start=None, *,
-                free_terminal=None) -> HumResult:
+                stepper: TreeStepper | None = None, p_start=None, *, free=None) -> HumResult:
     """Drive E|y(T)|^2 to O(eps) with the control pair (u, v) = (1_{G0} z, Z).
 
     Solves (Gram + eps I) p = -b by CG preconditioned with the Riccati
     inverse, where b is the free terminal state; the controlled terminal
     state equals -eps p at the optimum.  CG non-convergence is reported, not
-    raised.  `free_terminal`, if given, is b for this y0 and stepper (the
-    leaf field of `stepper.forward(y0).y[M]`, which depends on neither eps
+    raised.  The controls, the cost and the pairing come from the adjoint
+    fields CG carries at p, and the state is the free solution plus the
+    state CG carries, so no sweep runs on p after CG.  `free`, if given, is
+    `stepper.forward(y0)` (the free solution, which depends on neither eps
     nor the CG settings); None computes it.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     dual = _ForwardDual(st)
     y0 = np.asarray(y0, dtype=float)
     eps = config.epsilon
-    b = st.forward(y0).y[tree.M] if free_terminal is None else free_terminal
+    free = st.forward(y0) if free is None else free
+    b = free.y[tree.M]
     uncontrolled = dual.inner(b, b)
-    p, trace = _cg(lambda q: dual.gram(q)[0] + eps * q, -b, dual.inner, config.cg_tol,
-                   config.cg_max_iter, x0=p_start, precond=_ForwardRiccati(st, eps))
-    bwd = st.backward(p, mode="adjoint_1_3")
-    u = AdaptedField([grid.g0_mask * bwd.z_half[n] for n in range(tree.M)])
-    v = AdaptedField([bwd.Z[n].copy() for n in range(tree.M)])
-    y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
+    p, trace = _cg(_penalized(dual.gram, eps), -b, dual.inner, config.cg_tol, config.cg_max_iter,
+                   x0=p_start, precond=_ForwardRiccati(st, eps))
+    z_half, Z, (z0,), y_ctrl = trace.pop("products") or dual.zeros()
+    u = AdaptedField([grid.g0_mask * zh for zh in z_half])
+    y = ForwardSolution(y=AdaptedField([f + c for f, c in zip(free.y.levels, y_ctrl)]))
     report = _hum_report(
-        config, trace, cost=dual.observation(bwd), final_norm=mean_square_norm(tree, grid, y.y, tree.M),
-        uncontrolled=uncontrolled, pairing=grid.inner(y0, bwd.z[0][0]),
+        config, trace, cost=dual.observation(z_half, Z), final_norm=mean_square_norm(tree, grid, y.y, tree.M),
+        uncontrolled=uncontrolled, pairing=grid.inner(y0, z0[0]),
         exponent=k_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b1_inf, st.tab.b2_inf),
         data_norm=grid.inner(y0, y0))
-    return HumResult(u=u, v=v, y=y, adjoint_data=p, report=report, cg_trace=trace)
+    return HumResult(u=u, v=AdaptedField(Z), y=y, adjoint_data=p, report=report, cg_trace=trace)
 
 
 # -- backward problem ------------------------------------------------------
@@ -399,9 +458,15 @@ class _BackwardDual:
         self.zero_leaves = np.zeros((stepper.tree.n_nodes(stepper.tree.M), stepper.grid.N))
 
     def gram(self, p):
+        """(Gram p, by-products): the adjoint z, and the (z, Z, z_half) it controls from 0."""
         z = self.st.forward(p, mode="adjoint_1_5")
         ctrl = self.st.backward(self.zero_leaves, mode="controlled_1_2", u=z.y)
-        return -ctrl.z[0][0], z
+        return -ctrl.z[0][0], (z.y.levels, ctrl.z.levels, ctrl.Z.levels, ctrl.z_half.levels)
+
+    def zeros(self):
+        """The by-products of gram at p = 0."""
+        m = self.st.tree.M
+        return tuple(_zero_levels(self.st, k) for k in (m + 1, m + 1, m, m))
 
 
 def _forward_pencil(stepper: TreeStepper):
@@ -440,7 +505,9 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     The dual variable is the deterministic initial datum of the forward
     adjoint; CG, preconditioned by the Cholesky factor of the dense Gramian
     plus eps I, solves (Gram + eps I) p = y_free(0), and the controlled
-    initial state equals +eps p at the optimum.
+    initial state equals +eps p at the optimum.  The control and its cost
+    come from the adjoint CG carries at p, and the controlled solution is
+    the free one plus the one CG carries, so no sweep runs on p after CG.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     dual = _BackwardDual(st)
@@ -451,16 +518,16 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
     uncontrolled = grid.inner(b, b)
     factor = _cholesky(_forward_pencil(st)[1] + eps * np.eye(grid.N),
                        f"obs + eps I at eps = {eps:g}")
-    p, trace = _cg(lambda q: dual.gram(q)[0] + eps * q, b, grid.inner, config.cg_tol,
-                   config.cg_max_iter, precond=lambda r: _cho_solve(factor, r))
-    z = st.forward(p, mode="adjoint_1_5")
-    u = AdaptedField([grid.g0_mask * z.y[n] for n in range(tree.M)])
-    controlled = st.backward(yT, mode="controlled_1_2", u=z.y)
+    p, trace = _cg(_penalized(dual.gram, eps), b, grid.inner, config.cg_tol, config.cg_max_iter,
+                   precond=lambda r: _cho_solve(factor, r))
+    z, *ctrl = trace.pop("products") or dual.zeros()
+    u = AdaptedField([grid.g0_mask * z[n] for n in range(tree.M)])
+    controlled = BackwardSolution(*(AdaptedField([f + c for f, c in zip(field.levels, carried)])
+                                    for field, carried in zip((free.z, free.Z, free.z_half), ctrl)))
     y_0 = controlled.z[0][0]
     report = _hum_report(
-        config, trace, cost=qt_integral(tree, grid, z.y, square=True, mask=grid.g0_mask),
+        config, trace, cost=qt_integral(tree, grid, z, square=True, mask=grid.g0_mask),
         final_norm=grid.inner(y_0, y_0), uncontrolled=uncontrolled, pairing=-grid.inner(b, p),
         exponent=m_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf),
         data_norm=_ForwardDual(st).inner(yT, yT))
     return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)
-

@@ -122,15 +122,15 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         leaf_shape = (tree.n_nodes(tree.M), grid.N)
 
         def gram(p):
-            return dual.gram(p)[0]
+            return dual.gram(p)[0], ()
 
         p = rng.standard_normal(leaf_shape)
-        while dual.inner(p, gram(p)) <= 0.0:
+        while dual.inner(p, dual.gram(p)[0]) <= 0.0:
             p = rng.standard_normal(leaf_shape)  # reseed: invisible iterate
         rayleigh = []
         for _ in range(iters):
-            gp, bwd = dual.gram(p)
-            z0 = bwd.z[0][0]
+            gp, (_, _, (z0,), _) = dual.gram(p)
+            z0 = z0[0]
             den = dual.inner(p, gp)
             if den <= 0.0:
                 raise NumericsError("observation form vanished on a nonzero iterate")
@@ -138,7 +138,7 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
             mp = st.forward(z0).y[tree.M]
             p, _ = _cg(gram, mp, dual.inner, _INNER_TOL, _INNER_MAX_ITER,
                        x0=p * (rayleigh[-1] if rayleigh[-1] > 0 else 1.0))
-            p = p / np.sqrt(max(dual.inner(p, gram(p)), 1e-300))
+            p = p / np.sqrt(max(dual.inner(p, dual.gram(p)[0]), 1e-300))
     rayleigh = np.maximum.accumulate(np.asarray(rayleigh, dtype=float))
     resid = abs(rayleigh[-1] - rayleigh[-2]) / abs(rayleigh[-1]) if len(rayleigh) > 1 else np.inf
     return ObservabilityEstimate(c_obs=float(rayleigh[-1]), iterations=iters,
@@ -191,6 +191,8 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     t_values = sorted(float(t) for t in t_values)
     if len(t_values) < 4:
         raise ValueError("need at least 4 distinct T values for the fit")
+    if not 0.0 < m_per_time < np.inf:
+        raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
     moments = quantity == "observability" and direction == "forward_1_5"
     rows = []
     for T in t_values:
@@ -230,15 +232,19 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
                   y0, eps_values, cg_tol: float = 1e-10, cg_max_iter: int = 8000) -> list:
     """Run hum_forward across decreasing eps; rows carry norm/cost/iteration data.
 
-    All rows share one stepper and one free terminal state: the uncontrolled
-    sweep of y0 does not depend on eps, so it runs once, inside the first
-    row, and every row's hum_forward receives it.
+    Every eps must be positive and finite (ValueError before any row runs).
+    All rows share one stepper and one free solution: the uncontrolled sweep
+    of y0 does not depend on eps, so it runs once, inside the first row, and
+    every row's hum_forward receives it whole, since the controlled state is
+    the free one plus what that row's CG carries.
 
     The terminal norm must decrease strictly along the sweep and the control
     cost stays within the uniform penalty-free bound; both are the caller's
     (or the acceptance suite's) assertions, this function only tabulates.
     """
     eps_values = [float(e) for e in eps_values]
+    if not all(0.0 < e < np.inf for e in eps_values):
+        raise ValueError(f"eps values must be positive and finite, got {eps_values}")
     if len(eps_values) < 3 or any(a <= b for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("need >= 3 strictly decreasing eps values")
     tree.n_nodes(tree.M)  # a tree too deep to sweep is bad input, not a failed row
@@ -249,13 +255,13 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
     for eps in eps_values:
         try:
             if free is None:
-                free = st.forward(y0).y[tree.M]
-            res = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=cg_tol,
-                                                                cg_max_iter=cg_max_iter),
-                              stepper=st, free_terminal=free)
+                free = st.forward(y0)
+            # only the report is kept, so a row's fields are freed before the next row runs
+            r = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=cg_tol,
+                                                              cg_max_iter=cg_max_iter),
+                            stepper=st, free=free).report
         except Exception as exc:  # noqa: BLE001
             raise SweepError(f"sweep row eps = {eps} failed: {exc}", rows) from exc
-        r = res.report
         rows.append({"epsilon": eps, "terminal_norm": r.terminal_norm,
                      "control_cost": r.control_cost, "cg_iterations": r.cg_iterations,
                      "cg_converged": r.cg_converged,

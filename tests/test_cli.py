@@ -308,18 +308,19 @@ def test_fresh_interpreter_writes_the_in_process_bytes(tmp_path):
     root = Path(__file__).resolve().parents[1]
     desk = str(root / "demos" / "desk.ini")
     src = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    fresh, here = tmp_path / "fresh", tmp_path / "here"
-    command = [sys.executable, "-m", "spcontrol.cli", "control-forward", "--config", desk,
-               "--output-dir", str(fresh)]
-    done = subprocess.run(command, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert main(["control-forward", "--config", desk, "--output-dir", str(here)]) == 0
-    names = sorted(p.name for p in here.iterdir())
-    assert names == sorted(p.name for p in fresh.iterdir()) and len(names) == 2
-    for name in names:  # the echoed output_dir line is the one place the runs differ
-        echoed = (fresh / name).read_bytes().replace(os.fsencode(fresh), os.fsencode(here))
-        assert echoed == (here / name).read_bytes()
+    for command, n_files in (("control-forward", 2), ("control-backward", 2), ("sweep-eps", 3)):
+        fresh, here = tmp_path / "fresh" / command, tmp_path / "here" / command
+        done = subprocess.run([sys.executable, "-m", "spcontrol.cli", command, "--config", desk,
+                               "--output-dir", str(fresh)],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert main([command, "--config", desk, "--output-dir", str(here)]) == 0
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir()) and len(names) == n_files
+        for name in names:  # the echoed output_dir line is the one place the runs differ
+            echoed = (fresh / name).read_bytes().replace(os.fsencode(fresh), os.fsencode(here))
+            assert echoed == (here / name).read_bytes()
 
 
 def test_sweep_t_requires_four_values(tmp_path):

@@ -7,6 +7,7 @@ from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_gr
 from spcontrol.control import (HumConfig, _cg, _cholesky, _ForwardDual, _ForwardRiccati,
                                dual_functional, hum_backward, hum_forward, k_cost_exponent,
                                m_cost_exponent)
+from spcontrol.scenario import qt_integral
 
 
 def test_k_exponent_paper_substitutions():
@@ -191,7 +192,7 @@ def test_cg_reports_start_residual_of_converged_warm_start():
     mat = np.diag([1.0, 2.0, 3.0])
     b = np.array([1.0, 1.0, 1.0])
     x0 = np.linalg.solve(mat, b) * (1.0 + 1e-12)
-    x, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-9, 10, x0=x0)
+    x, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 10, x0=x0)
     assert trace["iterations"] == 0 and trace["converged"]
     expected = np.linalg.norm(b - mat @ x0) / np.linalg.norm(b)
     assert 0.0 < trace["residual"] == pytest.approx(expected, rel=1e-6)
@@ -202,7 +203,7 @@ def test_cg_reports_start_residual_of_converged_warm_start():
 def test_cg_reports_start_residual_without_budget(x0):
     mat = np.diag([1.0, 2.0, 3.0])
     b = np.array([1.0, 1.0, 1.0])
-    _, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-9, 0, x0=x0)
+    _, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 0, x0=x0)
     assert trace["iterations"] == 0 and not trace["converged"]
     start = b if x0 is None else b - mat @ x0
     assert trace["residual"] == pytest.approx(np.linalg.norm(start) / np.linalg.norm(b), rel=1e-15)
@@ -217,7 +218,7 @@ def spd6():
 def test_cg_does_not_converge_on_an_underflowed_residual(spd6):
     # below ~1e-154 <r, r> underflows to zero; the residual must still be measured
     mat, b = spd6
-    _, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-300, 200)
+    _, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-300, 200)
     assert not trace["converged"]
     assert trace["residual"] > 1e-300
     assert all(r > 0.0 for r in trace["residuals"])
@@ -226,7 +227,7 @@ def test_cg_does_not_converge_on_an_underflowed_residual(spd6):
 def test_cg_solves_data_whose_norm_underflows(spd6):
     mat, b = spd6
     b = b * 1e-170  # <b, b> underflows to zero
-    x, trace = _cg(lambda q: mat @ q, b, np.dot, 1e-12, 200)
+    x, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-12, 200)
     exact = np.linalg.solve(mat, b)
     assert trace["converged"] and trace["iterations"] > 0
     assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
@@ -328,7 +329,7 @@ def test_hum_forward_with_given_free_state_is_bitwise_the_same(hum_setup):
     y0 = np.sin(np.pi * grid.x) + 0.2 * np.cos(2 * np.pi * grid.x)
     cfg = HumConfig(epsilon=1e-3, cg_tol=1e-10)
     ref = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st)
-    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free_terminal=st.forward(y0).y[tree.M])
+    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free=st.forward(y0))
     assert repr(res.report) == repr(ref.report)  # repr round-trips every float exactly
     assert res.adjoint_data.tobytes() == ref.adjoint_data.tobytes()
     for field, field_ref in ((res.u, ref.u), (res.v, ref.v), (res.y.y, ref.y.y)):
@@ -372,6 +373,12 @@ def criterion4():
     return grid, tree, coeffs, TreeStepper(grid, tree, coeffs)
 
 
+def _plain_cg(monkeypatch):
+    """Run the HUM solves with unpreconditioned CG."""
+    plain_cg = control._cg
+    monkeypatch.setattr(control, "_cg", lambda *args, precond=None, **kw: plain_cg(*args, **kw))
+
+
 @pytest.mark.parametrize("which,eps", [("forward", 1e-2), ("forward", 1e-4),
                                        ("backward", 1e-2), ("backward", 1e-4)])
 def test_preconditioned_hum_matches_plain_cg(criterion4, monkeypatch, which, eps):
@@ -386,8 +393,7 @@ def test_preconditioned_hum_matches_plain_cg(criterion4, monkeypatch, which, eps
             return hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg,
                                 stepper=st).report
     pcg = solve()
-    plain_cg = control._cg
-    monkeypatch.setattr(control, "_cg", lambda *args, precond=None, **kw: plain_cg(*args, **kw))
+    _plain_cg(monkeypatch)
     plain = solve()
     assert pcg.cg_converged and plain.cg_converged
     assert pcg.cg_iterations <= 2 < plain.cg_iterations
@@ -403,3 +409,91 @@ def test_hum_forward_runs_at_eps_1e_8(criterion4):
     assert rows[1].cg_converged and rows[1].cg_iterations <= 3
     assert rows[1].terminal_norm < rows[0].terminal_norm
     assert rows[1].identity_residual <= 1e-8
+
+
+# -- controls, state and report from CG's own sweeps ------------------------
+
+
+def _assert_close_levels(levels, ref):
+    """Every level within 1e-12 of the reference field's max magnitude (exact where it is 0)."""
+    top = max(float(np.max(np.abs(a))) for a in ref)
+    assert len(levels) == len(ref)
+    for a, b in zip(levels, ref):
+        assert np.max(np.abs(a - b)) <= 1e-12 * top
+
+
+@pytest.fixture(scope="module", params=[build_tree, build_path])
+def carried_setup(request):
+    grid = build_grid(1.0, 16, (0.2, 0.85), (0.35, 0.7))
+    coeffs = ProblemCoefficients(a=0.2, a1=0.8, a2=0.4, b1=0.3, b2=0.3, b=0.4)
+    return TreeStepper(grid, request.param(6, 1.0), coeffs)
+
+
+@pytest.mark.parametrize("case", ["cold", "p_start", "zero", "eps1e-8"])
+@pytest.mark.parametrize("plain", [False, True], ids=["pcg", "plain"])
+def test_hum_forward_outputs_match_fresh_sweeps_of_p(carried_setup, monkeypatch, plain, case):
+    st = carried_setup
+    grid, tree = st.grid, st.tree
+    y0 = np.zeros(grid.N) if case == "zero" else np.sin(np.pi * grid.x) + 0.2 * np.cos(2 * np.pi * grid.x)
+    p_start = None
+    if case == "p_start":
+        p_start = hum_forward(grid, tree, None, y0, HumConfig(epsilon=1e-2), stepper=st).adjoint_data
+    if plain:
+        _plain_cg(monkeypatch)
+    cfg = HumConfig(epsilon=1e-8 if case == "eps1e-8" else 1e-3, cg_tol=1e-10, cg_max_iter=200)
+    res = hum_forward(grid, tree, None, y0, cfg, stepper=st, p_start=p_start)
+    bwd = st.backward(res.adjoint_data, mode="adjoint_1_3")
+    y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
+    _assert_close_levels(res.u.levels, [grid.g0_mask * zh for zh in bwd.z_half.levels])
+    _assert_close_levels(res.v.levels, bwd.Z.levels)
+    _assert_close_levels(res.y.y.levels, y.y.levels)
+    cost = _ForwardDual(st).observation(bwd.z_half, bwd.Z)
+    assert res.report.control_cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+    if case == "zero":
+        assert all(not a.any() for a in res.u.levels + res.v.levels + res.y.y.levels)
+
+
+@pytest.mark.parametrize("case", ["cold", "zero", "eps1e-8"])
+@pytest.mark.parametrize("plain", [False, True], ids=["pcg", "plain"])
+def test_hum_backward_outputs_match_fresh_sweeps_of_p(carried_setup, monkeypatch, plain, case):
+    st = carried_setup
+    grid, tree = st.grid, st.tree
+    shape = (tree.n_nodes(tree.M), grid.N)
+    yT = np.zeros(shape) if case == "zero" else (
+        np.sin(np.pi * grid.x) + 0.1 * np.random.default_rng(2).standard_normal(shape))
+    if plain:
+        _plain_cg(monkeypatch)
+    cfg = HumConfig(epsilon=1e-8 if case == "eps1e-8" else 1e-3, cg_tol=1e-10, cg_max_iter=200)
+    res = hum_backward(grid, tree, None, yT, cfg, stepper=st)
+    z = st.forward(res.adjoint_data, mode="adjoint_1_5")
+    controlled = st.backward(yT, mode="controlled_1_2", u=z.y)
+    _assert_close_levels(res.u.levels, [grid.g0_mask * z.y[n] for n in range(tree.M)])
+    for name in ("z", "Z", "z_half"):
+        _assert_close_levels(getattr(res.y, name).levels, getattr(controlled, name).levels)
+    cost = qt_integral(tree, grid, z.y, square=True, mask=grid.g0_mask)
+    assert res.report.control_cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+    if case == "zero":
+        assert all(not a.any() for a in res.u.levels)
+
+
+def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
+    """At one CG iteration no sweep runs on p after CG."""
+    grid, tree, coeffs, st = hum_setup
+    y0 = np.sin(np.pi * grid.x)
+    free = st.forward(y0)
+    sweeps = {"forward": 0, "backward": 0}
+    for name in sweeps:
+        def counted(self, *args, _sweep=getattr(TreeStepper, name), _name=name, **kwargs):
+            sweeps[_name] += 1
+            return _sweep(self, *args, **kwargs)
+        monkeypatch.setattr(TreeStepper, name, counted)
+    cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
+    # forward: the Gramian's backward + forward pair and the Riccati closed loop
+    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free=free)
+    assert res.report.cg_iterations == 1
+    assert sweeps == {"forward": 2, "backward": 1}
+    # backward: the free solution and the Gramian's forward + backward pair
+    sweeps.update(forward=0, backward=0)
+    res = hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg, stepper=st)
+    assert res.report.cg_iterations == 1
+    assert sweeps == {"forward": 1, "backward": 2}

@@ -91,8 +91,8 @@ def _swept_pencil(stepper):
     energy = np.empty((n, n))
     obs = np.empty((n, n))
     for j in range(n):
-        obs[:, j], z = dual.gram(np.eye(n)[j])
-        energy[:, j] = stepper.backward(z.y[stepper.tree.M], mode="controlled_1_2").z[0][0]
+        obs[:, j], (z, *_) = dual.gram(np.eye(n)[j])
+        energy[:, j] = stepper.backward(z[stepper.tree.M], mode="controlled_1_2").z[0][0]
     return energy, obs
 
 
@@ -211,3 +211,22 @@ def test_epsilon_sweep_huge_penalty_means_no_control():
     first = rows[0]
     assert first["control_cost"] <= 1e-4 * first["terminal_norm"]
     assert first["terminal_norm"] == pytest.approx(first["uncontrolled_norm"], rel=1e-2)
+
+
+@pytest.mark.parametrize("eps_values", [[np.nan, 1e-2, 1e-3], [np.inf, 1e-2, 1e-3],
+                                        [1e-1, 1e-2, 0.0], [1e-1, 1e-2, -1e-2]],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_epsilon_sweep_rejects_nonpositive_or_nonfinite_eps(eps_values):
+    # each list passes the strictly-decreasing check, so only the eps check can stop it
+    grid = build_grid(1.0, 16, (0.2, 0.85), (0.35, 0.7))
+    with pytest.raises(ValueError, match="positive and finite"):
+        epsilon_sweep(ProblemCoefficients(), grid, build_tree(5, 1.0), np.sin(np.pi * grid.x),
+                      eps_values)
+
+
+@pytest.mark.parametrize("m_per_time", [-3.0, 0.0, np.nan, np.inf])
+def test_scaling_sweep_rejects_nonpositive_or_nonfinite_m_per_time(m_per_time):
+    grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
+    with pytest.raises(ValueError, match="m_per_time must be positive and finite"):
+        cost_scaling_sweep(ProblemCoefficients(), grid, [0.25, 0.5, 1.0, 2.0],
+                           m_per_time=m_per_time)
