@@ -29,10 +29,13 @@ print(f"\nlog c_obs ~ {table.slope:.3f} / T + {table.intercept:.3f}")
 print(f"R^2 of the 1/T law    : {table.r2:.4f}")
 print(f"R^2 of the 1/T^4 law  : {table.r2_alt:.4f}   (reported for contrast)")
 
-print("\npower-iteration convergence at T = 1 (noisy adjoint this time, a2 = 0.3):")
+# The backward direction's constant, sup |z(0)|^2 / (E int_{Q0} z^2 + E int_Q Z^2),
+# is taken penalized, with eps E|z(T)|^2 added below at eps = h^2: it is then the
+# top eigenvalue of the forward-HUM Riccati value matrix P_0, an N x N matrix.
+print("\nbackward direction at T = 1 (noisy adjoint this time, a2 = 0.3):")
 tree = build_tree(6, 1.0)
 noisy = ProblemCoefficients(a=0.2, a2=0.3)
 est = observability_constant(grid, tree, noisy, direction="backward_1_3", iters=8, seed=0)
 for k, val in enumerate(est.rayleigh, start=1):
-    print(f"  iter {k}: certified lower bound {val:.6e}")
-print(f"c_obs (backward direction) = {est.c_obs:.6e}")
+    print(f"  iter {k}: Rayleigh quotient of P_0 {val:.6e}")
+print(f"c_obs (backward direction, eps = h^2 = {est.epsilon:.3e}) = {est.c_obs:.6e}")

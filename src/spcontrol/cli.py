@@ -382,6 +382,7 @@ def _cmd_observability(cfg, out):
     _write_csv(out / "observability.csv", cfg, "observability", ["iteration", "rayleigh"], rows)
     _write_report(out / "observability_report.txt", cfg, "observability", [
         f"direction = {est.direction}",
+        *([] if est.epsilon is None else [f"epsilon = {_fmt(est.epsilon)}"]),
         f"c_obs = {_fmt(est.c_obs)}",
         f"iterations = {est.iterations}",
         f"last_relative_change = {_fmt(est.residual)}",
@@ -443,8 +444,8 @@ def _cmd_appendix_check(cfg, out):
 
 def _cmd_sweep_t(cfg, out):
     grid, _, coeffs = cfg.build_problem()
-    if len(cfg.experiment.t_values) < 4:
-        raise ConfigError("sweep-T needs at least 4 T values in [experiment] t_values")
+    if len(set(cfg.experiment.t_values)) < 4:
+        raise ConfigError("sweep-T needs at least 4 distinct T values in [experiment] t_values")
 
     def write_csv(rows):
         _write_csv(out / "sweep-T.csv", cfg, "sweep-T", ["T", "M", "collapsed", "value", "exponent"],
@@ -462,6 +463,8 @@ def _cmd_sweep_t(cfg, out):
     _write(out / "sweep-T.dat", [f"{_fmt(1.0 / r['T'])} {_fmt(np.log(r['value']))}" for r in table.rows])
     _write_report(out / "sweep-T_report.txt", cfg, "sweep-T", [
         f"quantity = {table.quantity}",
+        # the penalty observability_constant puts on the backward quotient
+        *([f"epsilon = {_fmt(grid.h ** 2)}"] if cfg.experiment.direction == "backward_1_3" else []),
         f"fit log(value) = slope / T + intercept",
         f"slope = {_fmt(table.slope)}",
         f"intercept = {_fmt(table.intercept)}",

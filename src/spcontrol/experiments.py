@@ -3,18 +3,19 @@
 The observability constant is the largest generalized Rayleigh quotient of
 the pair (energy form, observation form):
 
-  backward direction:  sup E|z(0)|^2 / (E int_{Q0} z^2 + E int_Q Z^2)
+  backward direction:  sup E|z(0)|^2 / (E int_{Q0} z^2 + E int_Q Z^2 + eps E|z(T)|^2)
   forward direction:   sup E|z(T)|^2 /  E int_{Q0} z^2
 
-Both are estimated by generalized power iteration p <- G^{-1} M p, with M
-the energy form and G the observation form (the HUM Gramian); iterates are
-normalized by G and the reported quotient <M p, p>/<G p, p> is
-non-decreasing.  In the forward direction both forms act on R^N: they are
-second moments of the forward adjoint, assembled densely by N x N backward
-recursions over the time levels (no tree sweep, hence no depth cap).  In the
-backward direction the dual lives on the leaves: M alternates a tree sweep
-with its transpose, and G^{-1} is applied by warm-started inner CG on
-`control._ForwardDual.gram`; those sweeps keep the depth cap.
+Both directions assemble a dense symmetric N x N pair and run the same
+generalized power iteration p <- G^{-1} M p on it, with M the energy form
+and G the observation form; the reported quotient is non-decreasing.  In
+the forward direction the pair is the second moments of the forward
+adjoint, from N x N backward recursions over the time levels.  In the
+backward direction it is (P_0(eps), I): by LQ duality the penalized
+quotient is the top eigenvalue of the value matrix P_0 of the forward HUM
+problem's tracking LQ problem (`control._ForwardRiccati`), at eps = h^2
+(Boyer, Hubert & Le Rousseau 2010).  Neither direction sweeps the tree,
+so neither allocates a per-node field or meets the depth cap.
 
 All randomness flows from an explicit seed; sweep rows are independent and
 deterministic given that seed.
@@ -26,8 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .control import (HumConfig, _cg, _forward_pencil, _ForwardDual, hum_forward, k_cost_exponent,
+from .control import (HumConfig, _forward_pencil, _ForwardRiccati, hum_forward, k_cost_exponent,
                       m_cost_exponent)
+# perfbench/tracer.py patches the name `_cg` in this module, so it stays importable here
+from .control import _cg  # noqa: F401
 from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_tree
@@ -47,10 +50,6 @@ __all__ = [
 DIRECTIONS = ("forward_1_5", "backward_1_3")  # observability_constant's two quotients
 MIN_POWER_ITERS = 5  # observability_constant's fewest iterations
 
-# inner CG that applies G^{-1} in the backward-direction power iteration
-_INNER_TOL = 1e-10
-_INNER_MAX_ITER = 400
-
 
 @dataclass
 class ObservabilityEstimate:
@@ -59,6 +58,7 @@ class ObservabilityEstimate:
     rayleigh: list
     residual: float
     direction: str
+    epsilon: float | None = None  # the backward quotient's penalty; None in the forward direction
 
 
 class SweepError(RuntimeError):
@@ -102,11 +102,12 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
                            seed: int = 0, stepper: TreeStepper | None = None) -> ObservabilityEstimate:
     """Estimate the observability constant by generalized power iteration.
 
-    Every iterate's quotient is a certified lower bound on the constant; the
-    reported trace is the running best of those bounds (safeguarded
-    iteration), so it is non-decreasing by construction even when the
-    near-singular observation solve makes raw quotients wobble at rounding
-    level.
+    Forward: the pencil of `control._forward_pencil`.  Backward: the pair
+    (P_0(eps), I) with eps = h^2, the rule of `[hum] epsilon = auto`, reported
+    in `epsilon`.  Every iterate's quotient is a lower bound on the pencil's
+    top eigenvalue; the reported trace is their running best, so it is
+    non-decreasing by construction even where rounding makes raw quotients
+    wobble.
     """
     if iters < MIN_POWER_ITERS:
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
@@ -114,36 +115,17 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         raise ValueError(f"unknown direction {direction!r}")
     rng = np.random.default_rng(seed)
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
+    epsilon = None
     if direction == "forward_1_5":
         energy, obs = _forward_pencil(st)
-        rayleigh = _pencil_power_iteration(energy, obs, iters, rng)
     else:
-        dual = _ForwardDual(st)
-        leaf_shape = (tree.n_nodes(tree.M), grid.N)
-
-        def gram(p):
-            return dual.gram(p)[0], ()
-
-        p = rng.standard_normal(leaf_shape)
-        while dual.inner(p, dual.gram(p)[0]) <= 0.0:
-            p = rng.standard_normal(leaf_shape)  # reseed: invisible iterate
-        rayleigh = []
-        for _ in range(iters):
-            gp, (_, _, (z0,), _) = dual.gram(p)
-            z0 = z0[0]
-            den = dual.inner(p, gp)
-            if den <= 0.0:
-                raise NumericsError("observation form vanished on a nonzero iterate")
-            rayleigh.append(grid.inner(z0, z0) / den)
-            mp = st.forward(z0).y[tree.M]
-            p, _ = _cg(gram, mp, dual.inner, _INNER_TOL, _INNER_MAX_ITER,
-                       x0=p * (rayleigh[-1] if rayleigh[-1] > 0 else 1.0))
-            p = p / np.sqrt(max(dual.inner(p, dual.gram(p)[0]), 1e-300))
-    rayleigh = np.maximum.accumulate(np.asarray(rayleigh, dtype=float))
+        epsilon = grid.h ** 2
+        energy, obs = _ForwardRiccati(st, epsilon).p0, np.eye(grid.N)
+    rayleigh = np.maximum.accumulate(_pencil_power_iteration(energy, obs, iters, rng))
     resid = abs(rayleigh[-1] - rayleigh[-2]) / abs(rayleigh[-1]) if len(rayleigh) > 1 else np.inf
     return ObservabilityEstimate(c_obs=float(rayleigh[-1]), iterations=iters,
                                  rayleigh=[float(r) for r in rayleigh],
-                                 residual=float(resid), direction=direction)
+                                 residual=float(resid), direction=direction, epsilon=epsilon)
 
 
 @dataclass
@@ -179,39 +161,43 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
 
     The number of time steps per row follows round(m_per_time * T), so the
     step size is held roughly constant across rows (flagged by the M column).
-    Forward-direction observability rows take their pencil from N x N moment
+    Observability rows of either direction take their pencil from N x N
     recursions, which allocate nothing per tree node, so they keep every M;
-    when the adjoint is noise-free (a2 = 0) the row runs on a single-branch
-    path (flagged by the collapsed column).  Rows that sweep the tree (control
-    cost, backward direction) have their depth clipped to
-    scenario.DEFAULT_DEPTH_CAP.  Control-cost rows use eps = h^2.  Rows are
-    computed in sorted-T order; a row failure aborts the sweep with the
-    completed rows attached to the raised SweepError.
+    when the forward adjoint is noise-free (a2 = 0) a forward row runs on a
+    single-branch path (flagged by the collapsed column), while backward rows
+    stay on the tree.  Control-cost rows sweep the tree, so their depth is
+    clipped to scenario.DEFAULT_DEPTH_CAP; they use eps = h^2.  An unknown
+    quantity or direction, or fewer than 4 distinct T values, is a ValueError
+    before any row runs.  Rows are computed in sorted-T order; a row failure
+    aborts the sweep with the completed rows attached to the raised SweepError.
     """
+    if quantity not in ("observability", "control_cost"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
     t_values = sorted(float(t) for t in t_values)
-    if len(t_values) < 4:
+    if len(set(t_values)) < 4:
         raise ValueError("need at least 4 distinct T values for the fit")
     if not 0.0 < m_per_time < np.inf:
         raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
-    moments = quantity == "observability" and direction == "forward_1_5"
+    observability = quantity == "observability"
     rows = []
     for T in t_values:
         n_steps = max(2, int(round(m_per_time * T)))
         try:
-            tree = build_tree(n_steps if moments else min(n_steps, DEFAULT_DEPTH_CAP), T)
+            # uncapped where the pencil allocates no per-node field
+            tree = build_tree(n_steps if observability else min(n_steps, DEFAULT_DEPTH_CAP), T)
             tab = coeffs.sample(grid, tree.times)
-            if moments:  # uncapped: the pencil allocates no per-node field
+            if observability and direction == "forward_1_5":
                 tree = replace(tree, branching=tab.a2_inf > 0.0)
             st = TreeStepper(grid, tree, tab)
-            if quantity == "observability":
+            if observability:
                 value = observability_constant(grid, tree, coeffs, direction=direction,
                                                iters=iters, seed=seed, stepper=st).c_obs
-            elif quantity == "control_cost":
+            else:
                 res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x / grid.L),
                                   HumConfig(epsilon=grid.h ** 2), stepper=st)
                 value = res.report.control_cost
-            else:
-                raise ValueError(f"unknown quantity {quantity!r}")
             if direction == "backward_1_3" or quantity == "control_cost":
                 expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
             else:

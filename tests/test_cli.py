@@ -329,6 +329,29 @@ def test_sweep_t_requires_four_values(tmp_path):
     assert main(["sweep-T", "--config", str(cfg_path)]) == 1
 
 
+def test_sweep_t_requires_four_distinct_values(tmp_path, capsys):
+    cfg = DESK + f"t_values = 1, 1, 1, 1\noutput_dir = {tmp_path / 'out'}\n"
+    cfg_path = write(tmp_path, cfg)
+    assert main(["sweep-T", "--config", str(cfg_path)]) == 1
+    assert "4 distinct T values in [experiment] t_values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["observability", "sweep-T"])
+def test_backward_reports_print_their_epsilon(tmp_path, command):
+    for direction in ("forward_1_5", "backward_1_3"):
+        out = tmp_path / direction
+        cfg_path = write(tmp_path, DESK + f"m_per_time = 4\ndirection = {direction}\n"
+                                          f"output_dir = {out}\n")
+        assert main([command, "--config", str(cfg_path)]) == 0
+        report = (out / f"{command}_report.txt").read_text()
+        h = parse_config(cfg_path).build_problem()[0].h
+        if direction == "backward_1_3":
+            assert f"\nepsilon = {cli._fmt(h * h)}\n" in report
+        else:
+            assert "\nepsilon = " not in report
+
+
 def test_sweep_eps_outputs(tmp_path):
     cfg = DESK + f"eps_values = 1e-1, 1e-2, 1e-3\noutput_dir = {tmp_path / 'out'}\n"
     cfg_path = write(tmp_path, cfg)
@@ -412,13 +435,13 @@ def test_appendix_check_rejects_variable_diffusion(tmp_path, capsys):
 
 def test_depth_cap_applies_where_nodes_are_counted(tmp_path, capsys):
     # M = 20 parses; commands that size per-node arrays exit 1 naming M and the
-    # cap and leave no output directory, while the forward-direction pencil (N x N
-    # recursions over the levels) runs at that depth
+    # cap and leave no output directory, while the observability pencils of both
+    # directions (N x N recursions over the levels) run at that depth
     cfg = DESK.replace("M = 4", "M = 20") + f"output_dir = {tmp_path / 'out'}\n"
     for command, direction, code in (
             ("simulate", "forward_1_5", 1), ("control-forward", "forward_1_5", 1),
             ("control-backward", "forward_1_5", 1), ("carleman-check", "forward_1_5", 1),
-            ("sweep-eps", "forward_1_5", 1), ("observability", "backward_1_3", 1),
+            ("sweep-eps", "forward_1_5", 1), ("observability", "backward_1_3", 0),
             ("observability", "forward_1_5", 0)):
         cfg_path = write(tmp_path, cfg + f"direction = {direction}\n")
         assert main([command, "--config", str(cfg_path)]) == code

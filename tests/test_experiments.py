@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree
-from spcontrol.control import _BackwardDual, k_cost_exponent, m_cost_exponent
+from spcontrol import control, experiments
+from spcontrol.control import (_BackwardDual, _ForwardDual, _ForwardRiccati, k_cost_exponent,
+                               m_cost_exponent)
 from spcontrol.errors import NumericsError
 from spcontrol.experiments import (SweepError, _forward_pencil, _pencil_power_iteration,
                                    cost_scaling_sweep, epsilon_sweep, observability_constant)
@@ -67,9 +69,11 @@ def test_backward_direction_estimate(obs_setup):
     est = observability_constant(grid, tree, coeffs, direction="backward_1_3",
                                  iters=10, seed=0, stepper=st)
     assert est.c_obs > 0.0
+    assert est.epsilon == grid.h ** 2
     assert all(b >= a for a, b in zip(est.rayleigh, est.rayleigh[1:]))
-    # quotient dominates random samples
+    # quotient dominates random samples, unpenalized and in the penalized form it is the sup of
     rng = np.random.default_rng(9)
+    leaf_weight = tree.node_weight(tree.M) * grid.h
     for _ in range(20):
         p = rng.standard_normal((tree.n_nodes(tree.M), grid.N))
         bwd = st.backward(p, mode="adjoint_1_3")
@@ -78,6 +82,57 @@ def test_backward_direction_estimate(obs_setup):
                   * (float(np.sum(bwd.z_half[n][:, grid.g0_mask] ** 2))
                      + float(np.sum(bwd.Z[n] ** 2))) for n in range(tree.M))
         assert num / den <= est.c_obs * (1.0 + 1e-6)
+        assert num / (den + est.epsilon * leaf_weight * float(np.sum(p * p))) <= est.c_obs * (1.0 + 1e-12)
+
+
+_RICCATI_COEFFS = ProblemCoefficients(a=lambda t, x: 0.2 + 0.1 * np.sin(np.pi * x), a1=1.0, a2=0.5,
+                                      b1=lambda t, x: 0.5 * np.sin(np.pi * x), b2=0.5)
+
+
+def _dense_penalized_quotient(stepper, eps):
+    """Oracle: sup_p h|z(0)|^2 / (<p, Gram p> + eps |p|^2) over leaf data p, densely.
+
+    The leaf Gramian and the map p -> z(0) are assembled column by column from
+    `_ForwardDual.gram`; the sup over p is then the top eigenvalue of
+    h L D^{-1} L^T, with L that map and D the penalized Gramian's matrix.
+    """
+    dual = _ForwardDual(stepper)
+    grid, tree = stepper.grid, stepper.tree
+    shape = (tree.n_nodes(tree.M), grid.N)
+    n = shape[0] * shape[1]
+    gram, z0_map = np.empty((n, n)), np.empty((grid.N, n))
+    for j in range(n):
+        gp, (_, _, (z0,), _) = dual.gram(np.eye(n)[j].reshape(shape))
+        gram[:, j], z0_map[:, j] = gp.ravel(), z0[0]
+    penalized = dual.leaf_weight * (gram + eps * np.eye(n))
+    quotient = grid.h * z0_map @ np.linalg.solve(0.5 * (penalized + penalized.T), z0_map.T)
+    return np.linalg.eigvalsh(0.5 * (quotient + quotient.T))[-1]
+
+
+@pytest.mark.parametrize("build,n,m", [(build_tree, 8, 4), (build_tree, 16, 4), (build_path, 16, 8)])
+def test_backward_constant_matches_dense_penalized_quotient(build, n, m):
+    grid = build_grid(1.0, n, (0.3, 0.8), (0.4, 0.6))
+    st = TreeStepper(grid, build(m, 1.0), _RICCATI_COEFFS)
+    est = observability_constant(grid, st.tree, _RICCATI_COEFFS, direction="backward_1_3", stepper=st)
+    assert est.c_obs == pytest.approx(_dense_penalized_quotient(st, grid.h ** 2), rel=1e-12)
+    for eps in (1e-2, 1e-4):
+        top = np.linalg.eigvalsh(_ForwardRiccati(st, eps).p0)[-1]
+        assert top == pytest.approx(_dense_penalized_quotient(st, eps), rel=1e-12)
+
+
+def test_backward_constant_non_increasing_in_eps():
+    grid = build_grid(1.0, 16, (0.3, 0.8), (0.4, 0.6))
+    st = TreeStepper(grid, build_tree(6, 1.0), _RICCATI_COEFFS)
+    tops = [np.linalg.eigvalsh(_ForwardRiccati(st, eps).p0)[-1] for eps in np.logspace(-8, -1, 15)]
+    assert all(a >= b for a, b in zip(tops, tops[1:]))
+
+
+def test_backward_value_matrix_of_a_zero_noise_tree_is_the_paths():
+    grid = build_grid(1.0, 16, (0.3, 0.8), (0.4, 0.6))
+    coeffs = ProblemCoefficients(a=0.2, a1=1.0, b1=lambda t, x: 0.3 * np.sin(np.pi * x))
+    tree_p0, path_p0 = (_ForwardRiccati(TreeStepper(grid, build(20, 1.0), coeffs), grid.h ** 2).p0
+                        for build in (build_tree, build_path))
+    assert np.array_equal(tree_p0, path_p0)
 
 
 def _swept_pencil(stepper):
@@ -110,20 +165,23 @@ def test_forward_pencil_moments_match_tree_sweeps(build):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_forward_observability_needs_no_tree_sweep(monkeypatch):
-    """The forward pencil never sweeps the tree, so no depth cap applies to it."""
+@pytest.mark.parametrize("direction", ["forward_1_5", "backward_1_3"])
+def test_forward_observability_needs_no_tree_sweep(monkeypatch, direction):
+    """Neither direction's pencil sweeps the tree or runs CG, so no depth cap applies to it."""
     def no_sweep(*args, **kwargs):
-        raise AssertionError("tree sweep in the forward-direction pencil")
+        raise AssertionError("tree sweep or CG in an observability pencil")
 
     monkeypatch.setattr(TreeStepper, "forward", no_sweep)
     monkeypatch.setattr(TreeStepper, "backward", no_sweep)
+    monkeypatch.setattr(control, "_cg", no_sweep)
+    monkeypatch.setattr(experiments, "_cg", no_sweep)
     grid = build_grid(1.0, 12, (0.2, 0.85), (0.4, 0.65))
     coeffs = ProblemCoefficients(a=0.2, a1=0.5, a2=0.3, b=0.2)
-    est = observability_constant(grid, build_tree(6, 1.0), coeffs, direction="forward_1_5",
+    est = observability_constant(grid, build_tree(6, 1.0), coeffs, direction=direction,
                                  iters=10, seed=0)
     assert est.c_obs > 0.0
-    table = cost_scaling_sweep(coeffs, grid, [0.5, 1.0, 2.0, 5.0], m_per_time=8.0,
-                               iters=10, seed=0)
+    table = cost_scaling_sweep(coeffs, grid, [0.5, 1.0, 2.0, 5.0], direction=direction,
+                               m_per_time=8.0, iters=10, seed=0)
     assert [r["M"] for r in table.rows] == [4, 8, 16, 40]
     assert not any(r["collapsed"] for r in table.rows)
     assert all(np.isfinite(r["value"]) and r["value"] > 0.0 for r in table.rows)
@@ -182,10 +240,24 @@ def test_scaling_sweep_partial_table_on_failure():
     assert [r["T"] for r in err.value.partial] == [0.25, 0.5, 1.0]
 
 
-def test_scaling_sweep_needs_four_rows():
+@pytest.mark.parametrize("t_values", [[0.5, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]],
+                         ids=["three", "duplicates"])
+def test_scaling_sweep_needs_four_rows(t_values):
     grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
-    with pytest.raises(ValueError):
-        cost_scaling_sweep(ProblemCoefficients(), grid, [0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="4 distinct T values"):
+        cost_scaling_sweep(ProblemCoefficients(), grid, t_values)
+
+
+@pytest.mark.parametrize("kwargs,what", [({"quantity": "bogus"}, "unknown quantity 'bogus'"),
+                                         ({"direction": "sideways"}, "unknown direction 'sideways'")])
+def test_scaling_sweep_rejects_unknown_names_before_any_row(monkeypatch, kwargs, what):
+    def no_row(*args, **kw):
+        raise AssertionError("a sweep row ran")
+
+    monkeypatch.setattr(experiments, "build_tree", no_row)
+    grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
+    with pytest.raises(ValueError, match=what):
+        cost_scaling_sweep(ProblemCoefficients(), grid, [0.25, 0.5, 1.0, 2.0], **kwargs)
 
 
 def test_epsilon_sweep_rows_and_guards():
