@@ -463,8 +463,7 @@ def _cmd_sweep_t(cfg, out):
     _write(out / "sweep-T.dat", [f"{_fmt(1.0 / r['T'])} {_fmt(np.log(r['value']))}" for r in table.rows])
     _write_report(out / "sweep-T_report.txt", cfg, "sweep-T", [
         f"quantity = {table.quantity}",
-        # the penalty observability_constant puts on the backward quotient
-        *([f"epsilon = {_fmt(grid.h ** 2)}"] if cfg.experiment.direction == "backward_1_3" else []),
+        *([f"epsilon = {_fmt(table.epsilon)}"] if table.epsilon is not None else []),
         f"fit log(value) = slope / T + intercept",
         f"slope = {_fmt(table.slope)}",
         f"intercept = {_fmt(table.intercept)}",

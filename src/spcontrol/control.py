@@ -361,6 +361,22 @@ class _ForwardRiccati:
             self.gains[n] = (ku, kv)
         self.p0 = p  # from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0
 
+    def feedback_costs(self, y0):
+        """hum_forward's (control cost, terminal norm) from y0, with no tree: at r = 0 the optimum
+        is the feedback u = K_u y, v = K_v y, so both are `_moment_forms` of the closed loop
+        G + dt 1_{G0} K_u, B + K_v with source K_u^T K_u + K_v^T K_v."""
+        st, g = self.st, self.st.grid.g0_mask
+
+        def level(n):
+            (gt, bt), (ku, kv) = st.general_steps[n], self.gains[n]
+            closed = gt.copy()
+            closed[:, g] += st.dt * ku.T
+            noise = None if kv is None else st._solve(n + 1, bt + kv.T)
+            return st._solve(n + 1, closed), noise, ku.T @ ku + (0.0 if kv is None else kv.T @ kv)
+
+        terminal, cost = _moment_forms(st, level)
+        return st.grid.inner(y0, cost @ y0), st.grid.inner(y0, terminal @ y0)
+
     def __call__(self, r):
         st, eps = self.st, self.eps
         grid, tree, dt = st.grid, st.tree, st.dt
@@ -469,33 +485,41 @@ class _BackwardDual:
         return tuple(_zero_levels(self.st, k) for k in (m + 1, m + 1, m, m))
 
 
-def _forward_pencil(stepper: TreeStepper):
-    """Dense (energy, observation) operator pair on R^N for the forward direction.
+def _moment_forms(stepper: TreeStepper, level):
+    """Matrices of y_0 -> E|y_M|^2 and y_0 -> E sum_n dt y_n^T S_n y_n, with no tree.
 
-    The matrices of z0 -> E|z(T)|^2 and z0 -> E int_{Q0} |z|^2 (the backward-HUM
-    Gramian) for the forward adjoint z_{n+1} = G_n z_n +/- sqrt(dt) H_n z_n, where
-    G_n = S_{n+1}^{-1}(I + dt A_n) and H_n = S_{n+1}^{-1} B_n.  These second moments
-    follow exactly from N x N backward recursions instead of 2^M-leaf sweeps:
+    For y_{n+1} = Phi_n y_n +/- sqrt(dt) Psi_n y_n, `level(n)` gives (Phi_n^T, Psi_n^T
+    or None on a path, S_n), and the second moments follow from N x N recursions:
 
-      X_n = G_n^T X_{n+1} G_n + dt H_n^T X_{n+1} H_n,                    X_M = I,
-      O_n = G_n^T O_{n+1} G_n + dt H_n^T O_{n+1} H_n + dt diag(1_{G0}),  O_M = 0.
-
-    G_n and H_n are the identity's rows pushed through the stepper's own step
-    terms and solve; on a path the noise term is absent.
+      X_n = Phi_n^T X_{n+1} Phi_n + dt Psi_n^T X_{n+1} Psi_n,           X_M = I,
+      O_n = Phi_n^T O_{n+1} Phi_n + dt Psi_n^T O_{n+1} Psi_n + dt S_n,  O_M = 0.
     """
-    grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
-    eye = np.eye(grid.N)
-    forms = np.stack([eye, np.zeros_like(eye)])  # (X_M, O_M)
-    for n in range(tree.M - 1, -1, -1):
-        drift, noise = stepper.apply(n, "adjoint_1_5", (eye,))
-        gt = stepper._solve(n + 1, eye + dt * drift)  # rows of the identity: G_n^T
-        step = gt @ forms @ gt.T
-        if tree.branching:  # a2 = 0 makes this term exactly zero
-            ht = stepper._solve(n + 1, noise)  # H_n^T
-            step += dt * (ht @ forms @ ht.T)
-        step[1] += dt * np.diag(grid.g0_mask)
+    forms = np.stack([np.eye(stepper.grid.N), np.zeros((stepper.grid.N,) * 2)])  # (X_M, O_M)
+    for n in range(stepper.tree.M - 1, -1, -1):
+        phit, psit, source = level(n)
+        step = phit @ forms @ phit.T
+        if psit is not None:
+            step += stepper.dt * (psit @ forms @ psit.T)
+        step[1] += stepper.dt * source
         forms = step
     return 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
+
+
+def _forward_pencil(stepper: TreeStepper):
+    """Forward-direction (energy, observation) pair: z0 -> E|z(T)|^2, E int_{Q0} |z|^2.
+
+    `_moment_forms` of the forward adjoint, whose Phi_n = S_{n+1}^{-1}(I + dt A_n) and
+    Psi_n = S_{n+1}^{-1} B_n push the identity's rows through the stepper's own step.
+    """
+    dt, eye, observed = stepper.dt, np.eye(stepper.grid.N), np.diag(stepper.grid.g0_mask)
+
+    def level(n):
+        drift, noise = stepper.apply(n, "adjoint_1_5", (eye,))
+        phit = stepper._solve(n + 1, eye + dt * drift)
+        # a forward row runs on a path only where a2 = 0 makes the noise term exactly zero
+        return phit, stepper._solve(n + 1, noise) if stepper.tree.branching else None, observed
+
+    return _moment_forms(stepper, level)
 
 
 def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumConfig,

@@ -14,8 +14,9 @@ adjoint, from N x N backward recursions over the time levels.  In the
 backward direction it is (P_0(eps), I): by LQ duality the penalized
 quotient is the top eigenvalue of the value matrix P_0 of the forward HUM
 problem's tracking LQ problem (`control._ForwardRiccati`), at eps = h^2
-(Boyer, Hubert & Le Rousseau 2010).  Neither direction sweeps the tree,
-so neither allocates a per-node field or meets the depth cap.
+(Boyer, Hubert & Le Rousseau 2010).  Control-cost rows take the same moment
+recursion on that problem's feedback loop.  So no cost_scaling_sweep row
+sweeps the tree, runs CG or allocates a per-node field, and none is clipped.
 
 All randomness flows from an explicit seed; sweep rows are independent and
 deterministic given that seed.
@@ -33,7 +34,7 @@ from .control import (HumConfig, _forward_pencil, _ForwardRiccati, hum_forward, 
 from .control import _cg  # noqa: F401
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import DEFAULT_DEPTH_CAP, ScenarioTree, build_tree
+from .scenario import ScenarioTree, build_tree
 from .spde import ProblemCoefficients, TreeStepper
 
 __all__ = [
@@ -142,6 +143,7 @@ class ScalingTable:
     intercept: float
     r2: float
     r2_alt: float
+    epsilon: float | None  # the penalty of the rows; None for forward observability
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
@@ -159,17 +161,15 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                        seed: int = 0) -> ScalingTable:
     """Tabulate c_obs or control cost against T and fit the e^{C/T} law.
 
-    The number of time steps per row follows round(m_per_time * T), so the
-    step size is held roughly constant across rows (flagged by the M column).
-    Observability rows of either direction take their pencil from N x N
-    recursions, which allocate nothing per tree node, so they keep every M;
-    when the forward adjoint is noise-free (a2 = 0) a forward row runs on a
-    single-branch path (flagged by the collapsed column), while backward rows
-    stay on the tree.  Control-cost rows sweep the tree, so their depth is
-    clipped to scenario.DEFAULT_DEPTH_CAP; they use eps = h^2.  An unknown
-    quantity or direction, or fewer than 4 distinct T values, is a ValueError
-    before any row runs.  Rows are computed in sorted-T order; a row failure
-    aborts the sweep with the completed rows attached to the raised SweepError.
+    Each row takes M = max(2, round(m_per_time * T)) steps (constant dt): every
+    row comes from N x N recursions, so no row is clipped.  A forward
+    observability row runs on a single-branch path (the collapsed column) when
+    its adjoint is noise-free (a2 = 0).  Control-cost rows are hum_forward's
+    cost of steering sin(pi x / L) at eps = h^2.  `epsilon` is the rows'
+    penalty (None for forward observability).  An unknown quantity or
+    direction, or fewer than 4 distinct T values, is a ValueError before any
+    row runs.  Rows run in sorted-T order; a row failure aborts the sweep with
+    the completed rows attached to the raised SweepError.
     """
     if quantity not in ("observability", "control_cost"):
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -181,12 +181,11 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     if not 0.0 < m_per_time < np.inf:
         raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
     observability = quantity == "observability"
+    epsilon = None if observability and direction == "forward_1_5" else grid.h ** 2
     rows = []
     for T in t_values:
-        n_steps = max(2, int(round(m_per_time * T)))
         try:
-            # uncapped where the pencil allocates no per-node field
-            tree = build_tree(n_steps if observability else min(n_steps, DEFAULT_DEPTH_CAP), T)
+            tree = build_tree(max(2, int(round(m_per_time * T))), T)
             tab = coeffs.sample(grid, tree.times)
             if observability and direction == "forward_1_5":
                 tree = replace(tree, branching=tab.a2_inf > 0.0)
@@ -195,9 +194,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                 value = observability_constant(grid, tree, coeffs, direction=direction,
                                                iters=iters, seed=seed, stepper=st).c_obs
             else:
-                res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x / grid.L),
-                                  HumConfig(epsilon=grid.h ** 2), stepper=st)
-                value = res.report.control_cost
+                value = _ForwardRiccati(st, epsilon).feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
             if direction == "backward_1_3" or quantity == "control_cost":
                 expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
             else:
@@ -211,7 +208,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     slope, intercept, r2 = _ols(x, y)
     _, _, r2_alt = _ols(x ** 4, y)
     return ScalingTable(quantity=quantity, rows=rows, slope=slope, intercept=intercept,
-                        r2=r2, r2_alt=r2_alt)
+                        r2=r2, r2_alt=r2_alt, epsilon=epsilon)
 
 
 def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: ScenarioTree,

@@ -411,6 +411,36 @@ def test_hum_forward_runs_at_eps_1e_8(criterion4):
     assert rows[1].identity_residual <= 1e-8
 
 
+# -- control cost and terminal norm from the closed loop's moment forms --------
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+@pytest.mark.parametrize("build", [None, build_path], ids=["criterion4", "path"])
+def test_feedback_costs_match_hum_forward(criterion4, build, eps):
+    grid, tree, coeffs, st = criterion4
+    if build is not None:
+        st = TreeStepper(grid, build(16, 1.0), coeffs)
+    y0 = np.sin(np.pi * grid.x / grid.L)
+    ric = _ForwardRiccati(st, eps)
+    cost, terminal = ric.feedback_costs(y0)
+    report = hum_forward(grid, st.tree, coeffs, y0,
+                         HumConfig(epsilon=eps, cg_tol=1e-12, cg_max_iter=8000), stepper=st).report
+    assert report.cg_converged
+    assert cost == pytest.approx(report.control_cost, rel=1e-10)
+    assert terminal == pytest.approx(report.terminal_norm, rel=1e-10)
+    # the HUM identity: the penalized optimum is the value h y0^T P_0 y0
+    assert cost + terminal / eps == pytest.approx(grid.inner(y0, ric.p0 @ y0), rel=1e-12)
+
+
+def test_feedback_costs_of_a_zero_noise_tree_are_the_paths():
+    # M = 20 is past the depth cap: the moment forms allocate nothing per tree node
+    grid = build_grid(1.0, 16, (0.3, 0.8), (0.4, 0.6))
+    coeffs = ProblemCoefficients(a=0.2, a1=1.0, b1=lambda t, x: 0.3 * np.sin(np.pi * x))
+    tree_costs, path_costs = (_ForwardRiccati(TreeStepper(grid, build(20, 1.0), coeffs), grid.h ** 2)
+                              .feedback_costs(np.sin(np.pi * grid.x)) for build in (build_tree, build_path))
+    assert tree_costs == path_costs
+
+
 # -- controls, state and report from CG's own sweeps ------------------------
 
 

@@ -165,11 +165,15 @@ def test_forward_pencil_moments_match_tree_sweeps(build):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("direction", ["forward_1_5", "backward_1_3"])
-def test_forward_observability_needs_no_tree_sweep(monkeypatch, direction):
-    """Neither direction's pencil sweeps the tree or runs CG, so no depth cap applies to it."""
+@pytest.mark.parametrize("quantity,direction", [("observability", "forward_1_5"),
+                                                ("observability", "backward_1_3"),
+                                                ("control_cost", "forward_1_5")],
+                         ids=["forward_1_5", "backward_1_3", "control_cost"])
+def test_forward_observability_needs_no_tree_sweep(monkeypatch, quantity, direction):
+    """No sweep row (either pencil, or a control cost) sweeps the tree or runs CG, so no depth
+    cap applies and every row keeps dt = 1 / m_per_time."""
     def no_sweep(*args, **kwargs):
-        raise AssertionError("tree sweep or CG in an observability pencil")
+        raise AssertionError("tree sweep or CG in a sweep row")
 
     monkeypatch.setattr(TreeStepper, "forward", no_sweep)
     monkeypatch.setattr(TreeStepper, "backward", no_sweep)
@@ -177,13 +181,18 @@ def test_forward_observability_needs_no_tree_sweep(monkeypatch, direction):
     monkeypatch.setattr(experiments, "_cg", no_sweep)
     grid = build_grid(1.0, 12, (0.2, 0.85), (0.4, 0.65))
     coeffs = ProblemCoefficients(a=0.2, a1=0.5, a2=0.3, b=0.2)
-    est = observability_constant(grid, build_tree(6, 1.0), coeffs, direction=direction,
-                                 iters=10, seed=0)
-    assert est.c_obs > 0.0
-    table = cost_scaling_sweep(coeffs, grid, [0.5, 1.0, 2.0, 5.0], direction=direction,
-                               m_per_time=8.0, iters=10, seed=0)
-    assert [r["M"] for r in table.rows] == [4, 8, 16, 40]
+    if quantity == "observability":
+        est = observability_constant(grid, build_tree(6, 1.0), coeffs, direction=direction,
+                                     iters=10, seed=0)
+        assert est.c_obs > 0.0
+    t_values, m_per_time = [0.5, 1.0, 2.0, 5.0], 8.0
+    table = cost_scaling_sweep(coeffs, grid, t_values, quantity=quantity, direction=direction,
+                               m_per_time=m_per_time, iters=10, seed=0)
+    assert [r["M"] for r in table.rows] == [max(2, round(m_per_time * T)) for T in t_values]
+    assert table.rows[-1]["M"] == 40  # past the depth cap, on a branching tree
     assert not any(r["collapsed"] for r in table.rows)
+    assert table.epsilon == (None if (quantity, direction) == ("observability", "forward_1_5")
+                             else grid.h ** 2)
     assert all(np.isfinite(r["value"]) and r["value"] > 0.0 for r in table.rows)
 
 

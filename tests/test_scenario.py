@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ def test_build_tree_guards():
         build_tree(1, 1.0)
     with pytest.raises(ValueError):
         build_tree(4, 0.0)
+
+
+def test_only_scenario_names_the_depth_cap():
+    # the cap is decided where per-node arrays are sized (ScenarioTree.n_nodes) and nowhere else
+    package = Path(__file__).resolve().parents[1] / "src" / "spcontrol"
+    namers = {path.name for path in package.glob("*.py") if "DEFAULT_DEPTH_CAP" in path.read_text()}
+    assert namers == {"scenario.py"}
 
 
 def test_level_weights_sum_to_one():
