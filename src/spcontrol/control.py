@@ -12,8 +12,10 @@ conjugate gradients applies.  Unpreconditioned, its iteration count grows
 like eps^{-1/2}, so hum_forward and hum_backward precondition CG with the
 exact inverse of Gram + eps I, built from N x N matrices: forward, the
 discrete Riccati recursion of the tracking LQ problem on the tree
-(_ForwardRiccati); backward, a Cholesky factor of the dense Gramian that
-the second-moment recursions of _forward_pencil give.  Both factor and solve
+(_ForwardRiccati), applied as per-level N x N maps (its feedforward folded
+down the tree, its closed loop marched up) with no stencil sweep; backward,
+a Cholesky factor of the dense Gramian that the second-moment recursions of
+_forward_pencil give.  Both factor and solve
 with LAPACK's dpotrf/dpotrs, called directly through `_lapack`, which loads
 scipy's compiled wrapper without importing scipy.linalg.  CG still measures its
 residual through the Gramian's own sweeps, so its convergence test keeps its
@@ -39,13 +41,15 @@ initial datum of the forward adjoint and the single control is u = 1_{G0} z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._lapack import dpotrf, dpotrs
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import AdaptedField, ScenarioTree, martingale_part, mean_square_norm, qt_integral
+from .scenario import (AdaptedField, ScenarioTree, martingale_part, mean_square_norm, qt_integral,
+                       reconstruct_children)
 from .spde import BackwardSolution, ForwardSolution, TreeStepper
 
 __all__ = [
@@ -315,22 +319,22 @@ class _ForwardRiccati:
         1/2 E sum_n dt (|1_{G0} u_n|^2 + |v_n|^2) + 1/(2 eps) E|y_M - r|^2
 
     on the general-mode step y_{n+1}^{+/-} = S^{-1}(G y + dt 1_{G0} u +/- sqrt(dt)(B y + v)),
-    G = I + dt A_n, B = B_n.  The value is 1/2 y^T P_n y + s_n^T y + const.  The
+    G = I + dt A_n, B = B_n, S = S_{n+1}.  The value is 1/2 y^T P_n y + s_n^T y + const.  The
     discrete Riccati recursion (Yong & Zhou, Stochastic Controls, ch. 6) runs once
     per eps, with no tree: P_M = I/eps, Q = S^{-1} P_{n+1} S^{-1},
 
         K_u = -(I + dt Q_gg)^{-1} (Q G)_g,   K_v = -(I + Q)^{-1} Q B,
         P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v),
 
-    with g the G0 rows.  Each application folds the feedforward back from
-    s_M = -r/eps (w = S^{-1} s_{n+1}, split into conditional mean m and martingale mu):
-
-        k_u = -(I + dt Q_gg)^{-1} m_g,   k_v = -(I + Q)^{-1} mu,
-        s_n = G^T (dt Q 1_{G0} k_u + m) + dt B^T (Q k_v + mu),
-
-    then runs the closed loop u = K_u y + k_u, v = K_v y + k_v through the
-    stepper's own forward sweep.  On a path the noise, K_v and the B terms drop.
-    Gains are column-form matrices and fields are rows, so a gain K acts as y @ K.T.
+    with g the G0 rows.  The optimum is the feedback u = K_u y + k_u, v = K_v y + k_v:
+    the closed loop Phi_n = S^{-1}(G + dt 1_{G0} K_u), its noise part Psi_n = S^{-1}(B + K_v),
+    and the feedforward through the drives D_u = -dt S^{-1}_{:g} (I + dt Q_gg)^{-1} S^{-1}_{g:}
+    and D_v = -S^{-1} (I + Q)^{-1} S^{-1} on the conditional mean m and martingale part mu
+    of s_{n+1}.  So an application is N x N maps only: fold s_M = -r/eps down the tree,
+    s_n = Phi_n^T m + dt Psi_n^T mu, then march y_{n+1}^{+/-} = Phi_n y + D_u m
+    +/- sqrt(dt)(Psi_n y + D_v mu) up it.  On a path the noise, K_v, Psi and D_v drop.
+    Gains are column-form matrices and fields are rows, so a gain K acts as y @ K.T;
+    `loop` holds the row maps Phi_n^T, Psi_n^T, with S^{-1} from `inverse_steps`.
     """
 
     def __init__(self, stepper: TreeStepper, eps: float):
@@ -340,70 +344,69 @@ class _ForwardRiccati:
         gg = np.ix_(g, g)
         eye, eye_g = np.eye(grid.N), np.eye(int(g.sum()))
         p = eye / eps
-        self.fold: list = [None] * tree.M  # per level: Q, G^T, B^T and the two factors
+        self.factors: list = [None] * tree.M  # per level: Cholesky factors of I + dt Q_gg, I + Q
         self.gains: list = [None] * tree.M  # per level: K_u, K_v
+        self.loop: list = [None] * tree.M  # per level: Phi_n^T, Psi_n^T (None on a path)
         for n in range(tree.M - 1, -1, -1):
             q = stepper._solve(n + 1, stepper._solve(n + 1, p).T)
             q = 0.5 * (q + q.T)
             gt, bt = stepper.general_steps[n]
+            inv = stepper.inverse_steps[n + 1]
             cu = _cholesky(eye_g + dt * q[gg], f"I + dt Q_gg of level {n}")
             ku = -_cho_solve(cu, (q @ gt.T)[g])
             closed = gt.T.copy()
             closed[g] += dt * ku
             p = gt @ q @ closed
-            cv = kv = None
+            cv = kv = psi = None
             if tree.branching:
                 cv = _cholesky(eye + q, f"I + Q of level {n}")
                 kv = -_cho_solve(cv, q @ bt.T)
                 p += dt * (bt @ q @ (bt.T + kv))
+                psi = (bt + kv.T) @ inv
             p = 0.5 * (p + p.T)
-            self.fold[n] = (q, gt, bt, cu, cv)
+            self.factors[n] = (cu, cv)
             self.gains[n] = (ku, kv)
+            self.loop[n] = (closed.T @ inv, psi)
         self.p0 = p  # from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0
+
+    @cached_property
+    def drives(self) -> list:
+        """Per level: the row maps D_u^T, D_v^T (None on a path), built by the first application."""
+        st, g = self.st, self.st.grid.g0_mask
+        out = []
+        for n, (cu, cv) in enumerate(self.factors):
+            inv = st.inverse_steps[n + 1]
+            out.append((-st.dt * inv[:, g] @ _cho_solve(cu, inv[g]),
+                        None if cv is None else -inv @ _cho_solve(cv, inv)))
+        return out
 
     def feedback_costs(self, y0):
         """hum_forward's (control cost, terminal norm) from y0, with no tree: at r = 0 the optimum
         is the feedback u = K_u y, v = K_v y, so both are `_moment_forms` of the closed loop
-        G + dt 1_{G0} K_u, B + K_v with source K_u^T K_u + K_v^T K_v."""
-        st, g = self.st, self.st.grid.g0_mask
-
+        Phi_n, Psi_n with source K_u^T K_u + K_v^T K_v."""
         def level(n):
-            (gt, bt), (ku, kv) = st.general_steps[n], self.gains[n]
-            closed = gt.copy()
-            closed[:, g] += st.dt * ku.T
-            noise = None if kv is None else st._solve(n + 1, bt + kv.T)
-            return st._solve(n + 1, closed), noise, ku.T @ ku + (0.0 if kv is None else kv.T @ kv)
+            ku, kv = self.gains[n]
+            return (*self.loop[n], ku.T @ ku + (0.0 if kv is None else kv.T @ kv))
 
-        terminal, cost = _moment_forms(st, level)
-        return st.grid.inner(y0, cost @ y0), st.grid.inner(y0, terminal @ y0)
+        terminal, cost = _moment_forms(self.st, level)
+        return self.st.grid.inner(y0, cost @ y0), self.st.grid.inner(y0, terminal @ y0)
 
     def __call__(self, r):
-        st, eps = self.st, self.eps
-        grid, tree, dt = st.grid, st.tree, st.dt
-        g = grid.g0_mask
-        s = -r / eps
-        feed: list = [None] * tree.M
-        for n in range(tree.M - 1, -1, -1):
-            q, gt, bt, cu, cv = self.fold[n]
-            w = st._solve(n + 1, s)
-            m, mu = martingale_part(tree, w) if tree.branching else (w, None)
-            k_u = -_cho_solve(cu, m[:, g].T).T
-            s = (m + dt * k_u @ q[g]) @ gt.T
-            k_v = 0.0
-            if mu is not None:
-                k_v = -_cho_solve(cv, mu.T).T
-                s += dt * (mu + k_v @ q) @ bt.T
-            feed[n] = (k_u, k_v)
-
-        def feedback(n, y):
-            ku, kv = self.gains[n]
-            k_u, k_v = feed[n]
-            u = np.zeros_like(y)
-            u[:, g] = y @ ku.T + k_u
-            return u, (y @ kv.T + k_v if tree.branching else 0.0)
-
-        y_m = st.forward(np.zeros(grid.N), feedback=feedback).y[tree.M]
-        return (r - y_m) / eps
+        tree, dt = self.st.tree, self.st.dt
+        s = -r / self.eps
+        drive: list = [None] * tree.M
+        for n in range(tree.M - 1, -1, -1):  # on a path: no noise, no split
+            (phit, psit), (du, dv) = self.loop[n], self.drives[n]
+            m, mu = martingale_part(tree, s) if tree.branching else (s, None)
+            drive[n] = (m @ du, None if mu is None else mu @ dv)
+            s = m @ phit.T if mu is None else m @ phit.T + dt * (mu @ psit.T)
+        y = np.zeros((1, self.st.grid.N))
+        for (phit, psit), (d_u, d_v) in zip(self.loop, drive):
+            y = y @ phit + d_u if psit is None else reconstruct_children(tree, y @ phit + d_u, y @ psit + d_v)
+        p = (r - y) / self.eps
+        if not np.isfinite(p).all():
+            raise NumericsError(f"non-finite values in the Riccati preconditioner at eps = {self.eps:g}")
+        return p
 
 
 def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: float, zT,

@@ -162,33 +162,37 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     """Tabulate c_obs or control cost against T and fit the e^{C/T} law.
 
     Each row takes M = max(2, round(m_per_time * T)) steps (constant dt): every
-    row comes from N x N recursions, so no row is clipped.  A forward
-    observability row runs on a single-branch path (the collapsed column) when
-    its adjoint is noise-free (a2 = 0).  Control-cost rows are hum_forward's
-    cost of steering sin(pi x / L) at eps = h^2.  `epsilon` is the rows'
-    penalty (None for forward observability).  An unknown quantity or
-    direction, or fewer than 4 distinct T values, is a ValueError before any
-    row runs.  Rows run in sorted-T order; a row failure aborts the sweep with
-    the completed rows attached to the raised SweepError.
+    row comes from N x N recursions, so no row is clipped.  A row runs on a
+    single-branch path (the collapsed column) when its recursion is noise-free:
+    a forward observability row when a2 = 0, a control-cost row when
+    a2 = b2 = 0.  Control-cost rows are hum_forward's cost of steering
+    sin(pi x / L) at eps = h^2, in the forward direction only.  `epsilon` is
+    the rows' penalty (None for forward observability).  An unknown quantity
+    or direction, a control-cost sweep in the backward direction, or fewer
+    than 4 distinct T values, is a ValueError before any row runs.  Rows run
+    in sorted-T order; a row failure aborts the sweep with the completed rows
+    attached to the raised SweepError.
     """
     if quantity not in ("observability", "control_cost"):
         raise ValueError(f"unknown quantity {quantity!r}")
+    observability = quantity == "observability"
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
+    if not observability and direction != "forward_1_5":
+        raise ValueError(f"control-cost rows are forward HUM costs: direction {direction!r} does not apply")
     t_values = sorted(float(t) for t in t_values)
     if len(set(t_values)) < 4:
         raise ValueError("need at least 4 distinct T values for the fit")
     if not 0.0 < m_per_time < np.inf:
         raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
-    observability = quantity == "observability"
     epsilon = None if observability and direction == "forward_1_5" else grid.h ** 2
     rows = []
     for T in t_values:
         try:
             tree = build_tree(max(2, int(round(m_per_time * T))), T)
             tab = coeffs.sample(grid, tree.times)
-            if observability and direction == "forward_1_5":
-                tree = replace(tree, branching=tab.a2_inf > 0.0)
+            if direction == "forward_1_5":  # noise: the forward adjoint's -a2, the state's (a2, b2)
+                tree = replace(tree, branching=tab.a2_inf + (0.0 if observability else tab.b2_inf) > 0.0)
             st = TreeStepper(grid, tree, tab)
             if observability:
                 value = observability_constant(grid, tree, coeffs, direction=direction,

@@ -30,7 +30,7 @@ discrete duality identity
 holds to rounding by construction; everything in the HUM construction leans
 on that.  Note the two roles of the backward solution: the nodal values z
 carry the initial pairing, while the half-step values z_half carry the
-space-time pairings and the control feedback.  On a single-branch path
+space-time pairings and the HUM controls.  On a single-branch path
 (`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
 
 Solvers are pure: steppers hold only immutable factorizations, coefficient
@@ -156,7 +156,7 @@ class BackwardSolution:
     z: nodal values over levels 0..M (level M is the terminal datum);
     Z: martingale part over levels 0..M-1;
     z_half: half-step conditional means over levels 0..M-1 (the values the
-    duality pairings integrate and the HUM feedback injects).
+    duality pairings integrate and the HUM controls inject).
     In controlled_1_2 mode the same slots hold the controlled pair (y, Y).
     """
 
@@ -247,18 +247,22 @@ class TreeStepper(_StepperBase):
         rows = (self.apply(n, "general", (eye,)) for n in range(self.tree.M))
         return [(eye + self.dt * drift, noise) for drift, noise in rows]
 
+    @cached_property
+    def inverse_steps(self) -> list:
+        """Per level n = 1..M: S_n^{-1} = `_solve(n, I)`, shared like general_steps (None at level 0)."""
+        return [None] + [self._solve(n, np.eye(self.grid.N)) for n in range(1, self.tree.M + 1)]
+
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
-                mode: str = "general", feedback=None) -> ForwardSolution:
+                mode: str = "general") -> ForwardSolution:
         """March level 0 -> M with mode's pair (A, B); see module docstring for the step map.
 
-        drift = A y [+ 1_{G0} u + drift_src + weak_div(drift_div)], noise = B y [+ v];
-        `feedback(n, y) -> (u_n, v_n)` adds a control pair computed from the
-        level-n state (closed loop).  Only general mode takes controls and
-        sources.  On a single-branch path nothing splits: no noise.
+        drift = A y [+ 1_{G0} u + drift_src + weak_div(drift_div)], noise = B y [+ v].
+        Only general mode takes controls and sources.  On a single-branch path
+        nothing splits: no noise.
         """
         if mode not in _PAIRS:
             raise ValueError(f"unknown forward mode {mode!r}")
-        if mode != "general" and any(s is not None for s in (u, v, drift_src, drift_div, feedback)):
+        if mode != "general" and any(s is not None for s in (u, v, drift_src, drift_div)):
             raise ValueError(f"{mode} mode takes no controls or sources")
         grid, tree = self.grid, self.tree
         y0 = np.asarray(y0, dtype=float).reshape(1, grid.N)
@@ -277,10 +281,6 @@ class TreeStepper(_StepperBase):
                 drift += weak_divergence(grid, drift_div[n])
             if v is not None:
                 noise += v[n]
-            if feedback is not None:
-                fu, fv = feedback(n, y)
-                drift += mask * fu
-                noise += fv
             base = np.add(y, np.multiply(self.dt, drift, out=drift), out=drift)  # y + dt*drift
             if tree.n_nodes(n + 1) > y.shape[0]:
                 base = reconstruct_children(tree, base, noise)

@@ -7,7 +7,7 @@ from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_gr
 from spcontrol.control import (HumConfig, _cg, _cholesky, _ForwardDual, _ForwardRiccati,
                                dual_functional, hum_backward, hum_forward, k_cost_exponent,
                                m_cost_exponent)
-from spcontrol.scenario import qt_integral
+from spcontrol.scenario import martingale_part, qt_integral, reconstruct_children
 
 
 def test_k_exponent_paper_substitutions():
@@ -268,26 +268,85 @@ def test_riccati_preconditioner_inverts_penalized_gramian(lq_setup, eps):
     assert np.sqrt(dual.inner(back - r, back - r) / dual.inner(r, r)) <= 1e-10
 
 
-def _reference_riccati(st, eps):
-    """The Riccati recursion with scipy's cho_factor/cho_solve and fresh step matrices."""
+def test_riccati_preconditioner_rejects_non_finite_data(lq_setup):
+    r = np.zeros((lq_setup.tree.n_nodes(lq_setup.tree.M), GRID8.N))
+    r[-1, 3] = np.nan
+    with pytest.raises(NumericsError, match="non-finite values in the Riccati preconditioner"):
+        _ForwardRiccati(lq_setup, 1e-2)(r)
+
+
+def _reference_levels(st, eps):
+    """The Riccati recursion with scipy's cho_factor/cho_solve and fresh step matrices:
+    P_0 and, per level, (Q, G^T, B^T, the factors of I + dt Q_gg and I + Q, K_u, K_v)."""
     g, dt, eye = st.grid.g0_mask, st.dt, np.eye(st.grid.N)
-    p, gains = eye / eps, [None] * st.tree.M
+    p, levels = eye / eps, [None] * st.tree.M
     for n in range(st.tree.M - 1, -1, -1):
         q = st._solve(n + 1, st._solve(n + 1, p).T)
         q = 0.5 * (q + q.T)
         drift, bt = st.apply(n, "general", (eye,))
         gt = eye + dt * drift
-        ku = -cho_solve(cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)]), (q @ gt.T)[g])
+        cu = cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)])
+        ku = -cho_solve(cu, (q @ gt.T)[g])
         closed = gt.T.copy()
         closed[g] += dt * ku
         p = gt @ q @ closed
-        kv = None
+        cv = kv = None
         if st.tree.branching:
-            kv = -cho_solve(cho_factor(eye + q), q @ bt.T)
+            cv = cho_factor(eye + q)
+            kv = -cho_solve(cv, q @ bt.T)
             p += dt * (bt @ q @ (bt.T + kv))
         p = 0.5 * (p + p.T)
-        gains[n] = (ku, kv)
-    return p, gains
+        levels[n] = (q, gt, bt, cu, cv, ku, kv)
+    return p, levels
+
+
+def _reference_riccati(st, eps):
+    """P_0 and the gains (K_u, K_v) per level of `_reference_levels`."""
+    p, levels = _reference_levels(st, eps)
+    return p, [level[-2:] for level in levels]
+
+
+def _stencil_application(st, eps, r):
+    """(Gram + eps I)^{-1} r as the stencil closed loop: fold the feedforward k back with
+    S^{-1} and Cholesky solves, then march u = K_u y + k_u, v = K_v y + k_v through the
+    general step (apply, implicit solve, split)."""
+    tree, g, dt = st.tree, st.grid.g0_mask, st.dt
+    _, levels = _reference_levels(st, eps)
+    s, feed = -r / eps, [None] * tree.M
+    for n in range(tree.M - 1, -1, -1):
+        q, gt, bt, cu, cv, _, _ = levels[n]
+        w = st._solve(n + 1, s)
+        m, mu = martingale_part(tree, w) if tree.branching else (w, None)
+        k_u = -cho_solve(cu, m[:, g].T).T
+        s = (m + dt * k_u @ q[g]) @ gt.T
+        k_v = None
+        if mu is not None:
+            k_v = -cho_solve(cv, mu.T).T
+            s = s + dt * (mu + k_v @ q) @ bt.T
+        feed[n] = (k_u, k_v)
+    y = np.zeros((1, st.grid.N))
+    for n in range(tree.M):
+        (*_, ku, kv), (k_u, k_v) = levels[n], feed[n]
+        drift, noise = st.apply(n, "general", (y,))
+        drift[:, g] += y @ ku.T + k_u
+        base = y + dt * drift
+        if tree.branching:
+            base = reconstruct_children(tree, base, noise + y @ kv.T + k_v)
+        y = st._solve(n + 1, base)
+    return (r - y) / eps
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("case", ["tree", "path", "desk"])
+def test_riccati_application_matches_the_stencil_closed_loop(full_coeffs, criterion4, case, eps):
+    # eps = 1e-8 agrees to about 1.4e-12 only, as rounding grows like 1/eps
+    if case == "desk":
+        st = criterion4[3]
+    else:
+        st = TreeStepper(GRID8, (build_tree if case == "tree" else build_path)(5, 1.0), full_coeffs)
+    r = np.random.default_rng(11).standard_normal((st.tree.n_nodes(st.tree.M), st.grid.N))
+    p, ref = _ForwardRiccati(st, eps)(r), _stencil_application(st, eps, r)
+    assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-4])
@@ -307,21 +366,33 @@ def test_cholesky_names_an_indefinite_matrix():
 
 
 def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
+    """general_steps and inverse_steps are built once per stepper, whatever the number of eps."""
     tree = build_tree(5, 1.0)
     coeffs = ProblemCoefficients(a=0.5, a1=0.5, a2=0.3, b1=0.2, b2=0.2)
     eye = np.eye(GRID8.N)
-    identity_calls = []
-    apply = TreeStepper.apply
+    st = TreeStepper(GRID8, tree, coeffs)
+    assert st.inverse_steps[0] is None
+    for n in range(1, tree.M + 1):
+        assert st.inverse_steps[n].tobytes() == st._solve(n, eye).tobytes()
+    identity_calls, solve_calls = [], []
+    apply, solve = TreeStepper.apply, TreeStepper._solve
 
     def counted(self, n, mode, fields, *args, **kwargs):
         if np.array_equal(fields[0], eye):
             identity_calls.append(n)
         return apply(self, n, mode, fields, *args, **kwargs)
 
+    def counted_solve(self, n, rhs):
+        if np.array_equal(rhs, eye):
+            solve_calls.append(n)
+        return solve(self, n, rhs)
+
     monkeypatch.setattr(TreeStepper, "apply", counted)
+    monkeypatch.setattr(TreeStepper, "_solve", counted_solve)
     experiments.epsilon_sweep(coeffs, GRID8, tree, np.sin(np.pi * GRID8.x),
                               [1e-1, 1e-2, 1e-3, 1e-4])
     assert sorted(identity_calls) == list(range(tree.M))
+    assert sorted(solve_calls) == list(range(1, tree.M + 1))
 
 
 def test_hum_forward_with_given_free_state_is_bitwise_the_same(hum_setup):
@@ -518,10 +589,10 @@ def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
             return _sweep(self, *args, **kwargs)
         monkeypatch.setattr(TreeStepper, name, counted)
     cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
-    # forward: the Gramian's backward + forward pair and the Riccati closed loop
+    # forward: the Gramian's backward + forward pair; the Riccati closed loop sweeps nothing
     res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free=free)
     assert res.report.cg_iterations == 1
-    assert sweeps == {"forward": 2, "backward": 1}
+    assert sweeps == {"forward": 1, "backward": 1}
     # backward: the free solution and the Gramian's forward + backward pair
     sweeps.update(forward=0, backward=0)
     res = hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg, stepper=st)

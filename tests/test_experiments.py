@@ -232,6 +232,22 @@ def test_scaling_sweep_k_exponent_column():
         assert r["exponent"] == k_cost_exponent(r["T"], 0.5, 0.2, 0.1, 0.1)
 
 
+def test_control_cost_rows_of_a_zero_noise_tree_run_on_a_path(monkeypatch):
+    """With a2 = b2 = 0 a control-cost row equals the tree's and factors no I + Q."""
+    grid = build_grid(1.0, 16, (0.3, 0.8), (0.4, 0.6))
+    coeffs = ProblemCoefficients(a=0.2, a1=1.0, b1=lambda t, x: 0.3 * np.sin(np.pi * x))
+    t_values, y0 = [0.25, 0.5, 1.0, 2.0], np.sin(np.pi * grid.x / grid.L)
+    on_trees = [_ForwardRiccati(TreeStepper(grid, build_tree(max(2, round(6.0 * T)), T), coeffs),
+                                grid.h ** 2).feedback_costs(y0)[0] for T in t_values]
+    factored = []
+    cholesky = control._cholesky
+    monkeypatch.setattr(control, "_cholesky", lambda a, what: factored.append(what) or cholesky(a, what))
+    table = cost_scaling_sweep(coeffs, grid, t_values, quantity="control_cost", m_per_time=6.0)
+    assert all(r["collapsed"] for r in table.rows)
+    assert [r["value"] for r in table.rows] == on_trees
+    assert factored and not any(what.startswith("I + Q") for what in factored)
+
+
 def test_scaling_sweep_determinism():
     grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
     coeffs = ProblemCoefficients(a=0.1)
@@ -258,7 +274,9 @@ def test_scaling_sweep_needs_four_rows(t_values):
 
 
 @pytest.mark.parametrize("kwargs,what", [({"quantity": "bogus"}, "unknown quantity 'bogus'"),
-                                         ({"direction": "sideways"}, "unknown direction 'sideways'")])
+                                         ({"direction": "sideways"}, "unknown direction 'sideways'"),
+                                         ({"quantity": "control_cost", "direction": "backward_1_3"},
+                                          "direction 'backward_1_3' does not apply")])
 def test_scaling_sweep_rejects_unknown_names_before_any_row(monkeypatch, kwargs, what):
     def no_row(*args, **kw):
         raise AssertionError("a sweep row ran")
