@@ -18,9 +18,15 @@ a Cholesky factor of the dense Gramian that the second-moment recursions of
 _forward_pencil give.  Both factor and solve
 with LAPACK's dpotrf/dpotrs, called directly through `_lapack`, which loads
 scipy's compiled wrapper without importing scipy.linalg.  CG still measures its
-residual through the Gramian's own sweeps, so its convergence test keeps its
+residual through the Gramian itself, so its convergence test keeps its
 meaning; one iteration reaches rounding level except at the smallest eps,
-where rounding in the preconditioner costs one or two more.  The optimal penalized state
+where rounding in the preconditioner costs one or two more.  The forward
+Gramian, too, runs as per-level N x N open-loop maps (the stepper's cached
+step matrices, folded down the tree and marched up it: _ForwardDual.gram), so
+a forward CG iteration sweeps no stencil; the backward one is the stencil
+pair.  The forward free solution stays a stencil sweep: the HUM identity
+residual pairs it with the maps' adjoint, so every report cross-checks the
+maps against the stencil.  The optimal penalized state
 satisfies  y_opt = -eps * p_opt  (forward target y(T)) respectively
 y_opt(0) = +eps * p_opt  (backward problem), so the terminal/initial energy
 decays like eps^2 |p|^2 as the penalty is driven to zero.
@@ -255,6 +261,13 @@ def _cho_solve(factor: np.ndarray, rhs) -> np.ndarray:
     return out
 
 
+def _finite(level: np.ndarray, what: str, n: int) -> np.ndarray:
+    """`level` itself, or a NumericsError naming what went non-finite and where."""
+    if not np.isfinite(level).all():
+        raise NumericsError(f"non-finite values in the forward Gramian's {what} at level {n}")
+    return level
+
+
 def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
                 uncontrolled: float, pairing: float, exponent: float, data_norm: float) -> HumReport:
     """Report of a HUM solve whose optimum satisfies cost + final_norm/eps + pairing = 0.
@@ -299,10 +312,29 @@ class _ForwardDual:
         return total
 
     def gram(self, p):
-        """(Gram p, by-products): the adjoint's z_half, Z and [z(0)], and the state y driven from 0."""
-        bwd = self.st.backward(p, mode="adjoint_1_3")
-        y = self.st.forward(np.zeros(self.st.grid.N), u=bwd.z_half, v=bwd.Z)
-        return y.y[self.st.tree.M], (bwd.z_half.levels, bwd.Z.levels, bwd.z.levels[:1], y.y.levels)
+        """(Gram p, by-products): the adjoint's z_half, Z and [z(0)], and the state y driven from 0.
+
+        The stencil pair (adjoint_1_3 fold, then the forward sweep under u = z_half, v = Z)
+        on the stepper's cached N x N step maps, rows times G^T, B^T (`general_steps`) and
+        S^{-1} (`inverse_steps`): fold z S^{-1} -> (z_half, Z) -> z_half G + dt Z B down the
+        tree, march y G^T + dt 1_{G0} z_half +/- sqrt(dt)(y B^T + Z), times S^{-1}, up it.
+        On a path nothing splits (Z = 0).  A non-finite level is a NumericsError.
+        """
+        st, tree, dt = self.st, self.st.tree, self.st.dt
+        z_half, Z, z = [None] * tree.M, [None] * tree.M, p
+        for n in range(tree.M - 1, -1, -1):
+            (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
+            w = z @ inv
+            z_half[n], Z[n] = martingale_part(tree, w) if tree.branching else (w, np.zeros_like(w))
+            z = _finite(z_half[n] @ gt.T + dt * (Z[n] @ bt.T), "adjoint", n)
+        y = [np.zeros((1, st.grid.N))]
+        for n in range(tree.M):
+            (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
+            base = y[n] @ gt + dt * (st.grid.g0_mask * z_half[n])
+            if tree.branching:
+                base = reconstruct_children(tree, base, y[n] @ bt + Z[n])
+            y.append(_finite(base @ inv, "state", n + 1))
+        return y[tree.M], (z_half, Z, [z], y)
 
     def zeros(self):
         """The by-products of gram at p = 0."""

@@ -164,14 +164,14 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     Each row takes M = max(2, round(m_per_time * T)) steps (constant dt): every
     row comes from N x N recursions, so no row is clipped.  A row runs on a
     single-branch path (the collapsed column) when its recursion is noise-free:
-    a forward observability row when a2 = 0, a control-cost row when
-    a2 = b2 = 0.  Control-cost rows are hum_forward's cost of steering
-    sin(pi x / L) at eps = h^2, in the forward direction only.  `epsilon` is
-    the rows' penalty (None for forward observability).  An unknown quantity
-    or direction, a control-cost sweep in the backward direction, or fewer
-    than 4 distinct T values, is a ValueError before any row runs.  Rows run
-    in sorted-T order; a row failure aborts the sweep with the completed rows
-    attached to the raised SweepError.
+    a forward observability row when a2 = 0, every other row (backward
+    observability, control cost) when a2 = b2 = 0.  Control-cost rows are
+    hum_forward's cost of steering sin(pi x / L) at eps = h^2, in the forward
+    direction only.  `epsilon` is the rows' penalty (None for forward
+    observability).  An unknown quantity or direction, a control-cost sweep in
+    the backward direction, or fewer than 4 distinct T values, is a ValueError
+    before any row runs.  Rows run in sorted-T order; a row failure aborts the
+    sweep with the completed rows attached to the raised SweepError.
     """
     if quantity not in ("observability", "control_cost"):
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -185,24 +185,25 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
         raise ValueError("need at least 4 distinct T values for the fit")
     if not 0.0 < m_per_time < np.inf:
         raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
-    epsilon = None if observability and direction == "forward_1_5" else grid.h ** 2
+    forward_obs = observability and direction == "forward_1_5"
+    epsilon = None if forward_obs else grid.h ** 2
     rows = []
     for T in t_values:
         try:
             tree = build_tree(max(2, int(round(m_per_time * T))), T)
             tab = coeffs.sample(grid, tree.times)
-            if direction == "forward_1_5":  # noise: the forward adjoint's -a2, the state's (a2, b2)
-                tree = replace(tree, branching=tab.a2_inf + (0.0 if observability else tab.b2_inf) > 0.0)
+            # noise: forward observability's adjoint has -a2, every other row's state (a2, b2)
+            tree = replace(tree, branching=tab.a2_inf + (0.0 if forward_obs else tab.b2_inf) > 0.0)
             st = TreeStepper(grid, tree, tab)
             if observability:
                 value = observability_constant(grid, tree, coeffs, direction=direction,
                                                iters=iters, seed=seed, stepper=st).c_obs
             else:
                 value = _ForwardRiccati(st, epsilon).feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
-            if direction == "backward_1_3" or quantity == "control_cost":
-                expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
-            else:
+            if forward_obs:
                 expo = m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf)
+            else:
+                expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
             rows.append({"T": T, "M": tree.M, "collapsed": not tree.branching,
                          "value": value, "exponent": expo})
         except Exception as exc:  # noqa: BLE001 - partial table must survive

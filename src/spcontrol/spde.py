@@ -119,7 +119,9 @@ class ProblemCoefficients:
     Each entry is a constant or a callable f(t, x) -> values: `a` is the
     diffusion coefficient (>= beta > 0), a1/b1 the drift zeroth-order and
     convection coefficients, a2/b2 their diffusion-part counterparts, and `b`
-    the convection field of the backward controlled problem.
+    the convection field of the backward controlled problem.  `sample` rejects
+    (ValueError) a non-finite sample, a <= 0, and a violation of stochastic
+    parabolicity 2a - b2^2 > 0.
     """
 
     def __init__(self, a=1.0, a1=0.0, a2=0.0, b1=0.0, b2=0.0, b=0.0):
@@ -137,6 +139,14 @@ class ProblemCoefficients:
         beta = float(a_faces.min())
         if beta <= 0.0:
             raise ValueError(f"diffusion coefficient must stay positive; min sample = {beta}")
+        # stochastic parabolicity 2a - b2^2 > 0: per node the smaller face value of a, at the
+        # left endpoints where b2 is sampled
+        margin = 2.0 * np.minimum(a_faces[:-1, :-1], a_faces[:-1, 1:]) - tabs["b2"] ** 2
+        bad = (margin <= 0.0).any(axis=1)
+        if bad.any():
+            k = bad.argmax()
+            raise ValueError(f"coefficients a and b2 violate stochastic parabolicity: "
+                             f"min(2a - b2^2) = {margin[k].min():.6g} <= 0 at t = {left[k]:.6g}")
         sup = {k: float(np.abs(v).max()) for k, v in tabs.items()}
         return CoefficientTables(times=times, a_faces=a_faces, beta=beta, **tabs,
                                  **{k + "_inf": v for k, v in sup.items()})

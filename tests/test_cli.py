@@ -411,6 +411,15 @@ def test_nonfinite_coefficient_exit_code(tmp_path, capsys):
 
 
 
+def test_stochastic_parabolicity_exit_code(tmp_path, capsys):
+    cfg_path = write(tmp_path, MINIMAL + f"a = 0.1\nb2 = 0.45\n\n[experiment]\n"
+                                         f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["control-forward", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "coefficients a and b2 violate stochastic parabolicity" in err and "at t = 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,rows,key", [
     ("appendix-check", 4, "dev_A log-log slope = "),
     ("observability", 10, "c_obs = "),

@@ -515,12 +515,13 @@ def test_feedback_costs_of_a_zero_noise_tree_are_the_paths():
 # -- controls, state and report from CG's own sweeps ------------------------
 
 
-def _assert_close_levels(levels, ref):
-    """Every level within 1e-12 of the reference field's max magnitude (exact where it is 0)."""
+def _assert_close_levels(levels, ref, rtol=1e-12):
+    """Every level within rtol of the reference field's max magnitude (exact where it is 0)."""
     top = max(float(np.max(np.abs(a))) for a in ref)
     assert len(levels) == len(ref)
     for a, b in zip(levels, ref):
-        assert np.max(np.abs(a - b)) <= 1e-12 * top
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rtol * top
 
 
 @pytest.fixture(scope="module", params=[build_tree, build_path])
@@ -588,13 +589,78 @@ def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
             sweeps[_name] += 1
             return _sweep(self, *args, **kwargs)
         monkeypatch.setattr(TreeStepper, name, counted)
+    grams = []
+    gram = _ForwardDual.gram
+    monkeypatch.setattr(_ForwardDual, "gram", lambda self, p: grams.append(p) or gram(self, p))
     cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
-    # forward: the Gramian's backward + forward pair; the Riccati closed loop sweeps nothing
+    # forward: one Gramian application on the N x N step maps; the Riccati closed loop
+    # and the Gramian sweep nothing
     res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free=free)
-    assert res.report.cg_iterations == 1
-    assert sweeps == {"forward": 1, "backward": 1}
+    assert res.report.cg_iterations == 1 and len(grams) == 1
+    assert sweeps == {"forward": 0, "backward": 0}
     # backward: the free solution and the Gramian's forward + backward pair
     sweeps.update(forward=0, backward=0)
     res = hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg, stepper=st)
     assert res.report.cg_iterations == 1
     assert sweeps == {"forward": 1, "backward": 2}
+
+
+# -- the forward Gramian on the stepper's N x N step maps ----------------------
+
+
+def _stencil_gram(st, p):
+    """The forward Gramian as the stencil pair: the adjoint_1_3 fold of p, then the
+    forward sweep from 0 under u = z_half, v = Z; returns what `_ForwardDual.gram` does."""
+    bwd = st.backward(p, mode="adjoint_1_3")
+    y = st.forward(np.zeros(st.grid.N), u=bwd.z_half, v=bwd.Z)
+    return y.y[st.tree.M], (bwd.z_half.levels, bwd.Z.levels, bwd.z.levels[:1], y.y.levels)
+
+
+@pytest.mark.parametrize("case", ["tree", "path", "desk"])
+def test_gram_maps_match_the_stencil_pair(full_coeffs, criterion4, case):
+    if case == "desk":
+        st = criterion4[3]
+    else:
+        st = TreeStepper(GRID8, (build_tree if case == "tree" else build_path)(5, 1.0), full_coeffs)
+    p = np.random.default_rng(13).standard_normal((st.tree.n_nodes(st.tree.M), st.grid.N))
+    gp, products = _ForwardDual(st).gram(p)
+    gp_ref, ref = _stencil_gram(st, p)
+    _assert_close_levels([gp], [gp_ref], rtol=1e-13)
+    assert len(products) == len(ref) == 4
+    for levels, ref_levels in zip(products, ref):  # z_half, Z, [z(0)], y
+        _assert_close_levels(levels, ref_levels, rtol=1e-13)
+
+
+@pytest.mark.parametrize("where,level", [("data", "adjoint at level 4"),
+                                         ("initial adjoint", "adjoint at level 0"),
+                                         ("state", "state at level 1")])
+def test_gram_rejects_non_finite_levels(full_coeffs, monkeypatch, where, level):
+    st = TreeStepper(GRID8, build_tree(5, 1.0), full_coeffs)
+    p = np.ones((st.tree.n_nodes(st.tree.M), GRID8.N))
+    if where == "data":
+        p[-1, 3] = np.nan
+    elif where == "initial adjoint":  # the fold's last product; the march meets G_0 as 0 * G_0
+        gt, bt = st.general_steps[0]
+        st.general_steps = [(np.where(gt != 0.0, np.inf, 0.0), bt)] + st.general_steps[1:]
+    else:
+        monkeypatch.setattr(control, "reconstruct_children",
+                            lambda tree, mean, z: np.full((2, GRID8.N), np.nan))
+    with pytest.raises(NumericsError, match=f"non-finite values in the forward Gramian's {level}$"):
+        _ForwardDual(st).gram(p)
+
+
+def test_free_stencil_solution_cross_checks_the_step_maps(hum_setup):
+    """The free solution is a stencil sweep and the Gramian runs on the step maps, so the HUM
+    identity pairs the two: a 1e-6 error in the maps shows in its residual."""
+    grid, tree, coeffs, _ = hum_setup
+    y0 = np.sin(np.pi * grid.x)
+    cfg = HumConfig(epsilon=1e-3, cg_tol=1e-12)
+    st = TreeStepper(grid, tree, coeffs)
+    assert hum_forward(grid, tree, coeffs, y0, cfg, stepper=st).report.identity_residual <= 1e-11
+    rng = np.random.default_rng(3)
+    perturbed = TreeStepper(grid, tree, coeffs)
+    perturbed.general_steps = [(gt + 1e-6 * rng.standard_normal(gt.shape), bt)
+                               for gt, bt in st.general_steps]
+    report = hum_forward(grid, tree, coeffs, y0, cfg, stepper=perturbed).report
+    assert report.cg_converged
+    assert report.identity_residual > 1e-8

@@ -248,6 +248,24 @@ def test_control_cost_rows_of_a_zero_noise_tree_run_on_a_path(monkeypatch):
     assert factored and not any(what.startswith("I + Q") for what in factored)
 
 
+def test_backward_observability_rows_of_a_zero_noise_tree_run_on_a_path(monkeypatch):
+    """With a2 = b2 = 0 a backward observability row equals the tree's and factors no I + Q."""
+    grid = build_grid(1.0, 16, (0.3, 0.8), (0.4, 0.6))
+    coeffs = ProblemCoefficients(a=0.2, a1=1.0, b1=lambda t, x: 0.3 * np.sin(np.pi * x))
+    t_values = [0.25, 0.5, 1.0, 2.0]
+    on_trees = [observability_constant(grid, build_tree(max(2, round(6.0 * T)), T), coeffs,
+                                       direction="backward_1_3", iters=10, seed=2).c_obs
+                for T in t_values]
+    factored = []
+    cholesky = control._cholesky
+    monkeypatch.setattr(control, "_cholesky", lambda a, what: factored.append(what) or cholesky(a, what))
+    table = cost_scaling_sweep(coeffs, grid, t_values, direction="backward_1_3", m_per_time=6.0,
+                               iters=10, seed=2)
+    assert all(r["collapsed"] for r in table.rows)
+    assert [r["value"] for r in table.rows] == on_trees
+    assert factored and not any(what.startswith("I + Q") for what in factored)
+
+
 def test_scaling_sweep_determinism():
     grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
     coeffs = ProblemCoefficients(a=0.1)

@@ -288,3 +288,23 @@ def test_nonfinite_coefficient_rejected_at_sampling(grid16, tree6, name):
     coeffs = ProblemCoefficients(**{name: lambda t, x: 1.0 + np.log(0.5 - t + 0.0 * x)})
     with pytest.raises(ValueError, match=rf"coefficient {name} is not finite at t = 0\.5"):
         coeffs.sample(grid16, tree6.times)
+
+
+@pytest.mark.parametrize("a,b2", [(0.1, 0.45), (0.1, 0.5)])
+def test_stochastic_parabolicity_enforced(grid16, tree6, a, b2):
+    with pytest.raises(ValueError, match=r"coefficients a and b2 violate stochastic parabolicity: "
+                                         r"min\(2a - b2\^2\) = -0\.\d+ <= 0 at t = 0$"):
+        ProblemCoefficients(a=a, b2=b2).sample(grid16, tree6.times)
+
+
+def test_stochastic_parabolicity_names_the_first_failing_time(grid16, tree6):
+    # 2a - b2^2 = 0.15 - 0.24 t turns negative past t = 0.625; b2 is sampled at t = k / 6, k < 6
+    coeffs = ProblemCoefficients(a=lambda t, x: 0.2 - 0.12 * t + 0.0 * x, b2=0.5)
+    with pytest.raises(ValueError, match=r"= -0\.01 <= 0 at t = 0\.666667$"):
+        coeffs.sample(grid16, tree6.times)
+
+
+def test_stochastic_parabolicity_accepts_the_desk_margin(grid16, tree6):
+    # demos/desk.ini: 2 * 0.15 - 0.5^2 = 0.05
+    tab = ProblemCoefficients(a=0.15, a2=0.5, b2=0.5).sample(grid16, tree6.times)
+    assert tab.b2_inf == 0.5
