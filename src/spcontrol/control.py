@@ -20,11 +20,18 @@ with LAPACK's dpotrf/dpotrs, called directly through `_lapack`, which loads
 scipy's compiled wrapper without importing scipy.linalg.  CG still measures its
 residual through the Gramian itself, so its convergence test keeps its
 meaning; one iteration reaches rounding level except at the smallest eps,
-where rounding in the preconditioner costs one or two more.  The forward
-Gramian, too, runs as per-level N x N open-loop maps (the stepper's cached
-step matrices, folded down the tree and marched up it: _ForwardDual.gram), so
-a forward CG iteration sweeps no stencil; the backward one is the stencil
-pair.  The forward free solution stays a stencil sweep: the HUM identity
+where rounding in the preconditioner costs one or two more.  Forward, that
+first iteration needs no general preconditioner application: its direction,
+the Riccati inverse at -b (b the free terminal state), is the pure feedback
+march of y0 through the closed loop (`_ForwardRiccati.feedback_direction`),
+since with a zero target the LQ optimum has no feedforward.  The feedforward
+fold and its drives are built only if CG needs a second iteration.  The march
+also skips the general map's (r - y_M) / eps, which cancels at the scale
+|b| / eps, so on the desk problem one forward iteration suffices down to
+eps = 1e-8.  The forward Gramian, too, runs as per-level N x N open-loop
+maps (the stepper's cached step matrices, folded down the tree and marched up
+it: _ForwardDual.gram), so a forward CG iteration sweeps no stencil; the
+backward one is the stencil pair.  The forward free solution stays a stencil sweep: the HUM identity
 residual pairs it with the maps' adjoint, so every report cross-checks the
 maps against the stencil.  The optimal penalized state
 satisfies  y_opt = -eps * p_opt  (forward target y(T)) respectively
@@ -154,7 +161,7 @@ def _axpy(step: float, new, acc):
     return acc
 
 
-def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
+def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None, *, z0=None):
     """Conjugate gradients for an SPD operator; returns (x, trace).
 
     `apply_op(x)` returns (A x, by-products): a sequence of lists of fresh
@@ -166,9 +173,15 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
     start).
 
     `precond` applies an SPD approximation of the operator's inverse (None:
-    the identity).  Convergence is always tested on the unpreconditioned
-    relative residual |b - A x| / |b|, and the trace reports the last one
-    measured, the start residual when no iteration ran.  The trace also
+    the identity); it runs only when an iteration will use it, so a start
+    that already converges never calls it.  `z0`, used on a cold start only,
+    is the caller's precond(b), say in closed form: the first step is the
+    line search along it, and CG then restarts from precond(r).  The step is
+    measured through the operator, so a wrong z0 only costs iterations; one
+    with <b, z0> <= 0 is no descent direction and is not used.  Convergence
+    is always tested on the unpreconditioned relative residual
+    |b - A x| / |b|, and the trace reports the last one measured, the start
+    residual when no iteration ran.  The trace also
     records the quadratic functional 1/2 <x, Ax> - <b, x>, which must be
     non-increasing.  CG runs on b divided by a power of two near max|b|:
     the scaling is exact, so it changes no bit where nothing underflows, and
@@ -196,15 +209,22 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
         x = np.asarray(x0, dtype=float) / scale
         ax, products = apply_op(x)
     r = b - ax
-    z = r if precond is None else precond(r)
-    d = z.copy()
-    rz = inner(r, z)
+    z = None if z0 is None or x0 is not None else z0 / scale
+    if z is not None and not inner(r, z) > 0.0:
+        z = None  # not a descent direction
+    restart = z is not None  # after the caller's direction, start afresh from precond(r)
+    d = None  # the search direction; None starts afresh from z
     residual = norm(r) / b_norm
     residuals = []
     values = []
     converged = residual <= tol
     n_iter = 0
     while not converged and n_iter < max_iter:
+        if z is None:
+            z = r if precond is None else precond(r)
+        rz_new = inner(r, z)
+        d = z.copy() if d is None else z + (rz_new / rz) * d
+        rz, z = rz_new, None
         q, q_products = apply_op(d)
         dq = inner(d, q)
         if dq <= 0.0 or rz <= 0.0:
@@ -219,11 +239,8 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None):
         residuals.append(residual)
         values.append((0.5 * inner(x, ax) - inner(b, x)) * scale * scale)
         converged = residual <= tol
-        if not converged:
-            z = r if precond is None else precond(r)
-            rz_new = inner(r, z)
-            d = z + (rz_new / rz) * d
-            rz = rz_new
+        if restart:
+            d, restart = None, False
     if products is not None:
         for levels in products:
             for a in levels:
@@ -318,10 +335,11 @@ class _ForwardDual:
         on the stepper's cached N x N step maps, rows times G^T, B^T (`general_steps`) and
         S^{-1} (`inverse_steps`): fold z S^{-1} -> (z_half, Z) -> z_half G + dt Z B down the
         tree, march y G^T + dt 1_{G0} z_half +/- sqrt(dt)(y B^T + Z), times S^{-1}, up it.
-        On a path nothing splits (Z = 0).  A non-finite level is a NumericsError.
+        On a path nothing splits (Z = 0).  Non-finite data, checked before any product,
+        or a non-finite level is a NumericsError.
         """
         st, tree, dt = self.st, self.st.tree, self.st.dt
-        z_half, Z, z = [None] * tree.M, [None] * tree.M, p
+        z_half, Z, z = [None] * tree.M, [None] * tree.M, _finite(p, "leaf data", tree.M)
         for n in range(tree.M - 1, -1, -1):
             (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
             w = z @ inv
@@ -367,6 +385,9 @@ class _ForwardRiccati:
     +/- sqrt(dt)(Psi_n y + D_v mu) up it.  On a path the noise, K_v, Psi and D_v drop.
     Gains are column-form matrices and fields are rows, so a gain K acts as y @ K.T;
     `loop` holds the row maps Phi_n^T, Psi_n^T, with S^{-1} from `inverse_steps`.
+    At r = -b, b the free terminal state of some y_0, the target is zero and the
+    optimum is the feedback alone: `feedback_direction` marches y_0 through the loop
+    and needs no drives.
     """
 
     def __init__(self, stepper: TreeStepper, eps: float):
@@ -423,9 +444,28 @@ class _ForwardRiccati:
         terminal, cost = _moment_forms(self.st, level)
         return self.st.grid.inner(y0, cost @ y0), self.st.grid.inner(y0, terminal @ y0)
 
+    def _checked(self, field, what: str = ""):
+        if not np.isfinite(field).all():
+            raise NumericsError(f"non-finite values in the Riccati preconditioner{what} at eps = {self.eps:g}")
+        return field
+
+    def feedback_direction(self, y0):
+        """This map at -b, b the free terminal state of y0, from the closed loop alone.
+
+        The state from 0 that tracks -b, plus the free state of y0, is the state from y0
+        that tracks 0, whose optimum is the feedback: so y_M + b = y^cl_M, y0 marched by
+        y^cl_{n+1} = Phi_n y^cl_n +/- sqrt(dt) Psi_n y^cl_n, and the map gives
+        (-b - y_M) / eps = -y^cl_M / eps.  No drive is built and no feedforward folded.
+        """
+        tree = self.st.tree
+        y = self._checked(np.asarray(y0, dtype=float).reshape(1, self.st.grid.N), "'s initial state")
+        for phit, psit in self.loop:
+            y = y @ phit if psit is None else reconstruct_children(tree, y @ phit, y @ psit)
+        return self._checked(-y / self.eps)
+
     def __call__(self, r):
         tree, dt = self.st.tree, self.st.dt
-        s = -r / self.eps
+        s = -self._checked(r, "'s data") / self.eps
         drive: list = [None] * tree.M
         for n in range(tree.M - 1, -1, -1):  # on a path: no noise, no split
             (phit, psit), (du, dv) = self.loop[n], self.drives[n]
@@ -435,10 +475,7 @@ class _ForwardRiccati:
         y = np.zeros((1, self.st.grid.N))
         for (phit, psit), (d_u, d_v) in zip(self.loop, drive):
             y = y @ phit + d_u if psit is None else reconstruct_children(tree, y @ phit + d_u, y @ psit + d_v)
-        p = (r - y) / self.eps
-        if not np.isfinite(p).all():
-            raise NumericsError(f"non-finite values in the Riccati preconditioner at eps = {self.eps:g}")
-        return p
+        return self._checked((r - y) / self.eps)
 
 
 def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: float, zT,
@@ -470,8 +507,12 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
 
     Solves (Gram + eps I) p = -b by CG preconditioned with the Riccati
     inverse, where b is the free terminal state; the controlled terminal
-    state equals -eps p at the optimum.  CG non-convergence is reported, not
-    raised.  The controls, the cost and the pairing come from the adjoint
+    state equals -eps p at the optimum.  CG's first direction is that
+    inverse at -b, the closed-loop march of y0, so a one-iteration solve
+    applies the Gramian once and the general preconditioner never.  A
+    `p_start` replaces that start with its own residual and takes the
+    general route, so it is usually slower than the default.  CG
+    non-convergence is reported, not raised.  The controls, the cost and the pairing come from the adjoint
     fields CG carries at p, and the state is the free solution plus the
     state CG carries, so no sweep runs on p after CG.  `free`, if given, is
     `stepper.forward(y0)` (the free solution, which depends on neither eps
@@ -484,8 +525,10 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     free = st.forward(y0) if free is None else free
     b = free.y[tree.M]
     uncontrolled = dual.inner(b, b)
+    riccati = _ForwardRiccati(st, eps)
     p, trace = _cg(_penalized(dual.gram, eps), -b, dual.inner, config.cg_tol, config.cg_max_iter,
-                   x0=p_start, precond=_ForwardRiccati(st, eps))
+                   x0=p_start, precond=riccati,
+                   z0=riccati.feedback_direction(y0) if p_start is None else None)
     z_half, Z, (z0,), y_ctrl = trace.pop("products") or dual.zeros()
     u = AdaptedField([grid.g0_mask * zh for zh in z_half])
     y = ForwardSolution(y=AdaptedField([f + c for f, c in zip(free.y.levels, y_ctrl)]))

@@ -199,6 +199,34 @@ def test_cg_reports_start_residual_of_converged_warm_start():
     assert np.array_equal(x, x0)
 
 
+def _count_riccati(monkeypatch):
+    """Count `_ForwardRiccati` applications; returns a reader of the counts so far and of
+    the instances whose drives were built."""
+    calls, made = [], []
+    call, init = _ForwardRiccati.__call__, _ForwardRiccati.__init__
+    monkeypatch.setattr(_ForwardRiccati, "__call__", lambda self, r: calls.append(r) or call(self, r))
+    monkeypatch.setattr(_ForwardRiccati, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+    return lambda: {"calls": len(calls), "drives_built": sum("drives" in ric.__dict__ for ric in made)}
+
+
+def test_cg_converged_start_calls_no_preconditioner(hum_setup, monkeypatch):
+    mat = np.diag([1.0, 2.0, 3.0])
+    b = np.array([1.0, 1.0, 1.0])
+    calls = []
+    _, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 10, x0=np.linalg.solve(mat, b),
+                   precond=lambda r: calls.append(r) or r / np.diag(mat))
+    assert trace["iterations"] == 0 and trace["converged"] and not calls
+    # a HUM solve started at its own solution builds no Riccati drive either
+    grid, tree, coeffs, st = hum_setup
+    y0 = np.sin(np.pi * grid.x)
+    cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
+    p = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st).adjoint_data
+    riccati_counts = _count_riccati(monkeypatch)
+    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, p_start=p)
+    assert res.report.cg_iterations == 0 and res.report.cg_converged
+    assert riccati_counts() == {"calls": 0, "drives_built": 0}
+
+
 @pytest.mark.parametrize("x0", [None, np.array([0.5, 0.0, 0.0])], ids=["cold", "warm"])
 def test_cg_reports_start_residual_without_budget(x0):
     mat = np.diag([1.0, 2.0, 3.0])
@@ -269,10 +297,17 @@ def test_riccati_preconditioner_inverts_penalized_gramian(lq_setup, eps):
 
 
 def test_riccati_preconditioner_rejects_non_finite_data(lq_setup):
-    r = np.zeros((lq_setup.tree.n_nodes(lq_setup.tree.M), GRID8.N))
-    r[-1, 3] = np.nan
-    with pytest.raises(NumericsError, match="non-finite values in the Riccati preconditioner"):
-        _ForwardRiccati(lq_setup, 1e-2)(r)
+    # checked before any product: an infinite entry raises no numpy RuntimeWarning first
+    ric = _ForwardRiccati(lq_setup, 1e-2)
+    for value in (np.nan, np.inf):
+        r = np.zeros((lq_setup.tree.n_nodes(lq_setup.tree.M), GRID8.N))
+        r[-1, 3] = value
+        with pytest.raises(NumericsError, match="non-finite values in the Riccati preconditioner's data"):
+            ric(r)
+        y0 = np.zeros(GRID8.N)
+        y0[3] = value
+        with pytest.raises(NumericsError, match="Riccati preconditioner's initial state"):
+            ric.feedback_direction(y0)
 
 
 def _reference_levels(st, eps):
@@ -347,6 +382,59 @@ def test_riccati_application_matches_the_stencil_closed_loop(full_coeffs, criter
     r = np.random.default_rng(11).standard_normal((st.tree.n_nodes(st.tree.M), st.grid.N))
     p, ref = _ForwardRiccati(st, eps)(r), _stencil_application(st, eps, r)
     assert np.max(np.abs(p - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("case", ["tree", "path", "desk"])
+def test_feedback_direction_is_the_preconditioner_at_the_free_state(full_coeffs, criterion4, case, eps):
+    if case == "desk":
+        st = criterion4[3]
+    else:
+        st = TreeStepper(GRID8, (build_tree if case == "tree" else build_path)(5, 1.0), full_coeffs)
+    y0 = np.sin(np.pi * st.grid.x) + 0.3 * np.cos(3 * np.pi * st.grid.x)
+    b = st.forward(y0).y[st.tree.M]
+    ric = _ForwardRiccati(st, eps)
+    ref = ric(-b)
+    direction = ric.feedback_direction(y0)
+    assert direction.shape == ref.shape
+    # the general map forms (-b - y_M) / eps, which cancels at the scale |b| / eps (on desk at
+    # eps <= 1e-5 that exceeds 100 max|ref|); the feedback march cancels nothing
+    scale = max(np.max(np.abs(ref)), 1e-2 * np.max(np.abs(b)) / eps)
+    assert np.max(np.abs(direction - ref)) <= 1e-12 * scale
+    dual = _ForwardDual(st)
+
+    def residual(p):
+        res = dual.gram(p)[0] + eps * p + b
+        return np.sqrt(dual.inner(res, res) / dual.inner(b, b))
+
+    # and it is no worse a solution: at small eps usually several times better
+    assert residual(direction) <= 2.0 * max(residual(ref), 1e-13)
+
+
+@pytest.mark.parametrize("wrong", ["scaled", "random", "reversed"])
+def test_a_wrong_feedback_direction_costs_only_iterations(hum_setup, monkeypatch, wrong):
+    """CG measures its first step through the Gramian, so a wrong first direction still
+    reaches the solution; one that is no descent direction is not used."""
+    grid, tree, coeffs, st = hum_setup
+    y0 = np.sin(np.pi * grid.x) + 0.2 * np.cos(2 * np.pi * grid.x)
+    cfg = HumConfig(epsilon=1e-3, cg_tol=1e-12, cg_max_iter=50)
+    ref = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st)
+    direction = _ForwardRiccati.feedback_direction
+    noise = np.random.default_rng(7).standard_normal(ref.adjoint_data.shape)
+    spoil = {"scaled": lambda d: 1.1 * d, "random": lambda d: d + 0.5 * np.max(np.abs(d)) * noise,
+             "reversed": lambda d: -d}[wrong]
+    monkeypatch.setattr(_ForwardRiccati, "feedback_direction", lambda self, y: spoil(direction(self, y)))
+    riccati_counts = _count_riccati(monkeypatch)
+    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st)
+    assert res.report.cg_converged
+    top = np.max(np.abs(ref.adjoint_data))
+    assert np.max(np.abs(res.adjoint_data - ref.adjoint_data)) <= 1e-9 * top
+    assert res.report.control_cost == pytest.approx(ref.report.control_cost, rel=1e-10)
+    # scaled: the line search undoes the scale; random: it leaves a residual, and CG restarts
+    # from the general map, exact to rounding; reversed: dropped, the general map starts
+    iterations, calls = {"scaled": (1, 0), "random": (2, 1), "reversed": (1, 1)}[wrong]
+    assert res.report.cg_iterations == iterations
+    assert riccati_counts() == {"calls": calls, "drives_built": calls}
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-4])
@@ -445,9 +533,9 @@ def criterion4():
 
 
 def _plain_cg(monkeypatch):
-    """Run the HUM solves with unpreconditioned CG."""
+    """Run the HUM solves with unpreconditioned CG: no preconditioner and no preconditioned start."""
     plain_cg = control._cg
-    monkeypatch.setattr(control, "_cg", lambda *args, precond=None, **kw: plain_cg(*args, **kw))
+    monkeypatch.setattr(control, "_cg", lambda *args, precond=None, z0=None, **kw: plain_cg(*args, **kw))
 
 
 @pytest.mark.parametrize("which,eps", [("forward", 1e-2), ("forward", 1e-4),
@@ -592,11 +680,13 @@ def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
     grams = []
     gram = _ForwardDual.gram
     monkeypatch.setattr(_ForwardDual, "gram", lambda self, p: grams.append(p) or gram(self, p))
+    riccati_counts = _count_riccati(monkeypatch)
     cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
-    # forward: one Gramian application on the N x N step maps; the Riccati closed loop
-    # and the Gramian sweep nothing
+    # forward: one Gramian application on the N x N step maps, along the Riccati feedback
+    # direction; no general preconditioner application and no drives, and nothing sweeps
     res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free=free)
     assert res.report.cg_iterations == 1 and len(grams) == 1
+    assert riccati_counts() == {"calls": 0, "drives_built": 0}
     assert sweeps == {"forward": 0, "backward": 0}
     # backward: the free solution and the Gramian's forward + backward pair
     sweeps.update(forward=0, backward=0)
@@ -631,14 +721,15 @@ def test_gram_maps_match_the_stencil_pair(full_coeffs, criterion4, case):
         _assert_close_levels(levels, ref_levels, rtol=1e-13)
 
 
-@pytest.mark.parametrize("where,level", [("data", "adjoint at level 4"),
+@pytest.mark.parametrize("where,level", [("data", "leaf data at level 5"),
+                                         ("infinite data", "leaf data at level 5"),
                                          ("initial adjoint", "adjoint at level 0"),
                                          ("state", "state at level 1")])
 def test_gram_rejects_non_finite_levels(full_coeffs, monkeypatch, where, level):
     st = TreeStepper(GRID8, build_tree(5, 1.0), full_coeffs)
     p = np.ones((st.tree.n_nodes(st.tree.M), GRID8.N))
-    if where == "data":
-        p[-1, 3] = np.nan
+    if where.endswith("data"):  # checked before any product, so inf raises no RuntimeWarning first
+        p[-1, 3] = np.inf if where == "infinite data" else np.nan
     elif where == "initial adjoint":  # the fold's last product; the march meets G_0 as 0 * G_0
         gt, bt = st.general_steps[0]
         st.general_steps = [(np.where(gt != 0.0, np.inf, 0.0), bt)] + st.general_steps[1:]
