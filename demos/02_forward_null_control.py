@@ -25,12 +25,9 @@ y0 = np.sin(np.pi * grid.x)
 
 print(f"{'eps':>8} | {'E|y(T)|^2':>12} | {'control cost':>12} | {'CG iters':>8} | {'(05.4) residual':>15}")
 print("-" * 70)
-prev = None
 for eps in (1e-1, 1e-2, 1e-3, 1e-4):
     res = hum_forward(grid, tree, coeffs, y0,
-                      HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=8000),
-                      stepper=stepper, p_start=prev)
-    prev = res.adjoint_data
+                      HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=8000), stepper=stepper)
     r = res.report
     print(f"{eps:8.0e} | {r.terminal_norm:12.4e} | {r.control_cost:12.4e} "
           f"| {r.cg_iterations:8d} | {r.identity_residual:15.2e}")

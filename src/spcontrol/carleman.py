@@ -390,6 +390,8 @@ class CarlemanRatio:
 
 
 def _quad_levels(tree: ScenarioTree, exclude: int) -> range:
+    if exclude < 0:
+        raise ValueError(f"exclude must be >= 0, got {exclude}")
     lo = 1 + exclude
     hi = tree.M - 1 - exclude
     if hi < lo:

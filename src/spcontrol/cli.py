@@ -279,6 +279,7 @@ def _validate(cfg: RunConfig, path) -> None:
             ("[carleman] lambda_multiples", c.lambda_multiples, positive),
             ("[carleman] mu_values", c.mu_values, at_least_1),
             ("[carleman] samples", c.samples, (lambda v: v >= 1, ">= 1")),
+            ("[carleman] exclude", c.exclude, (lambda v: v >= 0, ">= 0")),
             ("[experiment] seed", e.seed, (lambda v: v >= 0, ">= 0")),
             ("[experiment] power_iters", e.power_iters,
              (lambda v: v >= MIN_POWER_ITERS, f">= {MIN_POWER_ITERS}")),

@@ -13,30 +13,29 @@ like eps^{-1/2}, so hum_forward and hum_backward precondition CG with the
 exact inverse of Gram + eps I, built from N x N matrices: forward, the
 discrete Riccati recursion of the tracking LQ problem on the tree
 (_ForwardRiccati), applied as per-level N x N maps (its feedforward folded
-down the tree, its closed loop marched up) with no stencil sweep; backward,
-a Cholesky factor of the dense Gramian that the second-moment recursions of
-_forward_pencil give.  Both factor and solve
-with LAPACK's dpotrf/dpotrs, called directly through `_lapack`, which loads
-scipy's compiled wrapper without importing scipy.linalg.  CG still measures its
-residual through the Gramian itself, so its convergence test keeps its
-meaning; one iteration reaches rounding level except at the smallest eps,
-where rounding in the preconditioner costs one or two more.  Forward, that
-first iteration needs no general preconditioner application: its direction,
-the Riccati inverse at -b (b the free terminal state), is the pure feedback
+down the tree, its closed loop marched up); backward, a Cholesky factor of
+the dense Gramian that the second-moment recursions of _forward_pencil give.
+Both factor and solve with LAPACK's dpotrf/dpotrs, called directly through
+`_lapack`, which loads scipy's compiled wrapper without importing
+scipy.linalg.  CG starts from p = 0 and measures its residual through the
+Gramian itself, so its convergence test keeps its meaning; one iteration
+reaches rounding level except at the smallest eps, where rounding in the
+preconditioner costs one or two more.  Forward, the first direction, the
+Riccati inverse at -b (b the free terminal state), is the pure feedback
 march of y0 through the closed loop (`_ForwardRiccati.feedback_direction`),
-since with a zero target the LQ optimum has no feedforward.  The feedforward
-fold and its drives are built only if CG needs a second iteration.  The march
-also skips the general map's (r - y_M) / eps, which cancels at the scale
-|b| / eps, so on the desk problem one forward iteration suffices down to
-eps = 1e-8.  The forward Gramian, too, runs as per-level N x N open-loop
-maps (the stepper's cached step matrices, folded down the tree and marched up
-it: _ForwardDual.gram), so a forward CG iteration sweeps no stencil; the
-backward one is the stencil pair.  The forward free solution stays a stencil sweep: the HUM identity
-residual pairs it with the maps' adjoint, so every report cross-checks the
-maps against the stencil.  The optimal penalized state
-satisfies  y_opt = -eps * p_opt  (forward target y(T)) respectively
-y_opt(0) = +eps * p_opt  (backward problem), so the terminal/initial energy
-decays like eps^2 |p|^2 as the penalty is driven to zero.
+since with a zero target the LQ optimum has no feedforward; the feedforward
+fold and its drives are built only if CG needs a second iteration.  The
+march also skips the general map's (r - y_M) / eps, which cancels at the
+scale |b| / eps, so on the desk problem one forward iteration suffices down
+to eps = 1e-8.  The forward Gramian runs as per-level N x N open-loop maps
+too (_ForwardDual.gram), so a forward CG iteration sweeps no stencil; the
+backward one is the stencil pair.  The forward free solution stays a stencil
+sweep, and the HUM identity residual pairs it with the maps' adjoint, so
+every report cross-checks the maps against the stencil.  The optimal
+penalized state satisfies  y_opt = -eps * p_opt  (forward target y(T))
+respectively y_opt(0) = +eps * p_opt  (backward problem), so the
+terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
+zero.
 
 A Gramian application also returns its by-products: the adjoint fields that
 become the controls, and the state those controls drive from zero.  They are
@@ -161,32 +160,31 @@ def _axpy(step: float, new, acc):
     return acc
 
 
-def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None, *, z0=None):
+def _cg(apply_op, b, inner, tol: float, max_iter: int, precond=None, *, z0=None):
     """Conjugate gradients for an SPD operator; returns (x, trace).
 
     `apply_op(x)` returns (A x, by-products): a sequence of lists of fresh
     arrays, each linear in x (empty where the caller needs none), which CG
-    may update in place.  CG keeps them current at its iterate the way it
-    keeps A x, by linearity, so trace["products"] holds the by-products at
-    the returned x without a further application of the operator; None
-    stands for zero by-products (x = 0: b = 0, or no step taken from a cold
-    start).
+    may update in place.  CG starts from x = 0 and keeps them current at its
+    iterate the way it keeps A x, by linearity, so trace["products"] holds
+    the by-products at the returned x without a further application of the
+    operator; None stands for zero by-products (b = 0, or no step taken).
 
     `precond` applies an SPD approximation of the operator's inverse (None:
-    the identity); it runs only when an iteration will use it, so a start
-    that already converges never calls it.  `z0`, used on a cold start only,
-    is the caller's precond(b), say in closed form: the first step is the
-    line search along it, and CG then restarts from precond(r).  The step is
-    measured through the operator, so a wrong z0 only costs iterations; one
-    with <b, z0> <= 0 is no descent direction and is not used.  Convergence
-    is always tested on the unpreconditioned relative residual
-    |b - A x| / |b|, and the trace reports the last one measured, the start
-    residual when no iteration ran.  The trace also
-    records the quadratic functional 1/2 <x, Ax> - <b, x>, which must be
-    non-increasing.  CG runs on b divided by a power of two near max|b|:
-    the scaling is exact, so it changes no bit where nothing underflows, and
-    tiny data no longer reads as b = 0.  |r| is measured on r / max|r| where
-    <r, r> underflows, so a nonzero residual never reads as zero.
+    the identity); it runs only at the top of an iteration that will use it,
+    so none runs after the last step.  `z0` is the caller's precond(b), say
+    in closed form: the first step is the line search along it, and CG then
+    restarts from precond(r).  The step is measured through the operator, so
+    a wrong z0 only costs iterations; one with <b, z0> <= 0 is no descent
+    direction and is not used.  Convergence is always tested on the
+    unpreconditioned relative residual |b - A x| / |b|, and the trace
+    reports the last one measured, the start residual when no iteration
+    ran.  The trace also records the quadratic functional
+    1/2 <x, Ax> - <b, x>, which must be non-increasing.  CG runs on b
+    divided by a power of two near max|b|: the scaling is exact, so it
+    changes no bit where nothing underflows, and tiny data does not read as
+    b = 0.  |r| is measured on r / max|r| where <r, r> underflows, so a
+    nonzero residual never reads as zero.
     """
     def norm(r):
         rr = inner(r, r)
@@ -201,15 +199,8 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, x0=None, precond=None, *,
     if b_norm == 0.0:
         return np.zeros_like(b), {"iterations": 0, "residuals": [], "values": [],
                                   "converged": True, "residual": 0.0, "products": None}
-    if x0 is None:
-        x = np.zeros_like(b)
-        ax = np.zeros_like(b)
-        products = None
-    else:
-        x = np.asarray(x0, dtype=float) / scale
-        ax, products = apply_op(x)
-    r = b - ax
-    z = None if z0 is None or x0 is not None else z0 / scale
+    x, ax, r, products = np.zeros_like(b), np.zeros_like(b), b.copy(), None
+    z = None if z0 is None else z0 / scale
     if z is not None and not inner(r, z) > 0.0:
         z = None  # not a descent direction
     restart = z is not None  # after the caller's direction, start afresh from precond(r)
@@ -278,11 +269,11 @@ def _cho_solve(factor: np.ndarray, rhs) -> np.ndarray:
     return out
 
 
-def _finite(level: np.ndarray, what: str, n: int) -> np.ndarray:
-    """`level` itself, or a NumericsError naming what went non-finite and where."""
-    if not np.isfinite(level).all():
-        raise NumericsError(f"non-finite values in the forward Gramian's {what} at level {n}")
-    return level
+def _finite(field: np.ndarray, where: str) -> np.ndarray:
+    """`field` itself, or a NumericsError naming where it went non-finite."""
+    if not np.isfinite(field).all():
+        raise NumericsError(f"non-finite values in {where}")
+    return field
 
 
 def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
@@ -339,19 +330,20 @@ class _ForwardDual:
         or a non-finite level is a NumericsError.
         """
         st, tree, dt = self.st, self.st.tree, self.st.dt
-        z_half, Z, z = [None] * tree.M, [None] * tree.M, _finite(p, "leaf data", tree.M)
+        z = _finite(p, f"the forward Gramian's leaf data at level {tree.M}")
+        z_half, Z = [None] * tree.M, [None] * tree.M
         for n in range(tree.M - 1, -1, -1):
             (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
             w = z @ inv
             z_half[n], Z[n] = martingale_part(tree, w) if tree.branching else (w, np.zeros_like(w))
-            z = _finite(z_half[n] @ gt.T + dt * (Z[n] @ bt.T), "adjoint", n)
+            z = _finite(z_half[n] @ gt.T + dt * (Z[n] @ bt.T), f"the forward Gramian's adjoint at level {n}")
         y = [np.zeros((1, st.grid.N))]
         for n in range(tree.M):
             (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
             base = y[n] @ gt + dt * (st.grid.g0_mask * z_half[n])
             if tree.branching:
                 base = reconstruct_children(tree, base, y[n] @ bt + Z[n])
-            y.append(_finite(base @ inv, "state", n + 1))
+            y.append(_finite(base @ inv, f"the forward Gramian's state at level {n + 1}"))
         return y[tree.M], (z_half, Z, [z], y)
 
     def zeros(self):
@@ -444,11 +436,6 @@ class _ForwardRiccati:
         terminal, cost = _moment_forms(self.st, level)
         return self.st.grid.inner(y0, cost @ y0), self.st.grid.inner(y0, terminal @ y0)
 
-    def _checked(self, field, what: str = ""):
-        if not np.isfinite(field).all():
-            raise NumericsError(f"non-finite values in the Riccati preconditioner{what} at eps = {self.eps:g}")
-        return field
-
     def feedback_direction(self, y0):
         """This map at -b, b the free terminal state of y0, from the closed loop alone.
 
@@ -458,14 +445,15 @@ class _ForwardRiccati:
         (-b - y_M) / eps = -y^cl_M / eps.  No drive is built and no feedforward folded.
         """
         tree = self.st.tree
-        y = self._checked(np.asarray(y0, dtype=float).reshape(1, self.st.grid.N), "'s initial state")
+        y = _finite(np.asarray(y0, dtype=float).reshape(1, self.st.grid.N),
+                    f"the Riccati preconditioner's initial state at eps = {self.eps:g}")
         for phit, psit in self.loop:
             y = y @ phit if psit is None else reconstruct_children(tree, y @ phit, y @ psit)
-        return self._checked(-y / self.eps)
+        return _finite(-y / self.eps, f"the Riccati preconditioner at eps = {self.eps:g}")
 
     def __call__(self, r):
         tree, dt = self.st.tree, self.st.dt
-        s = -self._checked(r, "'s data") / self.eps
+        s = -_finite(r, f"the Riccati preconditioner's data at eps = {self.eps:g}") / self.eps
         drive: list = [None] * tree.M
         for n in range(tree.M - 1, -1, -1):  # on a path: no noise, no split
             (phit, psit), (du, dv) = self.loop[n], self.drives[n]
@@ -475,7 +463,7 @@ class _ForwardRiccati:
         y = np.zeros((1, self.st.grid.N))
         for (phit, psit), (d_u, d_v) in zip(self.loop, drive):
             y = y @ phit + d_u if psit is None else reconstruct_children(tree, y @ phit + d_u, y @ psit + d_v)
-        return self._checked((r - y) / self.eps)
+        return _finite((r - y) / self.eps, f"the Riccati preconditioner at eps = {self.eps:g}")
 
 
 def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: float, zT,
@@ -502,19 +490,18 @@ def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: floa
 
 
 def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumConfig,
-                stepper: TreeStepper | None = None, p_start=None, *, free=None) -> HumResult:
+                stepper: TreeStepper | None = None, *, free=None) -> HumResult:
     """Drive E|y(T)|^2 to O(eps) with the control pair (u, v) = (1_{G0} z, Z).
 
     Solves (Gram + eps I) p = -b by CG preconditioned with the Riccati
     inverse, where b is the free terminal state; the controlled terminal
-    state equals -eps p at the optimum.  CG's first direction is that
-    inverse at -b, the closed-loop march of y0, so a one-iteration solve
-    applies the Gramian once and the general preconditioner never.  A
-    `p_start` replaces that start with its own residual and takes the
-    general route, so it is usually slower than the default.  CG
-    non-convergence is reported, not raised.  The controls, the cost and the pairing come from the adjoint
-    fields CG carries at p, and the state is the free solution plus the
-    state CG carries, so no sweep runs on p after CG.  `free`, if given, is
+    state equals -eps p at the optimum.  CG starts from p = 0, and its first
+    direction is that inverse at -b, the closed-loop march of y0, so a
+    one-iteration solve applies the Gramian once and the general
+    preconditioner never.  CG non-convergence is reported, not raised.  The
+    controls, the cost and the pairing come from the adjoint fields CG
+    carries at p, and the state is the free solution plus the state CG
+    carries, so no sweep runs on p after CG.  `free`, if given, is
     `stepper.forward(y0)` (the free solution, which depends on neither eps
     nor the CG settings); None computes it.
     """
@@ -527,8 +514,7 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     uncontrolled = dual.inner(b, b)
     riccati = _ForwardRiccati(st, eps)
     p, trace = _cg(_penalized(dual.gram, eps), -b, dual.inner, config.cg_tol, config.cg_max_iter,
-                   x0=p_start, precond=riccati,
-                   z0=riccati.feedback_direction(y0) if p_start is None else None)
+                   precond=riccati, z0=riccati.feedback_direction(y0))
     z_half, Z, (z0,), y_ctrl = trace.pop("products") or dual.zeros()
     u = AdaptedField([grid.g0_mask * zh for zh in z_half])
     y = ForwardSolution(y=AdaptedField([f + c for f, c in zip(free.y.levels, y_ctrl)]))

@@ -98,12 +98,9 @@ def test_criterion_04_hum_forward_sweep():
     st = TreeStepper(grid, tree, coeffs)
     y0 = np.sin(np.pi * grid.x / grid.L)
     rows = []
-    prev = None
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         res = hum_forward(grid, tree, coeffs, y0,
-                          HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=8000),
-                          stepper=st, p_start=prev)
-        prev = res.adjoint_data
+                          HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=8000), stepper=st)
         rows.append(res.report)
     elapsed = time.time() - t0
     norms = [r.terminal_norm for r in rows]

@@ -194,6 +194,16 @@ def test_ratio_zero_data(grid32, tree8, full_coeffs):
     assert resf.ratio == 0.0
 
 
+def test_negative_exclude_is_rejected_by_name(grid32, tree8, full_coeffs):
+    psi = build_psi(grid32)
+    w = eval_weights(psi, lambda_threshold(1.0, psi, tree8.T), 1.0, tree8)
+    zT = np.ones((tree8.n_nodes(tree8.M), grid32.N))
+    with pytest.raises(ValueError, match="exclude must be >= 0, got -1"):
+        carleman_ratio_backward(grid32, tree8, full_coeffs, w, zT, mode="sources", exclude=-1)
+    with pytest.raises(ValueError, match="exclude must be >= 0, got -1"):
+        carleman_ratio_forward(grid32, tree8, full_coeffs, w, np.ones(grid32.N), exclude=-1)
+
+
 def test_backward_ratio_median_sweep(grid32, tree8):
     coeffs = ProblemCoefficients(a=1.0, a1=1.0, a2=0.5, b1=0.5, b2=0.5, b=0.5)
     st = TreeStepper(grid32, tree8, coeffs)

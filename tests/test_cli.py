@@ -131,6 +131,7 @@ def test_invalid_region_names_both_intervals(tmp_path):
     (MINIMAL + "\n[hum]\nbound_c = nan\n", ": [hum] bound_c must be finite, got nan"),
     (MINIMAL + "\n[carleman]\nmu = nan\n", ": [carleman] mu must be finite and >= 1"),
     (MINIMAL + "\n[carleman]\nc0 = nan\n", ": [carleman] c0 must be positive and finite"),
+    (MINIMAL + "\n[carleman]\nexclude = -1\n", ": [carleman] exclude must be >= 0"),
     (MINIMAL + "\n[experiment]\npower_iters = 3\n", ": [experiment] power_iters must be >= 5"),
     (MINIMAL + "\n[experiment]\nt_values = -1, 0.5, 1, 2\n",
      ": [experiment] t_values must be positive and finite"),
@@ -138,7 +139,7 @@ def test_invalid_region_names_both_intervals(tmp_path):
      ": [experiment] m_per_time must be positive and finite"),
     (MINIMAL + "\n[experiment]\nseed = -1\n", ": [experiment] seed must be >= 0"),
 ], ids=["N", "g1", "a", "epsilon", "int", "direction", "epsilon-nan", "T-nan", "L-inf", "bound_c-nan",
-        "mu-nan", "c0-nan", "power_iters", "t_values", "m_per_time-nan", "seed"])
+        "mu-nan", "c0-nan", "exclude", "power_iters", "t_values", "m_per_time-nan", "seed"])
 def test_validation_messages(tmp_path, text, message):
     # the exact text after the config path
     path = write(tmp_path, text)

@@ -112,12 +112,9 @@ def test_hum_forward_eps_sweep_decreases(hum_setup):
     grid, tree, coeffs, st = hum_setup
     y0 = np.sin(np.pi * grid.x)
     norms = []
-    prev = None
     for eps in (1e-1, 1e-2, 1e-3):
         res = hum_forward(grid, tree, coeffs, y0,
-                          HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=3000),
-                          stepper=st, p_start=prev)
-        prev = res.adjoint_data
+                          HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=3000), stepper=st)
         norms.append(res.report.terminal_norm)
     assert norms[0] > norms[1] > norms[2]
 
@@ -188,17 +185,6 @@ def test_hum_backward_deterministic_degeneration():
                                                           rel=1e-12)
 
 
-def test_cg_reports_start_residual_of_converged_warm_start():
-    mat = np.diag([1.0, 2.0, 3.0])
-    b = np.array([1.0, 1.0, 1.0])
-    x0 = np.linalg.solve(mat, b) * (1.0 + 1e-12)
-    x, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 10, x0=x0)
-    assert trace["iterations"] == 0 and trace["converged"]
-    expected = np.linalg.norm(b - mat @ x0) / np.linalg.norm(b)
-    assert 0.0 < trace["residual"] == pytest.approx(expected, rel=1e-6)
-    assert np.array_equal(x, x0)
-
-
 def _count_riccati(monkeypatch):
     """Count `_ForwardRiccati` applications; returns a reader of the counts so far and of
     the instances whose drives were built."""
@@ -209,32 +195,14 @@ def _count_riccati(monkeypatch):
     return lambda: {"calls": len(calls), "drives_built": sum("drives" in ric.__dict__ for ric in made)}
 
 
-def test_cg_converged_start_calls_no_preconditioner(hum_setup, monkeypatch):
+@pytest.mark.parametrize("z0", [None, np.array([1.0, 0.5, 1.0 / 3.0])], ids=["cold", "z0"])
+def test_cg_reports_start_residual_without_budget(z0):
+    # CG starts from x = 0, and a caller's first direction takes no step without a budget
     mat = np.diag([1.0, 2.0, 3.0])
     b = np.array([1.0, 1.0, 1.0])
-    calls = []
-    _, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 10, x0=np.linalg.solve(mat, b),
-                   precond=lambda r: calls.append(r) or r / np.diag(mat))
-    assert trace["iterations"] == 0 and trace["converged"] and not calls
-    # a HUM solve started at its own solution builds no Riccati drive either
-    grid, tree, coeffs, st = hum_setup
-    y0 = np.sin(np.pi * grid.x)
-    cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
-    p = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st).adjoint_data
-    riccati_counts = _count_riccati(monkeypatch)
-    res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, p_start=p)
-    assert res.report.cg_iterations == 0 and res.report.cg_converged
-    assert riccati_counts() == {"calls": 0, "drives_built": 0}
-
-
-@pytest.mark.parametrize("x0", [None, np.array([0.5, 0.0, 0.0])], ids=["cold", "warm"])
-def test_cg_reports_start_residual_without_budget(x0):
-    mat = np.diag([1.0, 2.0, 3.0])
-    b = np.array([1.0, 1.0, 1.0])
-    _, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 0, x0=x0)
+    _, trace = _cg(lambda q: (mat @ q, ()), b, np.dot, 1e-9, 0, z0=z0)
     assert trace["iterations"] == 0 and not trace["converged"]
-    start = b if x0 is None else b - mat @ x0
-    assert trace["residual"] == pytest.approx(np.linalg.norm(start) / np.linalg.norm(b), rel=1e-15)
+    assert trace["residual"] == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.fixture
@@ -619,19 +587,16 @@ def carried_setup(request):
     return TreeStepper(grid, request.param(6, 1.0), coeffs)
 
 
-@pytest.mark.parametrize("case", ["cold", "p_start", "zero", "eps1e-8"])
+@pytest.mark.parametrize("case", ["cold", "zero", "eps1e-8"])
 @pytest.mark.parametrize("plain", [False, True], ids=["pcg", "plain"])
 def test_hum_forward_outputs_match_fresh_sweeps_of_p(carried_setup, monkeypatch, plain, case):
     st = carried_setup
     grid, tree = st.grid, st.tree
     y0 = np.zeros(grid.N) if case == "zero" else np.sin(np.pi * grid.x) + 0.2 * np.cos(2 * np.pi * grid.x)
-    p_start = None
-    if case == "p_start":
-        p_start = hum_forward(grid, tree, None, y0, HumConfig(epsilon=1e-2), stepper=st).adjoint_data
     if plain:
         _plain_cg(monkeypatch)
     cfg = HumConfig(epsilon=1e-8 if case == "eps1e-8" else 1e-3, cg_tol=1e-10, cg_max_iter=200)
-    res = hum_forward(grid, tree, None, y0, cfg, stepper=st, p_start=p_start)
+    res = hum_forward(grid, tree, None, y0, cfg, stepper=st)
     bwd = st.backward(res.adjoint_data, mode="adjoint_1_3")
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
     _assert_close_levels(res.u.levels, [grid.g0_mask * zh for zh in bwd.z_half.levels])

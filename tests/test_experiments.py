@@ -10,8 +10,8 @@ import pytest
 
 from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree
 from spcontrol import control, experiments
-from spcontrol.control import (_BackwardDual, _ForwardDual, _ForwardRiccati, k_cost_exponent,
-                               m_cost_exponent)
+from spcontrol.control import (HumConfig, _BackwardDual, _ForwardDual, _ForwardRiccati, hum_forward,
+                               k_cost_exponent, m_cost_exponent)
 from spcontrol.errors import NumericsError
 from spcontrol.experiments import (SweepError, _forward_pencil, _pencil_power_iteration,
                                    cost_scaling_sweep, epsilon_sweep, observability_constant)
@@ -333,6 +333,23 @@ def test_epsilon_sweep_huge_penalty_means_no_control():
     first = rows[0]
     assert first["control_cost"] <= 1e-4 * first["terminal_norm"]
     assert first["terminal_norm"] == pytest.approx(first["uncontrolled_norm"], rel=1e-2)
+
+
+def test_epsilon_sweep_rows_are_the_per_eps_hum_forward_reports():
+    """Acceptance criterion 4 solves each eps with hum_forward on one stepper; sweep-eps runs
+    epsilon_sweep.  Both take the same route, so their rows agree to the bit."""
+    grid = build_grid(1.0, 32, (0.1, 0.95), (0.3, 0.7))
+    tree = build_tree(8, 1.0)
+    coeffs = ProblemCoefficients(a=0.15, a1=1.0, a2=0.5, b1=0.5, b2=0.5, b=0.5)
+    y0 = np.sin(np.pi * grid.x / grid.L)
+    eps_values = [1e-1, 1e-2, 1e-3, 1e-4]
+    rows = epsilon_sweep(coeffs, grid, tree, y0, eps_values, cg_tol=1e-10, cg_max_iter=8000)
+    st = TreeStepper(grid, tree, coeffs)
+    keys = ("terminal_norm", "control_cost", "cg_iterations", "cg_converged")
+    for eps, row in zip(eps_values, rows, strict=True):
+        report = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=8000),
+                             stepper=st).report
+        assert [row[k] for k in keys] == [getattr(report, k) for k in keys]
 
 
 @pytest.mark.parametrize("eps_values", [[np.nan, 1e-2, 1e-3], [np.inf, 1e-2, 1e-3],
