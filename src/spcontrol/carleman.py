@@ -174,7 +174,8 @@ class CarlemanWeightSet:
     """phi, alpha, l tabulated on interior tree levels (t = 0, T excluded).
 
     Row k corresponds to tree level k + 1.  theta = e^l is never formed
-    directly; use theta2_phi_pow with a caller-supplied log shift.
+    directly: a weighted integral exponentiates 2l + power*log_phi less a
+    log shift (see max_log_theta2).
     """
 
     lam: float
@@ -191,11 +192,6 @@ class CarlemanWeightSet:
         if not 0 <= k < self.times.size:
             raise ValueError(f"tree level {tree_level} has no tabulated weights (t = 0, T excluded)")
         return k
-
-    def theta2_phi_pow(self, tree_level: int, power: float, log_shift: float = 0.0) -> np.ndarray:
-        """theta^2 * phi^power at a level, scaled by e^{-log_shift}."""
-        k = self.row(tree_level)
-        return np.exp(2.0 * self.l[k] + power * self.log_phi[k] - log_shift)
 
     def max_log_theta2(self, tree_levels) -> float:
         return max(float(self.l[self.row(n)].max()) for n in tree_levels) * 2.0
@@ -408,36 +404,52 @@ def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
     over `sources`, a sequence of (name, F, power, factor); F may be indexed
     by level (only the quadrature levels are read) or None for an absent
     source, whose term is 0.  The forward estimate passes mu = 1.
+
+    Every term is a sum of per-level node sums,
+
+        I[th^2 phi^p F^2] = sum_n dt 2^-n h <w_n^p, sum over the nodes of F_n^2>,
+
+    in units of e^shift: each field's squares are summed over a level's nodes
+    once (the state and observation terms share z's sums), the weight rows
+    w_n^p = th^2 phi^p of a power come from one exp over all quadrature
+    levels with the factors dt 2^-n h folded in, and each term is one dot
+    product; the G0 mask zeroes entries of the weight rows.
     """
     shift = weights.max_log_theta2(levels)
-    tables = {}  # power -> th^2 phi^power per level, built once however many integrals use it
+    rows = slice(weights.row(levels[0]), weights.row(levels[-1]) + 1)
+    two_l = 2.0 * weights.l[rows]
+    quad = np.array([tree.dt * tree.node_weight(n) * grid.h for n in levels])[:, None]
+    tables = {}  # power -> weight rows, built once however many terms use them
 
-    def integral(field, power, mask=None):
-        """I[th^2 phi^power field^2] over the quadrature levels, in units of e^shift."""
-        if power not in tables:
-            tables[power] = {n: weights.theta2_phi_pow(n, power, log_shift=shift) for n in levels}
-        total = 0.0
-        for n in levels:
-            w = tables[power][n]
-            vals = np.asarray(field[n], dtype=float)
-            vals = vals * vals
-            if mask is not None:
-                block = float(np.sum(vals[:, mask] * w[mask]))
-            else:
-                block = float(np.sum(vals * w))
-            total += tree.dt * tree.node_weight(n) * grid.h * block
-        return total
+    def weight(power):
+        if power not in tables:  # exp(2l + power*log_phi - shift) * quad, in place
+            w = np.multiply(power, weights.log_phi[rows])
+            w += two_l
+            w -= shift
+            tables[power] = np.multiply(np.exp(w, out=w), quad, out=w)
+        return tables[power]
+
+    def node_sums(blocks):
+        """Per quadrature level, the sum over its nodes of the block's squares."""
+        out = np.empty((len(levels), grid.N))
+        for row, block in zip(out, blocks):
+            block = np.asarray(block, dtype=float)
+            np.einsum("ij,ij->j", block, block, out=row)
+        return out
 
     lam = weights.lam
     lam3mu4 = lam ** 3 * mu ** 4
-    grad_z = {n: gradient(grid, z[n]) for n in levels}
+    z_levels = [z[n] for n in levels]
+    z_sums = node_sums(z_levels)
     lhs_terms = {
-        "state": lam3mu4 * integral(z, 3.0),
-        "gradient": lam * mu * mu * integral(grad_z, 1.0),
+        "state": lam3mu4 * float(np.vdot(weight(3.0), z_sums)),
+        "gradient": lam * mu * mu * float(np.vdot(
+            weight(1.0), node_sums(gradient(grid, block) for block in z_levels))),
     }
-    rhs_terms = {"observation": lam3mu4 * integral(z, 3.0, mask=grid.g0_mask)}
+    rhs_terms = {"observation": lam3mu4 * float(np.vdot(weight(3.0) * grid.g0_mask, z_sums))}
     for name, f, power, factor in sources:
-        rhs_terms[name] = 0.0 if f is None else factor * integral(f, power)
+        rhs_terms[name] = 0.0 if f is None else factor * float(np.vdot(
+            weight(power), node_sums(f[n] for n in levels)))
     lhs = sum(lhs_terms.values())
     rhs = sum(rhs_terms.values())
     if rhs == 0.0:

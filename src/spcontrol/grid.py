@@ -91,13 +91,17 @@ def build_grid(L: float, N: int, g0: tuple[float, float], g1: tuple[float, float
 
 def gradient(grid: SpatialGrid, u) -> np.ndarray:
     """Centered difference with zero ghost values: (u_{i+1} - u_{i-1}) / 2h."""
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     if u.shape[-1] != grid.N:
         raise ValueError(f"expected last axis of length {grid.N}, got shape {u.shape}")
     two_h = 2.0 * grid.h
     out = np.empty_like(u)
+    # one contiguous difference over all rows, so numpy needs no strided buffers; it
+    # wraps across rows only in the two end columns, which are set after it
+    flat = u.reshape(-1)
+    inner = np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+    inner /= two_h
     out[..., 0] = u[..., 1] / two_h
-    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / two_h
     out[..., -1] = -u[..., -2] / two_h
     return out
 

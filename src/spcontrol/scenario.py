@@ -183,18 +183,21 @@ def martingale_part(tree: ScenarioTree, child_values) -> tuple[np.ndarray, np.nd
     if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[0] % 2:
         raise ValueError(f"child level must hold an even number >= 2 of nodes, got shape {vals.shape}")
     plus, minus = vals[0::2], vals[1::2]
-    cond_mean = 0.5 * (plus + minus)
-    z = 0.5 * (plus - minus) / tree.sqrt_dt
+    cond_mean = np.add(plus, minus)
+    cond_mean *= 0.5
+    z = np.subtract(plus, minus)
+    z *= 0.5
+    z /= tree.sqrt_dt
     return cond_mean, z
 
 
 def reconstruct_children(tree: ScenarioTree, cond_mean, z) -> np.ndarray:
     """Inverse of martingale_part: children = E_n +/- Z_n * sqrt(dt)."""
     cond_mean = np.asarray(cond_mean, dtype=float)
-    bump = np.asarray(z, dtype=float) * tree.sqrt_dt
+    bump = np.multiply(z, tree.sqrt_dt)
     out = np.empty((2 * cond_mean.shape[0], cond_mean.shape[1]))
-    out[0::2] = cond_mean + bump
-    out[1::2] = cond_mean - bump
+    np.add(cond_mean, bump, out=out[0::2])
+    np.subtract(cond_mean, bump, out=out[1::2])
     return out
 
 

@@ -330,15 +330,19 @@ class TreeStepper(_StepperBase):
                 z_half, z_mart = martingale_part(tree, w)
             else:
                 z_half, z_mart = w, np.zeros_like(w)
-            corr, = self.apply(n, mode, (z_half, z_mart))  # None in generic mode
+            del w  # spent: the correction below may reuse its memory
+            # the couplings, a fresh array (None in generic mode); the sources add in place
+            corr, = self.apply(n, mode, (z_half, z_mart))
             if u is not None:
                 corr += mask * u[n]
+            if f_div is not None:  # only generic mode has sources, so corr is None here
+                corr = weak_divergence(grid, f_div[n])
             if f0 is not None:
-                corr = f0[n] if corr is None else corr + f0[n]
-            if f_div is not None:
-                flux = weak_divergence(grid, f_div[n])
-                corr = flux if corr is None else corr + flux
-            cur = z_half.copy() if corr is None else z_half - self.dt * corr
+                corr = np.array(f0[n], dtype=float) if corr is None else np.add(corr, f0[n], out=corr)
+            if corr is None:
+                cur = z_half.copy()
+            else:  # z_half - dt*corr, bit for bit
+                cur = np.add(np.multiply(corr, -self.dt, out=corr), z_half, out=corr)
             z_levels[n], z_half_levels[n], mart_levels[n] = cur, z_half, z_mart
         return BackwardSolution(z=AdaptedField(z_levels), Z=AdaptedField(mart_levels),
                                 z_half=AdaptedField(z_half_levels))

@@ -360,6 +360,21 @@ def test_ratio_terms_recomputed_node_by_node(full_coeffs):
     _assert_terms_match(res, *_reference_ratio(grid, tree, wb, sol.z, (
         ("f0", f0, 0.0, 1.0), ("flux", f1, 2.0, l2m2), ("martingale", sol.Z, 2.0, l2m2)), mu))
 
+    # the shape the carleman-fine benchmark measures: N = 128, M = 8, mu = 1, exclude 1
+    grid128 = build_grid(1.0, 128, (0.1, 0.95), (0.3, 0.7))
+    tree8 = build_tree(8, 1.0)
+    psi128 = build_psi(grid128)
+    st128 = TreeStepper(grid128, tree8, full_coeffs)
+    zT8 = rng.standard_normal((tree8.n_nodes(tree8.M), grid128.N))
+    g0, g1 = (AdaptedField.random(tree8, grid128.N, rng, n_levels=tree8.M) for _ in range(2))
+    w8 = eval_weights(psi128, lambda_threshold(1.0, psi128, tree8.T), 1.0, tree8)
+    sol = st128.backward(zT8, mode="generic", f0=g0, f_div=g1)
+    res = carleman_ratio_backward(grid128, tree8, full_coeffs, w8, zT8, mode="sources",
+                                  f0=g0, f_div=g1, exclude=1, stepper=st128)
+    _assert_terms_match(res, *_reference_ratio(grid128, tree8, w8, sol.z, (
+        ("f0", g0, 0.0, 1.0), ("flux", g1, 2.0, w8.lam ** 2),
+        ("martingale", sol.Z, 2.0, w8.lam ** 2)), 1.0))
+
     # forward: mu = 4 is frozen in the weight only; the reference prefactors
     # are lam^3, lam, lam^2 (a stray mu^k would be off by a factor >= 16)
     wf = eval_weights(psi, 10.0 * lambda_threshold_forward(tree.T), 4.0, tree)

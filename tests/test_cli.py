@@ -287,8 +287,9 @@ def test_desk_outputs_match_recorded_values(tmp_path):
                 "r2 against 1/T^4 (reported only)"),
         [2.5904903807638298, -6.3482400988452863, 0.82037776131149065, 0.5251313453375841],
         **close)
-    # dev_A at mu = 64 (4.8e-16) sits at rounding level, so this pin and the
-    # slope fitted through it hold for one numpy/libm build
+    # dev_A at mu = 64 (4.8e-16) sits at rounding level, so its pin holds for one
+    # numpy/libm build; the slope leaves it out (dev_A <= 64 eps) and is fitted
+    # through mu = 8, 16, 32 alone
     np.testing.assert_allclose(
         _table(out / "appendix-check.csv", "mu", "lambda", "dev_A", "dev_B", "min_B_ratio",
                "c11_margin"),
@@ -301,7 +302,9 @@ def test_desk_outputs_match_recorded_values(tmp_path):
          [64, 3.8877084059945954e+55, 4.8390168646169765e-16, 0.11183429644919682,
           0.89941460089299663, 2.6982438026789901]], **close)
     np.testing.assert_allclose(_report(out / "appendix-check_report.txt", "dev_A log-log slope"),
-                               [-12.511928762619073], **close)
+                               [-10.800363790301741], **close)
+    assert "left out of the slope fit, dev_A <= 64 eps: mu = 64\n" in (
+        out / "appendix-check_report.txt").read_text()
 
 
 def test_fresh_interpreter_writes_the_in_process_bytes(tmp_path):
@@ -434,6 +437,17 @@ def test_subcommand_smoke(tmp_path, command, rows, key):
     assert key in (tmp_path / "out" / f"{command}_report.txt").read_text()
     if command == "sweep-T":
         assert len((tmp_path / "out" / "sweep-T.dat").read_text().splitlines()) == rows
+
+
+def test_appendix_slope_needs_two_rows_above_rounding_level(tmp_path):
+    # dev_A at mu = 64 is rounding noise on this config, so mu = 32 alone is left to fit
+    cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n\n"
+                                      "[carleman]\nmu_values = 32, 64\n")
+    assert main(["appendix-check", "--config", str(cfg_path)]) == 0
+    report = (tmp_path / "out" / "appendix-check_report.txt").read_text()
+    assert "left out of the slope fit, dev_A <= 64 eps: mu = 64\n" in report
+    assert "dev_A log-log slope" not in report
+    assert len(_table(tmp_path / "out" / "appendix-check.csv", "mu")) == 2
 
 
 def test_appendix_check_rejects_variable_diffusion(tmp_path, capsys):

@@ -159,6 +159,21 @@ def test_martingale_reconstruction():
     assert np.abs(back - children).max() <= 4e-16 * np.abs(children).max()
 
 
+def test_martingale_split_and_reconstruction_keep_the_textbook_bits():
+    # the in-place forms round exactly as the plain expressions do
+    tree = build_tree(8, 1.0)
+    rng = np.random.default_rng(12)
+    children = rng.standard_normal((256, 128))
+    mean, z = martingale_part(tree, children)
+    plus, minus = children[0::2], children[1::2]
+    assert np.array_equal(mean, 0.5 * (plus + minus))
+    assert np.array_equal(z, 0.5 * (plus - minus) / tree.sqrt_dt)
+    c, d = rng.standard_normal((2, 128, 128))
+    out = reconstruct_children(tree, c, d)
+    assert np.array_equal(out[0::2], c + d * tree.sqrt_dt)
+    assert np.array_equal(out[1::2], c - d * tree.sqrt_dt)
+
+
 def test_single_path_tree_and_fields():
     path = build_path(5, 2.0)
     assert [path.n_nodes(n) for n in range(6)] == [1] * 6

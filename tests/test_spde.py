@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper, build_grid,
-                       build_path, build_tree, duality_gap, mean_square_norm)
+                       build_path, build_tree, duality_gap, mean_square_norm, weak_divergence)
 
 
 def test_zero_data_gives_zero_solutions(grid16, tree6, full_coeffs):
@@ -266,6 +266,24 @@ def test_generic_backward_takes_one_source_alone(grid16, tree6, full_coeffs, giv
     spelled = st.backward(zT, mode="generic", **{given: src, ("f_div" if given == "f0" else "f0"): zeros})
     for n in range(tree6.M + 1):
         np.testing.assert_allclose(alone.z[n], spelled.z[n], rtol=1e-14, atol=1e-14)
+
+
+def test_generic_fold_keeps_the_textbook_bits(full_coeffs):
+    # z_n = z_half_n - dt*(f0_n + weak_div(f_div_n)), level by level, to the bit (N = 128)
+    grid = build_grid(1.0, 128, (0.1, 0.95), (0.3, 0.7))
+    tree = build_tree(6, 1.0)
+    st = TreeStepper(grid, tree, full_coeffs)
+    rng = np.random.default_rng(13)
+    zT = rng.standard_normal((tree.n_nodes(tree.M), grid.N))
+    f0, f_div = (AdaptedField.random(tree, grid.N, rng, n_levels=tree.M) for _ in range(2))
+    sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
+    assert np.array_equal(sol.z[tree.M], zT)
+    for n in range(tree.M):
+        w = st._solve(n + 1, sol.z[n + 1])
+        z_half = 0.5 * (w[0::2] + w[1::2])
+        assert np.array_equal(sol.z_half[n], z_half)
+        assert np.array_equal(sol.Z[n], 0.5 * (w[0::2] - w[1::2]) / tree.sqrt_dt)
+        assert np.array_equal(sol.z[n], z_half - tree.dt * (f0[n] + weak_divergence(grid, f_div[n])))
 
 
 def test_coefficient_tables_cache_sup_norms(grid16, tree6, full_coeffs):
