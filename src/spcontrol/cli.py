@@ -53,7 +53,9 @@ def compile_expression(text: str, where: str):
 
     An expression that names neither t nor x is a constant and comes back as
     its float value, which ProblemCoefficients samples in one assignment
-    instead of one evaluation per time level (the tables are the same).
+    instead of one evaluation per time level; one that names x but not t
+    comes back marked `time_independent`, which `spde._sample` evaluates once
+    for all time levels.  Either way the tables are the same.
     """
     try:
         node = ast.parse(text, mode="eval")
@@ -77,7 +79,11 @@ def compile_expression(text: str, where: str):
             probe = np.asarray(fn(0.1, np.array([0.25, 0.5])), dtype=float)
     except Exception as exc:  # noqa: BLE001 - surface any evaluation problem at parse time
         raise ConfigError(f"{where}: expression {text!r} fails to evaluate: {exc}") from None
-    if any(isinstance(sub, ast.Name) and sub.id in ("t", "x") for sub in ast.walk(node)):
+    names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    if "t" in names:
+        return fn
+    if "x" in names:
+        fn.time_independent = True
         return fn
     return float(probe)
 

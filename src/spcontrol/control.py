@@ -573,15 +573,21 @@ def _forward_pencil(stepper: TreeStepper):
     """Forward-direction (energy, observation) pair: z0 -> E|z(T)|^2, E int_{Q0} |z|^2.
 
     `_moment_forms` of the forward adjoint, whose Phi_n = S_{n+1}^{-1}(I + dt A_n) and
-    Psi_n = S_{n+1}^{-1} B_n push the identity's rows through the stepper's own step.
+    Psi_n = S_{n+1}^{-1} B_n push the identity's rows through the stepper's own step, once
+    for each distinct step (`first_step`).
     """
     dt, eye, observed = stepper.dt, np.eye(stepper.grid.N), np.diag(stepper.grid.g0_mask)
+    built = {}
 
     def level(n):
-        drift, noise = stepper.apply(n, "adjoint_1_5", (eye,))
-        phit = stepper._solve(n + 1, eye + dt * drift)
-        # a forward row runs on a path only where a2 = 0 makes the noise term exactly zero
-        return phit, stepper._solve(n + 1, noise) if stepper.tree.branching else None, observed
+        first = stepper.first_step[n]
+        if first not in built:
+            drift, noise = stepper.apply(n, "adjoint_1_5", (eye,))
+            phit = stepper._solve(n + 1, eye + dt * drift)
+            # a forward row runs on a path only where a2 = 0 makes the noise term exactly zero
+            built[first] = phit, stepper._solve(n + 1, noise) if stepper.tree.branching else None, observed
+        # the recursion runs n = M-1..0, so step `first` is the last to ask for its maps
+        return built.pop(first) if n == first else built[first]
 
     return _moment_forms(stepper, level)
 

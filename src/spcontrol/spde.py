@@ -35,7 +35,8 @@ space-time pairings and the HUM controls.  On a single-branch path
 
 Solvers are pure: steppers hold only immutable factorizations, coefficient
 tables and data-independent step matrices (built on first use, the same
-whoever builds them), so independent solves may run concurrently.
+whoever builds them, once for each distinct step), so independent solves may
+run concurrently.
 """
 
 from __future__ import annotations
@@ -79,10 +80,15 @@ def _sample(spec, times: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Tabulate a scalar/callable coefficient on a times-by-points grid."""
     out = np.empty((times.size, x.size))
     if callable(spec):
+        # a callable marked time_independent (cli.compile_expression's x-only expressions) is
+        # evaluated at the first time only, and that row is the one every time would give
+        once = getattr(spec, "time_independent", False)
         # non-finite samples are reported by the caller, naming the coefficient
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for k, t in enumerate(times):
+            for k, t in enumerate(times[:1] if once else times):
                 out[k] = np.broadcast_to(np.asarray(spec(t, x), dtype=float), x.shape)
+        if once:
+            out[1:] = out[:1]
     else:
         out[:] = float(spec)
     return out
@@ -182,24 +188,41 @@ class _StepperBase:
     closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf, from
     `_lapack`, which loads scipy's compiled wrapper without importing scipy.linalg).
     dpttrs solves every row by the same loop, so no row depends on how many come with it.
+    Every per-step build (this factor, `TreeStepper.general_steps`, `inverse_steps`, the
+    forward pencil's maps) runs once for each distinct step and is shared by the steps whose
+    coefficient bytes repeat it (`first_step`): with coefficients that do not depend on t,
+    once in all.  The build is the one that step would make alone, so no result moves a bit.
     """
 
     def __init__(self, grid: SpatialGrid, times: np.ndarray, dt: float, coeffs):
         self.grid = grid
         self.dt = float(dt)
-        self.tab = coeffs if isinstance(coeffs, CoefficientTables) else coeffs.sample(grid, times)
-        h2 = grid.h * grid.h
-        self._facts = [None]
-        for n in range(1, times.size):
-            af = self.tab.a_faces[n]
-            d, e, info = dpttrf(1.0 + self.dt * (af[:-1] + af[1:]) / h2, -self.dt * af[1:-1] / h2)
-            if info != 0:
-                raise NumericsError(f"implicit step matrix of level {n} is not positive definite")
-            self._facts.append((d, e))
+        self.tab = tab = coeffs if isinstance(coeffs, CoefficientTables) else coeffs.sample(grid, times)
+        # step n reads a_faces[n + 1] and row n of the other tables, compared as bytes: -0.0 is not 0.0
+        steps = np.concatenate((tab.a_faces[1:], tab.a1, tab.a2, tab.b1, tab.b2, tab.b), axis=1)
+        first: dict = {}
+        self.first_step = [first.setdefault(row.tobytes(), n) for n, row in enumerate(steps)]
+        self._facts = [None] + self._each_step(self._factor)
         cfl = self.dt * (self.tab.b1_inf ** 2 / self.tab.beta + self.tab.a1_inf)
         if cfl > 1.0:
             warnings.warn(f"explicit lower-order terms are large: dt*(|B1|^2/beta + |a1|) = {cfl:.3g} > 1",
                           RuntimeWarning, stacklevel=3)
+
+    def _each_step(self, build) -> list:
+        """[build(n) for every step n], built at the first of each set of bit-identical steps
+        and shared by the others, which `first_step` names."""
+        out = []
+        for n, first in enumerate(self.first_step):
+            out.append(build(n) if first == n else out[first])
+        return out
+
+    def _factor(self, n: int):
+        """The LDL^T factor (d, e) of S_{n+1}, the implicit matrix of step n."""
+        af, h2 = self.tab.a_faces[n + 1], self.grid.h * self.grid.h
+        d, e, info = dpttrf(1.0 + self.dt * (af[:-1] + af[1:]) / h2, -self.dt * af[1:-1] / h2)
+        if info != 0:
+            raise NumericsError(f"implicit step matrix of level {n + 1} is not positive definite")
+        return d, e
 
     def _solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Apply S_level^{-1} to rows of rhs (the solve is symmetric)."""
@@ -251,16 +274,21 @@ class TreeStepper(_StepperBase):
         """Per level n: (G^T, B^T) = (I + dt A_n^T, B_n^T), the general step on the identity's rows.
 
         They do not depend on the data, so every Riccati set-up on this stepper
-        (one per eps of a sweep) shares one build.
+        (one per eps of a sweep) shares one build, and bit-identical steps share one entry.
         """
         eye = np.eye(self.grid.N)
-        rows = (self.apply(n, "general", (eye,)) for n in range(self.tree.M))
-        return [(eye + self.dt * drift, noise) for drift, noise in rows]
+
+        def step(n):
+            drift, noise = self.apply(n, "general", (eye,))
+            return eye + self.dt * drift, noise
+
+        return self._each_step(step)
 
     @cached_property
     def inverse_steps(self) -> list:
         """Per level n = 1..M: S_n^{-1} = `_solve(n, I)`, shared like general_steps (None at level 0)."""
-        return [None] + [self._solve(n, np.eye(self.grid.N)) for n in range(1, self.tree.M + 1)]
+        eye = np.eye(self.grid.N)
+        return [None] + self._each_step(lambda n: self._solve(n + 1, eye))
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
                 mode: str = "general") -> ForwardSolution:

@@ -8,7 +8,7 @@ import pytest
 
 from spcontrol import cli
 from spcontrol.cli import ConfigError, compile_expression, main, parse_config, run
-from spcontrol.spde import ProblemCoefficients, TreeStepper
+from spcontrol.spde import ProblemCoefficients, TreeStepper, _sample
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -80,6 +80,53 @@ def test_constant_expression_samples_like_its_callable(grid16, tree6, text):
             for spec in (const, callable_form)]
     assert np.array_equal(tabs[0].a1, tabs[1].a1)
     assert np.array_equal(tabs[0].b, tabs[1].b)
+
+
+@pytest.mark.parametrize("text", ["1 + 0.5*x", "0.5 * sin(pi * x)", "exp(-x) * x ** 2 - 0.0"])
+def test_x_only_expression_is_sampled_once_like_every_time(grid16, tree6, text):
+    fn = compile_expression(text, "[problem] b1")
+    assert fn.time_independent is True
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return fn(t, x)
+
+    counted.time_independent = True
+    table = _sample(counted, tree6.times, grid16.x)
+    assert calls == [tree6.times[0]]
+    per_time = np.stack([np.asarray(fn(t, grid16.x), dtype=float) for t in tree6.times])
+    assert table.tobytes() == per_time.tobytes()
+    tabs = [ProblemCoefficients(a=1.0, b1=spec, b=spec).sample(grid16, tree6.times)
+            for spec in (fn, lambda t, x: fn(t, x))]
+    assert tabs[0].b1.tobytes() == tabs[1].b1.tobytes()
+    assert tabs[0].b.tobytes() == tabs[1].b.tobytes()
+
+
+@pytest.mark.parametrize("spec", [compile_expression("x + t", "[problem] a1"),
+                                  compile_expression("1 + 0 * t", "[problem] a1"),
+                                  lambda t, x: 1.0 + x])
+def test_time_dependent_expressions_and_callables_are_sampled_every_time(grid16, tree6, spec):
+    assert not getattr(spec, "time_independent", False)
+    calls = []
+    table = _sample(lambda t, x: calls.append(t) or spec(t, x), tree6.times, grid16.x)
+    assert calls == list(tree6.times)
+    assert table.tobytes() == np.stack([np.broadcast_to(np.asarray(spec(t, grid16.x), dtype=float),
+                                                        grid16.x.shape) for t in tree6.times]).tobytes()
+
+
+@pytest.mark.parametrize("specs,message", [
+    ({"a1": "log(x - 0.5)"}, "coefficient a1 is not finite at t = 0"),
+    ({"a": "0.1 + 0 * x", "b2": "0.45 + 0 * x"},
+     "coefficients a and b2 violate stochastic parabolicity: min(2a - b2^2) = -0.0025 <= 0 at t = 0"),
+])
+def test_x_only_expression_errors_keep_their_messages(grid16, tree6, specs, message):
+    compiled = {k: compile_expression(v, f"[problem] {k}") for k, v in specs.items()}
+    per_time = {k: (lambda fn: lambda t, x: fn(t, x))(fn) for k, fn in compiled.items()}
+    for coeffs in (compiled, per_time):
+        with pytest.raises(ValueError) as err:
+            ProblemCoefficients(**coeffs).sample(grid16, tree6.times)
+        assert str(err.value) == message
 
 
 def test_constant_expression_errors_keep_their_messages(tmp_path, capsys):

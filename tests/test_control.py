@@ -422,14 +422,11 @@ def test_cholesky_names_an_indefinite_matrix():
 
 
 def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
-    """general_steps and inverse_steps are built once per stepper, whatever the number of eps."""
+    """general_steps and inverse_steps are built once per stepper, whatever the number of eps,
+    and once per distinct step: with constant coefficients the identity goes through
+    apply/_solve once in all, with an a1 that varies in t once per level."""
     tree = build_tree(5, 1.0)
-    coeffs = ProblemCoefficients(a=0.5, a1=0.5, a2=0.3, b1=0.2, b2=0.2)
     eye = np.eye(GRID8.N)
-    st = TreeStepper(GRID8, tree, coeffs)
-    assert st.inverse_steps[0] is None
-    for n in range(1, tree.M + 1):
-        assert st.inverse_steps[n].tobytes() == st._solve(n, eye).tobytes()
     identity_calls, solve_calls = [], []
     apply, solve = TreeStepper.apply, TreeStepper._solve
 
@@ -443,12 +440,21 @@ def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
             solve_calls.append(n)
         return solve(self, n, rhs)
 
-    monkeypatch.setattr(TreeStepper, "apply", counted)
-    monkeypatch.setattr(TreeStepper, "_solve", counted_solve)
-    experiments.epsilon_sweep(coeffs, GRID8, tree, np.sin(np.pi * GRID8.x),
-                              [1e-1, 1e-2, 1e-3, 1e-4])
-    assert sorted(identity_calls) == list(range(tree.M))
-    assert sorted(solve_calls) == list(range(1, tree.M + 1))
+    for a1, built in ((0.5, [0]), (lambda t, x: 0.5 + t, list(range(tree.M)))):
+        coeffs = ProblemCoefficients(a=0.5, a1=a1, a2=0.3, b1=0.2, b2=0.2)
+        st = TreeStepper(GRID8, tree, coeffs)
+        assert st.inverse_steps[0] is None
+        for n in range(1, tree.M + 1):
+            assert st.inverse_steps[n].tobytes() == st._solve(n, eye).tobytes()
+        identity_calls.clear()
+        solve_calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(TreeStepper, "apply", counted)
+            patch.setattr(TreeStepper, "_solve", counted_solve)
+            experiments.epsilon_sweep(coeffs, GRID8, tree, np.sin(np.pi * GRID8.x),
+                                      [1e-1, 1e-2, 1e-3, 1e-4])
+        assert sorted(identity_calls) == built
+        assert sorted(solve_calls) == [n + 1 for n in built]
 
 
 def test_hum_forward_with_given_free_state_is_bitwise_the_same(hum_setup):

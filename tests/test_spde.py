@@ -5,6 +5,8 @@ import pytest
 
 from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper, build_grid,
                        build_path, build_tree, duality_gap, mean_square_norm, weak_divergence)
+from spcontrol._lapack import dpttrf
+from spcontrol.control import _forward_pencil, _moment_forms
 
 
 def test_zero_data_gives_zero_solutions(grid16, tree6, full_coeffs):
@@ -326,3 +328,67 @@ def test_stochastic_parabolicity_accepts_the_desk_margin(grid16, tree6):
     # demos/desk.ini: 2 * 0.15 - 0.5^2 = 0.05
     tab = ProblemCoefficients(a=0.15, a2=0.5, b2=0.5).sample(grid16, tree6.times)
     assert tab.b2_inf == 0.5
+
+
+_CONSTANT = {"a": 0.8, "a1": 0.7, "a2": 0.3, "b1": 0.2, "b2": 0.4, "b": 0.5}
+
+
+def _step_tables(case, grid, tree):
+    """Coefficient tables whose steps repeat (or not) as `case` says: "t in <name>" varies that
+    coefficient alone in t, and "negative-zero" differs from its neighbours only in the sign
+    of a zero a2 row."""
+    coeffs = dict(_CONSTANT)
+    if case.startswith("t in "):
+        name = case[5:]
+        coeffs[name] = lambda t, x, c=coeffs[name]: c + 0.1 * t + 0.05 * np.sin(np.pi * x)
+    elif case == "piecewise":
+        coeffs["a1"] = lambda t, x: 1.0 + (t >= 0.5)
+    elif case == "piecewise a":  # a_faces[n + 1] belongs to step n
+        coeffs["a"] = lambda t, x: 0.8 + 0.2 * (t >= 0.5)
+    elif case == "negative-zero":
+        coeffs["a2"] = 0.0
+    tab = ProblemCoefficients(**coeffs).sample(grid, tree.times)
+    if case == "negative-zero":
+        a2 = tab.a2.copy()
+        a2[2] = -0.0
+        tab = dataclasses.replace(tab, a2=a2)
+    return tab
+
+
+_FIRST_STEPS = {"constant": [0, 0, 0, 0], **{f"t in {name}": [0, 1, 2, 3] for name in _CONSTANT},
+                "piecewise": [0, 0, 2, 2], "piecewise a": [0, 1, 1, 1], "negative-zero": [0, 0, 2, 0]}
+
+
+@pytest.mark.parametrize("tree", [build_tree(4, 1.0), build_path(4, 1.0)], ids=["tree", "path"])
+@pytest.mark.parametrize("case", list(_FIRST_STEPS))
+def test_shared_step_builds_match_per_level_builds(grid16, tree, case):
+    """Each per-step object is built once per distinct step (by bytes, so -0.0 is not 0.0) and
+    is bit for bit what a fresh build at every level gives: the dpttrf factors, general_steps,
+    inverse_steps and the forward pencil."""
+    st = TreeStepper(grid16, tree, _step_tables(case, grid16, tree))
+    assert st.first_step == _FIRST_STEPS[case]
+    eye, dt, h2 = np.eye(grid16.N), st.dt, grid16.h * grid16.h
+    for n, first in enumerate(st.first_step):
+        af = st.tab.a_faces[n + 1]
+        d, e, info = dpttrf(1.0 + dt * (af[:-1] + af[1:]) / h2, -dt * af[1:-1] / h2)
+        assert info == 0
+        assert [x.tobytes() for x in st._facts[n + 1]] == [d.tobytes(), e.tobytes()]
+        drift, noise = st.apply(n, "general", (eye,))
+        assert [m.tobytes() for m in st.general_steps[n]] == [(eye + dt * drift).tobytes(), noise.tobytes()]
+        assert st.inverse_steps[n + 1].tobytes() == st._solve(n + 1, eye).tobytes()
+        assert st._facts[n + 1] is st._facts[first + 1]
+        assert st.general_steps[n] is st.general_steps[first]
+        assert st.inverse_steps[n + 1] is st.inverse_steps[first + 1]
+    distinct = len(set(st.first_step))
+    for built in (st._facts[1:], st.general_steps, st.inverse_steps[1:]):
+        assert len({id(x) for x in built}) == distinct
+    if case == "negative-zero":  # a value-keyed share would have handed step 2 step 0's +0.0 noise
+        assert st.general_steps[2][1].tobytes() != st.general_steps[0][1].tobytes()
+
+    def fresh(n):  # the forward pencil's maps built afresh at every level
+        drift, noise = st.apply(n, "adjoint_1_5", (eye,))
+        return (st._solve(n + 1, eye + dt * drift),
+                st._solve(n + 1, noise) if tree.branching else None, np.diag(grid16.g0_mask))
+
+    for shared, ref in zip(_forward_pencil(st), _moment_forms(st, fresh)):
+        assert shared.tobytes() == ref.tobytes()
