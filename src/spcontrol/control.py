@@ -178,43 +178,48 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, precond=None, *, z0=None)
     a wrong z0 only costs iterations; one with <b, z0> <= 0 is no descent
     direction and is not used.  Convergence is always tested on the
     unpreconditioned relative residual |b - A x| / |b|, and the trace
-    reports the last one measured, the start residual when no iteration
-    ran.  The trace also records the quadratic functional
+    reports the last one measured, the start residual (exactly 1, as r = b)
+    when no iteration ran.  The trace also records the quadratic functional
     1/2 <x, Ax> - <b, x>, which must be non-increasing.  CG runs on b
-    divided by a power of two near max|b|: the scaling is exact, so it
-    changes no bit where nothing underflows, and tiny data does not read as
-    b = 0.  |r| is measured on r / max|r| where <r, r> underflows, so a
-    nonzero residual never reads as zero.
+    divided by a power of two near max|b|, and the steps that build x's
+    by-products carry that factor back: the scaling is exact, so it changes
+    no bit where nothing underflows, and tiny data does not read as b = 0.
+    |r| is measured on r / max|r| where <r, r> underflows, so a nonzero
+    residual never reads as zero.  A non-finite b or residual is a
+    NumericsError, never a converged solve.
     """
-    def norm(r):
+    def norm(r, what):
         rr = inner(r, r)
-        if rr >= np.finfo(float).tiny:
+        if np.finfo(float).tiny <= rr < np.inf:
             return np.sqrt(rr)
         top = np.max(np.abs(r))
+        if not np.isfinite(top):
+            raise NumericsError(f"non-finite {what} in conjugate gradients")
         return top * np.sqrt(inner(r / top, r / top)) if top > 0.0 else 0.0
 
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(b)))[1] - 1)  # max|b| / scale in [1, 2)
     b = b / scale
-    b_norm = norm(b)
+    b_norm = norm(b, "right-hand side")
     if b_norm == 0.0:
         return np.zeros_like(b), {"iterations": 0, "residuals": [], "values": [],
                                   "converged": True, "residual": 0.0, "products": None}
     x, ax, r, products = np.zeros_like(b), np.zeros_like(b), b.copy(), None
     z = None if z0 is None else z0 / scale
-    if z is not None and not inner(r, z) > 0.0:
+    rz_new = None if z is None else inner(r, z)
+    if z is not None and not rz_new > 0.0:
         z = None  # not a descent direction
     restart = z is not None  # after the caller's direction, start afresh from precond(r)
     d = None  # the search direction; None starts afresh from z
-    residual = norm(r) / b_norm
+    residual = 1.0  # r is b
     residuals = []
     values = []
     converged = residual <= tol
     n_iter = 0
     while not converged and n_iter < max_iter:
         if z is None:
-            z = r if precond is None else precond(r)
-        rz_new = inner(r, z)
-        d = z.copy() if d is None else z + (rz_new / rz) * d
+            z = r.copy() if precond is None else precond(r)  # r itself changes below
+            rz_new = inner(r, z)
+        d = z if d is None else z + (rz_new / rz) * d
         rz, z = rz_new, None
         q, q_products = apply_op(d)
         dq = inner(d, q)
@@ -223,19 +228,15 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, precond=None, *, z0=None)
         step = rz / dq
         x += step * d
         ax += step * q
-        products = _axpy(step, q_products, products)
+        products = _axpy(step * scale, q_products, products)
         r -= step * q
         n_iter += 1
-        residual = norm(r) / b_norm
+        residual = norm(r, "residual") / b_norm
         residuals.append(residual)
         values.append((0.5 * inner(x, ax) - inner(b, x)) * scale * scale)
         converged = residual <= tol
         if restart:
             d, restart = None, False
-    if products is not None:
-        for levels in products:
-            for a in levels:
-                a *= scale
     return x * scale, {"iterations": n_iter, "residuals": residuals, "values": values,
                        "converged": converged, "residual": residual, "products": products}
 
@@ -287,12 +288,30 @@ def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
     eps = config.epsilon
     identity = cost + final_norm / eps + pairing
     scale = cost + final_norm / eps + abs(pairing) + 1e-300
-    bound = cost / (np.exp(config.bound_c * exponent) * data_norm) if data_norm > 0 else 0.0
     return HumReport(epsilon=eps, control_cost=cost, terminal_norm=final_norm,
                      uncontrolled_norm=uncontrolled, cg_iterations=trace["iterations"],
                      cg_residual=trace["residual"], cg_converged=trace["converged"],
-                     cost_exponent=exponent, bound_ratio=bound,
+                     cost_exponent=exponent,
+                     bound_ratio=_bound_ratio(cost, config.bound_c * exponent, data_norm),
                      identity_residual=abs(identity) / scale)
+
+
+def _bound_ratio(cost: float, log_bound: float, data_norm: float) -> float:
+    """cost / (e^{log_bound} * data_norm), 0 for zero data.
+
+    Formed directly where that denominator is a finite positive float, and from logs where
+    e^{log_bound} overflows (bound_c * K > 709, as at small T) or underflows, so neither
+    case warns or reads as 0 / inf.
+    """
+    if not data_norm > 0:
+        return 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        denominator = np.exp(log_bound) * data_norm
+        if 0.0 < denominator < np.inf:
+            return cost / denominator
+        if cost == 0.0:
+            return 0.0
+        return np.exp(np.log(cost) - log_bound - np.log(data_norm))
 
 
 # -- forward problem -------------------------------------------------------
@@ -307,16 +326,16 @@ class _ForwardDual:
         self.leaf_weight = tree.node_weight(tree.M) * grid.h
 
     def inner(self, p, q) -> float:
-        return self.leaf_weight * float(np.sum(p * q))
+        return self.leaf_weight * float((p * q).sum())
 
     def observation(self, z_half, Z) -> float:
         """E int_{Q0} z_half^2 + E int_Q Z^2 (all time levels)."""
-        grid, tree = self.st.grid, self.st.tree
+        grid, tree, g = self.st.grid, self.st.tree, self.st.grid.g0_slice
         total = 0.0
         for n in range(tree.M):
             w = tree.dt * tree.node_weight(n) * grid.h
-            zh = z_half[n]
-            total += w * (float(np.sum(zh[:, grid.g0_mask] ** 2)) + float(np.sum(Z[n] ** 2)))
+            # node-fastest, the layout z_half[n][:, g0_mask] has, so the sum keeps its order
+            total += w * (float(np.square(z_half[n][:, g].T, order="C").sum()) + float((Z[n] ** 2).sum()))
         return total
 
     def gram(self, p):
@@ -337,10 +356,10 @@ class _ForwardDual:
             w = z @ inv
             z_half[n], Z[n] = martingale_part(tree, w) if tree.branching else (w, np.zeros_like(w))
             z = _finite(z_half[n] @ gt.T + dt * (Z[n] @ bt.T), f"the forward Gramian's adjoint at level {n}")
-        y = [np.zeros((1, st.grid.N))]
+        y, dt_g0 = [np.zeros((1, st.grid.N))], dt * st.grid.g0_mask
         for n in range(tree.M):
             (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
-            base = y[n] @ gt + dt * (st.grid.g0_mask * z_half[n])
+            base = y[n] @ gt + dt_g0 * z_half[n]
             if tree.branching:
                 base = reconstruct_children(tree, base, y[n] @ bt + Z[n])
             y.append(_finite(base @ inv, f"the forward Gramian's state at level {n + 1}"))
@@ -368,26 +387,27 @@ class _ForwardRiccati:
         K_u = -(I + dt Q_gg)^{-1} (Q G)_g,   K_v = -(I + Q)^{-1} Q B,
         P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v),
 
-    with g the G0 rows.  The optimum is the feedback u = K_u y + k_u, v = K_v y + k_v:
-    the closed loop Phi_n = S^{-1}(G + dt 1_{G0} K_u), its noise part Psi_n = S^{-1}(B + K_v),
-    and the feedforward through the drives D_u = -dt S^{-1}_{:g} (I + dt Q_gg)^{-1} S^{-1}_{g:}
-    and D_v = -S^{-1} (I + Q)^{-1} S^{-1} on the conditional mean m and martingale part mu
-    of s_{n+1}.  So an application is N x N maps only: fold s_M = -r/eps down the tree,
-    s_n = Phi_n^T m + dt Psi_n^T mu, then march y_{n+1}^{+/-} = Phi_n y + D_u m
-    +/- sqrt(dt)(Psi_n y + D_v mu) up it.  On a path the noise, K_v, Psi and D_v drop.
-    Gains are column-form matrices and fields are rows, so a gain K acts as y @ K.T;
-    `loop` holds the row maps Phi_n^T, Psi_n^T, with S^{-1} from `inverse_steps`.
-    At r = -b, b the free terminal state of some y_0, the target is zero and the
-    optimum is the feedback alone: `feedback_direction` marches y_0 through the loop
-    and needs no drives.
+    with g the G0 rows, one contiguous run (`grid.g0_slice`).  The set-up forms P_n for
+    n >= 1 only, since level n - 1's Q needs it; P_0, which no application reads, is `p0`,
+    built on first use from level 0's Q and closed loop.  The optimum is the feedback
+    u = K_u y + k_u, v = K_v y + k_v: the closed loop Phi_n = S^{-1}(G + dt 1_{G0} K_u), its
+    noise part Psi_n = S^{-1}(B + K_v), and the feedforward through the drives
+    D_u = -dt S^{-1}_{:g} (I + dt Q_gg)^{-1} S^{-1}_{g:} and D_v = -S^{-1} (I + Q)^{-1} S^{-1}
+    on the conditional mean m and martingale part mu of s_{n+1}.  So an application is
+    N x N maps only: fold s_M = -r/eps down the tree, s_n = Phi_n^T m + dt Psi_n^T mu, then
+    march y_{n+1}^{+/-} = Phi_n y + D_u m +/- sqrt(dt)(Psi_n y + D_v mu) up it.  On a path
+    the noise, K_v, Psi and D_v drop.  Gains are column-form matrices and fields are rows,
+    so a gain K acts as y @ K.T; `loop` holds the row maps Phi_n^T, Psi_n^T, with S^{-1}
+    from `inverse_steps`.  At r = -b, b the free terminal state of some y_0, the target is
+    zero and the optimum is the feedback alone: `feedback_direction` marches y_0 through
+    the loop and needs no drives.
     """
 
     def __init__(self, stepper: TreeStepper, eps: float):
         self.st, self.eps = stepper, eps
         grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
-        g = grid.g0_mask
-        gg = np.ix_(g, g)
-        eye, eye_g = np.eye(grid.N), np.eye(int(g.sum()))
+        g = grid.g0_slice
+        eye, eye_g = np.eye(grid.N), np.eye(g.stop - g.start)
         p = eye / eps
         self.factors: list = [None] * tree.M  # per level: Cholesky factors of I + dt Q_gg, I + Q
         self.gains: list = [None] * tree.M  # per level: K_u, K_v
@@ -397,27 +417,41 @@ class _ForwardRiccati:
             q = 0.5 * (q + q.T)
             gt, bt = stepper.general_steps[n]
             inv = stepper.inverse_steps[n + 1]
-            cu = _cholesky(eye_g + dt * q[gg], f"I + dt Q_gg of level {n}")
-            ku = -_cho_solve(cu, (q @ gt.T)[g])
+            cu = _cholesky(eye_g + dt * q[g, g], f"I + dt Q_gg of level {n}")
+            ku = -_cho_solve(cu, (q @ gt.T)[g])  # not q[g] @ gt.T: its last bits differ at N > 32
             closed = gt.T.copy()
             closed[g] += dt * ku
-            p = gt @ q @ closed
             cv = kv = psi = None
             if tree.branching:
                 cv = _cholesky(eye + q, f"I + Q of level {n}")
                 kv = -_cho_solve(cv, q @ bt.T)
-                p += dt * (bt @ q @ (bt.T + kv))
                 psi = (bt + kv.T) @ inv
-            p = 0.5 * (p + p.T)
             self.factors[n] = (cu, cv)
             self.gains[n] = (ku, kv)
             self.loop[n] = (closed.T @ inv, psi)
-        self.p0 = p  # from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0
+            if n > 0:
+                p = self._riccati_p(n, q, closed)
+        self._level0 = q, closed
+
+    def _riccati_p(self, n: int, q, closed) -> np.ndarray:
+        """P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v) from level n's Q and its
+        column-form closed loop `closed` = G + dt 1_{G0} K_u."""
+        gt, bt = self.st.general_steps[n]
+        kv = self.gains[n][1]
+        p = gt @ q @ closed
+        if kv is not None:
+            p += self.st.dt * (bt @ q @ (bt.T + kv))
+        return 0.5 * (p + p.T)
+
+    @cached_property
+    def p0(self) -> np.ndarray:
+        """P_0, built on first use: from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0."""
+        return self._riccati_p(0, *self._level0)
 
     @cached_property
     def drives(self) -> list:
         """Per level: the row maps D_u^T, D_v^T (None on a path), built by the first application."""
-        st, g = self.st, self.st.grid.g0_mask
+        st, g = self.st, self.st.grid.g0_slice
         out = []
         for n, (cu, cv) in enumerate(self.factors):
             inv = st.inverse_steps[n + 1]

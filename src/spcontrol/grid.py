@@ -20,6 +20,7 @@ to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,15 @@ class SpatialGrid:
     def faces(self) -> np.ndarray:
         """Midpoint coordinates x_{i+1/2}, i = 0..N (N+1 values)."""
         return (np.arange(self.N + 1) + 0.5) * self.h
+
+    @cached_property
+    def g0_slice(self) -> slice:
+        """The nodes of g0_mask as one slice: G0 is an open interval on increasing x, so its
+        nodes form one contiguous run, and x[g0_slice] is x[g0_mask]."""
+        nodes = np.flatnonzero(self.g0_mask)
+        if nodes.size == 0 or nodes[-1] - nodes[0] + 1 != nodes.size:
+            raise ValueError("g0_mask does not mark one contiguous run of nodes")
+        return slice(int(nodes[0]), int(nodes[-1]) + 1)
 
     def inner(self, u, v) -> float:
         """Discrete L2 inner product h * sum(u*v) over interior nodes."""

@@ -242,6 +242,25 @@ def test_control_forward_report_contents(tmp_path):
         assert key in report
 
 
+@pytest.mark.parametrize("command", ["control-forward", "control-backward"])
+def test_bound_ratio_at_a_short_horizon(tmp_path, command):
+    """At T = 1e-3 the cost exponent passes 1000, so e^{bound_c K} overflows from bound_c
+    ~ 0.708 on: the ratio then comes from logs, with no RuntimeWarning (an error in this
+    suite), and continues the direct quotient's values across the overflow."""
+    ratios = {}
+    for bound_c in (0.7, 0.71, 1.0):
+        out = tmp_path / str(bound_c)
+        text = DESK.replace("M = 4\n", "M = 4\nT = 0.001\n").replace(
+            "cg_max_iter = 500\n", f"cg_max_iter = 500\nbound_c = {bound_c}\n")
+        assert main([command, "--config", str(write(tmp_path, text + f"output_dir = {out}\n"))]) == 0
+        exponent, ratios[bound_c] = _report(out / f"{command}_report.txt",
+                                            "K" if command == "control-forward" else "M", "bound_ratio")
+    assert 0.7 * exponent < 709.0 < 0.71 * exponent
+    assert ratios[0.71] > 0.0
+    assert ratios[0.7] / ratios[0.71] == pytest.approx(np.exp(0.01 * exponent), rel=1e-9)
+    assert ratios[1.0] == 0.0  # about 1e-434: below the least subnormal
+
+
 def test_carleman_check_csv_columns(tmp_path):
     cfg = DESK + f"output_dir = {tmp_path / 'out'}\n\n[carleman]\nsamples = 3\n"
     cfg_path = write(tmp_path, cfg)

@@ -4,9 +4,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_grid, build_path,
                        build_tree, control, experiments)
-from spcontrol.control import (HumConfig, _cg, _cholesky, _ForwardDual, _ForwardRiccati,
-                               dual_functional, hum_backward, hum_forward, k_cost_exponent,
-                               m_cost_exponent)
+from spcontrol.control import (HumConfig, _bound_ratio, _cg, _cholesky, _ForwardDual,
+                               _ForwardRiccati, dual_functional, hum_backward, hum_forward,
+                               k_cost_exponent, m_cost_exponent)
 from spcontrol.scenario import martingale_part, qt_integral, reconstruct_children
 
 
@@ -227,6 +227,59 @@ def test_cg_solves_data_whose_norm_underflows(spd6):
     exact = np.linalg.solve(mat, b)
     assert trace["converged"] and trace["iterations"] > 0
     assert np.max(np.abs(x - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cg_rejects_a_non_finite_right_hand_side(value):
+    # a NaN once read as |b| = 0 (x = 0, converged), an inf as a converged NaN solution
+    mat = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(NumericsError, match="non-finite right-hand side"):
+        _cg(lambda q: (mat @ q, ()), np.array([value, 1.0, 1.0]), np.dot, 1e-9, 10)
+
+
+def test_cg_rejects_a_non_finite_residual():
+    with pytest.raises(NumericsError, match="non-finite residual"):
+        _cg(lambda q: (np.full_like(q, np.nan), ()), np.ones(3), np.dot, 1e-9, 10)
+
+
+@pytest.mark.parametrize("power", [-40, 40])
+@pytest.mark.parametrize("case", ["z0", "preconditioned"])
+def test_cg_is_homogeneous_under_powers_of_two(spd6, case, power):
+    """b -> 2^power b scales x and every by-product by 2^power and the functional by
+    2^(2 power), bit for bit, and leaves the residual trace as it is."""
+    mat, b = spd6
+    by = np.random.default_rng(2).standard_normal((4, 6))
+
+    def apply_op(q):
+        return mat @ q, ([by @ q, 3.0 * q], [np.cumsum(q)])
+
+    def solve(rhs):
+        if case == "z0":  # the exact solution as first direction: one step converges
+            return _cg(apply_op, rhs, np.dot, 1e-10, 50, z0=np.linalg.solve(mat, rhs))
+        return _cg(apply_op, rhs, np.dot, 1e-14, 50, precond=lambda r: r / np.diag(mat))
+
+    x, trace = solve(b)
+    x_s, trace_s = solve(np.ldexp(b, power))
+    assert trace["converged"] and trace_s["iterations"] == trace["iterations"]
+    assert trace["iterations"] == 1 if case == "z0" else trace["iterations"] > 2
+    assert np.array_equal(x_s, np.ldexp(x, power))
+    assert trace_s["residuals"] == trace["residuals"] and trace_s["residual"] == trace["residual"]
+    assert trace_s["values"] == [np.ldexp(v, 2 * power) for v in trace["values"]]
+    for levels_s, levels in zip(trace_s["products"], trace["products"], strict=True):
+        for a_s, a in zip(levels_s, levels, strict=True):
+            assert np.array_equal(a_s, np.ldexp(a, power))
+
+
+def test_bound_ratio_past_the_exponential_range():
+    # the direct quotient while e^{bound_c K} * |data|^2 is a finite positive float
+    assert _bound_ratio(2.0, 1.5, 4.0) == 2.0 / (np.exp(1.5) * 4.0)
+    # past it from logs: e^710 overflows, e^-800 underflows
+    assert _bound_ratio(1e300, 710.0, 2.0) == pytest.approx(np.exp(np.log(1e300) - 710.0) / 2.0,
+                                                           rel=1e-12)
+    assert _bound_ratio(1e-300, -800.0, 1e200) == pytest.approx(
+        1e-300 * np.exp(400.0) * np.exp(400.0) / 1e200, rel=1e-12)
+    assert _bound_ratio(0.0, 800.0, 1.0) == 0.0
+    assert _bound_ratio(1.0, 800.0, 0.0) == 0.0
 
 
 def test_hum_config_bound_c_needs_only_be_finite():
@@ -664,6 +717,43 @@ def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
     res = hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg, stepper=st)
     assert res.report.cg_iterations == 1
     assert sweeps == {"forward": 1, "backward": 2}
+
+
+def test_one_iteration_forward_solve_builds_neither_p0_nor_drives(lq_setup, full_coeffs, monkeypatch):
+    """P_0 and the drives are built on first use, and no one-iteration solve uses them;
+    P_0 read afterwards is the reference recursion's, bit for bit."""
+    st, eps = lq_setup, 1e-2
+    made, p0_builds = [], []
+    init, riccati_p = _ForwardRiccati.__init__, _ForwardRiccati._riccati_p
+    monkeypatch.setattr(_ForwardRiccati, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+    monkeypatch.setattr(_ForwardRiccati, "_riccati_p",
+                        lambda self, n, *args: (n == 0 and p0_builds.append(n)) or riccati_p(self, n, *args))
+    res = hum_forward(st.grid, st.tree, full_coeffs, np.sin(np.pi * st.grid.x),
+                      HumConfig(epsilon=eps, cg_tol=1e-10), stepper=st)
+    assert res.report.cg_iterations == 1 and len(made) == 1
+    assert p0_builds == [] and "drives" not in made[0].__dict__
+    p0_ref, _ = _reference_riccati(st, eps)
+    assert np.array_equal(made[0].p0, p0_ref) and made[0].p0 is made[0].p0
+    assert p0_builds == [0]
+
+
+def test_observation_sums_in_the_order_of_the_masked_fields():
+    """The G0 sum reads z_half through the slice but adds in the order of z_half[:, g0_mask],
+    node-fastest, so it keeps its bits; row-major it differs in the last bit for some data."""
+    grid = build_grid(1.0, 24, (0.1, 0.95), (0.3, 0.7))
+    tree, g, rng = build_tree(6, 1.0), grid.g0_slice, np.random.default_rng(3)
+    dual, row_major_differs = _ForwardDual(TreeStepper(grid, tree, ProblemCoefficients(a=0.2))), False
+    for _ in range(20):
+        z_half = [rng.standard_normal((tree.n_nodes(n), grid.N)) for n in range(tree.M)]
+        Z = [rng.standard_normal((tree.n_nodes(n), grid.N)) for n in range(tree.M)]
+        weights = [tree.dt * tree.node_weight(n) * grid.h for n in range(tree.M)]
+        masked = sum(w * (float(np.sum(zh[:, grid.g0_mask] ** 2)) + float(np.sum(z ** 2)))
+                     for w, zh, z in zip(weights, z_half, Z))
+        row_major = sum(w * (float(np.sum(zh[:, g] ** 2)) + float(np.sum(z ** 2)))
+                        for w, zh, z in zip(weights, z_half, Z))
+        assert dual.observation(z_half, Z) == masked
+        row_major_differs |= row_major != masked
+    assert row_major_differs
 
 
 # -- the forward Gramian on the stepper's N x N step maps ----------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,31 @@ def test_build_grid_mask_count_by_enumeration():
     assert expected == 7
     grid = build_grid(L, N, g0, (0.9, 1.1))
     assert int(grid.g0_mask.sum()) == expected
+
+
+@pytest.mark.parametrize("N", [4, 5, 8, 24, 33, 64, 129])
+def test_g0_slice_selects_exactly_the_mask_nodes(N):
+    # random g0 intervals, kept where build_grid accepts them
+    rng = np.random.default_rng(N)
+    nodes, field, accepted = np.arange(N), rng.standard_normal((3, N)), 0
+    for _ in range(200):
+        a0, b0 = np.sort(rng.uniform(0.0, 1.0, 2))
+        try:
+            grid = build_grid(1.0, N, (a0, b0), (a0 + (b0 - a0) / 3, b0 - (b0 - a0) / 3))
+        except ValueError:
+            continue
+        accepted += 1
+        assert np.array_equal(nodes[grid.g0_slice], np.flatnonzero(grid.g0_mask))
+        assert np.array_equal(field[:, grid.g0_slice], field[:, grid.g0_mask])
+    assert accepted >= 20
+
+
+def test_g0_slice_rejects_a_mask_with_gaps():
+    grid = build_grid(1.0, 8, (0.2, 0.85), (0.4, 0.65))
+    gappy = grid.g0_mask.copy()
+    gappy[3] = False
+    with pytest.raises(ValueError, match="one contiguous run"):
+        dataclasses.replace(grid, g0_mask=gappy).g0_slice
 
 
 # The elliptic stencil is tested through the band the steppers factor: one
