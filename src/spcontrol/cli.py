@@ -373,6 +373,7 @@ def _hum_command(cfg, out, which: str):
         f"control_cost = {_fmt(r.control_cost)}",
         f"{exp_name} = {_fmt(r.cost_exponent)}",
         f"bound_ratio = {_fmt(r.bound_ratio)}",
+        f"log10_bound_ratio = {_fmt(r.log10_bound_ratio)}",
         f"cg_iterations = {r.cg_iterations}",
         f"cg_converged = {r.cg_converged}",
         f"identity_residual = {_fmt(r.identity_residual)}",

@@ -13,25 +13,29 @@ like eps^{-1/2}, so hum_forward and hum_backward precondition CG with the
 exact inverse of Gram + eps I, built from N x N matrices: forward, the
 discrete Riccati recursion of the tracking LQ problem on the tree
 (_ForwardRiccati), applied as per-level N x N maps (its feedforward folded
-down the tree, its closed loop marched up); backward, a Cholesky factor of
+down the tree, its closed loop marched up); its set-up takes S^{-1} P S^{-1}
+from the stepper's cached S^{-1} and solves for the closed loop's G0 rows and
+noise part directly, so neither is a difference of nearly equal terms and
+the loop keeps its digits at small eps; backward, a Cholesky factor of
 the dense Gramian that the second-moment recursions of _forward_pencil give.
 Both factor and solve with LAPACK's dpotrf/dpotrs, called directly through
 `_lapack`, which loads scipy's compiled wrapper without importing
 scipy.linalg.  CG starts from p = 0 and measures its residual through the
 Gramian itself, so its convergence test keeps its meaning; one iteration
 reaches rounding level except at the smallest eps, where rounding in the
-preconditioner costs one or two more.  Forward, the first direction, the
+preconditioner costs more.  Forward, the first direction, the
 Riccati inverse at -b (b the free terminal state), is the pure feedback
 march of y0 through the closed loop (`_ForwardRiccati.feedback_direction`),
 since with a zero target the LQ optimum has no feedforward; the feedforward
 fold and its drives are built only if CG needs a second iteration.  The
 march also skips the general map's (r - y_M) / eps, which cancels at the
 scale |b| / eps, so on the desk problem one forward iteration suffices down
-to eps = 1e-8.  The forward Gramian runs as per-level N x N open-loop maps
-too (_ForwardDual.gram), so a forward CG iteration sweeps no stencil; the
-backward one is the stencil pair.  The forward free solution stays a stencil
-sweep, and the HUM identity residual pairs it with the maps' adjoint, so
-every report cross-checks the maps against the stencil.  The optimal
+to eps = 1e-10, and at most 11 down to eps = 1e-14.  The forward Gramian runs
+as per-level N x N open-loop maps too (_ForwardDual.gram), so a forward CG
+iteration sweeps no stencil; the backward one is the stencil pair.  The
+forward free solution stays a stencil sweep, and the HUM identity residual
+pairs it with the maps' adjoint, so every report cross-checks the maps
+against the stencil.  The optimal
 penalized state satisfies  y_opt = -eps * p_opt  (forward target y(T))
 respectively y_opt(0) = +eps * p_opt  (backward problem), so the
 terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
@@ -130,6 +134,7 @@ class HumReport:
     cg_converged: bool
     cost_exponent: float
     bound_ratio: float
+    log10_bound_ratio: float
     identity_residual: float
 
 
@@ -288,20 +293,31 @@ def _hum_report(config: HumConfig, trace: dict, cost: float, final_norm: float,
     eps = config.epsilon
     identity = cost + final_norm / eps + pairing
     scale = cost + final_norm / eps + abs(pairing) + 1e-300
+    log_bound = config.bound_c * exponent
     return HumReport(epsilon=eps, control_cost=cost, terminal_norm=final_norm,
                      uncontrolled_norm=uncontrolled, cg_iterations=trace["iterations"],
                      cg_residual=trace["residual"], cg_converged=trace["converged"],
                      cost_exponent=exponent,
-                     bound_ratio=_bound_ratio(cost, config.bound_c * exponent, data_norm),
+                     bound_ratio=_bound_ratio(cost, log_bound, data_norm),
+                     log10_bound_ratio=float(_log_bound_ratio(cost, log_bound, data_norm) / np.log(10)),
                      identity_residual=abs(identity) / scale)
+
+
+def _log_bound_ratio(cost: float, log_bound: float, data_norm: float) -> float:
+    """ln(cost / (e^{log_bound} * data_norm)) from logs, finite wherever cost and data are
+    positive, however far e^{log_bound} is past the float range; -inf for zero cost or data."""
+    if not (cost > 0.0 and data_norm > 0.0):
+        return -np.inf
+    return np.log(cost) - log_bound - np.log(data_norm)
 
 
 def _bound_ratio(cost: float, log_bound: float, data_norm: float) -> float:
     """cost / (e^{log_bound} * data_norm), 0 for zero data.
 
-    Formed directly where that denominator is a finite positive float, and from logs where
-    e^{log_bound} overflows (bound_c * K > 709, as at small T) or underflows, so neither
-    case warns or reads as 0 / inf.
+    Formed directly where that denominator is a finite positive float, and from logs
+    (`_log_bound_ratio`) where e^{log_bound} overflows (bound_c * K > 709, as at small T)
+    or underflows, so neither case warns or reads as 0 / inf.  Below the least subnormal
+    (desk at T = 1e-3: about 5e-434) it still reads 0, and only its log shows it.
     """
     if not data_norm > 0:
         return 0.0
@@ -309,9 +325,7 @@ def _bound_ratio(cost: float, log_bound: float, data_norm: float) -> float:
         denominator = np.exp(log_bound) * data_norm
         if 0.0 < denominator < np.inf:
             return cost / denominator
-        if cost == 0.0:
-            return 0.0
-        return np.exp(np.log(cost) - log_bound - np.log(data_norm))
+        return np.exp(_log_bound_ratio(cost, log_bound, data_norm))
 
 
 # -- forward problem -------------------------------------------------------
@@ -387,9 +401,18 @@ class _ForwardRiccati:
         K_u = -(I + dt Q_gg)^{-1} (Q G)_g,   K_v = -(I + Q)^{-1} Q B,
         P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v),
 
-    with g the G0 rows, one contiguous run (`grid.g0_slice`).  The set-up forms P_n for
-    n >= 1 only, since level n - 1's Q needs it; P_0, which no application reads, is `p0`,
-    built on first use from level 0's Q and closed loop.  The optimum is the feedback
+    with g the G0 rows, one contiguous run (`grid.g0_slice`), and gbar the nodes outside
+    it.  Formed as written, G_g + dt (K_u)_g and B + K_v cancel nearly equal terms as Q
+    grows like 1/eps (Verhaegen & Van Dooren, IEEE TAC 31, 1986), so the set-up solves
+    for them instead:
+
+        G_g + dt K_u = (I + dt Q_gg)^{-1} (G_g - dt Q_{g,gbar} G_gbar),   B + K_v = (I + Q)^{-1} B,
+
+    with Q from two products with the stepper's cached S^{-1} (`inverse_steps`), not
+    symmetrised, as dpotrf reads its upper triangle only.  `gains` takes K_u and K_v back
+    from them on first use.  The set-up forms P_n for n >= 1 only, since level n - 1's Q
+    needs it; P_0, which no application reads, is `p0`, built on first use from level 0's
+    Q and closed loop.  The optimum is the feedback
     u = K_u y + k_u, v = K_v y + k_v: the closed loop Phi_n = S^{-1}(G + dt 1_{G0} K_u), its
     noise part Psi_n = S^{-1}(B + K_v), and the feedforward through the drives
     D_u = -dt S^{-1}_{:g} (I + dt Q_gg)^{-1} S^{-1}_{g:} and D_v = -S^{-1} (I + Q)^{-1} S^{-1}
@@ -410,43 +433,51 @@ class _ForwardRiccati:
         eye, eye_g = np.eye(grid.N), np.eye(g.stop - g.start)
         p = eye / eps
         self.factors: list = [None] * tree.M  # per level: Cholesky factors of I + dt Q_gg, I + Q
-        self.gains: list = [None] * tree.M  # per level: K_u, K_v
         self.loop: list = [None] * tree.M  # per level: Phi_n^T, Psi_n^T (None on a path)
+        self._closed: list = [None] * tree.M  # per level: G + dt 1_{G0} K_u, B + K_v (None on a path)
         for n in range(tree.M - 1, -1, -1):
-            q = stepper._solve(n + 1, stepper._solve(n + 1, p).T)
-            q = 0.5 * (q + q.T)
             gt, bt = stepper.general_steps[n]
             inv = stepper.inverse_steps[n + 1]
-            cu = _cholesky(eye_g + dt * q[g, g], f"I + dt Q_gg of level {n}")
-            ku = -_cho_solve(cu, (q @ gt.T)[g])  # not q[g] @ gt.T: its last bits differ at N > 32
+            q = inv @ p @ inv  # not symmetrised: dpotrf reads the upper triangle only
             closed = gt.T.copy()
-            closed[g] += dt * ku
-            cv = kv = psi = None
+            cu = _cholesky(eye_g + dt * q[g, g], f"I + dt Q_gg of level {n}")
+            q_off = q[g].copy()
+            q_off[:, g] = 0.0  # Q_{g, gbar}, so q_off @ G = Q_{g, gbar} G_gbar
+            closed[g] = _cho_solve(cu, closed[g] - dt * (q_off @ closed))
+            cv = bkv = psi = None
             if tree.branching:
                 cv = _cholesky(eye + q, f"I + Q of level {n}")
-                kv = -_cho_solve(cv, q @ bt.T)
-                psi = (bt + kv.T) @ inv
+                bkv = _cho_solve(cv, bt.T)
+                psi = bkv.T @ inv
             self.factors[n] = (cu, cv)
-            self.gains[n] = (ku, kv)
             self.loop[n] = (closed.T @ inv, psi)
+            self._closed[n] = (closed, bkv)
             if n > 0:
-                p = self._riccati_p(n, q, closed)
-        self._level0 = q, closed
+                p = self._riccati_p(n, q)
+        self._q0 = q
 
-    def _riccati_p(self, n: int, q, closed) -> np.ndarray:
+    def _riccati_p(self, n: int, q) -> np.ndarray:
         """P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v) from level n's Q and its
-        column-form closed loop `closed` = G + dt 1_{G0} K_u."""
+        column-form G + dt 1_{G0} K_u and B + K_v (`_closed`)."""
         gt, bt = self.st.general_steps[n]
-        kv = self.gains[n][1]
+        closed, bkv = self._closed[n]
         p = gt @ q @ closed
-        if kv is not None:
-            p += self.st.dt * (bt @ q @ (bt.T + kv))
+        if bkv is not None:
+            p += self.st.dt * (bt @ q @ bkv)
         return 0.5 * (p + p.T)
 
     @cached_property
     def p0(self) -> np.ndarray:
         """P_0, built on first use: from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0."""
-        return self._riccati_p(0, *self._level0)
+        return self._riccati_p(0, self._q0)
+
+    @cached_property
+    def gains(self) -> list:
+        """Per level: K_u = (closed_g - G_g) / dt and K_v = (B + K_v) - B (None on a path),
+        built on first use."""
+        g, dt = self.st.grid.g0_slice, self.st.dt
+        return [((closed[g] - gt.T[g]) / dt, None if bkv is None else bkv - bt.T)
+                for (gt, bt), (closed, bkv) in zip(self.st.general_steps, self._closed)]
 
     @cached_property
     def drives(self) -> list:

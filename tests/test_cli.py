@@ -261,6 +261,31 @@ def test_bound_ratio_at_a_short_horizon(tmp_path, command):
     assert ratios[1.0] == 0.0  # about 1e-434: below the least subnormal
 
 
+@pytest.mark.parametrize("command", ["control-forward", "control-backward"])
+def test_log10_bound_ratio_reads_at_every_horizon(tmp_path, command):
+    """At T = 1e-3 the ratio (about 1e-434) prints 0, and its log10 still reads, from logs:
+    log10(cost) - bound_c K log10(e) - log10(|y0|^2).  At the config's T = 1 it is
+    log10(bound_ratio).  The line follows bound_ratio."""
+    name = "K" if command == "control-forward" else "M"
+    for horizon in ("T = 0.001\n", ""):
+        out = tmp_path / (horizon.strip() or "T = 1")
+        cfg_path = write(tmp_path, DESK.replace("M = 4\n", "M = 4\n" + horizon) + f"output_dir = {out}\n")
+        assert main([command, "--config", str(cfg_path)]) == 0
+        lines = (out / f"{command}_report.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert keys.index("log10_bound_ratio") == keys.index("bound_ratio") + 1
+        cost, exponent, ratio, log10_ratio = _report(out / f"{command}_report.txt", "control_cost", name,
+                                                     "bound_ratio", "log10_bound_ratio")
+        if horizon:
+            grid = parse_config(cfg_path).build_problem()[0]
+            y0 = np.sin(np.pi * grid.x / grid.L)
+            assert ratio == 0.0 and np.isfinite(log10_ratio)
+            assert log10_ratio == pytest.approx(
+                np.log10(cost) - exponent * np.log10(np.e) - np.log10(grid.inner(y0, y0)), rel=1e-12)
+        else:
+            assert ratio > 0.0 and log10_ratio == pytest.approx(np.log10(ratio), rel=1e-12)
+
+
 def test_carleman_check_csv_columns(tmp_path):
     cfg = DESK + f"output_dir = {tmp_path / 'out'}\n\n[carleman]\nsamples = 3\n"
     cfg_path = write(tmp_path, cfg)

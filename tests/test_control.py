@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_grid, build_path,
                        build_tree, control, experiments)
+from spcontrol.cli import parse_config
 from spcontrol.control import (HumConfig, _bound_ratio, _cg, _cholesky, _ForwardDual,
-                               _ForwardRiccati, dual_functional, hum_backward, hum_forward,
+                               _ForwardRiccati, _log_bound_ratio, dual_functional, hum_backward, hum_forward,
                                k_cost_exponent, m_cost_exponent)
 from spcontrol.scenario import martingale_part, qt_integral, reconstruct_children
 
@@ -280,6 +283,11 @@ def test_bound_ratio_past_the_exponential_range():
         1e-300 * np.exp(400.0) * np.exp(400.0) / 1e200, rel=1e-12)
     assert _bound_ratio(0.0, 800.0, 1.0) == 0.0
     assert _bound_ratio(1.0, 800.0, 0.0) == 0.0
+    # below the least subnormal (desk at T = 1e-3: about 1e-434) only the log reads
+    assert _bound_ratio(0.25, 1000.0, 0.5) == 0.0
+    assert _log_bound_ratio(0.25, 1000.0, 0.5) == pytest.approx(np.log(0.5) - 1000.0, rel=1e-15)
+    assert _log_bound_ratio(2.0, 1.5, 4.0) == pytest.approx(np.log(_bound_ratio(2.0, 1.5, 4.0)), rel=1e-15)
+    assert _log_bound_ratio(0.0, 800.0, 1.0) == _log_bound_ratio(1.0, 800.0, 0.0) == -np.inf
 
 
 def test_hum_config_bound_c_needs_only_be_finite():
@@ -333,24 +341,28 @@ def test_riccati_preconditioner_rejects_non_finite_data(lq_setup):
 
 def _reference_levels(st, eps):
     """The Riccati recursion with scipy's cho_factor/cho_solve and fresh step matrices:
-    P_0 and, per level, (Q, G^T, B^T, the factors of I + dt Q_gg and I + Q, K_u, K_v)."""
-    g, dt, eye = st.grid.g0_mask, st.dt, np.eye(st.grid.N)
+    P_0 and, per level, (Q, G^T, B^T, the factors of I + dt Q_gg and I + Q, K_u, K_v).
+    Q comes from the cached S^{-1}, and the closed loop's G0 rows and B + K_v from solves."""
+    g, dt, eye = st.grid.g0_slice, st.dt, np.eye(st.grid.N)
     p, levels = eye / eps, [None] * st.tree.M
     for n in range(st.tree.M - 1, -1, -1):
-        q = st._solve(n + 1, st._solve(n + 1, p).T)
-        q = 0.5 * (q + q.T)
+        inv = st.inverse_steps[n + 1]
+        q = inv @ p @ inv
         drift, bt = st.apply(n, "general", (eye,))
         gt = eye + dt * drift
-        cu = cho_factor(np.eye(int(g.sum())) + dt * q[np.ix_(g, g)])
-        ku = -cho_solve(cu, (q @ gt.T)[g])
         closed = gt.T.copy()
-        closed[g] += dt * ku
+        cu = cho_factor(np.eye(g.stop - g.start) + dt * q[g, g])
+        q_off = q[g].copy()
+        q_off[:, g] = 0.0
+        closed[g] = cho_solve(cu, closed[g] - dt * (q_off @ closed))
+        ku = (closed[g] - gt.T[g]) / dt
         p = gt @ q @ closed
         cv = kv = None
         if st.tree.branching:
             cv = cho_factor(eye + q)
-            kv = -cho_solve(cv, q @ bt.T)
-            p += dt * (bt @ q @ (bt.T + kv))
+            bkv = cho_solve(cv, bt.T)
+            kv = bkv - bt.T
+            p += dt * (bt @ q @ bkv)
         p = 0.5 * (p + p.T)
         levels[n] = (q, gt, bt, cu, cv, ku, kv)
     return p, levels
@@ -595,6 +607,76 @@ def test_hum_forward_runs_at_eps_1e_8(criterion4):
     assert rows[1].cg_converged and rows[1].cg_iterations <= 3
     assert rows[1].terminal_norm < rows[0].terminal_norm
     assert rows[1].identity_residual <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def desk():
+    desk_ini = Path(__file__).resolve().parents[1] / "demos" / "desk.ini"
+    grid, tree, coeffs = parse_config(desk_ini).build_problem()
+    return grid, tree, coeffs, TreeStepper(grid, tree, coeffs)
+
+
+def test_hum_forward_converges_at_small_eps_on_desk(desk):
+    """Desk, y0 = sin(pi x), cg_tol = 1e-9: every solve from eps = 1e-8 to 1e-14 converges.
+    Down to 1e-13 it takes no more iterations than a closed loop formed by cancelling
+    G_g + dt K_u and B + K_v took (1, 1, 2, 2, 2, 6; measured 1, 1, 1, 2, 2, 4), and at
+    1e-14 at most 20, where that loop took 551 (measured 11)."""
+    grid, tree, coeffs, st = desk
+    y0 = np.sin(np.pi * grid.x / grid.L)
+    free = st.forward(y0)
+    budget = {1e-8: 1, 1e-9: 1, 1e-10: 2, 1e-11: 2, 1e-12: 2, 1e-13: 6, 1e-14: 20}
+    for eps, most in budget.items():
+        report = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=1e-9),
+                             stepper=st, free=free).report
+        assert report.cg_converged, eps
+        assert report.cg_iterations <= most, eps
+
+
+def _mp_loop(st, eps, digits=60):
+    """Per level (Phi_n^T, Psi_n^T) of the Riccati recursion in `digits`-digit arithmetic, as
+    written in `_ForwardRiccati`'s docstring (K_u, K_v, then G + dt 1_{G0} K_u and B + K_v), on
+    the stepper's G, B and the exact inverse of its S (the entries its dpttrf factors)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        def exact(a):
+            return np.array([[mpmath.mpf(float(x)) for x in row] for row in a], dtype=object)
+
+        def inverse(a):
+            return np.array(mpmath.inverse(mpmath.matrix(a.tolist())).tolist(), dtype=object)
+
+        g, h2, dt = st.grid.g0_mask, st.grid.h * st.grid.h, mpmath.mpf(st.dt)
+        eye = exact(np.eye(st.grid.N))
+        p, loop = eye / mpmath.mpf(eps), [None] * st.tree.M
+        for n in range(st.tree.M - 1, -1, -1):
+            af, off = st.tab.a_faces[n + 1], -st.dt * st.tab.a_faces[n + 1][1:-1] / h2
+            inv = inverse(exact(np.diag(1.0 + st.dt * (af[:-1] + af[1:]) / h2)
+                                + np.diag(off, 1) + np.diag(off, -1)))
+            gt, bt = (exact(a) for a in st.general_steps[n])
+            q = inv @ p @ inv
+            ku = -inverse(eye[np.ix_(g, g)] + dt * q[np.ix_(g, g)]) @ (q @ gt.T)[g]
+            kv = -inverse(eye + q) @ q @ bt.T
+            closed = gt.T.copy()
+            closed[g] += dt * ku
+            loop[n] = (closed.T @ inv, (bt + kv.T) @ inv)
+            p = gt @ q @ closed + dt * (bt @ q @ (bt.T + kv))
+        return [tuple(a.astype(float) for a in level) for level in loop]
+
+
+@pytest.mark.parametrize("eps,phi_bound,psi_bound", [(1e-2, 1e-14, 1e-14), (1e-6, 1e-13, 2e-13),
+                                                     (1e-10, 1e-9, 5e-9)])
+def test_riccati_loop_matches_a_60_digit_recursion(eps, phi_bound, psi_bound):
+    """Phi_n^T and Psi_n^T within a relative max error of a 60-digit run (N = 10, M = 4, desk
+    coefficients).  Measured: 6.7e-16 / 1.9e-15, 1.3e-14 / 4.5e-14 and 1.6e-10 / 5.1e-10 at
+    eps = 1e-2, 1e-6, 1e-10; forming G_g + dt K_u and B + K_v as differences gave 5.4e-13 /
+    2.2e-11 at 1e-6 and 5.1e-9 / 1.8e-7 at 1e-10."""
+    grid = build_grid(1.0, 10, (0.1, 0.9), (0.3, 0.7))
+    coeffs = ProblemCoefficients(a=0.15, a1=1.0, a2=0.5, b1=lambda t, x: 0.5 * np.sin(np.pi * x), b2=0.5)
+    st = TreeStepper(grid, build_tree(4, 1.0), coeffs)
+    ref = _mp_loop(st, eps)
+    loop = _ForwardRiccati(st, eps).loop
+    for k, bound in ((0, phi_bound), (1, psi_bound)):
+        error = max(np.max(np.abs(a[k] - b[k])) / np.max(np.abs(b[k])) for a, b in zip(loop, ref))
+        assert error <= bound, (k, error)
 
 
 # -- control cost and terminal norm from the closed loop's moment forms --------
