@@ -213,14 +213,15 @@ _SECTION_TYPES = {"problem": ProblemSection, "carleman": CarlemanSection,
 def parse_config(path) -> RunConfig:
     """Parse and fully validate an INI-style config file.
 
-    Unknown sections or keys are rejected with the offending line number; a
-    [problem] section must be present, everything else falls back to
+    Unknown sections or keys, and a repeated section or key, are rejected
+    with the offending line number; a [problem] section must be present, everything else falls back to
     defaults (which are echoed into every output header).
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
     sections: dict[str, dict] = {}
+    headers: dict[str, int] = {}  # section -> line of its header
     current = None
     for lineno, rawline in enumerate(path.read_text().splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -230,14 +231,18 @@ def parse_config(path) -> RunConfig:
             name = line[1:-1].strip().lower()
             if name not in _SECTION_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{name}]")
-            current = sections.setdefault(name, {})
+            if name in headers:
+                raise ConfigError(f"{path}:{lineno}: [{name}] repeated (first at line {headers[name]})")
+            headers[name], current = lineno, sections.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {rawline.strip()!r}")
         if current is None:
             raise ConfigError(f"{path}:{lineno}: key outside of any section")
-        key, _, value = line.partition("=")
-        current[key.strip()] = (value.strip(), lineno)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in current:
+            raise ConfigError(f"{path}:{lineno}: [{name}] {key} repeated (first at line {current[key][1]})")
+        current[key] = (value, lineno)
 
     if "problem" not in sections:
         raise ConfigError(f"{path}: missing required section [problem]")

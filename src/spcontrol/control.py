@@ -31,23 +31,24 @@ fold and its drives are built only if CG needs a second iteration.  The
 march also skips the general map's (r - y_M) / eps, which cancels at the
 scale |b| / eps, so on the desk problem one forward iteration suffices down
 to eps = 1e-10, and at most 11 down to eps = 1e-14.  The forward Gramian runs
-as per-level N x N open-loop maps too (_ForwardDual.gram), so a forward CG
-iteration sweeps no stencil; the backward one is the stencil pair.  The
-forward free solution stays a stencil sweep, and the HUM identity residual
-pairs it with the maps' adjoint, so every report cross-checks the maps
-against the stencil.  The optimal
-penalized state satisfies  y_opt = -eps * p_opt  (forward target y(T))
-respectively y_opt(0) = +eps * p_opt  (backward problem), so the
-terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
-zero.
+as per-level N x N open-loop maps too (_ForwardDual.gram), and the backward
+one is the dense matrix its preconditioner factors (_BackwardDual.gram), so no
+CG iteration sweeps a stencil.  The forward free solution and the backward
+solve's pair at p after CG stay stencil sweeps, and the HUM identity residual
+pairs them with the N x N route, so every report cross-checks it against the
+stencil.  The optimal penalized state satisfies  y_opt = -eps * p_opt
+(forward target y(T)) respectively y_opt(0) = +eps * p_opt  (backward
+problem), so the terminal/initial energy decays like eps^2 |p|^2 as the
+penalty is driven to zero.
 
-A Gramian application also returns its by-products: the adjoint fields that
-become the controls, and the state those controls drive from zero.  They are
-linear in p, so CG keeps them current at its iterate as it keeps Gram p, and
-the drivers build the controls, the controlled state (free solution plus
-carried state) and the report from them: one Gramian application per CG
-iteration and no sweep on p after CG.  Summed over the CG steps rather than
-swept afresh from p, these fields differ from a fresh sweep by rounding only.
+A forward Gramian application also returns its by-products: the adjoint
+fields that become the controls, and the state those controls drive from
+zero.  They are linear in p, so CG keeps them current at its iterate as it
+keeps Gram p, and hum_forward builds the controls, the controlled state (free
+solution plus carried state) and the report from them: one Gramian
+application per CG iteration and no sweep on p after CG.  Summed over the CG
+steps rather than swept afresh from p, these fields differ from a fresh sweep
+by rounding only.
 
 Forward problem: p is terminal adjoint data on the leaves, the control pair
 is (u, v) = (1_{G0} z_half, Z).  Backward problem: p is the deterministic
@@ -66,7 +67,7 @@ from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import (AdaptedField, ScenarioTree, martingale_part, mean_square_norm, qt_integral,
                        reconstruct_children)
-from .spde import BackwardSolution, ForwardSolution, TreeStepper
+from .spde import ForwardSolution, TreeStepper
 
 __all__ = [
     "HumConfig",
@@ -254,11 +255,6 @@ def _penalized(gram, eps: float):
     return apply_op
 
 
-def _zero_levels(stepper: TreeStepper, n_levels: int) -> list:
-    """Zero fields over levels 0..n_levels-1 of the stepper's tree."""
-    return [np.zeros((stepper.tree.n_nodes(n), stepper.grid.N)) for n in range(n_levels)]
-
-
 def _cholesky(matrix, what: str) -> np.ndarray:
     """Upper Cholesky factor of an SPD matrix (LAPACK dpotrf); `what` names it if that fails."""
     factor, info = dpotrf(matrix, clean=0)
@@ -378,11 +374,6 @@ class _ForwardDual:
                 base = reconstruct_children(tree, base, y[n] @ bt + Z[n])
             y.append(_finite(base @ inv, f"the forward Gramian's state at level {n + 1}"))
         return y[tree.M], (z_half, Z, [z], y)
-
-    def zeros(self):
-        """The by-products of gram at p = 0."""
-        m = self.st.tree.M
-        return tuple(_zero_levels(self.st, k) for k in (m, m, 1, m + 1))
 
 
 class _ForwardRiccati:
@@ -580,7 +571,8 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     riccati = _ForwardRiccati(st, eps)
     p, trace = _cg(_penalized(dual.gram, eps), -b, dual.inner, config.cg_tol, config.cg_max_iter,
                    precond=riccati, z0=riccati.feedback_direction(y0))
-    z_half, Z, (z0,), y_ctrl = trace.pop("products") or dual.zeros()
+    # None: CG took no step, so p = 0 and its by-products are the Gramian's at 0
+    z_half, Z, (z0,), y_ctrl = trace.pop("products") or dual.gram(p)[1]
     u = AdaptedField([grid.g0_mask * zh for zh in z_half])
     y = ForwardSolution(y=AdaptedField([f + c for f, c in zip(free.y.levels, y_ctrl)]))
     report = _hum_report(
@@ -595,23 +587,16 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
 
 
 class _BackwardDual:
-    """Gramian of the backward HUM problem (dual lives in R^N, paired by grid.inner)."""
+    """Gramian of the backward HUM problem (dual lives in R^N, paired by grid.inner): obs, the
+    dense observation form of the forward adjoint (`_forward_pencil`), which the stencil pair
+    (an adjoint_1_5 sweep of p, then the controlled_1_2 fold of it on G0) matches to rounding."""
 
     def __init__(self, stepper: TreeStepper):
-        self.st = stepper
-        # the backward solve copies its terminal data, so one zero leaf field serves every call
-        self.zero_leaves = np.zeros((stepper.tree.n_nodes(stepper.tree.M), stepper.grid.N))
+        self.obs = _forward_pencil(stepper)[1]
 
     def gram(self, p):
-        """(Gram p, by-products): the adjoint z, and the (z, Z, z_half) it controls from 0."""
-        z = self.st.forward(p, mode="adjoint_1_5")
-        ctrl = self.st.backward(self.zero_leaves, mode="controlled_1_2", u=z.y)
-        return -ctrl.z[0][0], (z.y.levels, ctrl.z.levels, ctrl.Z.levels, ctrl.z_half.levels)
-
-    def zeros(self):
-        """The by-products of gram at p = 0."""
-        m = self.st.tree.M
-        return tuple(_zero_levels(self.st, k) for k in (m + 1, m + 1, m, m))
+        """(Gram p, by-products): obs @ p, and none."""
+        return self.obs @ p, ()
 
 
 def _moment_forms(stepper: TreeStepper, level):
@@ -661,28 +646,27 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
                  stepper: TreeStepper | None = None) -> HumResult:
     """Drive E|y(0)|^2 to O(eps) for the backward problem with u = 1_{G0} z.
 
-    The dual variable is the deterministic initial datum of the forward
-    adjoint; CG, preconditioned by the Cholesky factor of the dense Gramian
-    plus eps I, solves (Gram + eps I) p = y_free(0), and the controlled
-    initial state equals +eps p at the optimum.  The control and its cost
-    come from the adjoint CG carries at p, and the controlled solution is
-    the free one plus the one CG carries, so no sweep runs on p after CG.
+    The dual variable is the deterministic initial datum of the forward adjoint.
+    CG solves (obs + eps I) p = y_free(0) on the dense Gramian, preconditioned by
+    the Cholesky factor of that matrix; the controlled initial state equals +eps p
+    at the optimum.  One stencil pair at p then gives the adjoint z, the control
+    and the controlled solution, so a solve sweeps once forward and twice backward
+    at any iteration count, and the HUM identity checks the dense solve against
+    the stencil.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     dual = _BackwardDual(st)
     yT = np.asarray(yT, dtype=float)
     eps = config.epsilon
-    free = st.backward(yT, mode="controlled_1_2")
-    b = free.z[0][0]
+    b = st.backward(yT, mode="controlled_1_2").z[0][0]
     uncontrolled = grid.inner(b, b)
-    factor = _cholesky(_forward_pencil(st)[1] + eps * np.eye(grid.N),
-                       f"obs + eps I at eps = {eps:g}")
+    factor = _cholesky(dual.obs + eps * np.eye(grid.N), f"obs + eps I at eps = {eps:g}")
     p, trace = _cg(_penalized(dual.gram, eps), b, grid.inner, config.cg_tol, config.cg_max_iter,
                    precond=lambda r: _cho_solve(factor, r))
-    z, *ctrl = trace.pop("products") or dual.zeros()
+    del trace["products"]
+    z = st.forward(p, mode="adjoint_1_5").y
     u = AdaptedField([grid.g0_mask * z[n] for n in range(tree.M)])
-    controlled = BackwardSolution(*(AdaptedField([f + c for f, c in zip(field.levels, carried)])
-                                    for field, carried in zip((free.z, free.Z, free.z_half), ctrl)))
+    controlled = st.backward(yT, mode="controlled_1_2", u=z)
     y_0 = controlled.z[0][0]
     report = _hum_report(
         config, trace, cost=qt_integral(tree, grid, z, square=True, mask=grid.g0_mask),

@@ -200,8 +200,10 @@ def test_validation_messages(tmp_path, text, message):
                                       ("m_per_time = -3", "m_per_time"),
                                       ("m_per_time = nan", "m_per_time")])
 def test_experiment_values_fail_at_parse_time(tmp_path, capsys, line, key):
-    # checked before any sweep row runs: exit 1 naming the key, no output directory
-    cfg_path = write(tmp_path, DESK + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+    # checked before any sweep row runs: exit 1 naming the key, no output directory;
+    # DESK sets power_iters, so the line replaces it rather than repeating the key
+    desk = DESK.replace("power_iters = 10\n", "")
+    cfg_path = write(tmp_path, desk + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["sweep-T", "--config", str(cfg_path)]) == 1
     assert f"[experiment] {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -217,6 +219,18 @@ def test_unknown_key_and_section_with_location(tmp_path):
     path = write(tmp_path, "x = 1\n")
     with pytest.raises(ConfigError, match="outside"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    (MINIMAL + "N = 24\n", ":7: [problem] N repeated (first at line 3)"),
+    (MINIMAL + "\n[hum]\nepsilon = 1e-2\n[problem]\nM = 6\n", ":10: [problem] repeated (first at line 2)"),
+], ids=["key", "section"])
+def test_repeated_key_or_section_exits_1_naming_both_lines(tmp_path, capsys, text, message):
+    # the last value used to win silently (N = 24 ran), and a second header merged into the first
+    path = write(tmp_path, text + f"\n[experiment]\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_problem_section(tmp_path):

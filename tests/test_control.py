@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 from spcontrol import (NumericsError, ProblemCoefficients, TreeStepper, build_grid, build_path,
                        build_tree, control, experiments)
 from spcontrol.cli import parse_config
-from spcontrol.control import (HumConfig, _bound_ratio, _cg, _cholesky, _ForwardDual,
+from spcontrol.control import (HumConfig, _BackwardDual, _bound_ratio, _cg, _cholesky, _ForwardDual,
                                _ForwardRiccati, _log_bound_ratio, dual_functional, hum_backward, hum_forward,
                                k_cost_exponent, m_cost_exponent)
 from spcontrol.scenario import martingale_part, qt_integral, reconstruct_children
@@ -632,6 +632,28 @@ def test_hum_forward_converges_at_small_eps_on_desk(desk):
         assert report.cg_iterations <= most, eps
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_backward_identity_residual_sees_a_wrong_dense_gramian(desk, monkeypatch, eps):
+    """Negative control: CG runs on the dense Gramian and the report's z and state come from
+    the stencil, so the HUM identity pairs the two.  A symmetric perturbation of 1e-10 max|obs|
+    in the dense matrix lifts the desk residual above 1e-12 (measured 2.3e-11 at eps = 1e-2,
+    7.7e-9 at 1e-6; unperturbed 2.5e-16 and 6.3e-16)."""
+    grid, tree, coeffs, st = desk
+    yT = np.tile(np.sin(np.pi * grid.x / grid.L), (tree.n_nodes(tree.M), 1))
+    cfg = HumConfig(epsilon=eps, cg_tol=1e-9, cg_max_iter=4000)
+    assert hum_backward(grid, tree, coeffs, yT, cfg, stepper=st).report.identity_residual <= 1e-14
+    pencil = control._forward_pencil
+
+    def perturbed(stepper):
+        energy, obs = pencil(stepper)
+        bump = np.random.default_rng(0).standard_normal(obs.shape)
+        bump += bump.T
+        return energy, obs + (1e-10 * np.max(np.abs(obs)) / np.max(np.abs(bump))) * bump
+
+    monkeypatch.setattr(control, "_forward_pencil", perturbed)
+    assert hum_backward(grid, tree, coeffs, yT, cfg, stepper=st).report.identity_residual > 1e-12
+
+
 def _mp_loop(st, eps, digits=60):
     """Per level (Phi_n^T, Psi_n^T) of the Riccati recursion in `digits`-digit arithmetic, as
     written in `_ForwardRiccati`'s docstring (K_u, K_v, then G + dt 1_{G0} K_u and B + K_v), on
@@ -773,7 +795,8 @@ def test_hum_backward_outputs_match_fresh_sweeps_of_p(carried_setup, monkeypatch
 
 
 def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
-    """At one CG iteration no sweep runs on p after CG."""
+    """At one CG iteration no sweep runs on p after a forward solve's CG, and a backward
+    solve's CG sweeps no stencil at any iteration count."""
     grid, tree, coeffs, st = hum_setup
     y0 = np.sin(np.pi * grid.x)
     free = st.forward(y0)
@@ -783,21 +806,33 @@ def test_one_cg_iteration_runs_one_gramian_application(hum_setup, monkeypatch):
             sweeps[_name] += 1
             return _sweep(self, *args, **kwargs)
         monkeypatch.setattr(TreeStepper, name, counted)
-    grams = []
-    gram = _ForwardDual.gram
-    monkeypatch.setattr(_ForwardDual, "gram", lambda self, p: grams.append(p) or gram(self, p))
+    grams = {_ForwardDual: [], _BackwardDual: []}
+    for cls, calls in grams.items():
+        def counted_gram(self, p, _gram=cls.gram, _calls=calls):
+            _calls.append(p)
+            return _gram(self, p)
+        monkeypatch.setattr(cls, "gram", counted_gram)
     riccati_counts = _count_riccati(monkeypatch)
     cfg = HumConfig(epsilon=1e-2, cg_tol=1e-10)
     # forward: one Gramian application on the N x N step maps, along the Riccati feedback
     # direction; no general preconditioner application and no drives, and nothing sweeps
     res = hum_forward(grid, tree, coeffs, y0, cfg, stepper=st, free=free)
-    assert res.report.cg_iterations == 1 and len(grams) == 1
+    assert res.report.cg_iterations == 1 and len(grams[_ForwardDual]) == 1
     assert riccati_counts() == {"calls": 0, "drives_built": 0}
     assert sweeps == {"forward": 0, "backward": 0}
-    # backward: the free solution and the Gramian's forward + backward pair
+    # backward: the free solution, then one stencil pair at p after CG; the Gramian is dense
+    yT = np.tile(y0, (tree.n_nodes(tree.M), 1))
     sweeps.update(forward=0, backward=0)
-    res = hum_backward(grid, tree, coeffs, np.tile(y0, (tree.n_nodes(tree.M), 1)), cfg, stepper=st)
-    assert res.report.cg_iterations == 1
+    res = hum_backward(grid, tree, coeffs, yT, cfg, stepper=st)
+    assert res.report.cg_iterations == 1 and len(grams[_BackwardDual]) == 1
+    assert sweeps == {"forward": 1, "backward": 2}
+    # plain CG: many iterations, one dense Gramian application each, and the same sweeps
+    _plain_cg(monkeypatch)
+    sweeps.update(forward=0, backward=0)
+    grams[_BackwardDual].clear()
+    res = hum_backward(grid, tree, coeffs, yT, HumConfig(epsilon=1e-4, cg_tol=1e-10), stepper=st)
+    assert res.report.cg_converged and res.report.cg_iterations >= 10
+    assert len(grams[_BackwardDual]) == res.report.cg_iterations
     assert sweeps == {"forward": 1, "backward": 2}
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree
 from spcontrol import control, experiments
-from spcontrol.control import (HumConfig, _BackwardDual, _ForwardDual, _ForwardRiccati, hum_forward,
+from spcontrol.cli import parse_config
+from spcontrol.control import (HumConfig, _ForwardDual, _ForwardRiccati, hum_forward,
                                k_cost_exponent, m_cost_exponent)
 from spcontrol.errors import NumericsError
 from spcontrol.experiments import (SweepError, _forward_pencil, _pencil_power_iteration,
@@ -143,26 +144,35 @@ def test_backward_value_matrix_of_a_zero_noise_tree_is_the_paths():
 def _swept_pencil(stepper):
     """Oracle: the forward pencil column by column from tree sweeps.
 
-    obs[:, j] is the backward-HUM Gramian applied to e_j; energy[:, j] folds
-    the resulting leaf field z(T) back to level 0 through the transpose sweep.
+    z is the adjoint_1_5 sweep of e_j; obs[:, j] is minus the initial state of the
+    controlled_1_2 fold from zero leaves under u = z (the backward-HUM Gramian's stencil
+    pair), and energy[:, j] folds the leaf field z(T) back to level 0.
     """
-    n = stepper.grid.N
-    dual = _BackwardDual(stepper)
+    n, tree = stepper.grid.N, stepper.tree
+    zero_leaves = np.zeros((tree.n_nodes(tree.M), n))
     energy = np.empty((n, n))
     obs = np.empty((n, n))
     for j in range(n):
-        obs[:, j], (z, *_) = dual.gram(np.eye(n)[j])
-        energy[:, j] = stepper.backward(z[stepper.tree.M], mode="controlled_1_2").z[0][0]
+        z = stepper.forward(np.eye(n)[j], mode="adjoint_1_5").y
+        obs[:, j] = -stepper.backward(zero_leaves, mode="controlled_1_2", u=z).z[0][0]
+        energy[:, j] = stepper.backward(z[tree.M], mode="controlled_1_2").z[0][0]
     return energy, obs
 
 
-@pytest.mark.parametrize("build", [build_tree, build_path])
-def test_forward_pencil_moments_match_tree_sweeps(build):
+def _pencil_stepper(build):
+    if build == "desk":
+        desk_ini = Path(__file__).resolve().parents[1] / "demos" / "desk.ini"
+        return TreeStepper(*parse_config(desk_ini).build_problem())
     grid = build_grid(1.0, 8, (0.2, 0.85), (0.4, 0.65))
     coeffs = ProblemCoefficients(a=lambda t, x: 0.2 + 0.1 * x + 0.05 * t, a1=0.7,
                                  a2=lambda t, x: 0.4 + 0.1 * np.cos(np.pi * x), b1=0.2, b2=0.1,
                                  b=lambda t, x: 0.3 * np.sin(np.pi * x) + 0.1 * t)
-    st = TreeStepper(grid, build(6, 0.8), coeffs)
+    return TreeStepper(grid, build(6, 0.8), coeffs)
+
+
+@pytest.mark.parametrize("build", [build_tree, build_path, "desk"])
+def test_forward_pencil_moments_match_tree_sweeps(build):
+    st = _pencil_stepper(build)
     energy, obs = _forward_pencil(st)
     ref_energy, ref_obs = _swept_pencil(st)
     for got, ref in ((energy, ref_energy), (obs, ref_obs)):
