@@ -31,24 +31,28 @@ fold and its drives are built only if CG needs a second iteration.  The
 march also skips the general map's (r - y_M) / eps, which cancels at the
 scale |b| / eps, so on the desk problem one forward iteration suffices down
 to eps = 1e-10, and at most 11 down to eps = 1e-14.  The forward Gramian runs
-as per-level N x N open-loop maps too (_ForwardDual.gram), and the backward
-one is the dense matrix its preconditioner factors (_BackwardDual.gram), so no
-CG iteration sweeps a stencil.  The forward free solution and the backward
-solve's pair at p after CG stay stencil sweeps, and the HUM identity residual
-pairs them with the N x N route, so every report cross-checks it against the
-stencil.  The optimal penalized state satisfies  y_opt = -eps * p_opt
-(forward target y(T)) respectively y_opt(0) = +eps * p_opt  (backward
-problem), so the terminal/initial energy decays like eps^2 |p|^2 as the
-penalty is driven to zero.
+on per-level sibling-pair maps (_ForwardDual.gram on the stepper's
+`pair_steps`: each sibling pair is one row of 2N, folded and marched by
+2N-wide products), and the backward one is the dense matrix its
+preconditioner factors (_BackwardDual.gram), so no CG iteration sweeps a
+stencil.  The forward free solution and the backward solve's pair at p after
+CG stay stencil sweeps, and the HUM identity residual pairs them with the
+N x N route, so every report cross-checks it against the stencil.  The
+optimal penalized state satisfies  y_opt = -eps * p_opt  (forward target
+y(T)) respectively y_opt(0) = +eps * p_opt  (backward problem), so the
+terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
+zero.
 
-A forward Gramian application also returns its by-products: the adjoint
-fields that become the controls, and the state those controls drive from
-zero.  They are linear in p, so CG keeps them current at its iterate as it
-keeps Gram p, and hum_forward builds the controls, the controlled state (free
-solution plus carried state) and the report from them: one Gramian
-application per CG iteration and no sweep on p after CG.  Summed over the CG
-steps rather than swept afresh from p, these fields differ from a fresh sweep
-by rounding only.
+A forward Gramian application also returns its by-products, in one flat
+buffer: the adjoint fields that become the controls, and the state those
+controls drive from zero.  They are linear in p, so CG keeps them current at
+its iterate as it keeps Gram p, with one scale or axpy of the buffer a step,
+and hum_forward builds the controls, the controlled state (free solution plus
+carried state) and the report from them: one Gramian application per CG
+iteration and no sweep on p after CG.  The control cost is one weighted dot
+over the buffer's leading [z_half | Z] blocks.  Summed over the CG steps rather
+than swept afresh from p, these fields differ from a fresh sweep by rounding
+only.
 
 Forward problem: p is terminal adjoint data on the leaves, the control pair
 is (u, v) = (1_{G0} z_half, Z).  Backward problem: p is the deterministic
@@ -150,31 +154,30 @@ class HumResult:
 
 
 def _axpy(step: float, new, acc):
-    """acc + step * new over by-products (sequences of lists of arrays), in place.
+    """acc + step * new over by-products (one array each, None for none), in place.
 
-    acc None stands for zero; then `new`, whose arrays are the operator's own,
-    is scaled in place and becomes the accumulator.
+    acc None stands for zero; then `new`, the operator's own array, is scaled in
+    place and becomes the accumulator.
     """
+    if new is None:
+        return acc
     if acc is None:
-        for levels in new:
-            for a in levels:
-                a *= step
+        new *= step
         return new
-    for acc_levels, levels in zip(acc, new):
-        for a, b in zip(acc_levels, levels):
-            a += step * b
+    acc += step * new
     return acc
 
 
 def _cg(apply_op, b, inner, tol: float, max_iter: int, precond=None, *, z0=None):
     """Conjugate gradients for an SPD operator; returns (x, trace).
 
-    `apply_op(x)` returns (A x, by-products): a sequence of lists of fresh
-    arrays, each linear in x (empty where the caller needs none), which CG
-    may update in place.  CG starts from x = 0 and keeps them current at its
-    iterate the way it keeps A x, by linearity, so trace["products"] holds
-    the by-products at the returned x without a further application of the
-    operator; None stands for zero by-products (b = 0, or no step taken).
+    `apply_op(x)` returns (A x, by-products): one fresh array, linear in x and
+    sharing no memory with A x, which CG may update in place, or None where the
+    caller needs none.  CG starts from x = 0 and keeps the by-products current
+    at its iterate the way it keeps A x, by linearity (one scale or axpy a
+    step), so trace["products"] holds them at the returned x without a further
+    application of the operator; None stands for zero by-products (b = 0, or
+    no step taken) or for none.
 
     `precond` applies an SPD approximation of the operator's inverse (None:
     the identity); it runs only at the top of an iteration that will use it,
@@ -328,52 +331,90 @@ def _bound_ratio(cost: float, log_bound: float, data_norm: float) -> float:
 
 
 class _ForwardDual:
-    """Gramian, linear term and quadratures for the forward HUM problem."""
+    """Gramian, linear term and quadratures for the forward HUM problem.
+
+    A Gramian application writes all its by-products into one flat buffer: each level's
+    [z_half | Z] block (levels 0..M-1, one (nodes, 2N) block each), then z(0), then the
+    state y_0 .. y_M; `unpack` reads them back as per-level views.
+    """
 
     def __init__(self, stepper: TreeStepper):
         self.st = stepper
-        grid, tree = stepper.grid, stepper.tree
+        grid, tree, n = stepper.grid, stepper.tree, stepper.grid.N
         self.leaf_weight = tree.node_weight(tree.M) * grid.h
+        rows = [tree.n_nodes(k) for k in range(tree.M + 1)]
+        self._layout, end = [], 0
+        for shape in [(r, 2 * n) for r in rows[:-1]] + [(1, n)] + [(r, n) for r in rows]:
+            start, end = end, end + shape[0] * shape[1]
+            self._layout.append((slice(start, end), shape))
+        self._observed = slice(0, self._layout[tree.M][0].start)  # the [z_half | Z] blocks
+        # the observation quadrature dt 2^-n h [1_{G0}, 1], a row and a column factor
+        level_weight = tree.dt * grid.h * np.array([tree.node_weight(k) for k in range(tree.M)])
+        self._row_weight = np.repeat(level_weight, rows[:-1])
+        self._col_weight = np.ones(2 * n)
+        self._col_weight[:n] = grid.g0_mask
 
     def inner(self, p, q) -> float:
         return self.leaf_weight * float((p * q).sum())
 
-    def observation(self, z_half, Z) -> float:
-        """E int_{Q0} z_half^2 + E int_Q Z^2 (all time levels)."""
-        grid, tree, g = self.st.grid, self.st.tree, self.st.grid.g0_slice
-        total = 0.0
-        for n in range(tree.M):
-            w = tree.dt * tree.node_weight(n) * grid.h
-            # node-fastest, the layout z_half[n][:, g0_mask] has, so the sum keeps its order
-            total += w * (float(np.square(z_half[n][:, g].T, order="C").sum()) + float((Z[n] ** 2).sum()))
-        return total
+    def _blocks(self, products):
+        """The buffer's per-level views: ([z_half | Z] per level, z(0), y per level)."""
+        views = [products[s].reshape(shape) for s, shape in self._layout]
+        m = self.st.tree.M
+        return views[:m], views[m], views[m + 1:]
+
+    def unpack(self, products):
+        """(z_half, Z, [z(0)], y): per-level views into a Gramian application's by-products."""
+        zz, z0, y = self._blocks(products)
+        n = self.st.grid.N
+        return [a[:, :n] for a in zz], [a[:, n:] for a in zz], [z0], y
+
+    def pack(self, z_half, Z) -> np.ndarray:
+        """The [z_half | Z] blocks of the buffer layout, for `observation`."""
+        return np.concatenate([np.hstack(pair) for pair in zip(z_half, Z)]).ravel()
+
+    def observation(self, products) -> float:
+        """E int_{Q0} z_half^2 + E int_Q Z^2 (all time levels), from the [z_half | Z] blocks
+        that lead the buffer layout (`pack` makes them from fields)."""
+        observed = products[self._observed].reshape(-1, 2 * self.st.grid.N)
+        return float(self._row_weight @ (np.square(observed) @ self._col_weight))
 
     def gram(self, p):
-        """(Gram p, by-products): the adjoint's z_half, Z and [z(0)], and the state y driven from 0.
+        """(Gram p, by-products): the adjoint's z_half, Z and z(0), and the state y driven from 0,
+        in one buffer (`unpack`); Gram p is the buffer's y_M level, a view.
 
-        The stencil pair (adjoint_1_3 fold, then the forward sweep under u = z_half, v = Z)
-        on the stepper's cached N x N step maps, rows times G^T, B^T (`general_steps`) and
-        S^{-1} (`inverse_steps`): fold z S^{-1} -> (z_half, Z) -> z_half G + dt Z B down the
-        tree, march y G^T + dt 1_{G0} z_half +/- sqrt(dt)(y B^T + Z), times S^{-1}, up it.
-        On a path nothing splits (Z = 0).  Non-finite data, checked before any product,
-        or a non-finite level is a NumericsError.
+        The stencil pair (adjoint_1_3 fold, then the forward sweep under u = z_half, v = Z) on
+        the stepper's sibling-pair maps (`pair_steps`): fold a level's children into its
+        [z_half | Z] block and that into z_n down the tree, two products a level, then march
+        each level's children from y_n and that block up it, two products and an add (one
+        product at y_0 = 0).  On a path nothing splits (Z = 0).  Non-finite data, checked
+        before any product, or a non-finite level, checked in one pass at the end and then
+        looked up in the order the levels were made, is a NumericsError.
         """
-        st, tree, dt = self.st, self.st.tree, self.st.dt
+        st, tree = self.st, self.st.tree
         z = _finite(p, f"the forward Gramian's leaf data at level {tree.M}")
-        z_half, Z = [None] * tree.M, [None] * tree.M
-        for n in range(tree.M - 1, -1, -1):
-            (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
-            w = z @ inv
-            z_half[n], Z[n] = martingale_part(tree, w) if tree.branching else (w, np.zeros_like(w))
-            z = _finite(z_half[n] @ gt.T + dt * (Z[n] @ bt.T), f"the forward Gramian's adjoint at level {n}")
-        y, dt_g0 = [np.zeros((1, st.grid.N))], dt * st.grid.g0_mask
-        for n in range(tree.M):
-            (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
-            base = y[n] @ gt + dt_g0 * z_half[n]
-            if tree.branching:
-                base = reconstruct_children(tree, base, y[n] @ bt + Z[n])
-            y.append(_finite(base @ inv, f"the forward Gramian's state at level {n + 1}"))
-        return y[tree.M], (z_half, Z, [z], y)
+        products = np.empty(self._layout[-1][0].stop)
+        zz, z0, y = self._blocks(products)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, as a NumericsError
+            for n in range(tree.M - 1, -1, -1):
+                down, fold, _, _ = st.pair_steps[n]
+                np.matmul(z.reshape(zz[n].shape[0], -1), down, out=zz[n])
+                z = np.matmul(zz[n], fold, out=z0 if n == 0 else None)
+            y[0][:] = 0.0
+            for n in range(tree.M):
+                _, _, up_y, up_zz = st.pair_steps[n]
+                children = np.matmul(zz[n], up_zz, out=y[n + 1].reshape(zz[n].shape[0], -1))
+                if n:
+                    children += y[n] @ up_y
+        # one pass: the sum of squares is non-finite if any entry is (or if it overflows, which
+        # the per-level lookup then passes)
+        if not np.isfinite(np.dot(products, products)):
+            for n in range(tree.M - 1, -1, -1):
+                _finite(zz[n], f"the forward Gramian's adjoint at level {n}")
+            _finite(z0, "the forward Gramian's adjoint at level 0")
+            for n in range(1, tree.M + 1):
+                _finite(y[n], f"the forward Gramian's state at level {n}")
+        return y[tree.M], products
 
 
 class _ForwardRiccati:
@@ -539,7 +580,7 @@ def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: floa
     y0 = np.asarray(y0, dtype=float)
     bwd = st.backward(zT, mode="adjoint_1_3")
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
-    value = (0.5 * dual.observation(bwd.z_half, bwd.Z) + 0.5 * eps * dual.inner(zT, zT)
+    value = (0.5 * dual.observation(dual.pack(bwd.z_half, bwd.Z)) + 0.5 * eps * dual.inner(zT, zT)
              + grid.inner(y0, bwd.z[0][0]))
     gradient = y.y[tree.M] + eps * zT
     return {"value": value, "gradient": gradient}
@@ -571,12 +612,14 @@ def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumCo
     riccati = _ForwardRiccati(st, eps)
     p, trace = _cg(_penalized(dual.gram, eps), -b, dual.inner, config.cg_tol, config.cg_max_iter,
                    precond=riccati, z0=riccati.feedback_direction(y0))
-    # None: CG took no step, so p = 0 and its by-products are the Gramian's at 0
-    z_half, Z, (z0,), y_ctrl = trace.pop("products") or dual.gram(p)[1]
+    products = trace.pop("products")
+    if products is None:  # CG took no step, so p = 0 and its by-products are the Gramian's at 0
+        products = dual.gram(p)[1]
+    z_half, Z, (z0,), y_ctrl = dual.unpack(products)
     u = AdaptedField([grid.g0_mask * zh for zh in z_half])
     y = ForwardSolution(y=AdaptedField([f + c for f, c in zip(free.y.levels, y_ctrl)]))
     report = _hum_report(
-        config, trace, cost=dual.observation(z_half, Z), final_norm=mean_square_norm(tree, grid, y.y, tree.M),
+        config, trace, cost=dual.observation(products), final_norm=mean_square_norm(tree, grid, y.y, tree.M),
         uncontrolled=uncontrolled, pairing=grid.inner(y0, z0[0]),
         exponent=k_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b1_inf, st.tab.b2_inf),
         data_norm=grid.inner(y0, y0))
@@ -595,8 +638,8 @@ class _BackwardDual:
         self.obs = _forward_pencil(stepper)[1]
 
     def gram(self, p):
-        """(Gram p, by-products): obs @ p, and none."""
-        return self.obs @ p, ()
+        """(Gram p, by-products): obs @ p, and none (None)."""
+        return self.obs @ p, None
 
 
 def _moment_forms(stepper: TreeStepper, level):

@@ -188,10 +188,10 @@ class _StepperBase:
     closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf, from
     `_lapack`, which loads scipy's compiled wrapper without importing scipy.linalg).
     dpttrs solves every row by the same loop, so no row depends on how many come with it.
-    Every per-step build (this factor, `TreeStepper.general_steps`, `inverse_steps`, the
-    forward pencil's maps) runs once for each distinct step and is shared by the steps whose
-    coefficient bytes repeat it (`first_step`): with coefficients that do not depend on t,
-    once in all.  The build is the one that step would make alone, so no result moves a bit.
+    Every per-step build (this factor, `TreeStepper.general_steps`, `inverse_steps`,
+    `pair_steps`, the forward pencil's maps) runs once for each distinct step and is shared
+    by the steps whose coefficient bytes repeat it (`first_step`): with coefficients that do
+    not depend on t, once in all.  The build is the one that step would make alone, so no result moves a bit.
     """
 
     def __init__(self, grid: SpatialGrid, times: np.ndarray, dt: float, coeffs):
@@ -289,6 +289,42 @@ class TreeStepper(_StepperBase):
         """Per level n = 1..M: S_n^{-1} = `_solve(n, I)`, shared like general_steps (None at level 0)."""
         eye = np.eye(self.grid.N)
         return [None] + self._each_step(lambda n: self._solve(n + 1, eye))
+
+    @cached_property
+    def pair_steps(self) -> list:
+        """Per level n: the general step and its transposed fold as sibling-pair maps
+        (down, fold, up_y, up_zz), shared like general_steps.
+
+        Siblings are adjacent rows, so a level's (2^{n+1}, N) field is a (2^n, 2N) view, each
+        row [+ child | - child].  As row maps, with (G^T, B^T) = general_steps[n],
+        S^{-1} = inverse_steps[n + 1] and s = sqrt(dt):
+
+          [z_half | Z] = children @ down,  down = [[S^{-1}/2, S^{-1}/(2s)], [S^{-1}/2, -S^{-1}/(2s)]]
+          z_n = [z_half | Z] @ fold,       fold = [[G], [dt B]]
+          children = y_n @ up_y + [u | v] @ up_zz,
+              up_y = [(G^T + s B^T) S^{-1} | (G^T - s B^T) S^{-1}],
+              up_zz = [[dt 1_{G0} S^{-1}, dt 1_{G0} S^{-1}], [s S^{-1}, -s S^{-1}]]
+
+        are the adjoint_1_3 fold and the general march under controls (u, v).  On a path nothing
+        splits: down = [S^{-1} | 0], up_y = G^T S^{-1}, up_zz = [[dt 1_{G0} S^{-1}], [0]].
+        12 N^2 floats a distinct step; only the forward HUM Gramian builds them.
+        """
+        dt, s, g0 = self.dt, self.tree.sqrt_dt, self.grid.g0_mask[:, None]
+
+        def step(n):
+            (gt, bt), inv = self.general_steps[n], self.inverse_steps[n + 1]
+            fold = np.vstack((gt.T, dt * bt.T))
+            observed = dt * g0 * inv
+            if not self.tree.branching:
+                zero = np.zeros_like(inv)
+                return np.hstack((inv, zero)), fold, gt @ inv, np.vstack((observed, zero))
+            half, mart = 0.5 * inv, inv / (2.0 * s)
+            down = np.vstack((np.hstack((half, mart)), np.hstack((half, -mart))))
+            up_y = np.hstack(((gt + s * bt) @ inv, (gt - s * bt) @ inv))
+            up_zz = np.vstack((np.hstack((observed, observed)), np.hstack((s * inv, -s * inv))))
+            return down, fold, up_y, up_zz
+
+        return self._each_step(step)
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
                 mode: str = "general") -> ForwardSolution:

@@ -108,8 +108,8 @@ def _dense_penalized_quotient(stepper, eps):
     n = shape[0] * shape[1]
     gram, z0_map = np.empty((n, n)), np.empty((grid.N, n))
     for j in range(n):
-        gp, (_, _, (z0,), _) = dual.gram(np.eye(n)[j].reshape(shape))
-        gram[:, j], z0_map[:, j] = gp.ravel(), z0[0]
+        gp, products = dual.gram(np.eye(n)[j].reshape(shape))
+        gram[:, j], z0_map[:, j] = gp.ravel(), dual.unpack(products)[2][0][0]
     penalized = dual.leaf_weight * (gram + eps * np.eye(n))
     quotient = grid.h * z0_map @ np.linalg.solve(0.5 * (penalized + penalized.T), z0_map.T)
     return np.linalg.eigvalsh(0.5 * (quotient + quotient.T))[-1]

@@ -1,0 +1,64 @@
+"""Randomized laws: each fast path against its oracle on drawn well-posed instances.
+
+The draws are derandomized, so every run tests the same instances.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as hs  # noqa: E402
+from test_control import _stencil_gram  # noqa: E402
+
+from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree  # noqa: E402
+from spcontrol.control import _ForwardDual  # noqa: E402
+
+LAWS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+
+@hs.composite
+def instances(draw):
+    """A stepper on a well-posed problem and random leaf data for it.
+
+    N 6..13, M 2..4, a tree or a path over T in [0.25, 1], G0 a random run of interior nodes
+    off the boundary nodes, and coefficients constant or varying in (t, x): a >= 0.6 a0 with
+    |b2| <= 0.9 sqrt(1.2 a0), so 2a - b2^2 > 0, and |a1| <= 1, b1^2 <= 0.3 a0, so the
+    explicit terms stay below the warning dt (|b1|^2 / beta + |a1|) > 1.
+    """
+    n, m = draw(hs.integers(6, 13)), draw(hs.integers(2, 4))
+    build = draw(hs.sampled_from([build_tree, build_path]))
+    first = draw(hs.integers(1, n - 2))
+    last = draw(hs.integers(first, n - 2))
+    h = 1.0 / (n + 1)
+    grid = build_grid(1.0, n, ((first + 0.5) * h, (last + 1.5) * h), ((first + 0.75) * h, (last + 1.25) * h))
+
+    def coefficient(scale):
+        c, k = scale * draw(hs.floats(-1.0, 1.0)), draw(hs.integers(1, 3))
+        return (lambda t, x: c * np.cos(k * np.pi * x + t)) if draw(hs.booleans()) else c
+
+    a0, k = draw(hs.floats(0.1, 1.5)), draw(hs.integers(1, 3))
+    a = (lambda t, x: a0 * (1.0 + 0.4 * np.sin(k * np.pi * x + t))) if draw(hs.booleans()) else a0
+    coeffs = ProblemCoefficients(a=a, a1=coefficient(1.0), a2=coefficient(1.0),
+                                 b1=coefficient(np.sqrt(0.3 * a0)), b2=coefficient(0.9 * np.sqrt(1.2 * a0)),
+                                 b=coefficient(1.0))
+    st = TreeStepper(grid, build(m, draw(hs.floats(0.25, 1.0))), coeffs)
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    return st, rng.standard_normal((st.tree.n_nodes(st.tree.M), n))
+
+
+@LAWS
+@given(instances())
+def test_forward_gram_on_pair_maps_is_the_stencil_pair(instance):
+    """`_ForwardDual.gram` on the sibling-pair maps: Gram p and every unpacked by-product level
+    (z_half, Z, z(0), y) within 1e-13 of the stencil pair's max on that field."""
+    st, p = instance
+    dual = _ForwardDual(st)
+    gp, products = dual.gram(p)
+    gp_ref, ref = _stencil_gram(st, p)
+    for levels, ref_levels in zip(([gp], *dual.unpack(products)), ([gp_ref], *ref), strict=True):
+        top = max(float(np.max(np.abs(a))) for a in ref_levels)
+        assert len(levels) == len(ref_levels)
+        for a, b in zip(levels, ref_levels):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * top
