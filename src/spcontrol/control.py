@@ -642,7 +642,7 @@ class _BackwardDual:
         return self.obs @ p, None
 
 
-def _moment_forms(stepper: TreeStepper, level):
+def _moment_forms(stepper: TreeStepper, level, depths=None):
     """Matrices of y_0 -> E|y_M|^2 and y_0 -> E sum_n dt y_n^T S_n y_n, with no tree.
 
     For y_{n+1} = Phi_n y_n +/- sqrt(dt) Psi_n y_n, `level(n)` gives (Phi_n^T, Psi_n^T
@@ -650,24 +650,32 @@ def _moment_forms(stepper: TreeStepper, level):
 
       X_n = Phi_n^T X_{n+1} Phi_n + dt Psi_n^T X_{n+1} Psi_n,           X_M = I,
       O_n = Phi_n^T O_{n+1} Phi_n + dt Psi_n^T O_{n+1} Psi_n + dt S_n,  O_M = 0.
+
+    With `depths` (non-decreasing, at most M), an iterator instead of the pair after that many
+    steps down from level M, bit for bit a recursion of that depth on this one's last steps; it
+    steps only as far as the pair asked for, so a failing step raises for the first depth it fails.
     """
-    forms = np.stack([np.eye(stepper.grid.N), np.zeros((stepper.grid.N,) * 2)])  # (X_M, O_M)
-    for n in range(stepper.tree.M - 1, -1, -1):
-        phit, psit, source = level(n)
-        step = phit @ forms @ phit.T
-        if psit is not None:
-            step += stepper.dt * (psit @ forms @ psit.T)
-        step[1] += stepper.dt * source
-        forms = step
-    return 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
+    def run(depths):
+        forms = np.stack([np.eye(stepper.grid.N), np.zeros((stepper.grid.N,) * 2)])  # (X_M, O_M)
+        for done, depth in zip([0, *depths], depths):
+            for n in range(stepper.tree.M - done - 1, stepper.tree.M - depth - 1, -1):
+                phit, psit, source = level(n)
+                step = phit @ forms @ phit.T
+                if psit is not None:
+                    step += stepper.dt * (psit @ forms @ psit.T)
+                step[1] += stepper.dt * source
+                forms = step
+            yield 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
+
+    return run(depths) if depths else next(run([stepper.tree.M]))
 
 
-def _forward_pencil(stepper: TreeStepper):
+def _forward_pencil(stepper: TreeStepper, depths=None):
     """Forward-direction (energy, observation) pair: z0 -> E|z(T)|^2, E int_{Q0} |z|^2.
 
     `_moment_forms` of the forward adjoint, whose Phi_n = S_{n+1}^{-1}(I + dt A_n) and
     Psi_n = S_{n+1}^{-1} B_n push the identity's rows through the stepper's own step, once
-    for each distinct step (`first_step`).
+    for each distinct step (`first_step`); with `depths`, the pairs at those depths.
     """
     dt, eye, observed = stepper.dt, np.eye(stepper.grid.N), np.diag(stepper.grid.g0_mask)
     built = {}
@@ -682,7 +690,7 @@ def _forward_pencil(stepper: TreeStepper):
         # the recursion runs n = M-1..0, so step `first` is the last to ask for its maps
         return built.pop(first) if n == first else built[first]
 
-    return _moment_forms(stepper, level)
+    return _moment_forms(stepper, level, depths)
 
 
 def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumConfig,

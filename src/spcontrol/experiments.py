@@ -17,9 +17,12 @@ problem's tracking LQ problem (`control._ForwardRiccati`), at eps = h^2
 (Boyer, Hubert & Le Rousseau 2010).  Control-cost rows take the same moment
 recursion on that problem's feedback loop.  So no cost_scaling_sweep row
 sweeps the tree, runs CG or allocates a per-node field, and none is clipped.
+Rows of one dt = T / M whose coefficients do not depend on t repeat one step,
+so a shorter forward row's recursion is the first steps of a longer row's:
+such a row reads its pencil off the longest one's recursion at its own depth.
 
-All randomness flows from an explicit seed; sweep rows are independent and
-deterministic given that seed.
+All randomness flows from an explicit seed; every sweep row's value is the one
+it takes alone, deterministic given that seed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .control import _cg  # noqa: F401
 from .errors import NumericsError
 from .grid import SpatialGrid
 from .scenario import ScenarioTree, build_tree
-from .spde import ProblemCoefficients, TreeStepper
+from .spde import ProblemCoefficients, TreeStepper, step_keys
 
 __all__ = [
     "ObservabilityEstimate",
@@ -114,15 +117,16 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    rng = np.random.default_rng(seed)
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    epsilon = None
     if direction == "forward_1_5":
-        energy, obs = _forward_pencil(st)
-    else:
-        epsilon = grid.h ** 2
-        energy, obs = _ForwardRiccati(st, epsilon).p0, np.eye(grid.N)
-    rayleigh = np.maximum.accumulate(_pencil_power_iteration(energy, obs, iters, rng))
+        return _estimate(_forward_pencil(st), iters, seed, direction)
+    epsilon = grid.h ** 2
+    return _estimate((_ForwardRiccati(st, epsilon).p0, np.eye(grid.N)), iters, seed, direction, epsilon)
+
+
+def _estimate(pencil, iters: int, seed: int, direction: str, epsilon=None) -> ObservabilityEstimate:
+    """observability_constant's report from its (energy, observation) pencil."""
+    rayleigh = np.maximum.accumulate(_pencil_power_iteration(*pencil, iters, np.random.default_rng(seed)))
     resid = abs(rayleigh[-1] - rayleigh[-2]) / abs(rayleigh[-1]) if len(rayleigh) > 1 else np.inf
     return ObservabilityEstimate(c_obs=float(rayleigh[-1]), iterations=iters,
                                  rayleigh=[float(r) for r in rayleigh],
@@ -161,16 +165,19 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                        seed: int = 0) -> ScalingTable:
     """Tabulate c_obs or control cost against T and fit the e^{C/T} law.
 
-    Each row takes M = max(2, round(m_per_time * T)) steps (constant dt): every
-    row comes from N x N recursions, so no row is clipped.  A row runs on a
-    single-branch path (the collapsed column) when its recursion is noise-free:
-    a forward observability row when a2 = 0, every other row (backward
-    observability, control cost) when a2 = b2 = 0.  Control-cost rows are
-    hum_forward's cost of steering sin(pi x / L) at eps = h^2, in the forward
-    direction only.  `epsilon` is the rows' penalty (None for forward
-    observability).  An unknown quantity or direction, a control-cost sweep in
-    the backward direction, or fewer than 4 distinct T values, is a ValueError
-    before any row runs.  Rows run in sorted-T order; a row failure aborts the
+    Each row takes M = max(2, round(m_per_time * T)) steps of dt = T / M (1 / m_per_time
+    when m_per_time * T is a whole number >= 2, near it otherwise): every row comes from
+    N x N recursions, so no row is clipped.  A row runs on a single-branch path (the
+    collapsed column) when its recursion is noise-free: a forward observability row when
+    a2 = 0, every other row (backward observability, control cost) when a2 = b2 = 0.  A
+    forward observability row whose steps are bit for bit the last steps of a longer row's
+    (equal dt, branching and `spde.step_keys`) builds no stepper and reads its pencil off
+    the longest such row's recursion.  Control-cost rows are hum_forward's cost of
+    steering sin(pi x / L) at eps = h^2, in the forward direction only.  `epsilon` is the
+    rows' penalty (None for forward observability).  An unknown name, a control-cost sweep
+    in the backward direction, a T or m_per_time that is not positive and finite, fewer
+    than 4 distinct T values or, for observability, iters < MIN_POWER_ITERS is a
+    ValueError before any row runs.  Rows run in sorted-T order; a row failure aborts the
     sweep with the completed rows attached to the raised SweepError.
     """
     if quantity not in ("observability", "control_cost"):
@@ -181,28 +188,49 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     if not observability and direction != "forward_1_5":
         raise ValueError(f"control-cost rows are forward HUM costs: direction {direction!r} does not apply")
     t_values = sorted(float(t) for t in t_values)
+    if not all(0.0 < T < np.inf for T in t_values):
+        raise ValueError(f"T values must be positive and finite, got {t_values}")
     if len(set(t_values)) < 4:
         raise ValueError("need at least 4 distinct T values for the fit")
     if not 0.0 < m_per_time < np.inf:
         raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
+    if observability and iters < MIN_POWER_ITERS:
+        raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     forward_obs = observability and direction == "forward_1_5"
     epsilon = None if forward_obs else grid.h ** 2
-    rows = []
+    plans = []  # per row: (tree, tables), or what building them raised, raised again when the row runs
     for T in t_values:
         try:
             tree = build_tree(max(2, int(round(m_per_time * T))), T)
             tab = coeffs.sample(grid, tree.times)
             # noise: forward observability's adjoint has -a2, every other row's state (a2, b2)
-            tree = replace(tree, branching=tab.a2_inf + (0.0 if forward_obs else tab.b2_inf) > 0.0)
-            st = TreeStepper(grid, tree, tab)
-            if observability:
-                value = observability_constant(grid, tree, coeffs, direction=direction,
-                                               iters=iters, seed=seed, stepper=st).c_obs
-            else:
-                value = _ForwardRiccati(st, epsilon).feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
+            noisy = tab.a2_inf + (0.0 if forward_obs else tab.b2_inf) > 0.0
+            plans.append((replace(tree, branching=noisy), tab))
+        except Exception as exc:  # noqa: BLE001
+            plans.append(exc)
+    keys = [(p[0].dt, p[0].branching, step_keys(p[1])) if isinstance(p, tuple) else None for p in plans]
+    # a row's host: the last, so longest, row whose last steps are bit for bit the row's steps
+    host = [max(j for j, b in enumerate(keys) if j == i or j > i and a and b and a[:2] == b[:2]
+                and b[2][-len(a[2]):] == a[2]) for i, a in enumerate(keys)]
+    rows, pencils = [], {}  # pencils: host row -> its recursion's pencils at its rows' depths
+    for i, T in enumerate(t_values):
+        try:
+            if isinstance(plans[i], Exception):
+                raise plans[i]
+            tree, tab = plans[i]
             if forward_obs:
+                if (j := host[i]) not in pencils:  # i is the first row j hosts
+                    pencils[j] = _forward_pencil(TreeStepper(grid, *plans[j]),
+                                                 [p[0].M for p, h in zip(plans, host) if h == j])
+                value = _estimate(next(pencils[j]), iters, seed, direction).c_obs
                 expo = m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf)
             else:
+                st = TreeStepper(grid, tree, tab)
+                if observability:
+                    value = observability_constant(grid, tree, coeffs, direction=direction,
+                                                   iters=iters, seed=seed, stepper=st).c_obs
+                else:
+                    value = _ForwardRiccati(st, epsilon).feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
                 expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
             rows.append({"T": T, "M": tree.M, "collapsed": not tree.branching,
                          "value": value, "exponent": expo})

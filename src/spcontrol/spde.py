@@ -158,6 +158,12 @@ class ProblemCoefficients:
                                  **{k + "_inf": v for k, v in sup.items()})
 
 
+def step_keys(tab: CoefficientTables) -> list:
+    """Per step n, what makes two steps of one dt the same: the bytes (-0.0 is not 0.0) step n reads."""
+    steps = np.concatenate((tab.a_faces[1:], tab.a1, tab.a2, tab.b1, tab.b2, tab.b), axis=1)
+    return [row.tobytes() for row in steps]
+
+
 @dataclass
 class ForwardSolution:
     """State of a forward solve: y over levels 0..M."""
@@ -197,11 +203,9 @@ class _StepperBase:
     def __init__(self, grid: SpatialGrid, times: np.ndarray, dt: float, coeffs):
         self.grid = grid
         self.dt = float(dt)
-        self.tab = tab = coeffs if isinstance(coeffs, CoefficientTables) else coeffs.sample(grid, times)
-        # step n reads a_faces[n + 1] and row n of the other tables, compared as bytes: -0.0 is not 0.0
-        steps = np.concatenate((tab.a_faces[1:], tab.a1, tab.a2, tab.b1, tab.b2, tab.b), axis=1)
+        self.tab = coeffs if isinstance(coeffs, CoefficientTables) else coeffs.sample(grid, times)
         first: dict = {}
-        self.first_step = [first.setdefault(row.tobytes(), n) for n, row in enumerate(steps)]
+        self.first_step = [first.setdefault(key, n) for n, key in enumerate(step_keys(self.tab))]
         self._facts = [None] + self._each_step(self._factor)
         cfl = self.dt * (self.tab.b1_inf ** 2 / self.tab.beta + self.tab.a1_inf)
         if cfl > 1.0:

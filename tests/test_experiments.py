@@ -298,6 +298,43 @@ def test_scaling_sweep_partial_table_on_failure():
     assert [r["T"] for r in err.value.partial] == [0.25, 0.5, 1.0]
 
 
+def _desk_problem(t_dependent: bool):
+    """demos/desk.ini's grid and coefficients; t_dependent swaps a1 = 1 for a1 = 1 + t / 2."""
+    grid, _, coeffs = parse_config(Path(__file__).resolve().parents[1] / "demos" / "desk.ini").build_problem()
+    if t_dependent:
+        coeffs = ProblemCoefficients(**{**vars(coeffs), "a1": lambda t, x: 1.0 + 0.5 * t})
+    return grid, coeffs
+
+
+@pytest.mark.parametrize("t_dependent", [False, True], ids=["desk", "t-dependent"])
+@pytest.mark.parametrize("m_per_time", [6.0, 8.0, 32.0])
+def test_scaling_sweep_forward_rows_are_their_own_observability_constants(t_dependent, m_per_time):
+    """Forward rows read off a longer row's recursion are bit for bit the row on its own tree."""
+    grid, coeffs = _desk_problem(t_dependent)
+    t_values = [0.25, 0.5, 1.0, 2.0]
+    table = cost_scaling_sweep(coeffs, grid, t_values, m_per_time=m_per_time, iters=12, seed=4)
+    alone = [observability_constant(grid, build_tree(max(2, round(m_per_time * T)), T), coeffs,
+                                    iters=12, seed=4).c_obs for T in t_values]
+    assert [r["value"] for r in table.rows] == alone
+
+
+@pytest.mark.parametrize("t_dependent,steppers,levels", [(False, 1, 64), (True, 4, 120)],
+                         ids=["desk", "t-dependent"])
+def test_scaling_sweep_forward_rows_share_one_recursion(monkeypatch, t_dependent, steppers, levels):
+    """Desk rows T = 0.25, 0.5, 1, 2 at m_per_time = 32 (M = 8, 16, 32, 64, one dt) build one
+    stepper and step one 64-level recursion, where one per row took four and 120 levels; with a
+    coefficient that depends on t no row's steps repeat another's, so nothing is shared."""
+    made, stepped = [], []
+    stepper, moment_forms = experiments.TreeStepper, control._moment_forms
+    monkeypatch.setattr(experiments, "TreeStepper", lambda *args: made.append(args) or stepper(*args))
+    monkeypatch.setattr(control, "_moment_forms", lambda st, level, depths=None: moment_forms(
+        st, lambda n: stepped.append(n) or level(n), depths))
+    grid, coeffs = _desk_problem(t_dependent)
+    table = cost_scaling_sweep(coeffs, grid, [0.25, 0.5, 1.0, 2.0], m_per_time=32.0, iters=5)
+    assert [r["M"] for r in table.rows] == [8, 16, 32, 64]
+    assert (len(made), len(stepped)) == (steppers, levels)
+
+
 @pytest.mark.parametrize("t_values", [[0.5, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]],
                          ids=["three", "duplicates"])
 def test_scaling_sweep_needs_four_rows(t_values):
@@ -309,15 +346,22 @@ def test_scaling_sweep_needs_four_rows(t_values):
 @pytest.mark.parametrize("kwargs,what", [({"quantity": "bogus"}, "unknown quantity 'bogus'"),
                                          ({"direction": "sideways"}, "unknown direction 'sideways'"),
                                          ({"quantity": "control_cost", "direction": "backward_1_3"},
-                                          "direction 'backward_1_3' does not apply")])
+                                          "direction 'backward_1_3' does not apply"),
+                                         ({"t_values": [0.25, 0.5, 1.0, np.nan, 2.0]}, "got .*nan"),
+                                         ({"t_values": [0.25, 0.5, 1.0, np.inf, 2.0]}, "got .*inf"),
+                                         ({"t_values": [0.0, 0.5, 1.0, 2.0]}, r"got \[0\.0,"),
+                                         ({"t_values": [-1.0, 0.5, 1.0, 2.0]}, r"got \[-1\.0,"),
+                                         ({"iters": 4}, "iters must be >= 5")])
 def test_scaling_sweep_rejects_unknown_names_before_any_row(monkeypatch, kwargs, what):
+    """Bad names, a T that is not positive and finite, and too few power iterations are
+    ValueErrors before any row is built (a NaN T used to run three rows first)."""
     def no_row(*args, **kw):
         raise AssertionError("a sweep row ran")
 
     monkeypatch.setattr(experiments, "build_tree", no_row)
     grid = build_grid(1.0, 16, (0.25, 0.8), (0.4, 0.6))
     with pytest.raises(ValueError, match=what):
-        cost_scaling_sweep(ProblemCoefficients(), grid, [0.25, 0.5, 1.0, 2.0], **kwargs)
+        cost_scaling_sweep(ProblemCoefficients(), grid, **{"t_values": [0.25, 0.5, 1.0, 2.0], **kwargs})
 
 
 def test_epsilon_sweep_rows_and_guards():

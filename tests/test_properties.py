@@ -3,6 +3,8 @@
 The draws are derandomized, so every run tests the same instances.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as hs  # noqa: E402
 from test_control import _stencil_gram  # noqa: E402
 
 from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree  # noqa: E402
-from spcontrol.control import _ForwardDual  # noqa: E402
+from spcontrol.control import _ForwardDual, _forward_pencil  # noqa: E402
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -62,3 +64,35 @@ def test_forward_gram_on_pair_maps_is_the_stencil_pair(instance):
         for a, b in zip(levels, ref_levels):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * top
+
+
+@hs.composite
+def t_free_pencils(draw):
+    """Grid, coefficients constant or varying in x only, and a tree or path on one dt, with
+    an M-level depth and the depths k <= M to read the forward pencil at."""
+    n, m = draw(hs.integers(4, 10)), draw(hs.integers(2, 7))
+    grid = build_grid(1.0, n, (0.2, 0.8), (0.35, 0.65))
+
+    def coefficient(scale):
+        c, k = scale * draw(hs.floats(-1.0, 1.0)), draw(hs.integers(1, 3))
+        return (lambda t, x: c * np.cos(k * np.pi * x)) if draw(hs.booleans()) else c
+
+    a0 = draw(hs.floats(0.1, 1.5))
+    coeffs = ProblemCoefficients(a=a0, a1=coefficient(1.0), a2=coefficient(1.0),
+                                 b1=coefficient(np.sqrt(0.3 * a0)), b=coefficient(1.0))
+    tree = draw(hs.sampled_from([build_tree, build_path]))(m, draw(hs.floats(0.25, 1.0)))
+    depths = sorted(draw(hs.lists(hs.integers(1, m), min_size=1, max_size=4)))
+    return grid, coeffs, tree, depths
+
+
+@LAWS
+@given(t_free_pencils())
+def test_forward_pencil_at_depth_k_is_the_k_level_pencil(case):
+    """With no coefficient depending on t, the forward pencil an M-level recursion gives at
+    depth k is bit for bit the pencil of k levels of the same dt (the first k of the M)."""
+    grid, coeffs, tree, depths = case
+    pencils = _forward_pencil(TreeStepper(grid, tree, coeffs), depths)
+    for k, (energy, obs) in zip(depths, pencils, strict=True):
+        short = dataclasses.replace(tree, M=k, T=float(tree.times[k]), times=tree.times[:k + 1])
+        ref_energy, ref_obs = _forward_pencil(TreeStepper(grid, short, coeffs))
+        assert np.array_equal(energy, ref_energy) and np.array_equal(obs, ref_obs)
