@@ -55,17 +55,10 @@ def _profile(g1, x_c, curv, quint_left, quint_right, x, order, side):
         raise ValueError(f"derivative order must lie in 0..5, got {order}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c, d = g1
-    if side == "auto":
-        in_left = x < c
-        in_right = x > d
-    elif side == "left":
-        in_left = x <= c
-        in_right = x > d
-    elif side == "right":
-        in_left = x < c
-        in_right = x >= d
-    else:
+    if side not in ("auto", "left", "right"):
         raise ValueError(f"unknown side {side!r}")
+    in_left = x <= c if side == "left" else x < c
+    in_right = x >= d if side == "right" else x > d
     in_cap = ~(in_left | in_right)
     out = np.zeros_like(x)
     if order == 0:

@@ -1,13 +1,16 @@
 """Batch front-end: INI-style config, subcommands, CSV + text reports.
 
-Output files are deterministic for a fixed config and seed: headers echo the
-resolved configuration, floats are printed with 17 significant digits, no
-timestamps.  Exit codes: 0 success, 1 config/validation error, 2 numerical
-failure (partial outputs are kept).  A CG solve that misses its tolerance in
-control-forward, control-backward or sweep-eps is a numerical failure too:
-every output is written as usual, then the command reports the failure on
-stderr and exits 2.  The output directory is created at the first write, so a
-command that fails on its input leaves none.
+Each subcommand computes its CSV rows, report lines, `.dat` lines (or none)
+and CG failures; `run` alone writes them, to `<name>.csv`, `<name>.dat` and
+`<name>_report.txt`, once the computation returns.  Output files are
+deterministic for a fixed config and seed: headers echo the resolved
+configuration, floats are printed with 17 significant digits, no timestamps.
+Exit codes: 0 success, 1 config/validation error, 2 numerical failure.  A
+sweep row that fails leaves only the CSV of the completed rows.  A CG solve
+that misses its tolerance in control-forward, control-backward or sweep-eps
+is a numerical failure too: every output is written as usual, then the
+command reports the failure on stderr and exits 2.  The output directory is
+created at the first write, so a command that fails on its input leaves none.
 """
 
 from __future__ import annotations
@@ -323,39 +326,20 @@ def _write(path: Path, lines) -> None:
         f.writelines(line + "\n" for line in lines)
 
 
-def _write_csv(path: Path, cfg: RunConfig, command: str, header: list[str], rows) -> None:
-    _write(path, [f"# {line}" for line in (f"command = {command}", *cfg.echo())]
-           + [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
-
-
-def _write_report(path: Path, cfg: RunConfig, command: str, lines: list[str]) -> None:
-    _write(path, [f"{command} report", "=" * (len(command) + 7), *cfg.echo(), "", *lines])
-
-
-def _cg_exit(failures: list[str]) -> int:
-    """Exit code once every output is written: 2 if any CG solve did not converge."""
-    if not failures:
-        return 0
-    print(f"numerical failure: CG did not converge ({'; '.join(failures)})", file=sys.stderr)
-    return 2
-
-
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_simulate(cfg, out):
+def _cmd_simulate(cfg):
     grid, tree, coeffs = cfg.build_problem()
     sol = TreeStepper(grid, tree, coeffs).forward(np.sin(np.pi * grid.x / grid.L))
     rows = [(n, tree.times[n], mean_square_norm(tree, grid, sol.y, n)) for n in range(tree.M + 1)]
-    _write_csv(out / "simulate.csv", cfg, "simulate", ["level", "t", "mean_square_norm"], rows)
-    _write_report(out / "simulate_report.txt", cfg, "simulate", [
+    return rows, [
         f"initial mean-square norm = {_fmt(rows[0][2])}",
         f"terminal mean-square norm = {_fmt(rows[-1][2])}",
-    ])
-    return 0
+    ], None, []
 
 
-def _hum_command(cfg, out, which: str):
+def _hum_command(cfg, which: str):
     grid, tree, coeffs = cfg.build_problem()
     hum_cfg = cfg.hum_config(grid)
     if which == "forward":
@@ -368,10 +352,9 @@ def _hum_command(cfg, out, which: str):
     r = res.report
     trace_rows = [(k + 1, rr, vv) for k, (rr, vv) in
                   enumerate(zip(res.cg_trace["residuals"], res.cg_trace["values"]))]
-    name = f"control-{which}"
-    _write_csv(out / f"{name}.csv", cfg, name, ["iteration", "relative_residual", "dual_value"],
-               trace_rows)
-    _write_report(out / f"{name}_report.txt", cfg, name, [
+    failures = ([] if r.cg_converged else
+                [f"{r.cg_iterations} iterations, relative residual {_fmt(r.cg_residual)}"])
+    return trace_rows, [
         f"epsilon = {_fmt(r.epsilon)}",
         f"terminal_norm = {_fmt(r.terminal_norm)}",
         f"uncontrolled_norm = {_fmt(r.uncontrolled_norm)}",
@@ -382,28 +365,23 @@ def _hum_command(cfg, out, which: str):
         f"cg_iterations = {r.cg_iterations}",
         f"cg_converged = {r.cg_converged}",
         f"identity_residual = {_fmt(r.identity_residual)}",
-    ])
-    return _cg_exit([] if r.cg_converged else
-                    [f"{r.cg_iterations} iterations, relative residual {_fmt(r.cg_residual)}"])
+    ], None, failures
 
 
-def _cmd_observability(cfg, out):
+def _cmd_observability(cfg):
     grid, tree, coeffs = cfg.build_problem()
     est = observability_constant(grid, tree, coeffs, direction=cfg.experiment.direction,
                                  iters=cfg.experiment.power_iters, seed=cfg.experiment.seed)
-    rows = [(k + 1, v) for k, v in enumerate(est.rayleigh)]
-    _write_csv(out / "observability.csv", cfg, "observability", ["iteration", "rayleigh"], rows)
-    _write_report(out / "observability_report.txt", cfg, "observability", [
+    return [(k + 1, v) for k, v in enumerate(est.rayleigh)], [
         f"direction = {est.direction}",
         *([] if est.epsilon is None else [f"epsilon = {_fmt(est.epsilon)}"]),
         f"c_obs = {_fmt(est.c_obs)}",
         f"iterations = {est.iterations}",
         f"last_relative_change = {_fmt(est.residual)}",
-    ])
-    return 0
+    ], None, []
 
 
-def _cmd_carleman_check(cfg, out):
+def _cmd_carleman_check(cfg):
     grid, tree, coeffs = cfg.build_problem()
     psi = build_psi(grid)
     mu = cfg.carleman.mu
@@ -420,21 +398,16 @@ def _cmd_carleman_check(cfg, out):
     results = [_backward_ratios(st, weight_sets, zT, mode="sources", f0=f0, f_div=fd,
                                 exclude=cfg.carleman.exclude) for zT, f0, fd in instances]
     rows = []
-    medians = []
+    lines = [f"mu = {_fmt(mu)}", f"lambda_threshold = {_fmt(lam0)}"]
     for j, mult in enumerate(mults):
         ratios = [res[j].ratio for res in results]
         rows += [(k, mult, res[j].lhs, res[j].rhs, res[j].ratio) for k, res in enumerate(results)]
-        medians.append((mult, float(np.median(ratios)), float(np.max(ratios))))
-    _write_csv(out / "carleman-check.csv", cfg, "carleman-check",
-               ["sample", "lambda_multiple", "lhs", "rhs", "ratio"], rows)
-    lines = [f"mu = {_fmt(mu)}", f"lambda_threshold = {_fmt(lam0)}"]
-    lines += [f"lambda x{_fmt(m)}: median_ratio = {_fmt(med)}, max_ratio = {_fmt(mx)}"
-              for m, med, mx in medians]
-    _write_report(out / "carleman-check_report.txt", cfg, "carleman-check", lines)
-    return 0
+        lines.append(f"lambda x{_fmt(mult)}: median_ratio = {_fmt(float(np.median(ratios)))}, "
+                     f"max_ratio = {_fmt(float(np.max(ratios)))}")
+    return rows, lines, None, []
 
 
-def _cmd_appendix_check(cfg, out):
+def _cmd_appendix_check(cfg):
     grid, tree, coeffs = cfg.build_problem()
     psi = build_psi(grid)
     # the coefficient formulas need analytic space/time derivatives of a; the
@@ -444,9 +417,6 @@ def _cmd_appendix_check(cfg, out):
         raise ConfigError("appendix-check requires a constant diffusion coefficient a")
     rows = leading_order_check(psi, float(samples[0, 0]), cfg.carleman.mu_values, tree.T,
                                grid, c0=cfg.carleman.c0)
-    out_rows = [(r.mu, r.lam, r.dev_A, r.dev_B, r.min_B, r.c11_margin) for r in rows]
-    _write_csv(out / "appendix-check.csv", cfg, "appendix-check",
-               ["mu", "lambda", "dev_A", "dev_B", "min_B_ratio", "c11_margin"], out_rows)
     # a relative deviation at rounding level (<= 64 eps) is noise, not the asymptotics
     noise = 64.0 * np.finfo(float).eps
     fit = [r for r in rows if r.dev_A > noise]
@@ -457,30 +427,18 @@ def _cmd_appendix_check(cfg, out):
     if len(fit) >= 2:
         slope = np.polyfit(np.log([r.mu for r in fit]), np.log([r.dev_A for r in fit]), 1)[0]
         lines.append(f"dev_A log-log slope = {_fmt(float(slope))}")
-    _write_report(out / "appendix-check_report.txt", cfg, "appendix-check", lines)
-    return 0
+    return [(r.mu, r.lam, r.dev_A, r.dev_B, r.min_B, r.c11_margin) for r in rows], lines, None, []
 
 
-def _cmd_sweep_t(cfg, out):
+def _cmd_sweep_t(cfg):
     grid, _, coeffs = cfg.build_problem()
     if len(set(cfg.experiment.t_values)) < 4:
         raise ConfigError("sweep-T needs at least 4 distinct T values in [experiment] t_values")
-
-    def write_csv(rows):
-        _write_csv(out / "sweep-T.csv", cfg, "sweep-T", ["T", "M", "collapsed", "value", "exponent"],
-                   [(r["T"], r["M"], r["collapsed"], r["value"], r["exponent"]) for r in rows])
-
-    try:
-        table = cost_scaling_sweep(coeffs, grid, cfg.experiment.t_values,
-                                   quantity="observability", direction=cfg.experiment.direction,
-                                   m_per_time=cfg.experiment.m_per_time,
-                                   iters=cfg.experiment.power_iters, seed=cfg.experiment.seed)
-    except SweepError as exc:
-        write_csv(exc.partial)
-        raise
-    write_csv(table.rows)
-    _write(out / "sweep-T.dat", [f"{_fmt(1.0 / r['T'])} {_fmt(np.log(r['value']))}" for r in table.rows])
-    _write_report(out / "sweep-T_report.txt", cfg, "sweep-T", [
+    table = cost_scaling_sweep(coeffs, grid, cfg.experiment.t_values,
+                               quantity="observability", direction=cfg.experiment.direction,
+                               m_per_time=cfg.experiment.m_per_time,
+                               iters=cfg.experiment.power_iters, seed=cfg.experiment.seed)
+    return table.rows, [
         f"quantity = {table.quantity}",
         *([f"epsilon = {_fmt(table.epsilon)}"] if table.epsilon is not None else []),
         f"fit log(value) = slope / T + intercept",
@@ -488,57 +446,73 @@ def _cmd_sweep_t(cfg, out):
         f"intercept = {_fmt(table.intercept)}",
         f"r2 = {_fmt(table.r2)}",
         f"r2 against 1/T^4 (reported only) = {_fmt(table.r2_alt)}",
-    ])
-    return 0
+    ], [f"{_fmt(1.0 / r['T'])} {_fmt(np.log(r['value']))}" for r in table.rows], []
 
 
-def _cmd_sweep_eps(cfg, out):
+def _cmd_sweep_eps(cfg):
     grid, tree, coeffs = cfg.build_problem()
-    columns = ["epsilon", "terminal_norm", "control_cost", "cg_iterations", "cg_converged"]
-
-    def write_csv(rows):
-        _write_csv(out / "sweep-eps.csv", cfg, "sweep-eps", columns,
-                   [tuple(r[c] for c in columns) for r in rows])
-
-    try:
-        rows = epsilon_sweep(coeffs, grid, tree, np.sin(np.pi * grid.x / grid.L),
-                             cfg.experiment.eps_values, cg_tol=cfg.hum.cg_tol,
-                             cg_max_iter=cfg.hum.cg_max_iter)
-    except SweepError as exc:
-        write_csv(exc.partial)
-        raise
-    write_csv(rows)
-    _write(out / "sweep-eps.dat", [f"{_fmt(r['epsilon'])} {_fmt(r['terminal_norm'])}" for r in rows])
+    eps = cfg.experiment.eps_values
+    if len(eps) < 3 or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ConfigError("sweep-eps needs at least 3 strictly decreasing values in "
+                          "[experiment] eps_values")
+    rows = epsilon_sweep(coeffs, grid, tree, np.sin(np.pi * grid.x / grid.L), eps,
+                         cg_tol=cfg.hum.cg_tol, cg_max_iter=cfg.hum.cg_max_iter)
     decreasing = all(a["terminal_norm"] > b["terminal_norm"] for a, b in zip(rows, rows[1:]))
     costs = [r["control_cost"] for r in rows]
-    _write_report(out / "sweep-eps_report.txt", cfg, "sweep-eps", [
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero cost: inf, or nan if all are
+        variation = np.float64(max(costs)) / min(costs)
+    dat = [f"{_fmt(r['epsilon'])} {_fmt(r['terminal_norm'])}" for r in rows]
+    failures = [f"eps = {_fmt(r['epsilon'])} after {r['cg_iterations']} iterations"
+                for r in rows if not r["cg_converged"]]
+    return rows, [
         f"rows = {len(rows)}",
         f"terminal_norm strictly decreasing = {decreasing}",
-        f"control_cost variation (max/min) = {_fmt(max(costs) / min(costs))}",
+        f"control_cost variation (max/min) = {_fmt(variation)}",
         f"uncontrolled_norm = {_fmt(rows[-1]['uncontrolled_norm'])}",
-    ])
-    return _cg_exit([f"eps = {_fmt(r['epsilon'])} after {r['cg_iterations']} iterations"
-                     for r in rows if not r["cg_converged"]])
+    ], dat, failures
 
 
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "control-forward": lambda cfg, out: _hum_command(cfg, out, "forward"),
-    "control-backward": lambda cfg, out: _hum_command(cfg, out, "backward"),
-    "observability": _cmd_observability,
-    "carleman-check": _cmd_carleman_check,
-    "appendix-check": _cmd_appendix_check,
-    "sweep-T": _cmd_sweep_t,
-    "sweep-eps": _cmd_sweep_eps,
+_CG_COLUMNS = ["iteration", "relative_residual", "dual_value"]
+_DISPATCH = {  # name -> (CSV columns, command)
+    "simulate": (["level", "t", "mean_square_norm"], _cmd_simulate),
+    "control-forward": (_CG_COLUMNS, lambda cfg: _hum_command(cfg, "forward")),
+    "control-backward": (_CG_COLUMNS, lambda cfg: _hum_command(cfg, "backward")),
+    "observability": (["iteration", "rayleigh"], _cmd_observability),
+    "carleman-check": (["sample", "lambda_multiple", "lhs", "rhs", "ratio"], _cmd_carleman_check),
+    "appendix-check": (["mu", "lambda", "dev_A", "dev_B", "min_B_ratio", "c11_margin"],
+                       _cmd_appendix_check),
+    "sweep-T": (["T", "M", "collapsed", "value", "exponent"], _cmd_sweep_t),
+    "sweep-eps": (["epsilon", "terminal_norm", "control_cost", "cg_iterations", "cg_converged"],
+                  _cmd_sweep_eps),
 }
 SUBCOMMANDS = tuple(_DISPATCH)
 
 
 def run(subcommand: str, config: RunConfig) -> int:
-    """Dispatch a subcommand; returns the process exit code."""
+    """Run a subcommand, write its files and return the process exit code."""
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
-    return _DISPATCH[subcommand](config, Path(config.experiment.output_dir))
+    columns, command = _DISPATCH[subcommand]
+    out, echo = Path(config.experiment.output_dir), config.echo()
+
+    def write_csv(rows):
+        table = ([row[c] for c in columns] if isinstance(row, dict) else row for row in rows)
+        _write(out / f"{subcommand}.csv", [f"# {line}" for line in (f"command = {subcommand}", *echo)]
+               + [",".join(columns)] + [",".join(map(_fmt, row)) for row in table])
+
+    try:
+        rows, report, dat, failures = command(config)
+    except SweepError as exc:
+        write_csv(exc.partial)
+        raise
+    write_csv(rows)
+    if dat is not None:
+        _write(out / f"{subcommand}.dat", dat)
+    _write(out / f"{subcommand}_report.txt",
+           [f"{subcommand} report", "=" * (len(subcommand) + 7), *echo, "", *report])
+    if failures:
+        print(f"numerical failure: CG did not converge ({'; '.join(failures)})", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def main(argv=None) -> int:

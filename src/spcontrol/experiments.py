@@ -103,7 +103,7 @@ def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
 
 def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
                            direction: str = "forward_1_5", iters: int = 30,
-                           seed: int = 0, stepper: TreeStepper | None = None) -> ObservabilityEstimate:
+                           seed: int = 0) -> ObservabilityEstimate:
     """Estimate the observability constant by generalized power iteration.
 
     Forward: the pencil of `control._forward_pencil`.  Backward: the pair
@@ -117,7 +117,7 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
+    st = TreeStepper(grid, tree, coeffs)
     if direction == "forward_1_5":
         return _estimate(_forward_pencil(st), iters, seed, direction)
     epsilon = grid.h ** 2
@@ -225,11 +225,11 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                 value = _estimate(next(pencils[j]), iters, seed, direction).c_obs
                 expo = m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf)
             else:
-                st = TreeStepper(grid, tree, tab)
-                if observability:
-                    value = observability_constant(grid, tree, coeffs, direction=direction,
-                                                   iters=iters, seed=seed, stepper=st).c_obs
+                if observability:  # the sampled tables stand in for the coefficients
+                    value = observability_constant(grid, tree, tab, direction=direction,
+                                                   iters=iters, seed=seed).c_obs
                 else:
+                    st = TreeStepper(grid, tree, tab)
                     value = _ForwardRiccati(st, epsilon).feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
                 expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
             rows.append({"T": T, "M": tree.M, "collapsed": not tree.branching,

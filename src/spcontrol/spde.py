@@ -384,7 +384,8 @@ class TreeStepper(_StepperBase):
         grid, tree = self.grid, self.tree
         cur = np.asarray(zT, dtype=float)
         if cur.shape != (tree.n_nodes(tree.M), grid.N):
-            raise ValueError(f"terminal data must have shape {(tree.n_nodes(tree.M), grid.N)}, got {cur.shape}")
+            raise ValueError(f"terminal data must have shape {(tree.n_nodes(tree.M), grid.N)}, "
+                             f"got {cur.shape}")
         if not np.isfinite(cur).all():
             raise NumericsError("non-finite terminal data")
         mask = grid.g0_mask

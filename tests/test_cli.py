@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spcontrol import cli
+from spcontrol import cli, experiments
 from spcontrol.cli import ConfigError, compile_expression, main, parse_config, run
+from spcontrol.errors import NumericsError
 from spcontrol.spde import ProblemCoefficients, TreeStepper, _sample
 
 
@@ -341,10 +342,14 @@ def test_desk_outputs_match_recorded_values(tmp_path):
     # drift guard on every subcommand: physical values recorded on this config;
     # CG residuals, traces and iteration counts are not compared
     cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n")
-    for command in ("simulate", "control-forward", "control-backward", "observability",
-                    "carleman-check", "appendix-check", "sweep-T", "sweep-eps"):
+    commands = ("simulate", "control-forward", "control-backward", "observability",
+                "carleman-check", "appendix-check", "sweep-T", "sweep-eps")
+    for command in commands:
         assert main([command, "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{c}{suffix}" for c in commands for suffix in (".csv", "_report.txt")]
+        + ["sweep-T.dat", "sweep-eps.dat"])
     close = dict(rtol=1e-7, atol=0.0)
     np.testing.assert_allclose(_table(out / "simulate.csv", "mean_square_norm")[:, 0],
                                [0.5, 0.29435389891089253, 0.1684065236431602,
@@ -470,6 +475,30 @@ def test_sweep_eps_outputs(tmp_path):
     assert "strictly decreasing = True" in report
 
 
+@pytest.mark.parametrize("eps_values,variation", [("1e300, 1e299, 1e298", "nan"),
+                                                   ("1e300, 1e299, 1e-2", "inf")])
+def test_sweep_eps_reports_a_zero_control_cost(tmp_path, eps_values, variation):
+    # every cost underflows to 0 at eps = 1e298..1e300; max/min used to raise ZeroDivisionError
+    cfg_path = write(tmp_path, DESK + f"eps_values = {eps_values}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["sweep-eps", "--config", str(cfg_path)]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "sweep-eps.csv", "sweep-eps.dat", "sweep-eps_report.txt"]
+    costs = _table(tmp_path / "out" / "sweep-eps.csv", "control_cost")[:, 0]
+    assert costs[0] == costs[1] == 0.0
+    assert costs[2] == 0.0 if variation == "nan" else costs[2] > 0.0
+    report = (tmp_path / "out" / "sweep-eps_report.txt").read_text()
+    assert f"\ncontrol_cost variation (max/min) = {variation}\n" in report
+
+
+@pytest.mark.parametrize("eps_values", ["1e-1, 1e-2", "1e-1, 1e-2, 1e-2", "1e-3, 1e-2, 1e-1"])
+def test_sweep_eps_values_must_decrease_strictly(tmp_path, capsys, eps_values):
+    cfg_path = write(tmp_path, DESK + f"eps_values = {eps_values}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["sweep-eps", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == ("error: sweep-eps needs at least 3 strictly decreasing values "
+                                       "in [experiment] eps_values\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exit_code_with_partial_output(tmp_path):
     # diffusion goes nonpositive beyond t = 1.5: the T = 2 sweep row fails
     cfg = MINIMAL + f"""
@@ -484,6 +513,24 @@ output_dir = {tmp_path / 'out'}
     lines = (tmp_path / "out" / "sweep-T.csv").read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 3  # partial rows preserved
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sweep-T.csv"]
+
+
+def test_failed_sweep_eps_row_leaves_the_csv_of_its_completed_rows(tmp_path, capsys, monkeypatch):
+    calls, solve = [], experiments.hum_forward
+
+    def failing_second_row(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericsError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "hum_forward", failing_second_row)
+    cfg_path = write(tmp_path, DESK + f"eps_values = 1e-1, 1e-2, 1e-3\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["sweep-eps", "--config", str(cfg_path)]) == 2
+    assert "numerical failure: sweep row eps = 0.01 failed: injected failure" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sweep-eps.csv"]
+    assert _table(tmp_path / "out" / "sweep-eps.csv", "epsilon")[:, 0].tolist() == [0.1]
 
 
 @pytest.mark.parametrize("command,outputs", [

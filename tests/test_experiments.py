@@ -42,7 +42,7 @@ def test_c_obs_dominates_random_quotients(obs_setup):
     grid, tree, coeffs = obs_setup
     st = TreeStepper(grid, tree, coeffs)
     est = observability_constant(grid, tree, coeffs, direction="forward_1_5",
-                                 iters=40, seed=0, stepper=st)
+                                 iters=40, seed=0)
     rng = np.random.default_rng(3)
     for _ in range(100):
         z0 = rng.standard_normal(grid.N)
@@ -73,7 +73,7 @@ def test_backward_direction_estimate(obs_setup):
     grid, tree, coeffs = obs_setup
     st = TreeStepper(grid, tree, coeffs)
     est = observability_constant(grid, tree, coeffs, direction="backward_1_3",
-                                 iters=10, seed=0, stepper=st)
+                                 iters=10, seed=0)
     assert est.c_obs > 0.0
     assert est.epsilon == grid.h ** 2
     assert all(b >= a for a, b in zip(est.rayleigh, est.rayleigh[1:]))
@@ -119,7 +119,7 @@ def _dense_penalized_quotient(stepper, eps):
 def test_backward_constant_matches_dense_penalized_quotient(build, n, m):
     grid = build_grid(1.0, n, (0.3, 0.8), (0.4, 0.6))
     st = TreeStepper(grid, build(m, 1.0), _RICCATI_COEFFS)
-    est = observability_constant(grid, st.tree, _RICCATI_COEFFS, direction="backward_1_3", stepper=st)
+    est = observability_constant(grid, st.tree, _RICCATI_COEFFS, direction="backward_1_3")
     assert est.c_obs == pytest.approx(_dense_penalized_quotient(st, grid.h ** 2), rel=1e-12)
     for eps in (1e-2, 1e-4):
         top = np.linalg.eigvalsh(_ForwardRiccati(st, eps).p0)[-1]
