@@ -248,7 +248,7 @@ class AppendixCoefficients:
 
 
 def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
-                    x: np.ndarray, beta: float | None = None) -> AppendixCoefficients:
+                    x: np.ndarray) -> AppendixCoefficients:
     """Evaluate A, B, c^{11}, Psi at time t in (0, T).
 
     `a` is a constant or a DiffusionCoefficient.  1-D instantiation with
@@ -262,7 +262,7 @@ def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: flo
     and all time derivatives taken analytically through phi and alpha.
     The leading-order companions are A_lead = lam^2 mu^2 phi^2 a psi'^2,
     B_lead = 2 beta^2 lam^3 mu^4 phi^3 psi'^4 and
-    c11_lead = beta^2 lam mu^2 phi psi'^2.
+    c11_lead = beta^2 lam mu^2 phi psi'^2, with beta = min a at time t.
     """
     if not isinstance(a, DiffusionCoefficient):
         a = DiffusionCoefficient(value=float(a))
@@ -306,8 +306,7 @@ def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: flo
          - A_t + (ax * Psi_x + av * Psi_xx))
     c11 = 2.0 * av * (ax * lx + av * lxx) - (2.0 * av * ax * lx + av * av * lxx) + 0.5 * at - Psi * av
 
-    if beta is None:
-        beta = float(av.min())
+    beta = float(av.min())
     A_lead = lam * lam * mu * mu * phi * phi * av * p * p
     B_lead = 2.0 * beta * beta * lam ** 3 * mu ** 4 * phi ** 3 * p ** 4
     c11_lead = beta * beta * lam * mu * mu * phi * p * p
@@ -510,7 +509,8 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     has lam^3 mu^4, lam mu^2 and lam^2 mu^2.
 
     mode "sources": dz - (a z_x)_x dt = (f1 + div f_div) dt + f2 dW driven by
-    the supplied sources.  mode "adjoint_1_5": the observability
+    the supplied sources, with no coupling (the stepper's uncoupled march, whatever
+    a1, a2, b1, b2 and b are).  mode "adjoint_1_5": the observability
     configuration F1 = -a1 z, F2 = -a2 z, F = z b via the adjoint solver.
 
     lhs  = lam^3 I[th^2 phi^3 z^2] + lam I[th^2 phi |grad z|^2]
@@ -520,7 +520,7 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
     levels = _quad_levels(tree, exclude)
     if mode == "sources":
-        sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="general")
+        sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="uncoupled")
     elif mode == "adjoint_1_5":
         sol = st.forward(z0, mode="adjoint_1_5")
         f1, f_div, f2 = {}, {}, {}

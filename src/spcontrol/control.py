@@ -33,11 +33,12 @@ scale |b| / eps, so on the desk problem one forward iteration suffices down
 to eps = 1e-10, and at most 11 down to eps = 1e-14.  The forward Gramian runs
 on per-level sibling-pair maps (_ForwardDual.gram on the stepper's
 `pair_steps`: each sibling pair is one row of 2N, folded and marched by
-2N-wide products), and the backward one is the dense matrix its
-preconditioner factors (_BackwardDual.gram), so no CG iteration sweeps a
-stencil.  The forward free solution and the backward solve's pair at p after
-CG stay stencil sweeps, and the HUM identity residual pairs them with the
-N x N route, so every report cross-checks it against the stencil.  The
+2N-wide products), the stepper's own level steps run on the identity's rows,
+so it is the stencil pair by construction; the backward one is the dense
+matrix its preconditioner factors (_BackwardDual.gram).  So no CG iteration
+sweeps a stencil.  The forward free solution and the backward solve's pair at
+p after CG stay stencil sweeps, and the HUM identity residual pairs them with
+the N x N route, so every report cross-checks it against the stencil.  The
 optimal penalized state satisfies  y_opt = -eps * p_opt  (forward target
 y(T)) respectively y_opt(0) = +eps * p_opt  (backward problem), so the
 terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
@@ -673,20 +674,20 @@ def _moment_forms(stepper: TreeStepper, level, depths=None):
 def _forward_pencil(stepper: TreeStepper, depths=None):
     """Forward-direction (energy, observation) pair: z0 -> E|z(T)|^2, E int_{Q0} |z|^2.
 
-    `_moment_forms` of the forward adjoint, whose Phi_n = S_{n+1}^{-1}(I + dt A_n) and
-    Psi_n = S_{n+1}^{-1} B_n push the identity's rows through the stepper's own step, once
-    for each distinct step (`first_step`); with `depths`, the pairs at those depths.
+    `_moment_forms` of the forward adjoint: Phi_n^T, Psi_n^T are the stepper's adjoint_1_5
+    `increments` of the identity's rows solved with S_{n+1}^{-1}, once for each distinct step
+    (`first_step`); with `depths`, the pairs at those depths.
     """
-    dt, eye, observed = stepper.dt, np.eye(stepper.grid.N), np.diag(stepper.grid.g0_mask)
+    eye, observed = np.eye(stepper.grid.N), np.diag(stepper.grid.g0_mask)
     built = {}
 
     def level(n):
         first = stepper.first_step[n]
         if first not in built:
-            drift, noise = stepper.apply(n, "adjoint_1_5", (eye,))
-            phit = stepper._solve(n + 1, eye + dt * drift)
+            base, noise = stepper.increments(n, "adjoint_1_5", eye)
             # a forward row runs on a path only where a2 = 0 makes the noise term exactly zero
-            built[first] = phit, stepper._solve(n + 1, noise) if stepper.tree.branching else None, observed
+            built[first] = (stepper._solve(n + 1, base),
+                            stepper._solve(n + 1, noise) if stepper.tree.branching else None, observed)
         # the recursion runs n = M-1..0, so step `first` is the last to ask for its maps
         return built.pop(first) if n == first else built[first]
 

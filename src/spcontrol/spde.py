@@ -21,9 +21,10 @@ because weak_div = -grad^T:
 
 Mode adjoint_1_3 (the adjoint of the controlled problem) transposes the
 general pair, controlled_1_2 (the controlled backward problem) the
-adjoint_1_5 pair; generic has no pair and folds given sources F0, F.  Both
-sweeps take their numbers from the same tables through one routine, so the
-discrete duality identity
+adjoint_1_5 pair; uncoupled marches given sources with no pair, and generic, its
+transpose, folds given sources F0, F.  Each direction has one level step, which
+the sweeps and every per-step N x N map run, and both take their numbers from
+the same tables through one routine, so the discrete duality identity
 
     E<y(T), zT> = <y0, z(0)> + E int_{Q0} u * z_half + E int_Q v * Z
 
@@ -64,16 +65,21 @@ __all__ = [
 ]
 
 # Each forward mode's pair (A, B); an operator (c0, cg, cd) names CoefficientTables
-# fields, None for an absent term, a leading "-" for the negated table.
+# fields, None for an absent term, a leading "-" for the negated table; uncoupled: no pair.
 _PAIRS = {"general": (("a1", "b1", None), ("a2", "b2", None)),
-          "adjoint_1_5": (("-a1", None, "b"), ("-a2", None, None))}
-# the forward pair each backward mode folds with the transpose of (generic: none)
-_TRANSPOSES = {"generic": None, "adjoint_1_3": "general", "controlled_1_2": "adjoint_1_5"}
-# what each mode's sweep applies through TreeStepper.apply (see TreeStepper)
-_BLOCKS = {**{mode: ((a,), (b,)) for mode, (a, b) in _PAIRS.items()},
-           **{mode: (tuple((("-" + c0).replace("--", ""), cd, cg) for c0, cg, cd in _PAIRS[pair])
-                     if pair else (),) for mode, pair in _TRANSPOSES.items()}}
+          "adjoint_1_5": (("-a1", None, "b"), ("-a2", None, None)), "uncoupled": None}
+# the forward pair each backward mode folds with the transpose of
+_TRANSPOSES = {"generic": "uncoupled", "adjoint_1_3": "general", "controlled_1_2": "adjoint_1_5"}
+# what each mode's sweep applies through TreeStepper.apply (see TreeStepper); no pair, empty rows
+_BLOCKS = {**{mode: tuple((op,) for op in pair) if pair else ((), ()) for mode, pair in _PAIRS.items()},
+           **{mode: (tuple((("-" + c0).replace("--", ""), cd, cg) for c0, cg, cd in _PAIRS[pair] or ()),)
+              for mode, pair in _TRANSPOSES.items()}}
 _TABLES = sorted({name for block in _BLOCKS.values() for row in block for op in row for name in op if name})
+
+
+def _at(n: int, fields: dict) -> dict:
+    """Level n of each field given (not None), by name."""
+    return {name: field[n] for name, field in fields.items() if field is not None}
 
 
 def _sample(spec, times: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,6 +247,8 @@ class TreeStepper(_StepperBase):
 
     A forward mode applies its pair, the column (A; B); a backward mode folds with the
     row (-A^T, -B^T) of the pair it transposes, by -(c0, cg, cd)^T = (-c0, cd, cg).
+    Each direction has one level step (`step_up`; `split`, then `correct`), which the
+    sweeps run on the tree's levels and the per-step maps on the identity's rows.
     """
 
     def __init__(self, grid: SpatialGrid, tree: ScenarioTree, coeffs):
@@ -253,7 +261,7 @@ class TreeStepper(_StepperBase):
         """Each row of mode's block at level n on `fields`: zeroth + weak_div(flux).
 
         split=True gives the parts (zeroth-order part, flux or None); an empty row
-        (generic mode) gives None.  The bits rest on this order: c0*x, then cg*grad(x)
+        (modes uncoupled, generic) gives None.  The bits rest on this order: c0*x, then cg*grad(x)
         (grad once per field), field by field; the flux sums cd*x over the fields.
         """
         tables, grads = self.tables, [None] * len(fields)
@@ -273,20 +281,59 @@ class TreeStepper(_StepperBase):
             out.append((acc, div) if split else acc if div is None else acc + weak_divergence(self.grid, div))
         return out
 
+    def increments(self, n: int, mode: str, y, u=None, v=None, src=None, div=None) -> tuple:
+        """Step n's increments of the rows y: (y + dt*drift, noise), fresh arrays, with
+        drift = A y [+ 1_{G0} u + src + weak_div(div)] and noise = B y [+ v] (A y, B y = 0
+        in uncoupled mode)."""
+        drift, noise = (np.zeros_like(y) if r is None else r for r in self.apply(n, mode, (y,)))
+        if u is not None:
+            drift += self.grid.g0_mask * u
+        if src is not None:
+            drift += src
+        if div is not None:
+            drift += weak_divergence(self.grid, div)
+        if v is not None:
+            noise += v
+        return np.add(y, np.multiply(self.dt, drift, out=drift), out=drift), noise
+
+    def step_up(self, n: int, mode: str, y, **sources) -> np.ndarray:
+        """The forward level step n on the rows y: the `increments`, split into sibling
+        children on a tree, then S_{n+1}^{-1}."""
+        base, noise = self.increments(n, mode, y, **sources)
+        if self.tree.branching:
+            base = reconstruct_children(self.tree, base, noise)
+        return self._solve(n + 1, base)
+
+    def split(self, n: int, children) -> tuple:
+        """The backward level step's first half: w = S_{n+1}^{-1} children, split on a tree into
+        (z_half, Z), the sibling mean and martingale part; on a path (w, 0)."""
+        w = self._solve(n + 1, children)
+        return martingale_part(self.tree, w) if self.tree.branching else (w, np.zeros_like(w))
+
+    def correct(self, n: int, mode: str, z_half, Z, f0=None, f_div=None, u=None) -> np.ndarray:
+        """Its second half: z_n = z_half - dt*(couplings + f0 + 1_{G0} u + weak_div(f_div)), the
+        couplings -(A^T z_half + B^T Z) being mode's row (none in generic mode)."""
+        corr, = self.apply(n, mode, (z_half, Z))  # a fresh array: the sources add in place
+        if u is not None:
+            corr += self.grid.g0_mask * u
+        if f_div is not None:  # only generic mode has sources, so corr is None here
+            corr = weak_divergence(self.grid, f_div)
+        if f0 is not None:
+            corr = np.array(f0, dtype=float) if corr is None else np.add(corr, f0, out=corr)
+        if corr is None:
+            return z_half.copy()
+        return np.add(np.multiply(corr, -self.dt, out=corr), z_half, out=corr)
+
     @cached_property
     def general_steps(self) -> list:
-        """Per level n: (G^T, B^T) = (I + dt A_n^T, B_n^T), the general step on the identity's rows.
+        """Per level n: (G^T, B^T) = (I + dt A_n^T, B_n^T), the general `increments` of the
+        identity's rows.
 
         They do not depend on the data, so every Riccati set-up on this stepper
         (one per eps of a sweep) shares one build, and bit-identical steps share one entry.
         """
         eye = np.eye(self.grid.N)
-
-        def step(n):
-            drift, noise = self.apply(n, "general", (eye,))
-            return eye + self.dt * drift, noise
-
-        return self._each_step(step)
+        return self._each_step(lambda n: self.increments(n, "general", eye))
 
     @cached_property
     def inverse_steps(self) -> list:
@@ -296,85 +343,55 @@ class TreeStepper(_StepperBase):
 
     @cached_property
     def pair_steps(self) -> list:
-        """Per level n: the general step and its transposed fold as sibling-pair maps
+        """Per level n: the general step and its adjoint_1_3 fold as sibling-pair maps
         (down, fold, up_y, up_zz), shared like general_steps.
 
         Siblings are adjacent rows, so a level's (2^{n+1}, N) field is a (2^n, 2N) view, each
-        row [+ child | - child].  As row maps, with (G^T, B^T) = general_steps[n],
-        S^{-1} = inverse_steps[n + 1] and s = sqrt(dt):
+        row [+ child | - child] (one child, N wide, on a path).  As row maps,
 
-          [z_half | Z] = children @ down,  down = [[S^{-1}/2, S^{-1}/(2s)], [S^{-1}/2, -S^{-1}/(2s)]]
-          z_n = [z_half | Z] @ fold,       fold = [[G], [dt B]]
-          children = y_n @ up_y + [u | v] @ up_zz,
-              up_y = [(G^T + s B^T) S^{-1} | (G^T - s B^T) S^{-1}],
-              up_zz = [[dt 1_{G0} S^{-1}, dt 1_{G0} S^{-1}], [s S^{-1}, -s S^{-1}]]
+          [z_half | Z] = children @ down,   z_n = [z_half | Z] @ fold,
+          children = y_n @ up_y + [u | v] @ up_zz
 
-        are the adjoint_1_3 fold and the general march under controls (u, v).  On a path nothing
-        splits: down = [S^{-1} | 0], up_y = G^T S^{-1}, up_zz = [[dt 1_{G0} S^{-1}], [0]].
-        12 N^2 floats a distinct step; only the forward HUM Gramian builds them.
+        are the backward level step and the general forward step under controls (u, v), each
+        run on the identity's rows: down is the `split` of the identity sibling pairs, fold the
+        `correct` of (z_half, Z) = (I, 0) and (0, I), and up_y, up_zz the `step_up` of y = I,
+        u = I and v = I, in one call each.  12 N^2 floats a distinct step on a tree; only the
+        forward HUM Gramian builds them.
         """
-        dt, s, g0 = self.dt, self.tree.sqrt_dt, self.grid.g0_mask[:, None]
+        n_space = self.grid.N
+        halves, marts = (np.eye(2 * n_space, n_space, -k * n_space) for k in range(2))  # (I; 0), (0; I)
+        y, u, v = (np.eye(3 * n_space, n_space, -k * n_space) for k in range(3))
 
         def step(n):
-            (gt, bt), inv = self.general_steps[n], self.inverse_steps[n + 1]
-            fold = np.vstack((gt.T, dt * bt.T))
-            observed = dt * g0 * inv
-            if not self.tree.branching:
-                zero = np.zeros_like(inv)
-                return np.hstack((inv, zero)), fold, gt @ inv, np.vstack((observed, zero))
-            half, mart = 0.5 * inv, inv / (2.0 * s)
-            down = np.vstack((np.hstack((half, mart)), np.hstack((half, -mart))))
-            up_y = np.hstack(((gt + s * bt) @ inv, (gt - s * bt) @ inv))
-            up_zz = np.vstack((np.hstack((observed, observed)), np.hstack((s * inv, -s * inv))))
-            return down, fold, up_y, up_zz
+            up = self.step_up(n, "general", y, u=u, v=v).reshape(3 * n_space, -1)
+            down = np.hstack(self.split(n, np.eye(up.shape[1]).reshape(-1, n_space)))
+            return down, self.correct(n, "adjoint_1_3", halves, marts), up[:n_space], up[n_space:]
 
         return self._each_step(step)
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
                 mode: str = "general") -> ForwardSolution:
-        """March level 0 -> M with mode's pair (A, B); see module docstring for the step map.
-
-        drift = A y [+ 1_{G0} u + drift_src + weak_div(drift_div)], noise = B y [+ v].
-        Only general mode takes controls and sources.  On a single-branch path
-        nothing splits: no noise.
-        """
+        """March level 0 -> M by `step_up` with mode's pair (A, B) under the controls (u, v) and
+        sources (drift_src, weak_div(drift_div)), which adjoint_1_5 mode does not take."""
         if mode not in _PAIRS:
             raise ValueError(f"unknown forward mode {mode!r}")
-        if mode != "general" and any(s is not None for s in (u, v, drift_src, drift_div)):
+        sources = {"u": u, "v": v, "src": drift_src, "div": drift_div}
+        if mode == "adjoint_1_5" and any(s is not None for s in sources.values()):
             raise ValueError(f"{mode} mode takes no controls or sources")
         grid, tree = self.grid, self.tree
         y0 = np.asarray(y0, dtype=float).reshape(1, grid.N)
         if not np.isfinite(y0).all():
             raise NumericsError("non-finite initial state")
-        mask = grid.g0_mask
+        tree.n_nodes(tree.M)  # refuses a tree past the depth cap
         levels = [y0.copy()]
         for n in range(tree.M):
-            y = levels[n]
-            drift, noise = self.apply(n, mode, (y,))  # fresh arrays: the sources add in place
-            if u is not None:
-                drift += mask * u[n]
-            if drift_src is not None:
-                drift += drift_src[n]
-            if drift_div is not None:
-                drift += weak_divergence(grid, drift_div[n])
-            if v is not None:
-                noise += v[n]
-            base = np.add(y, np.multiply(self.dt, drift, out=drift), out=drift)  # y + dt*drift
-            if tree.n_nodes(n + 1) > y.shape[0]:
-                base = reconstruct_children(tree, base, noise)
-            levels.append(self._solve(n + 1, base))
+            levels.append(self.step_up(n, mode, levels[n], **_at(n, sources)))
         return ForwardSolution(y=AdaptedField(levels))
 
     def backward(self, zT, mode: str = "generic", f0=None, f_div=None, u=None) -> BackwardSolution:
-        """Fold level M -> 0 through the transposed step map.
-
-        z_n = z_half_n - dt*(couplings + f0_n + 1_{G0} u_n + weak_div(f_div_n)), the
-        couplings -(A^T z_half_n + B^T Z_n) being mode's row: adjoint_1_3
-        transposes the general pair, controlled_1_2 the adjoint_1_5 pair, and
-        generic has none.  f0/f_div are accepted in generic mode only, u in
-        controlled_1_2 mode only.  On a single-branch path there is no sibling
-        to fold: z_half = w, Z = 0.
-        """
+        """Fold level M -> 0 by the backward level step, `split` then `correct`, with the
+        sources f0, weak_div(f_div) in generic mode only and the control u in controlled_1_2
+        mode only."""
         if mode not in _TRANSPOSES:
             raise ValueError(f"unknown backward mode {mode!r}")
         if mode != "generic" and (f0 is not None or f_div is not None):
@@ -388,33 +405,14 @@ class TreeStepper(_StepperBase):
                              f"got {cur.shape}")
         if not np.isfinite(cur).all():
             raise NumericsError("non-finite terminal data")
-        mask = grid.g0_mask
-        z_levels: list = [None] * (tree.M + 1)
-        z_half_levels: list = [None] * tree.M
-        mart_levels: list = [None] * tree.M
-        z_levels[tree.M] = cur.copy()
+        sources = {"f0": f0, "f_div": f_div, "u": u}
+        levels = [(cur.copy(), None, None)]  # (z, z_half, Z) per level, from level M down
         for n in range(tree.M - 1, -1, -1):
-            w = self._solve(n + 1, cur)
-            if tree.n_nodes(n) < w.shape[0]:
-                z_half, z_mart = martingale_part(tree, w)
-            else:
-                z_half, z_mart = w, np.zeros_like(w)
-            del w  # spent: the correction below may reuse its memory
-            # the couplings, a fresh array (None in generic mode); the sources add in place
-            corr, = self.apply(n, mode, (z_half, z_mart))
-            if u is not None:
-                corr += mask * u[n]
-            if f_div is not None:  # only generic mode has sources, so corr is None here
-                corr = weak_divergence(grid, f_div[n])
-            if f0 is not None:
-                corr = np.array(f0[n], dtype=float) if corr is None else np.add(corr, f0[n], out=corr)
-            if corr is None:
-                cur = z_half.copy()
-            else:  # z_half - dt*corr, bit for bit
-                cur = np.add(np.multiply(corr, -self.dt, out=corr), z_half, out=corr)
-            z_levels[n], z_half_levels[n], mart_levels[n] = cur, z_half, z_mart
-        return BackwardSolution(z=AdaptedField(z_levels), Z=AdaptedField(mart_levels),
-                                z_half=AdaptedField(z_half_levels))
+            z_half, z_mart = self.split(n, levels[-1][0])
+            levels.append((self.correct(n, mode, z_half, z_mart, **_at(n, sources)), z_half, z_mart))
+        z, z_half, z_mart = zip(*levels[::-1])
+        return BackwardSolution(z=AdaptedField(z), Z=AdaptedField(z_mart[:-1]),
+                                z_half=AdaptedField(z_half[:-1]))
 
 
 def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:

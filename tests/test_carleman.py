@@ -280,6 +280,18 @@ def test_forward_ratio_stable_under_refinement(tree8):
     assert abs(np.log(vals[1] / vals[0])) <= np.log(3.0)
 
 
+def test_forward_sources_ratio_ignores_the_couplings(grid32, tree8, full_coeffs):
+    """mode "sources" solves dz - (a z_x)_x dt = (f1 + div f_div) dt + f2 dW, so coefficients
+    that differ only in a1, a2, b1, b2 and b give the same ratio bit for bit."""
+    rng = np.random.default_rng(7)
+    w = eval_weights(build_psi(grid32), 30.0 * lambda_threshold_forward(tree8.T), 8.0, tree8)
+    z0 = rng.standard_normal(grid32.N)
+    f1, f2, f_div = (AdaptedField.random(tree8, grid32.N, rng, n_levels=tree8.M) for _ in range(3))
+    coupled, uncoupled = (carleman_ratio_forward(grid32, tree8, coeffs, w, z0, f1=f1, f2=f2, f_div=f_div)
+                          for coeffs in (full_coeffs, ProblemCoefficients(a=full_coeffs.a)))
+    assert coupled.lhs > 0.0 and coupled == uncoupled
+
+
 def test_forward_ratio_adjoint_config_bounded(grid32, tree8, full_coeffs):
     psi = build_psi(grid32)
     w = eval_weights(psi, 10.0 * lambda_threshold_forward(tree8.T), 8.0, tree8)
@@ -379,7 +391,7 @@ def test_ratio_terms_recomputed_node_by_node(full_coeffs):
     # are lam^3, lam, lam^2 (a stray mu^k would be off by a factor >= 16)
     wf = eval_weights(psi, 10.0 * lambda_threshold_forward(tree.T), 4.0, tree)
     lam2 = wf.lam ** 2
-    y = st.forward(z0, v=f2, drift_src=f1, drift_div=f0).y
+    y = st.forward(z0, v=f2, drift_src=f1, drift_div=f0, mode="uncoupled").y
     res = carleman_ratio_forward(grid, tree, full_coeffs, wf, z0, f1=f1, f2=f2, f_div=f0,
                                  stepper=st)
     _assert_terms_match(res, *_reference_ratio(grid, tree, wf, y, (

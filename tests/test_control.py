@@ -898,6 +898,38 @@ def test_gram_maps_match_the_stencil_pair(full_coeffs, criterion4, case):
         _assert_close_levels(levels, ref_levels, rtol=1e-13)
 
 
+def _block_pair_maps(st, n):
+    """Level n's sibling-pair maps (down, fold, up_y, up_zz) as block formulas over
+    (G^T, B^T) = general_steps[n], S^{-1} = inverse_steps[n + 1] and s = sqrt(dt):
+
+      down = [[S^{-1}/2, S^{-1}/(2s)], [S^{-1}/2, -S^{-1}/(2s)]],   fold = [[G], [dt B]],
+      up_y = [(G^T + s B^T) S^{-1} | (G^T - s B^T) S^{-1}],
+      up_zz = [[dt 1_{G0} S^{-1}, dt 1_{G0} S^{-1}], [s S^{-1}, -s S^{-1}]];
+
+    on a path down = [S^{-1} | 0], up_y = G^T S^{-1}, up_zz = [[dt 1_{G0} S^{-1}], [0]]."""
+    dt, s, g0 = st.dt, st.tree.sqrt_dt, st.grid.g0_mask[:, None]
+    (gt, bt), inv = st.general_steps[n], st.inverse_steps[n + 1]
+    fold, observed, zero = np.vstack((gt.T, dt * bt.T)), dt * g0 * inv, np.zeros_like(inv)
+    if not st.tree.branching:
+        return np.hstack((inv, zero)), fold, gt @ inv, np.vstack((observed, zero))
+    half, mart = 0.5 * inv, inv / (2.0 * s)
+    return (np.vstack((np.hstack((half, mart)), np.hstack((half, -mart)))), fold,
+            np.hstack(((gt + s * bt) @ inv, (gt - s * bt) @ inv)),
+            np.vstack((np.hstack((observed, observed)), np.hstack((s * inv, -s * inv)))))
+
+
+@pytest.mark.parametrize("build", [build_tree, build_path])
+def test_pair_maps_are_the_block_formulas(desk, build):
+    """The pair maps, the level steps run on the identity's rows, are the block formulas
+    to rounding: within 1e-15 of each map's max entry on desk (measured <= 6.1e-16)."""
+    grid, tree, coeffs, _ = desk
+    st = TreeStepper(grid, build(tree.M, tree.T), coeffs)
+    for n in range(st.tree.M):
+        for got, want in zip(st.pair_steps[n], _block_pair_maps(st, n), strict=True):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("where,level", [("data", "leaf data at level 5"),
                                          ("infinite data", "leaf data at level 5"),
                                          ("initial adjoint", "adjoint at level 0"),
@@ -913,13 +945,11 @@ def test_gram_rejects_non_finite_levels(full_coeffs, where, level):
     p = np.ones((st.tree.n_nodes(st.tree.M), GRID8.N))
     if where.endswith("data"):
         p[-1, 3] = np.inf if where == "infinite data" else np.nan
-    elif where == "initial adjoint":  # the fold's last product; the march never reads G_0
-        gt, bt = st.general_steps[0]
-        st.general_steps = [(np.where(gt != 0.0, np.inf, 0.0), bt)] + st.general_steps[1:]
-    else:  # one bad entry in a pair map: a NaN in level 2's fold into [z_half | Z], or an inf in
-        # the march into level n + 1, whose sums then meet inf - inf, which numpy warns of
-        n, k, bad = {"mid-level adjoint": (2, 0, np.nan), "state": (0, 3, np.inf),
-                     "mid-level state": (2, 2, np.inf)}[where]
+    else:  # one bad entry in a pair map: a NaN in level 2's fold into [z_half | Z], an inf in
+        # level 0's fold into z(0) (the fold's last product, which the march never reads), or an
+        # inf in the march into level n + 1, whose sums then meet inf - inf, which numpy warns of
+        n, k, bad = {"mid-level adjoint": (2, 0, np.nan), "initial adjoint": (0, 1, np.inf),
+                     "state": (0, 3, np.inf), "mid-level state": (2, 2, np.inf)}[where]
         maps = list(st.pair_steps[n])
         maps[k] = maps[k].copy()
         maps[k][1, 2] = bad
@@ -930,7 +960,9 @@ def test_gram_rejects_non_finite_levels(full_coeffs, where, level):
 
 def test_free_stencil_solution_cross_checks_the_step_maps(hum_setup):
     """The free solution is a stencil sweep and the Gramian runs on the step maps, so the HUM
-    identity pairs the two: a 1e-6 error in the maps shows in its residual."""
+    identity pairs the two: a 1e-6 error in the maps' G_n = I + dt A_n shows in its residual.
+    The error E enters the fold (G + E) and the march (G^T + E^T) alike, so the Gramian
+    stays the symmetric one of a perturbed step and CG still converges."""
     grid, tree, coeffs, _ = hum_setup
     y0 = np.sin(np.pi * grid.x)
     cfg = HumConfig(epsilon=1e-3, cg_tol=1e-12)
@@ -938,8 +970,12 @@ def test_free_stencil_solution_cross_checks_the_step_maps(hum_setup):
     assert hum_forward(grid, tree, coeffs, y0, cfg, stepper=st).report.identity_residual <= 1e-11
     rng = np.random.default_rng(3)
     perturbed = TreeStepper(grid, tree, coeffs)
-    perturbed.general_steps = [(gt + 1e-6 * rng.standard_normal(gt.shape), bt)
-                               for gt, bt in st.general_steps]
+    maps = []
+    for n, (down, fold, up_y, up_zz) in enumerate(st.pair_steps):
+        bump = 1e-6 * rng.standard_normal((grid.N, grid.N))  # E^T, on the row map G^T
+        fold = fold + np.vstack((bump.T, np.zeros_like(bump)))
+        maps.append((down, fold, up_y + np.hstack((bump @ st.inverse_steps[n + 1],) * 2), up_zz))
+    perturbed.pair_steps = maps
     report = hum_forward(grid, tree, coeffs, y0, cfg, stepper=perturbed).report
     assert report.cg_converged
     assert report.identity_residual > 1e-8

@@ -13,7 +13,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from test_control import _stencil_gram  # noqa: E402
 
-from spcontrol import ProblemCoefficients, TreeStepper, build_grid, build_path, build_tree  # noqa: E402
+from spcontrol import (ProblemCoefficients, TreeStepper, backward_state_matrix, build_grid,  # noqa: E402
+                       build_path, build_tree, duality_gap, forward_state_matrix)
 from spcontrol.control import _ForwardDual, _forward_pencil  # noqa: E402
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -21,7 +22,7 @@ LAWS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
 @hs.composite
 def instances(draw):
-    """A stepper on a well-posed problem and random leaf data for it.
+    """A stepper on a well-posed problem, random leaf data for it and the generator that drew it.
 
     N 6..13, M 2..4, a tree or a path over T in [0.25, 1], G0 a random run of interior nodes
     off the boundary nodes, and coefficients constant or varying in (t, x): a >= 0.6 a0 with
@@ -46,7 +47,7 @@ def instances(draw):
                                  b=coefficient(1.0))
     st = TreeStepper(grid, build(m, draw(hs.floats(0.25, 1.0))), coeffs)
     rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
-    return st, rng.standard_normal((st.tree.n_nodes(st.tree.M), n))
+    return st, rng.standard_normal((st.tree.n_nodes(st.tree.M), n)), rng
 
 
 @LAWS
@@ -54,7 +55,7 @@ def instances(draw):
 def test_forward_gram_on_pair_maps_is_the_stencil_pair(instance):
     """`_ForwardDual.gram` on the sibling-pair maps: Gram p and every unpacked by-product level
     (z_half, Z, z(0), y) within 1e-13 of the stencil pair's max on that field."""
-    st, p = instance
+    st, p, _ = instance
     dual = _ForwardDual(st)
     gp, products = dual.gram(p)
     gp_ref, ref = _stencil_gram(st, p)
@@ -64,6 +65,29 @@ def test_forward_gram_on_pair_maps_is_the_stencil_pair(instance):
         for a, b in zip(levels, ref_levels):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * top
+
+
+@LAWS
+@given(instances())
+def test_duality_identity_holds_to_rounding(instance):
+    """The forward level step and the backward one are transposes: the duality gap of the
+    controlled pair at random (y0, u, v, zT) is at most 1e-10."""
+    st, zT, rng = instance
+    grid, tree = st.grid, st.tree
+    y0 = rng.standard_normal(grid.N)
+    u, v = ([rng.standard_normal((tree.n_nodes(n), grid.N)) for n in range(tree.M)] for _ in range(2))
+    assert duality_gap(grid, tree, st.tab, y0, u, v, zT) <= 1e-10
+
+
+@LAWS
+@given(instances())
+def test_dense_backward_map_is_the_forward_transpose(instance):
+    """The dense maps y0 -> y(T) and zT -> z(0) are transposes under the leaf weight: every
+    entry within 1e-12 of the map's max entry."""
+    st = instance[0]
+    fwd = st.tree.node_weight(st.tree.M) * forward_state_matrix(st).T
+    bwd = backward_state_matrix(st)
+    assert np.max(np.abs(fwd - bwd)) <= 1e-12 * np.max(np.abs(fwd))
 
 
 @hs.composite
