@@ -387,25 +387,24 @@ def _quad_levels(tree: ScenarioTree, exclude: int) -> range:
     return range(lo, hi + 1)
 
 
-def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
+def _ratio(grid, tree, weights, sums, sources, levels, mu) -> CarlemanRatio:
     """The weighted inequality shared by both estimates.
 
     lhs  = lam^3 mu^4 I[th^2 phi^3 z^2] + lam mu^2 I[th^2 phi |grad z|^2]
     rhs  = lam^3 mu^4 I_{G0}[th^2 phi^3 z^2] + sum of factor * I[th^2 phi^power F^2]
 
-    over `sources`, a sequence of (name, F, power, factor); F may be indexed
-    by level (only the quadrature levels are read) or None for an absent
-    source, whose term is 0.  The forward estimate passes mu = 1.
+    from `sums`, the per-level node sums of `_node_sums`: z's, grad z's, then one per source
+    of `sources`, a sequence of (name, power) whose factor is 1 at power 0 and lam^2 mu^2 at
+    power 2; an absent source (sums None) has term 0.  The forward estimate passes mu = 1.
 
     Every term is a sum of per-level node sums,
 
         I[th^2 phi^p F^2] = sum_n dt 2^-n h <w_n^p, sum over the nodes of F_n^2>,
 
-    in units of e^shift: each field's squares are summed over a level's nodes
-    once (the state and observation terms share z's sums), the weight rows
-    w_n^p = th^2 phi^p of a power come from one exp over all quadrature
-    levels with the factors dt 2^-n h folded in, and each term is one dot
-    product; the G0 mask zeroes entries of the weight rows.
+    in units of e^shift: the weight rows w_n^p = th^2 phi^p of a power come from one exp
+    over all quadrature levels with the factors dt 2^-n h folded in, each term is one dot
+    product (the state and observation terms share z's sums), and the G0 mask zeroes
+    entries of the weight rows.
     """
     shift = weights.max_log_theta2(levels)
     rows = slice(weights.row(levels[0]), weights.row(levels[-1]) + 1)
@@ -421,27 +420,17 @@ def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
             tables[power] = np.multiply(np.exp(w, out=w), quad, out=w)
         return tables[power]
 
-    def node_sums(blocks):
-        """Per quadrature level, the sum over its nodes of the block's squares."""
-        out = np.empty((len(levels), grid.N))
-        for row, block in zip(out, blocks):
-            block = np.asarray(block, dtype=float)
-            np.einsum("ij,ij->j", block, block, out=row)
-        return out
-
     lam = weights.lam
     lam3mu4 = lam ** 3 * mu ** 4
-    z_levels = [z[n] for n in levels]
-    z_sums = node_sums(z_levels)
+    z_sums, grad_sums, *f_sums = sums
     lhs_terms = {
         "state": lam3mu4 * float(np.vdot(weight(3.0), z_sums)),
-        "gradient": lam * mu * mu * float(np.vdot(
-            weight(1.0), node_sums(gradient(grid, block) for block in z_levels))),
+        "gradient": lam * mu * mu * float(np.vdot(weight(1.0), grad_sums)),
     }
     rhs_terms = {"observation": lam3mu4 * float(np.vdot(weight(3.0) * grid.g0_mask, z_sums))}
-    for name, f, power, factor in sources:
-        rhs_terms[name] = 0.0 if f is None else factor * float(np.vdot(
-            weight(power), node_sums(f[n] for n in levels)))
+    for (name, power), f in zip(sources, f_sums, strict=True):
+        factor = lam * lam * mu * mu if power else 1.0
+        rhs_terms[name] = 0.0 if f is None else factor * float(np.vdot(weight(power), f))
     lhs = sum(lhs_terms.values())
     rhs = sum(rhs_terms.values())
     if rhs == 0.0:
@@ -452,6 +441,19 @@ def _ratio(grid, tree, weights, z, sources, levels, mu) -> CarlemanRatio:
         ratio = lhs / rhs
     return CarlemanRatio(lhs=lhs, lhs_terms=lhs_terms, rhs=rhs, rhs_terms=rhs_terms,
                          ratio=ratio, log_shift=shift)
+
+
+def _node_sums(grid, n_rows: int, per_level) -> list:
+    """Node sums of z, grad z, then each source F, one (n_rows, N) array a field (None for an absent
+    source): for each (row, (z, F, ...)) from `per_level`, its row sums a level's nodes' squares."""
+    sums = []
+    for row, fields in per_level:
+        fields = (fields[0], gradient(grid, fields[0]), *fields[1:])
+        sums = sums or [None if f is None else np.empty((n_rows, grid.N)) for f in fields]
+        for out, field in zip(sums, fields):
+            if field is not None:
+                np.einsum("ij,ij->j", *[np.asarray(field, dtype=float)] * 2, out=out[row])
+    return sums
 
 
 def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
@@ -475,27 +477,31 @@ def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
 
 def _backward_ratios(st: TreeStepper, weight_sets, zT, mode: str = "adjoint_1_3",
                      f0=None, f_div=None, exclude: int = 1) -> list[CarlemanRatio]:
-    """carleman_ratio_backward for each weight set, from one backward solve."""
-    grid, tree = st.grid, st.tree
-    levels = _quad_levels(tree, exclude)
-    if mode == "adjoint_1_3":
-        if f0 is not None or f_div is not None:
-            raise ValueError("adjoint_1_3 mode derives its sources from the solution")
-        sol = st.backward(zT, mode="adjoint_1_3")
-        f0, f_div = {}, {}
-        for n in levels:
-            (f0[n], f_div[n]), = st.apply(n, "adjoint_1_3", (sol.z_half[n], sol.Z[n]), split=True)
-    elif mode == "sources":
-        sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
-    else:
+    """carleman_ratio_backward for each weight set, from one backward fold that holds one
+    level's fields at a time, reducing each quadrature level to its node sums as it comes.  No
+    level below the lowest quadrature level is folded: none enters the ratio, and an error that
+    would arise only there does not surface."""
+    grid, levels = st.grid, _quad_levels(st.tree, exclude)
+    if mode not in ("adjoint_1_3", "sources"):
         raise ValueError(f"unknown ratio mode {mode!r}")
-    out = []
-    for weights in weight_sets:
-        lam2mu2 = weights.lam * weights.lam * weights.mu * weights.mu
-        sources = (("f0", f0, 0.0, 1.0), ("flux", f_div, 2.0, lam2mu2),
-                   ("martingale", sol.Z, 2.0, lam2mu2))
-        out.append(_ratio(grid, tree, weights, sol.z, sources, levels, weights.mu))
-    return out
+    if mode == "adjoint_1_3" and (f0 is not None or f_div is not None):
+        raise ValueError("adjoint_1_3 mode derives its sources from the solution")
+    fold = st.fold(zT, "generic" if mode == "sources" else mode, f0, f_div)
+
+    def reduce():  # a quadrature level's fields, then the next level's solve consumes z
+        for n, z, z_half, z_mart in fold:
+            if n in levels:
+                if mode == "adjoint_1_3":
+                    (s0, s_div), = st.apply(n, "adjoint_1_3", (z_half, z_mart), split=True)
+                else:
+                    s0, s_div = (None if f is None else f[n] for f in (f0, f_div))
+                yield n - levels[0], (z, s0, s_div, z_mart)
+            if n == levels[0]:
+                return
+
+    sums = _node_sums(grid, len(levels), reduce())
+    sources = (("f0", 0.0), ("flux", 2.0), ("martingale", 2.0))
+    return [_ratio(grid, st.tree, weights, sums, sources, levels, weights.mu) for weights in weight_sets]
 
 
 def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
@@ -528,6 +534,7 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
             (f1[n], f_div[n]), (f2[n], _) = st.apply(n, "adjoint_1_5", (sol.y[n],), split=True)
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
-    lam2 = weights.lam * weights.lam
-    sources = (("f1", f1, 0.0, 1.0), ("f2", f2, 2.0, lam2), ("flux", f_div, 2.0, lam2))
-    return _ratio(grid, tree, weights, sol.y, sources, levels, 1.0)
+    fields = ((row, (sol.y[n], *(None if f is None else f[n] for f in (f1, f2, f_div))))
+              for row, n in enumerate(levels))
+    sources = (("f1", 0.0), ("f2", 2.0), ("flux", 2.0))
+    return _ratio(grid, tree, weights, _node_sums(grid, len(levels), fields), sources, levels, 1.0)

@@ -37,7 +37,9 @@ space-time pairings and the HUM controls.  On a single-branch path
 Solvers are pure: steppers hold only immutable factorizations, coefficient
 tables and data-independent step matrices (built on first use, the same
 whoever builds them, once for each distinct step), so independent solves may
-run concurrently.
+run concurrently.  The implicit solve consumes its right-hand side (the rows
+are overwritten by the result), so every caller hands it a buffer of its own;
+the solutions `forward` and `backward` return are arrays no later solve touches.
 """
 
 from __future__ import annotations
@@ -144,10 +146,13 @@ class ProblemCoefficients:
         a_faces = _sample(self.a, times, grid.faces)
         left = times[:-1]
         tabs = {k: _sample(getattr(self, k), left, grid.x) for k in ("a1", "a2", "b1", "b2", "b")}
-        for name, table, at in (("a", a_faces, times), *((k, v, left) for k, v in tabs.items())):
-            bad = ~np.isfinite(table).all(axis=1)
-            if bad.any():
-                raise ValueError(f"coefficient {name} is not finite at t = {at[bad.argmax()]:.6g}")
+        # a nan or inf sample carries through the stacked sup norm; only then is the first named
+        sup = np.abs(np.stack(tuple(tabs.values()))).max(axis=(1, 2))
+        if not (np.isfinite(sup).all() and np.isfinite(a_faces).all()):
+            for name, table, at in (("a", a_faces, times), *((k, v, left) for k, v in tabs.items())):
+                bad = ~np.isfinite(table).all(axis=1)
+                if bad.any():
+                    raise ValueError(f"coefficient {name} is not finite at t = {at[bad.argmax()]:.6g}")
         beta = float(a_faces.min())
         if beta <= 0.0:
             raise ValueError(f"diffusion coefficient must stay positive; min sample = {beta}")
@@ -159,9 +164,8 @@ class ProblemCoefficients:
             k = bad.argmax()
             raise ValueError(f"coefficients a and b2 violate stochastic parabolicity: "
                              f"min(2a - b2^2) = {margin[k].min():.6g} <= 0 at t = {left[k]:.6g}")
-        sup = {k: float(np.abs(v).max()) for k, v in tabs.items()}
         return CoefficientTables(times=times, a_faces=a_faces, beta=beta, **tabs,
-                                 **{k + "_inf": v for k, v in sup.items()})
+                                 **{k + "_inf": float(v) for k, v in zip(tabs, sup)})
 
 
 def step_keys(tab: CoefficientTables) -> list:
@@ -235,8 +239,10 @@ class _StepperBase:
         return d, e
 
     def _solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        """Apply S_level^{-1} to rows of rhs (the solve is symmetric)."""
-        out = dpttrs(*self._facts[level], rhs.T)[0].T  # a non-finite rhs propagates into `out`
+        """Apply S_level^{-1} to rows of rhs (the solve is symmetric), consuming rhs: C-contiguous
+        float rows are overwritten by the result, which is returned, so a caller that still needs
+        rhs passes a copy."""
+        out = dpttrs(*self._facts[level], rhs.T, overwrite_b=1)[0].T  # a non-finite rhs propagates
         if not np.isfinite(out).all():
             raise NumericsError(f"non-finite values after implicit solve into level {level}")
         return out
@@ -305,8 +311,8 @@ class TreeStepper(_StepperBase):
         return self._solve(n + 1, base)
 
     def split(self, n: int, children) -> tuple:
-        """The backward level step's first half: w = S_{n+1}^{-1} children, split on a tree into
-        (z_half, Z), the sibling mean and martingale part; on a path (w, 0)."""
+        """The backward level step's first half: w = S_{n+1}^{-1} children (the solve consumes them),
+        split on a tree into (z_half, Z), the sibling mean and martingale part; on a path (w, 0)."""
         w = self._solve(n + 1, children)
         return martingale_part(self.tree, w) if self.tree.branching else (w, np.zeros_like(w))
 
@@ -338,8 +344,7 @@ class TreeStepper(_StepperBase):
     @cached_property
     def inverse_steps(self) -> list:
         """Per level n = 1..M: S_n^{-1} = `_solve(n, I)`, shared like general_steps (None at level 0)."""
-        eye = np.eye(self.grid.N)
-        return [None] + self._each_step(lambda n: self._solve(n + 1, eye))
+        return [None] + self._each_step(lambda n: self._solve(n + 1, np.eye(self.grid.N)))
 
     @cached_property
     def pair_steps(self) -> list:
@@ -388,10 +393,11 @@ class TreeStepper(_StepperBase):
             levels.append(self.step_up(n, mode, levels[n], **_at(n, sources)))
         return ForwardSolution(y=AdaptedField(levels))
 
-    def backward(self, zT, mode: str = "generic", f0=None, f_div=None, u=None) -> BackwardSolution:
-        """Fold level M -> 0 by the backward level step, `split` then `correct`, with the
-        sources f0, weak_div(f_div) in generic mode only and the control u in controlled_1_2
-        mode only."""
+    def fold(self, zT, mode: str = "generic", f0=None, f_div=None, u=None):
+        """The backward level loop: yields (n, z_n, z_half_n, Z_n) from level M - 1 down to 0, each
+        level `split` then `correct`, with the sources f0, weak_div(f_div) in generic mode only and
+        the control u in controlled_1_2 mode only.  zT is never written, but the next level's
+        solve consumes z_n: a caller that keeps z_n copies it before drawing the next level."""
         if mode not in _TRANSPOSES:
             raise ValueError(f"unknown backward mode {mode!r}")
         if mode != "generic" and (f0 is not None or f_div is not None):
@@ -399,20 +405,25 @@ class TreeStepper(_StepperBase):
         if mode != "controlled_1_2" and u is not None:
             raise ValueError("a control is only accepted in controlled_1_2 mode")
         grid, tree = self.grid, self.tree
-        cur = np.asarray(zT, dtype=float)
-        if cur.shape != (tree.n_nodes(tree.M), grid.N):
+        z = np.array(zT, dtype=float)  # a copy: the first solve consumes it
+        if z.shape != (tree.n_nodes(tree.M), grid.N):
             raise ValueError(f"terminal data must have shape {(tree.n_nodes(tree.M), grid.N)}, "
-                             f"got {cur.shape}")
-        if not np.isfinite(cur).all():
+                             f"got {z.shape}")
+        if not np.isfinite(z).all():
             raise NumericsError("non-finite terminal data")
         sources = {"f0": f0, "f_div": f_div, "u": u}
-        levels = [(cur.copy(), None, None)]  # (z, z_half, Z) per level, from level M down
         for n in range(tree.M - 1, -1, -1):
-            z_half, z_mart = self.split(n, levels[-1][0])
-            levels.append((self.correct(n, mode, z_half, z_mart, **_at(n, sources)), z_half, z_mart))
+            z_half, z_mart = self.split(n, z)
+            z = self.correct(n, mode, z_half, z_mart, **_at(n, sources))
+            yield n, z, z_half, z_mart
+
+    def backward(self, zT, mode: str = "generic", f0=None, f_div=None, u=None) -> BackwardSolution:
+        """Every level of `fold` (modes, sources and control as there), each z_n copied before the
+        next level's solve consumes it, and zT copied at level M: no later solve touches them."""
+        levels = [(z.copy(), z_half, z_mart) for _, z, z_half, z_mart in self.fold(zT, mode, f0, f_div, u)]
         z, z_half, z_mart = zip(*levels[::-1])
-        return BackwardSolution(z=AdaptedField(z), Z=AdaptedField(z_mart[:-1]),
-                                z_half=AdaptedField(z_half[:-1]))
+        return BackwardSolution(z=AdaptedField([*z, np.array(zT, dtype=float)]), Z=AdaptedField(z_mart),
+                                z_half=AdaptedField(z_half))
 
 
 def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:

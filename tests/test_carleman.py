@@ -5,7 +5,7 @@ import pytest
 
 from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper,
                        build_grid, build_tree)
-from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, appendix_coeffs,
+from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, _backward_ratios, appendix_coeffs,
                                 build_psi, carleman_ratio_backward,
                                 carleman_ratio_forward, eval_weights, lambda_threshold,
                                 lambda_threshold_forward, leading_order_check)
@@ -403,6 +403,23 @@ def test_ratio_terms_recomputed_node_by_node(full_coeffs):
         ("f1", [-tab.a1[n] * y[n] for n in range(tree.M)], 0.0, 1.0),
         ("f2", [-tab.a2[n] * y[n] for n in range(tree.M)], 2.0, lam2),
         ("flux", [tab.b[n] * y[n] for n in range(tree.M)], 2.0, lam2)), 1.0))
+
+
+def test_backward_ratios_leave_their_data_unchanged(grid32, tree8, full_coeffs):
+    # the fold's implicit solves consume their right-hand sides; none of them is the caller's
+    st = TreeStepper(grid32, tree8, full_coeffs)
+    psi = build_psi(grid32)
+    weights = [eval_weights(psi, m * lambda_threshold(1.0, psi, tree8.T), 1.0, tree8) for m in (1, 2)]
+    rng = np.random.default_rng(23)
+    zT = rng.standard_normal((tree8.n_nodes(tree8.M), grid32.N))
+    f0, f_div = (AdaptedField.random(tree8, grid32.N, rng, n_levels=tree8.M) for _ in range(2))
+    data = (zT, *f0.levels, *f_div.levels)
+    before = [a.tobytes() for a in data]
+    carleman_ratio_backward(grid32, tree8, full_coeffs, weights[0], zT, stepper=st)
+    carleman_ratio_backward(grid32, tree8, full_coeffs, weights[0], zT, mode="sources",
+                            f0=f0, f_div=f_div, stepper=st)
+    _backward_ratios(st, weights, zT, mode="sources", f0=f0, f_div=f_div, exclude=1)  # as cli calls it
+    assert [a.tobytes() for a in data] == before
 
 
 def test_appendix_variable_diffusion_matches_differences():

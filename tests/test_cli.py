@@ -313,11 +313,11 @@ def test_carleman_check_csv_columns(tmp_path):
 
 
 def test_carleman_check_solves_each_instance_once(tmp_path, monkeypatch):
-    # the backward solution does not depend on lambda: one sweep per sample,
+    # the backward solution does not depend on lambda: one fold per sample,
     # shared by every lambda multiple
     calls = []
-    sweep = TreeStepper.backward
-    monkeypatch.setattr(TreeStepper, "backward",
+    sweep = TreeStepper.fold
+    monkeypatch.setattr(TreeStepper, "fold",
                         lambda self, *a, **k: calls.append(1) or sweep(self, *a, **k))
     cfg = DESK + f"output_dir = {tmp_path / 'out'}\n\n[carleman]\nsamples = 3\n"
     assert main(["carleman-check", "--config", str(write(tmp_path, cfg))]) == 0

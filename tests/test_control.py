@@ -508,7 +508,7 @@ def test_epsilon_sweep_builds_step_matrices_once(monkeypatch):
         st = TreeStepper(GRID8, tree, coeffs)
         assert st.inverse_steps[0] is None
         for n in range(1, tree.M + 1):
-            assert st.inverse_steps[n].tobytes() == st._solve(n, eye).tobytes()
+            assert st.inverse_steps[n].tobytes() == st._solve(n, np.eye(GRID8.N)).tobytes()
         identity_calls.clear()
         solve_calls.clear()
         with monkeypatch.context() as patch:

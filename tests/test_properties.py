@@ -15,6 +15,8 @@ from test_control import _stencil_gram  # noqa: E402
 
 from spcontrol import (ProblemCoefficients, TreeStepper, backward_state_matrix, build_grid,  # noqa: E402
                        build_path, build_tree, duality_gap, forward_state_matrix)
+from spcontrol.carleman import _backward_ratios, build_psi, eval_weights, lambda_threshold  # noqa: E402
+from spcontrol.grid import gradient  # noqa: E402
 from spcontrol.control import _ForwardDual, _forward_pencil  # noqa: E402
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -88,6 +90,57 @@ def test_dense_backward_map_is_the_forward_transpose(instance):
     fwd = st.tree.node_weight(st.tree.M) * forward_state_matrix(st).T
     bwd = backward_state_matrix(st)
     assert np.max(np.abs(fwd - bwd)) <= 1e-12 * np.max(np.abs(fwd))
+
+
+@LAWS
+@given(instances(), hs.sampled_from([("adjoint_1_3", False, False), ("sources", True, True),
+                                     ("sources", True, False), ("sources", False, True),
+                                     ("sources", False, False)]))
+def test_node_sum_carleman_quadrature_is_the_node_by_node_one(instance, case):
+    """`_backward_ratios` on per-level node sums, folding as it goes: every lhs and rhs term of
+    two weight sets within 1e-13 (relative) of the terms summed node by node over the
+    quadrature levels of `backward()`'s full solution, the sources given (random or None) or
+    the adjoint_1_3 couplings -a1 z_half - a2 Z, b1 z_half + b2 Z from the coefficient tables."""
+    (st, zT, rng), (mode, with_f0, with_div) = instance, case
+    grid, tree, tab = st.grid, st.tree, st.tab
+    f0, f_div = ([rng.standard_normal((tree.n_nodes(n), grid.N)) for n in range(tree.M)] if given else None
+                 for given in (with_f0, with_div))
+    exclude = int(rng.integers(0, (tree.M - 2) // 2 + 1))
+    psi = build_psi(grid, (0.3, 0.7))
+    lam0 = lambda_threshold(1.0, psi, tree.T)
+    weight_sets = [eval_weights(psi, m * lam0, mu, tree) for m, mu in ((1.0, 1.0), (3.0, 1.5))]
+    got = _backward_ratios(st, weight_sets, zT, mode, f0, f_div, exclude)
+    if mode == "adjoint_1_3":
+        sol = st.backward(zT, mode="adjoint_1_3")
+        f0 = [-tab.a1[n] * sol.z_half[n] - tab.a2[n] * sol.Z[n] for n in range(tree.M)]
+        f_div = [tab.b1[n] * sol.z_half[n] + tab.b2[n] * sol.Z[n] for n in range(tree.M)]
+    else:
+        sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
+    levels = range(1 + exclude, tree.M - exclude)
+    for weights, ratio in zip(weight_sets, got, strict=True):
+        lam, mu = weights.lam, weights.mu
+        shift = 2.0 * max(weights.l[n - 1].max() for n in levels)
+
+        def integral(field, power, mask=1.0, grad=False):
+            if field is None:
+                return 0.0
+            total = 0.0
+            for n in levels:
+                w = mask * np.exp(2.0 * weights.l[n - 1] + power * weights.log_phi[n - 1] - shift)
+                for node in field[n]:
+                    f = gradient(grid, node[None])[0] if grad else node
+                    total += tree.dt * tree.node_weight(n) * grid.h * float(np.sum(w * f * f))
+            return total
+
+        want = {"state": lam ** 3 * mu ** 4 * integral(sol.z, 3.0),
+                "gradient": lam * mu * mu * integral(sol.z, 1.0, grad=True),
+                "observation": lam ** 3 * mu ** 4 * integral(sol.z, 3.0, grid.g0_mask),
+                "f0": integral(f0, 0.0), "flux": lam * lam * mu * mu * integral(f_div, 2.0),
+                "martingale": lam * lam * mu * mu * integral(sol.Z, 2.0)}
+        terms = {**ratio.lhs_terms, **ratio.rhs_terms}
+        assert terms.keys() == want.keys()
+        for name, value in want.items():
+            assert abs(terms[name] - value) <= 1e-13 * abs(value), name
 
 
 @hs.composite

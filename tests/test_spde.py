@@ -196,7 +196,7 @@ def test_implicit_solve_matches_dense_solve(N):
     rhs = np.random.default_rng(N).standard_normal((5, N))
     for level in range(1, 7):
         ref = np.linalg.solve(_dense_step_matrix(st, level), rhs.T).T
-        out = st._solve(level, rhs)
+        out = st._solve(level, rhs.copy())  # the solve consumes its rhs
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -205,13 +205,55 @@ def test_implicit_solve_row_count_invariance(grid32, full_coeffs):
     # a row's solution must not depend on how many rows are solved with it
     st = TreeStepper(grid32, build_path(3, 1.0), full_coeffs)
     rhs = np.random.default_rng(6).standard_normal((256, grid32.N))
-    alone = np.concatenate([st._solve(2, rhs[k:k + 1]) for k in range(rhs.shape[0])])
+    alone = np.concatenate([st._solve(2, rhs[k:k + 1].copy()) for k in range(rhs.shape[0])])
     for block in (2, 3, 64, 256):
-        together = np.concatenate([st._solve(2, rhs[k:k + block])
+        together = np.concatenate([st._solve(2, rhs[k:k + block].copy())
                                    for k in range(0, rhs.shape[0], block)])
         assert np.array_equal(together, alone), (
             f"implicit solve of {block} rows at once differs from one row at a time; "
             "a GEMM-style solve breaks the bitwise tree/path identity")
+
+
+def test_inverse_steps_solve_an_identity_each(grid16, tree6, full_coeffs):
+    # the solve consumes its rhs, so with every step distinct (a depends on t) a shared identity
+    # would come out of the first build as S_1^{-1} and spoil every later one
+    st = TreeStepper(grid16, tree6, full_coeffs)
+    assert st.first_step == list(range(tree6.M))
+    for n in range(1, tree6.M + 1):
+        assert st.inverse_steps[n].tobytes() == st._solve(n, np.eye(grid16.N)).tobytes()
+
+
+@pytest.mark.parametrize("tree", [build_tree(4, 1.0), build_path(4, 1.0)], ids=["tree", "path"])
+def test_sweeps_leave_their_data_unchanged(grid16, tree, full_coeffs):
+    st = TreeStepper(grid16, tree, full_coeffs)
+    rng = np.random.default_rng(21)
+    y0, zT = rng.standard_normal(grid16.N), rng.standard_normal((tree.n_nodes(tree.M), grid16.N))
+    u, v, f0, f_div = (AdaptedField.random(tree, grid16.N, rng, n_levels=tree.M) for _ in range(4))
+    data = (y0, zT, *u.levels, *v.levels, *f0.levels, *f_div.levels)
+    before = [a.tobytes() for a in data]
+    st.forward(y0, u=u, v=v, drift_src=f0, drift_div=f_div)
+    st.forward(y0, mode="adjoint_1_5")
+    for mode in ("adjoint_1_3", "controlled_1_2"):
+        st.backward(zT, mode=mode)
+    st.backward(zT, mode="generic", f0=f0, f_div=f_div)
+    st.backward(zT, mode="controlled_1_2", u=u)
+    assert [a.tobytes() for a in data] == before
+
+
+def test_backward_solution_survives_later_folds(grid16, tree6, full_coeffs):
+    # backward() copies each z_n before the next level's solve consumes it, and its z_half, Z and
+    # level M are arrays no later solve on the same stepper writes
+    st = TreeStepper(grid16, tree6, full_coeffs)
+    rng = np.random.default_rng(22)
+    zT = rng.standard_normal((tree6.n_nodes(tree6.M), grid16.N))
+    sol = st.backward(zT, mode="adjoint_1_3")
+    fields = [*sol.z.levels, *sol.z_half.levels, *sol.Z.levels]
+    before = [a.tobytes() for a in fields]
+    for n, z, _, _ in st.fold(zT, mode="adjoint_1_3"):
+        assert z.tobytes() == before[n]  # the fold's own levels are the stored ones
+    st.backward(sol.z[tree6.M], mode="adjoint_1_3")
+    list(st.fold(rng.standard_normal(zT.shape)))
+    assert [a.tobytes() for a in fields] == before
 
 
 @pytest.mark.parametrize("tree", [build_tree(4, 1.0), build_path(4, 1.0)])
@@ -281,7 +323,7 @@ def test_generic_fold_keeps_the_textbook_bits(full_coeffs):
     sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
     assert np.array_equal(sol.z[tree.M], zT)
     for n in range(tree.M):
-        w = st._solve(n + 1, sol.z[n + 1])
+        w = st._solve(n + 1, sol.z[n + 1].copy())
         z_half = 0.5 * (w[0::2] + w[1::2])
         assert np.array_equal(sol.z_half[n], z_half)
         assert np.array_equal(sol.Z[n], 0.5 * (w[0::2] - w[1::2]) / tree.sqrt_dt)
@@ -308,6 +350,19 @@ def test_nonfinite_coefficient_rejected_at_sampling(grid16, tree6, name):
     coeffs = ProblemCoefficients(**{name: lambda t, x: 1.0 + np.log(0.5 - t + 0.0 * x)})
     with pytest.raises(ValueError, match=rf"coefficient {name} is not finite at t = 0\.5"):
         coeffs.sample(grid16, tree6.times)
+
+
+def test_nonfinite_coefficient_named_in_table_order(grid16, tree6):
+    # b1 is +inf at t = 0.5 only and b NaN from t = 1/6 on: the first table in the order
+    # a, a1, a2, b1, b2, b that fails is named, with the first time it fails at
+    def spike(t, x):
+        return np.where(t == 0.5, np.inf, 0.5) + 0.0 * x
+
+    coeffs = ProblemCoefficients(b1=spike, b=lambda t, x: np.where(t > 0.1, np.nan, 0.0) + 0.0 * x)
+    with pytest.raises(ValueError, match=r"^coefficient b1 is not finite at t = 0\.5$"):
+        coeffs.sample(grid16, tree6.times)
+    with pytest.raises(ValueError, match=r"^coefficient b is not finite at t = 0\.166667$"):
+        ProblemCoefficients(b1=0.5, b=coeffs.b).sample(grid16, tree6.times)
 
 
 @pytest.mark.parametrize("a,b2", [(0.1, 0.45), (0.1, 0.5)])
@@ -375,7 +430,7 @@ def test_shared_step_builds_match_per_level_builds(grid16, tree, case):
         assert [x.tobytes() for x in st._facts[n + 1]] == [d.tobytes(), e.tobytes()]
         drift, noise = st.apply(n, "general", (eye,))
         assert [m.tobytes() for m in st.general_steps[n]] == [(eye + dt * drift).tobytes(), noise.tobytes()]
-        assert st.inverse_steps[n + 1].tobytes() == st._solve(n + 1, eye).tobytes()
+        assert st.inverse_steps[n + 1].tobytes() == st._solve(n + 1, np.eye(grid16.N)).tobytes()
         assert st._facts[n + 1] is st._facts[first + 1]
         assert st.general_steps[n] is st.general_steps[first]
         assert st.inverse_steps[n + 1] is st.inverse_steps[first + 1]
