@@ -480,13 +480,14 @@ def _backward_ratios(st: TreeStepper, weight_sets, zT, mode: str = "adjoint_1_3"
     """carleman_ratio_backward for each weight set, from one backward fold that holds one
     level's fields at a time, reducing each quadrature level to its node sums as it comes.  No
     level below the lowest quadrature level is folded: none enters the ratio, and an error that
-    would arise only there does not surface."""
+    would arise only there does not surface.  Z is read on the quadrature levels only, so in
+    sources mode (generic, no couplings) the levels above them solve only the sibling means."""
     grid, levels = st.grid, _quad_levels(st.tree, exclude)
     if mode not in ("adjoint_1_3", "sources"):
         raise ValueError(f"unknown ratio mode {mode!r}")
     if mode == "adjoint_1_3" and (f0 is not None or f_div is not None):
         raise ValueError("adjoint_1_3 mode derives its sources from the solution")
-    fold = st.fold(zT, "generic" if mode == "sources" else mode, f0, f_div)
+    fold = st.fold(zT, "generic", f0, f_div, mart_levels=levels) if mode == "sources" else st.fold(zT, mode)
 
     def reduce():  # a quadrature level's fields, then the next level's solve consumes z
         for n, z, z_half, z_mart in fold:
@@ -528,6 +529,8 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     if mode == "sources":
         sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="uncoupled")
     elif mode == "adjoint_1_5":
+        if any(f is not None for f in (f1, f2, f_div)):
+            raise ValueError("adjoint_1_5 mode derives its sources from the solution")
         sol = st.forward(z0, mode="adjoint_1_5")
         f1, f_div, f2 = {}, {}, {}
         for n in levels:

@@ -28,10 +28,12 @@ the same tables through one routine, so the discrete duality identity
 
     E<y(T), zT> = <y0, z(0)> + E int_{Q0} u * z_half + E int_Q v * Z
 
-holds to rounding by construction; everything in the HUM construction leans
-on that.  Note the two roles of the backward solution: the nodal values z
-carry the initial pairing, while the half-step values z_half carry the
-space-time pairings and the HUM controls.  On a single-branch path
+holds to rounding by construction; everything in the HUM construction leans on
+that.  Generic mode's correction reads no Z, so where its caller reads none
+either, a generic fold solves only the sibling means, S^{-1}((c_+ + c_-)/2)
+(S^{-1} is linear, row by row).  Note the two roles of the backward solution:
+the nodal values z carry the initial pairing, while the half-step values z_half
+carry the space-time pairings and the HUM controls.  On a single-branch path
 (`scenario.build_path`) nothing splits: the noise term drops out, Z = 0.
 
 Solvers are pure: steppers hold only immutable factorizations, coefficient
@@ -310,9 +312,13 @@ class TreeStepper(_StepperBase):
             base = reconstruct_children(self.tree, base, noise)
         return self._solve(n + 1, base)
 
-    def split(self, n: int, children) -> tuple:
+    def split(self, n: int, children, mart: bool = True) -> tuple:
         """The backward level step's first half: w = S_{n+1}^{-1} children (the solve consumes them),
-        split on a tree into (z_half, Z), the sibling mean and martingale part; on a path (w, 0)."""
+        split on a tree into (z_half, Z), the sibling mean and martingale part; on a path (w, 0).
+        mart=False on a tree solves only the sibling means (a fresh buffer) into z_half, Z None."""
+        if not mart and self.tree.branching:
+            mean = np.add(children[0::2], children[1::2])
+            return self._solve(n + 1, np.multiply(mean, 0.5, out=mean)), None
         w = self._solve(n + 1, children)
         return martingale_part(self.tree, w) if self.tree.branching else (w, np.zeros_like(w))
 
@@ -393,27 +399,32 @@ class TreeStepper(_StepperBase):
             levels.append(self.step_up(n, mode, levels[n], **_at(n, sources)))
         return ForwardSolution(y=AdaptedField(levels))
 
-    def fold(self, zT, mode: str = "generic", f0=None, f_div=None, u=None):
+    def fold(self, zT, mode: str = "generic", f0=None, f_div=None, u=None, mart_levels=None):
         """The backward level loop: yields (n, z_n, z_half_n, Z_n) from level M - 1 down to 0, each
         level `split` then `correct`, with the sources f0, weak_div(f_div) in generic mode only and
         the control u in controlled_1_2 mode only.  zT is never written, but the next level's
-        solve consumes z_n: a caller that keeps z_n copies it before drawing the next level."""
+        solve consumes z_n: a caller that keeps z_n copies it before drawing the next level.
+        mart_levels (generic mode only: any other mode's `correct` reads Z) names the levels whose Z
+        the caller reads (None: all); the others `split` with mart=False."""
         if mode not in _TRANSPOSES:
             raise ValueError(f"unknown backward mode {mode!r}")
-        if mode != "generic" and (f0 is not None or f_div is not None):
-            raise ValueError("explicit sources are only accepted in generic mode")
+        if mode != "generic" and (f0 is not None or f_div is not None or mart_levels is not None):
+            raise ValueError("explicit sources and mart_levels are only accepted in generic mode")
         if mode != "controlled_1_2" and u is not None:
             raise ValueError("a control is only accepted in controlled_1_2 mode")
         grid, tree = self.grid, self.tree
-        z = np.array(zT, dtype=float)  # a copy: the first solve consumes it
+        z = np.asarray(zT, dtype=float)
         if z.shape != (tree.n_nodes(tree.M), grid.N):
             raise ValueError(f"terminal data must have shape {(tree.n_nodes(tree.M), grid.N)}, "
                              f"got {z.shape}")
         if not np.isfinite(z).all():
             raise NumericsError("non-finite terminal data")
+        reads = range(tree.M) if mart_levels is None else mart_levels
+        if tree.M - 1 in reads or not tree.branching:
+            z = z.copy()  # the first solve consumes it; sibling means are a fresh buffer
         sources = {"f0": f0, "f_div": f_div, "u": u}
         for n in range(tree.M - 1, -1, -1):
-            z_half, z_mart = self.split(n, z)
+            z_half, z_mart = self.split(n, z, n in reads)
             z = self.correct(n, mode, z_half, z_mart, **_at(n, sources))
             yield n, z, z_half, z_mart
 

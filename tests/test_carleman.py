@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper,
-                       build_grid, build_tree)
+                       build_grid, build_path, build_tree)
 from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, _backward_ratios, appendix_coeffs,
                                 build_psi, carleman_ratio_backward,
                                 carleman_ratio_forward, eval_weights, lambda_threshold,
@@ -405,21 +405,96 @@ def test_ratio_terms_recomputed_node_by_node(full_coeffs):
         ("flux", [tab.b[n] * y[n] for n in range(tree.M)], 2.0, lam2)), 1.0))
 
 
-def test_backward_ratios_leave_their_data_unchanged(grid32, tree8, full_coeffs):
-    # the fold's implicit solves consume their right-hand sides; none of them is the caller's
+def test_backward_ratios_leave_their_data_unchanged(grid32, full_coeffs):
+    # the fold's implicit solves consume their right-hand sides; none of them is the caller's, also
+    # where a level above the quadrature levels solves sibling means (exclude >= 1) or, on a path,
+    # solves the terminal data's single row
+    psi = build_psi(grid32)
+    rng = np.random.default_rng(23)
+    for tree in (build_tree(8, 1.0), build_path(8, 1.0)):
+        st = TreeStepper(grid32, tree, full_coeffs)
+        weights = [eval_weights(psi, m * lambda_threshold(1.0, psi, tree.T), 1.0, tree) for m in (1, 2)]
+        zT = rng.standard_normal((tree.n_nodes(tree.M), grid32.N))
+        f0, f_div = (AdaptedField.random(tree, grid32.N, rng, n_levels=tree.M) for _ in range(2))
+        data = (zT, *f0.levels, *f_div.levels)
+        before = [a.tobytes() for a in data]
+        for exclude in (0, 1, 2):
+            carleman_ratio_backward(grid32, tree, full_coeffs, weights[0], zT, exclude=exclude, stepper=st)
+            carleman_ratio_backward(grid32, tree, full_coeffs, weights[0], zT, mode="sources",
+                                    f0=f0, f_div=f_div, exclude=exclude, stepper=st)
+            _backward_ratios(st, weights, zT, "sources", f0, f_div, exclude)  # as cli calls it
+            assert [a.tobytes() for a in data] == before, (tree.branching, exclude)
+
+
+def _rows_solved(monkeypatch, run) -> list:
+    """The number of rows of each `_solve` while run() runs."""
+    rows, solve = [], TreeStepper._solve
+    with monkeypatch.context() as patch:
+        patch.setattr(TreeStepper, "_solve", lambda self, level, rhs: rows.append(len(rhs)) or solve(self, level, rhs))
+        run()
+    return rows
+
+
+def test_sources_ratio_solves_only_sibling_means_above_its_quadrature_levels(grid32, tree8, full_coeffs,
+                                                                             monkeypatch):
+    # M = 8: the fold solves 2^{n+1} rows at level n, or 2^n where no Z is read; a sources
+    # ratio reads Z on levels 1 + exclude .. 7 - exclude only, an adjoint_1_3 ratio needs every Z
     st = TreeStepper(grid32, tree8, full_coeffs)
     psi = build_psi(grid32)
-    weights = [eval_weights(psi, m * lambda_threshold(1.0, psi, tree8.T), 1.0, tree8) for m in (1, 2)]
-    rng = np.random.default_rng(23)
+    w = eval_weights(psi, lambda_threshold(1.0, psi, tree8.T), 1.0, tree8)
+    rng = np.random.default_rng(24)
     zT = rng.standard_normal((tree8.n_nodes(tree8.M), grid32.N))
     f0, f_div = (AdaptedField.random(tree8, grid32.N, rng, n_levels=tree8.M) for _ in range(2))
-    data = (zT, *f0.levels, *f_div.levels)
-    before = [a.tobytes() for a in data]
-    carleman_ratio_backward(grid32, tree8, full_coeffs, weights[0], zT, stepper=st)
-    carleman_ratio_backward(grid32, tree8, full_coeffs, weights[0], zT, mode="sources",
-                            f0=f0, f_div=f_div, stepper=st)
-    _backward_ratios(st, weights, zT, mode="sources", f0=f0, f_div=f_div, exclude=1)  # as cli calls it
-    assert [a.tobytes() for a in data] == before
+
+    def ratio(mode, exclude, **sources):
+        return lambda: carleman_ratio_backward(grid32, tree8, full_coeffs, w, zT, mode=mode,
+                                               exclude=exclude, stepper=st, **sources)
+
+    assert _rows_solved(monkeypatch, ratio("sources", 1, f0=f0, f_div=f_div)) == [128, 128, 64, 32, 16, 8]
+    assert sum(_rows_solved(monkeypatch, ratio("sources", 1))) == 376  # 504 solving every child
+    assert sum(_rows_solved(monkeypatch, ratio("sources", 0, f0=f0))) == 508  # no Z-free level
+    assert sum(_rows_solved(monkeypatch, ratio("adjoint_1_3", 1))) == 504
+    assert sum(_rows_solved(monkeypatch, lambda: st.backward(zT, mode="generic", f0=f0))) == 510
+    path = build_path(8, 1.0)
+    pst = TreeStepper(grid32, path, full_coeffs)
+    zp = rng.standard_normal((1, grid32.N))
+    for mode, exclude in (("sources", 1), ("sources", 0), ("adjoint_1_3", 2)):
+        rows = _rows_solved(monkeypatch, lambda: carleman_ratio_backward(
+            grid32, path, full_coeffs, w, zp, mode=mode, exclude=exclude, stepper=pst))
+        assert rows == [1] * (path.M - 1 - exclude)  # levels 7 .. 1 + exclude
+
+
+@pytest.mark.parametrize("exclude", [0, 1])
+@pytest.mark.parametrize("tree", [build_tree(8, 1.0), build_path(8, 1.0)], ids=["tree", "path"])
+def test_generic_fold_sources_match_their_zero_filled_spelling(grid32, tree, full_coeffs, exclude):
+    # an absent f0 or f_div is a zero source bit for bit, with (exclude 1) and without (exclude 0)
+    # a level that solves only the sibling means
+    st = TreeStepper(grid32, tree, full_coeffs)
+    psi = build_psi(grid32)
+    weights = [eval_weights(psi, m * lambda_threshold(1.0, psi, tree.T), 1.0, tree) for m in (1, 4)]
+    rng = np.random.default_rng(25)
+    zT = rng.standard_normal((tree.n_nodes(tree.M), grid32.N))
+    given = [AdaptedField.random(tree, grid32.N, rng, n_levels=tree.M) for _ in range(2)]
+    zero = AdaptedField([np.zeros((tree.n_nodes(n), grid32.N)) for n in range(tree.M)])
+
+    def bits(f0, f_div):
+        return [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio, *r.lhs_terms.values(),
+                                               *r.rhs_terms.values()))
+                for r in _backward_ratios(st, weights, zT, "sources", f0, f_div, exclude)]
+
+    for f0 in (None, given[0]):
+        for f_div in (None, given[1]):
+            assert bits(f0, f_div) == bits(zero if f0 is None else f0, zero if f_div is None else f_div)
+
+
+def test_forward_adjoint_ratio_refuses_given_sources(grid32, tree8, full_coeffs):
+    # adjoint_1_5 mode takes its sources from the solution; given ones would be dropped unread
+    w = eval_weights(build_psi(grid32), 10.0 * lambda_threshold_forward(tree8.T), 8.0, tree8)
+    z0 = np.random.default_rng(26).standard_normal(grid32.N)
+    field = AdaptedField.zeros(tree8.M, grid32.N)
+    for name in ("f1", "f2", "f_div"):
+        with pytest.raises(ValueError, match="adjoint_1_5 mode derives its sources from the solution"):
+            carleman_ratio_forward(grid32, tree8, full_coeffs, w, z0, mode="adjoint_1_5", **{name: field})
 
 
 def test_appendix_variable_diffusion_matches_differences():

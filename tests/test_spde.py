@@ -292,6 +292,27 @@ def test_mode_validation(grid16, tree6, full_coeffs):
                    mode="adjoint_1_5")
 
 
+@pytest.mark.parametrize("tree", [build_tree(6, 1.0), build_path(6, 1.0)], ids=["tree", "path"])
+def test_fold_without_martingale_parts_solves_the_sibling_means(grid16, tree, full_coeffs):
+    # levels whose Z the caller does not read solve S^{-1} of the sibling means: the same z and
+    # z_half to rounding, Z None on a tree (zero on a path), and the levels read keep their Z
+    st = TreeStepper(grid16, tree, full_coeffs)
+    rng = np.random.default_rng(27)
+    zT = rng.standard_normal((tree.n_nodes(tree.M), grid16.N))
+    f0, f_div = (AdaptedField.random(tree, grid16.N, rng, n_levels=tree.M) for _ in range(2))
+    sol = st.backward(zT, mode="generic", f0=f0, f_div=f_div)
+    reads = range(2, 4)
+    for n, z, z_half, z_mart in st.fold(zT, "generic", f0, f_div, mart_levels=reads):
+        for got, want in ((z, sol.z[n]), (z_half, sol.z_half[n]), (z_mart, sol.Z[n])):
+            if got is None:
+                assert n not in reads and tree.branching
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    for mode in ("adjoint_1_3", "controlled_1_2"):
+        with pytest.raises(ValueError, match="only accepted in generic mode"):
+            next(st.fold(zT, mode, mart_levels=reads))
+
+
 def test_backward_shape_validation(grid16, tree6, full_coeffs):
     st = TreeStepper(grid16, tree6, full_coeffs)
     with pytest.raises(ValueError):
