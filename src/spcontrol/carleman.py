@@ -269,10 +269,7 @@ def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: flo
     if not (0.0 < t < T):
         raise ValueError(f"level time {t} must be strictly inside (0, {T})")
 
-    p = psi.evaluate(x, 1)
-    p2 = psi.evaluate(x, 2)
-    p3 = psi.evaluate(x, 3)
-    p4 = psi.evaluate(x, 4)
+    p, p2, p3, p4 = (psi.evaluate(x, order) for order in range(1, 5))
     tau = 1.0 / (t * (T - t))
     e_mu_psi = np.exp(mu * psi.evaluate(x, 0))
     phi = tau * e_mu_psi
@@ -343,10 +340,8 @@ def leading_order_check(psi: PsiFunction, a, mu_values, T: float, grid: SpatialG
     rows = []
     for mu in mu_values:
         lam = lambda_threshold(mu, psi, T, c0=c0)
-        dev_a = 0.0
-        dev_b = 0.0
-        min_b = np.inf
-        margin = np.inf
+        dev_a = dev_b = 0.0
+        min_b = margin = np.inf
         for t in times:
             co = appendix_coeffs(psi, a, lam, mu, float(t), T, grid.x)
             dev_a = max(dev_a, float(np.max(np.abs(co.A - co.A_lead)[outside] / co.A_lead[outside])))
@@ -525,13 +520,13 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
            + lam^2 I[th^2 phi^2 F2^2] + lam^2 I[th^2 phi^2 |F|^2]
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    levels = _quad_levels(tree, exclude)
+    levels = _quad_levels(tree, exclude)  # the march stops at the top one: no higher level is read
     if mode == "sources":
-        sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="uncoupled")
+        sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="uncoupled", top=levels[-1])
     elif mode == "adjoint_1_5":
         if any(f is not None for f in (f1, f2, f_div)):
             raise ValueError("adjoint_1_5 mode derives its sources from the solution")
-        sol = st.forward(z0, mode="adjoint_1_5")
+        sol = st.forward(z0, mode="adjoint_1_5", top=levels[-1])
         f1, f_div, f2 = {}, {}, {}
         for n in levels:
             (f1[n], f_div[n]), (f2[n], _) = st.apply(n, "adjoint_1_5", (sol.y[n],), split=True)

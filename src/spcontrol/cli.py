@@ -386,19 +386,21 @@ def _cmd_carleman_check(cfg):
     psi = build_psi(grid)
     mu = cfg.carleman.mu
     lam0 = lambda_threshold(mu, psi, tree.T, c0=cfg.carleman.c0)
+    mults = cfg.carleman.lambda_multiples
+    for mult in (m for m in mults if m * lam0 < 1.0):  # eval_weights would refuse it after the solves
+        raise ConfigError(f"[carleman] lambda_multiples: {mult:.6g} x lambda_threshold {lam0:.6g} is "
+                          "below 1; raise the multiple or [carleman] c0")
     st = TreeStepper(grid, tree, coeffs)
     rng = np.random.default_rng(cfg.experiment.seed)
     instances = [(rng.standard_normal((tree.n_nodes(tree.M), grid.N)),
                   AdaptedField.random(tree, grid.N, rng, n_levels=tree.M),
                   AdaptedField.random(tree, grid.N, rng, n_levels=tree.M))
                  for _ in range(cfg.carleman.samples)]
-    mults = cfg.carleman.lambda_multiples
     weight_sets = [eval_weights(psi, mult * lam0, mu, tree) for mult in mults]
     # the backward solution does not depend on lambda: one solve per instance
     results = [_backward_ratios(st, weight_sets, zT, mode="sources", f0=f0, f_div=fd,
                                 exclude=cfg.carleman.exclude) for zT, f0, fd in instances]
-    rows = []
-    lines = [f"mu = {_fmt(mu)}", f"lambda_threshold = {_fmt(lam0)}"]
+    rows, lines = [], [f"mu = {_fmt(mu)}", f"lambda_threshold = {_fmt(lam0)}"]
     for j, mult in enumerate(mults):
         ratios = [res[j].ratio for res in results]
         rows += [(k, mult, res[j].lhs, res[j].rhs, res[j].ratio) for k, res in enumerate(results)]

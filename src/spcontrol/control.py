@@ -13,32 +13,26 @@ like eps^{-1/2}, so hum_forward and hum_backward precondition CG with the
 exact inverse of Gram + eps I, built from N x N matrices: forward, the
 discrete Riccati recursion of the tracking LQ problem on the tree
 (_ForwardRiccati), applied as per-level N x N maps (its feedforward folded
-down the tree, its closed loop marched up); its set-up takes S^{-1} P S^{-1}
-from the stepper's cached S^{-1} and solves for the closed loop's G0 rows and
-noise part directly, so neither is a difference of nearly equal terms and
-the loop keeps its digits at small eps; backward, a Cholesky factor of
-the dense Gramian that the second-moment recursions of _forward_pencil give.
-Both factor and solve with LAPACK's dpotrf/dpotrs, called directly through
-`_lapack`, which loads scipy's compiled wrapper without importing
-scipy.linalg.  CG starts from p = 0 and measures its residual through the
-Gramian itself, so its convergence test keeps its meaning; one iteration
-reaches rounding level except at the smallest eps, where rounding in the
-preconditioner costs more.  Forward, the first direction, the
-Riccati inverse at -b (b the free terminal state), is the pure feedback
-march of y0 through the closed loop (`_ForwardRiccati.feedback_direction`),
-since with a zero target the LQ optimum has no feedforward; the feedforward
-fold and its drives are built only if CG needs a second iteration.  The
-march also skips the general map's (r - y_M) / eps, which cancels at the
-scale |b| / eps, so on the desk problem one forward iteration suffices down
-to eps = 1e-10, and at most 11 down to eps = 1e-14.  The forward Gramian runs
-on per-level sibling-pair maps (_ForwardDual.gram on the stepper's
-`pair_steps`: each sibling pair is one row of 2N, folded and marched by
-2N-wide products), the stepper's own level steps run on the identity's rows,
-so it is the stencil pair by construction; the backward one is the dense
-matrix its preconditioner factors (_BackwardDual.gram).  So no CG iteration
-sweeps a stencil.  The forward free solution and the backward solve's pair at
-p after CG stay stencil sweeps, and the HUM identity residual pairs them with
-the N x N route, so every report cross-checks it against the stencil.  The
+down the tree, its closed loop marched up); backward, a Cholesky factor
+(LAPACK dpotrf, through `_lapack`) of the dense Gramian that the
+second-moment recursions of _forward_pencil give.  Every such N x N
+recursion steps down the levels through one lazy loop, `_recursion`.  CG
+starts from p = 0 and measures its residual through the Gramian itself, so
+its convergence test keeps its meaning; one iteration reaches rounding level
+except at the smallest eps, where rounding in the preconditioner costs more.
+Forward, the first direction, the Riccati inverse at -b (b the free terminal
+state), is the pure feedback march of y0 through the closed loop
+(`_ForwardRiccati.feedback_direction`), since with a zero target the LQ
+optimum has no feedforward; the feedforward fold and its drives are built
+only if CG needs a second iteration.  The march also skips the general map's
+(r - y_M) / eps, which cancels at the scale |b| / eps, so on the desk problem
+one forward iteration suffices down to eps = 1e-10, and at most 11 down to
+eps = 1e-14.  The forward Gramian runs on the stepper's per-level sibling-pair
+maps (_ForwardDual.gram), the backward one is the dense matrix its
+preconditioner factors (_BackwardDual.gram), so no CG iteration sweeps a
+stencil.  The forward free solution and the backward solve's pair at p after
+CG stay stencil sweeps, and the HUM identity residual pairs them with the
+N x N route, so every report cross-checks it against the stencil.  The
 optimal penalized state satisfies  y_opt = -eps * p_opt  (forward target
 y(T)) respectively y_opt(0) = +eps * p_opt  (backward problem), so the
 terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
@@ -442,97 +436,101 @@ class _ForwardRiccati:
         G_g + dt K_u = (I + dt Q_gg)^{-1} (G_g - dt Q_{g,gbar} G_gbar),   B + K_v = (I + Q)^{-1} B,
 
     with Q from two products with the stepper's cached S^{-1} (`inverse_steps`), not
-    symmetrised, as dpotrf reads its upper triangle only.  `gains` takes K_u and K_v back
-    from them on first use.  The set-up forms P_n for n >= 1 only, since level n - 1's Q
-    needs it; P_0, which no application reads, is `p0`, built on first use from level 0's
-    Q and closed loop.  The optimum is the feedback
-    u = K_u y + k_u, v = K_v y + k_v: the closed loop Phi_n = S^{-1}(G + dt 1_{G0} K_u), its
-    noise part Psi_n = S^{-1}(B + K_v), and the feedforward through the drives
-    D_u = -dt S^{-1}_{:g} (I + dt Q_gg)^{-1} S^{-1}_{g:} and D_v = -S^{-1} (I + Q)^{-1} S^{-1}
-    on the conditional mean m and martingale part mu of s_{n+1}.  So an application is
-    N x N maps only: fold s_M = -r/eps down the tree, s_n = Phi_n^T m + dt Psi_n^T mu, then
-    march y_{n+1}^{+/-} = Phi_n y + D_u m +/- sqrt(dt)(Psi_n y + D_v mu) up it.  On a path
-    the noise, K_v, Psi and D_v drop.  Gains are column-form matrices and fields are rows,
-    so a gain K acts as y @ K.T; `loop` holds the row maps Phi_n^T, Psi_n^T, with S^{-1}
-    from `inverse_steps`.  At r = -b, b the free terminal state of some y_0, the target is
-    zero and the optimum is the feedback alone: `feedback_direction` marches y_0 through
-    the loop and needs no drives.
+    symmetrised, as dpotrf reads its upper triangle only.  The set-up steps its levels down
+    from M through `_recursion`, as far as a reader asks (`reach`): a level keeps its factors,
+    loop maps, closed loop and Q, from which `value` forms P_n.  So the loop and P_n at depth
+    d take d levels, bit for bit those of a recursion of depth d on this one's last steps, and
+    a failing level fails the first reader that reaches it; `p0` is P_0, built on first use.
+    The optimum is the feedback u = K_u y + k_u, v = K_v y + k_v: the closed loop
+    Phi_n = S^{-1}(G + dt 1_{G0} K_u), its noise part Psi_n = S^{-1}(B + K_v), and the
+    feedforward through the drives D_u = -dt S^{-1}_{:g} (I + dt Q_gg)^{-1} S^{-1}_{g:} and
+    D_v = -S^{-1} (I + Q)^{-1} S^{-1} on the conditional mean m and martingale part mu of
+    s_{n+1}.  So an application is N x N maps only: fold s_M = -r/eps down the tree,
+    s_n = Phi_n^T m + dt Psi_n^T mu, then march y_{n+1}^{+/-} = Phi_n y + D_u m +/- sqrt(dt)
+    (Psi_n y + D_v mu) up it.  On a path the noise, K_v, Psi and D_v drop.  Gains are
+    column-form matrices and fields are rows, so a gain K acts as y @ K.T; `loop` holds the
+    row maps Phi_n^T, Psi_n^T, with S^{-1} from `inverse_steps`.  At r = -b, b the free
+    terminal state of some y_0, the target is zero and the optimum is the feedback alone:
+    `feedback_direction` marches y_0 through the loop and needs no drives.
     """
 
     def __init__(self, stepper: TreeStepper, eps: float):
         self.st, self.eps = stepper, eps
-        grid, tree, dt = stepper.grid, stepper.tree, stepper.dt
-        g = grid.g0_slice
-        eye, eye_g = np.eye(grid.N), np.eye(g.stop - g.start)
-        p = eye / eps
-        self.factors: list = [None] * tree.M  # per level: Cholesky factors of I + dt Q_gg, I + Q
-        self.loop: list = [None] * tree.M  # per level: Phi_n^T, Psi_n^T (None on a path)
-        self._closed: list = [None] * tree.M  # per level: G + dt 1_{G0} K_u, B + K_v (None on a path)
-        for n in range(tree.M - 1, -1, -1):
-            gt, bt = stepper.general_steps[n]
-            inv = stepper.inverse_steps[n + 1]
-            q = inv @ p @ inv  # not symmetrised: dpotrf reads the upper triangle only
-            closed = gt.T.copy()
-            cu = _cholesky(eye_g + dt * q[g, g], f"I + dt Q_gg of level {n}")
-            q_off = q[g].copy()
-            q_off[:, g] = 0.0  # Q_{g, gbar}, so q_off @ G = Q_{g, gbar} G_gbar
-            closed[g] = _cho_solve(cu, closed[g] - dt * (q_off @ closed))
-            cv = bkv = psi = None
-            if tree.branching:
-                cv = _cholesky(eye + q, f"I + Q of level {n}")
-                bkv = _cho_solve(cv, bt.T)
-                psi = bkv.T @ inv
-            self.factors[n] = (cu, cv)
-            self.loop[n] = (closed.T @ inv, psi)
-            self._closed[n] = (closed, bkv)
-            if n > 0:
-                p = self._riccati_p(n, q)
-        self._q0 = q
+        m, g = stepper.tree.M, stepper.grid.g0_slice
+        self._eyes = np.eye(stepper.grid.N), np.eye(g.stop - g.start)
+        self.factors: list = [None] * m  # per level: Cholesky factors of I + dt Q_gg, I + Q
+        self.loop: list = [None] * m  # per level: Phi_n^T, Psi_n^T (None on a path)
+        self._closed: list = [None] * m  # per level: G + dt 1_{G0} K_u, B + K_v (None on a path), Q
+        self._low = m  # the lowest level stepped
 
-    def _riccati_p(self, n: int, q) -> np.ndarray:
-        """P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v) from level n's Q and its
-        column-form G + dt 1_{G0} K_u and B + K_v (`_closed`)."""
+    def _step(self, n: int, _) -> None:
+        """Level n: its factors, loop maps and closed loop, from P_{n+1} (P_M = I/eps)."""
+        st, dt, g = self.st, self.st.dt, self.st.grid.g0_slice
+        eye, eye_g = self._eyes
+        p = eye / self.eps if n == st.tree.M - 1 else self.value(n + 1)
+        gt, bt = st.general_steps[n]
+        inv = st.inverse_steps[n + 1]
+        q = inv @ p @ inv  # not symmetrised: dpotrf reads the upper triangle only
+        closed = gt.T.copy()
+        cu = _cholesky(eye_g + dt * q[g, g], f"I + dt Q_gg of level {n}")
+        q_off = q[g].copy()
+        q_off[:, g] = 0.0  # Q_{g, gbar}, so q_off @ G = Q_{g, gbar} G_gbar
+        closed[g] = _cho_solve(cu, closed[g] - dt * (q_off @ closed))
+        cv = bkv = psi = None
+        if st.tree.branching:
+            cv = _cholesky(eye + q, f"I + Q of level {n}")
+            bkv = _cho_solve(cv, bt.T)
+            psi = bkv.T @ inv
+        self.factors[n], self.loop[n], self._closed[n] = (cu, cv), (closed.T @ inv, psi), (closed, bkv, q)
+
+    def reach(self, n: int) -> None:
+        """Step the recursion down to level n, if it has not got there, by a fresh `_recursion`: one
+        kept on this object would hold the object through its step, a cycle only gc frees."""
+        if self.loop[n] is None:
+            next(_recursion(self._low, self._step, None, [self._low - n]))
+            self._low = n
+
+    def value(self, n: int) -> np.ndarray:
+        """P_n = G^T Q (G + dt 1_{G0} K_u) + dt B^T Q (B + K_v) from level n's Q and closed loop,
+        stepping down to level n first: from y_n at r = 0 the minimal cost is 1/2 y_n^T P_n y_n."""
+        self.reach(n)
         gt, bt = self.st.general_steps[n]
-        closed, bkv = self._closed[n]
+        closed, bkv, q = self._closed[n]
         p = gt @ q @ closed
         if bkv is not None:
             p += self.st.dt * (bt @ q @ bkv)
         return 0.5 * (p + p.T)
 
-    @cached_property
-    def p0(self) -> np.ndarray:
-        """P_0, built on first use: from y_0 and r = 0 the minimal cost is 1/2 y_0^T P_0 y_0."""
-        return self._riccati_p(0, self._q0)
+    p0 = cached_property(lambda self: self.value(0))  # P_0, built on first use
 
-    @cached_property
-    def gains(self) -> list:
-        """Per level: K_u = (closed_g - G_g) / dt and K_v = (B + K_v) - B (None on a path),
-        built on first use."""
-        g, dt = self.st.grid.g0_slice, self.st.dt
-        return [((closed[g] - gt.T[g]) / dt, None if bkv is None else bkv - bt.T)
-                for (gt, bt), (closed, bkv) in zip(self.st.general_steps, self._closed)]
+    def gains(self, n: int) -> tuple:
+        """Level n's K_u = (closed_g - G_g) / dt and K_v = (B + K_v) - B (None on a path)."""
+        self.reach(n)
+        g, (gt, bt), (closed, bkv, _) = self.st.grid.g0_slice, self.st.general_steps[n], self._closed[n]
+        return (closed[g] - gt.T[g]) / self.st.dt, None if bkv is None else bkv - bt.T
 
     @cached_property
     def drives(self) -> list:
         """Per level: the row maps D_u^T, D_v^T (None on a path), built by the first application."""
         st, g = self.st, self.st.grid.g0_slice
-        out = []
-        for n, (cu, cv) in enumerate(self.factors):
-            inv = st.inverse_steps[n + 1]
-            out.append((-st.dt * inv[:, g] @ _cho_solve(cu, inv[g]),
-                        None if cv is None else -inv @ _cho_solve(cv, inv)))
-        return out
+        return [(-st.dt * inv[:, g] @ _cho_solve(cu, inv[g]),
+                 None if cv is None else -inv @ _cho_solve(cv, inv))
+                for inv, (cu, cv) in zip(st.inverse_steps[1:], self.factors)]
 
-    def feedback_costs(self, y0):
+    def feedback_costs(self, y0, depths=None):
         """hum_forward's (control cost, terminal norm) from y0, with no tree: at r = 0 the optimum
         is the feedback u = K_u y, v = K_v y, so both are `_moment_forms` of the closed loop
-        Phi_n, Psi_n with source K_u^T K_u + K_v^T K_v."""
+        Phi_n, Psi_n with source K_u^T K_u + K_v^T K_v.  With `depths`, an iterator of the pair
+        at each depth, the recursions' of that depth on this one's last steps: the moment
+        recursion steps the Riccati's levels as it reaches them."""
         def level(n):
-            ku, kv = self.gains[n]
+            ku, kv = self.gains(n)
             return (*self.loop[n], ku.T @ ku + (0.0 if kv is None else kv.T @ kv))
 
-        terminal, cost = _moment_forms(self.st, level)
-        return self.st.grid.inner(y0, cost @ y0), self.st.grid.inner(y0, terminal @ y0)
+        inner = self.st.grid.inner
+        pairs = ((inner(y0, cost @ y0), inner(y0, terminal @ y0))
+                 for terminal, cost in _moment_forms(self.st, level, depths or [self.st.tree.M]))
+        return pairs if depths else next(pairs)
 
     def feedback_direction(self, y0):
         """This map at -b, b the free terminal state of y0, from the closed loop alone.
@@ -543,6 +541,7 @@ class _ForwardRiccati:
         (-b - y_M) / eps = -y^cl_M / eps.  No drive is built and no feedforward folded.
         """
         tree = self.st.tree
+        self.reach(0)
         y = _finite(np.asarray(y0, dtype=float).reshape(1, self.st.grid.N),
                     f"the Riccati preconditioner's initial state at eps = {self.eps:g}")
         for phit, psit in self.loop:
@@ -551,6 +550,7 @@ class _ForwardRiccati:
 
     def __call__(self, r):
         tree, dt = self.st.tree, self.st.dt
+        self.reach(0)
         s = -_finite(r, f"the Riccati preconditioner's data at eps = {self.eps:g}") / self.eps
         drive: list = [None] * tree.M
         for n in range(tree.M - 1, -1, -1):  # on a path: no noise, no split
@@ -643,6 +643,16 @@ class _BackwardDual:
         return self.obs @ p, None
 
 
+def _recursion(m: int, step, state, depths):
+    """The one top-down loop of the N x N recursions: state = step(n, state) for n = m - 1, m - 2,
+    ..., yielding the state after each of `depths` (non-decreasing, at most m) steps, and stepping
+    no further than asked, so a failing step raises for the first depth that reaches it."""
+    for done, depth in zip([0, *depths], depths):
+        for n in range(m - done - 1, m - depth - 1, -1):
+            state = step(n, state)
+        yield state
+
+
 def _moment_forms(stepper: TreeStepper, level, depths=None):
     """Matrices of y_0 -> E|y_M|^2 and y_0 -> E sum_n dt y_n^T S_n y_n, with no tree.
 
@@ -653,22 +663,21 @@ def _moment_forms(stepper: TreeStepper, level, depths=None):
       O_n = Phi_n^T O_{n+1} Phi_n + dt Psi_n^T O_{n+1} Psi_n + dt S_n,  O_M = 0.
 
     With `depths` (non-decreasing, at most M), an iterator instead of the pair after that many
-    steps down from level M, bit for bit a recursion of that depth on this one's last steps; it
-    steps only as far as the pair asked for, so a failing step raises for the first depth it fails.
+    steps down from level M (`_recursion`), bit for bit a recursion of that depth on this one's
+    last steps.
     """
-    def run(depths):
-        forms = np.stack([np.eye(stepper.grid.N), np.zeros((stepper.grid.N,) * 2)])  # (X_M, O_M)
-        for done, depth in zip([0, *depths], depths):
-            for n in range(stepper.tree.M - done - 1, stepper.tree.M - depth - 1, -1):
-                phit, psit, source = level(n)
-                step = phit @ forms @ phit.T
-                if psit is not None:
-                    step += stepper.dt * (psit @ forms @ psit.T)
-                step[1] += stepper.dt * source
-                forms = step
-            yield 0.5 * (forms[0] + forms[0].T), 0.5 * (forms[1] + forms[1].T)
+    def step(n, forms):
+        phit, psit, source = level(n)
+        out = phit @ forms @ phit.T
+        if psit is not None:
+            out += stepper.dt * (psit @ forms @ psit.T)
+        out[1] += stepper.dt * source
+        return out
 
-    return run(depths) if depths else next(run([stepper.tree.M]))
+    start = np.stack([np.eye(stepper.grid.N), np.zeros((stepper.grid.N,) * 2)])  # (X_M, O_M)
+    pairs = ((0.5 * (f[0] + f[0].T), 0.5 * (f[1] + f[1].T))
+             for f in _recursion(stepper.tree.M, step, start, depths or [stepper.tree.M]))
+    return pairs if depths else next(pairs)
 
 
 def _forward_pencil(stepper: TreeStepper, depths=None):

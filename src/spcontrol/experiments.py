@@ -18,8 +18,8 @@ problem's tracking LQ problem (`control._ForwardRiccati`), at eps = h^2
 recursion on that problem's feedback loop.  So no cost_scaling_sweep row
 sweeps the tree, runs CG or allocates a per-node field, and none is clipped.
 Rows of one dt = T / M whose coefficients do not depend on t repeat one step,
-so a shorter forward row's recursion is the first steps of a longer row's:
-such a row reads its pencil off the longest one's recursion at its own depth.
+so a shorter row's recursions are a longer row's last steps: a row of any kind
+reads its value off the longest such row's recursions at its own depth.
 
 All randomness flows from an explicit seed; every sweep row's value is the one
 it takes alone, deterministic given that seed.
@@ -169,16 +169,19 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     when m_per_time * T is a whole number >= 2, near it otherwise): every row comes from
     N x N recursions, so no row is clipped.  A row runs on a single-branch path (the
     collapsed column) when its recursion is noise-free: a forward observability row when
-    a2 = 0, every other row (backward observability, control cost) when a2 = b2 = 0.  A
-    forward observability row whose steps are bit for bit the last steps of a longer row's
-    (equal dt, branching and `spde.step_keys`) builds no stepper and reads its pencil off
-    the longest such row's recursion.  Control-cost rows are hum_forward's cost of
-    steering sin(pi x / L) at eps = h^2, in the forward direction only.  `epsilon` is the
-    rows' penalty (None for forward observability).  An unknown name, a control-cost sweep
-    in the backward direction, a T or m_per_time that is not positive and finite, fewer
-    than 4 distinct T values or, for observability, iters < MIN_POWER_ITERS is a
-    ValueError before any row runs.  Rows run in sorted-T order; a row failure aborts the
-    sweep with the completed rows attached to the raised SweepError.
+    a2 = 0, every other row (backward observability, control cost) when a2 = b2 = 0.
+    Control-cost rows are hum_forward's cost of steering sin(pi x / L) at eps = h^2, in the
+    forward direction only.  Each row's host is the longest row whose last steps are bit
+    for bit the row's steps (equal dt, branching and `spde.step_keys`), often itself; one
+    recursion on the host's stepper gives each of its rows' values at the row's depth: the
+    forward pencil, P_n (`control._ForwardRiccati.value`) with the identity, or the
+    Riccati's `feedback_costs`.  It steps as deep as its rows ask, so a failing level fails
+    the first row that reaches it.  `epsilon` is the rows' penalty (None for forward
+    observability).  An unknown name, a control-cost sweep in the backward direction, a T
+    or m_per_time that is not positive and finite, fewer than 4 distinct T values or, for
+    observability, iters < MIN_POWER_ITERS is a ValueError before any row runs.  Rows run
+    in sorted-T order; a row failure aborts the sweep with the completed rows attached to
+    the raised SweepError.
     """
     if quantity not in ("observability", "control_cost"):
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -212,26 +215,29 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     # a row's host: the last, so longest, row whose last steps are bit for bit the row's steps
     host = [max(j for j, b in enumerate(keys) if j == i or j > i and a and b and a[:2] == b[:2]
                 and b[2][-len(a[2]):] == a[2]) for i, a in enumerate(keys)]
-    rows, pencils = [], {}  # pencils: host row -> its recursion's pencils at its rows' depths
+
+    def values(st, depths):
+        """The values of the rows at `depths`, off one recursion on their host's stepper."""
+        if forward_obs:
+            return (_estimate(pencil, iters, seed, direction).c_obs for pencil in _forward_pencil(st, depths))
+        ric = _ForwardRiccati(st, epsilon)
+        if observability:
+            return (_estimate((ric.value(st.tree.M - d), np.eye(grid.N)), iters, seed, direction).c_obs
+                    for d in depths)
+        return (cost for cost, _ in ric.feedback_costs(np.sin(np.pi * grid.x / grid.L), depths))
+
+    rows, hosted = [], {}  # hosted: host row -> the values of the rows it hosts, in order
     for i, T in enumerate(t_values):
         try:
             if isinstance(plans[i], Exception):
                 raise plans[i]
             tree, tab = plans[i]
-            if forward_obs:
-                if (j := host[i]) not in pencils:  # i is the first row j hosts
-                    pencils[j] = _forward_pencil(TreeStepper(grid, *plans[j]),
-                                                 [p[0].M for p, h in zip(plans, host) if h == j])
-                value = _estimate(next(pencils[j]), iters, seed, direction).c_obs
-                expo = m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf)
-            else:
-                if observability:  # the sampled tables stand in for the coefficients
-                    value = observability_constant(grid, tree, tab, direction=direction,
-                                                   iters=iters, seed=seed).c_obs
-                else:
-                    st = TreeStepper(grid, tree, tab)
-                    value = _ForwardRiccati(st, epsilon).feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
-                expo = k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf)
+            if (j := host[i]) not in hosted:  # i is the first row j hosts
+                depths = [p[0].M for p, h in zip(plans, host) if h == j]
+                hosted[j] = values(TreeStepper(grid, *plans[j]), depths)
+            value = next(hosted[j])
+            expo = (m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf) if forward_obs else
+                    k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf))
             rows.append({"T": T, "M": tree.M, "collapsed": not tree.branching,
                          "value": value, "exponent": expo})
         except Exception as exc:  # noqa: BLE001 - partial table must survive
@@ -266,8 +272,7 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
     tree.n_nodes(tree.M)  # a tree too deep to sweep is bad input, not a failed row
     st = TreeStepper(grid, tree, coeffs)
     y0 = np.asarray(y0, dtype=float)
-    free = None
-    rows = []
+    free, rows = None, []
     for eps in eps_values:
         try:
             if free is None:

@@ -203,13 +203,13 @@ class _StepperBase:
     """Shared per-level factorization of S_n = I - dt*E(t_n).
 
     (E u)_i = [a_{i+1/2}(u_{i+1} - u_i) - a_{i-1/2}(u_i - u_{i-1})] / h^2, zero Dirichlet
-    closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf, from
-    `_lapack`, which loads scipy's compiled wrapper without importing scipy.linalg).
-    dpttrs solves every row by the same loop, so no row depends on how many come with it.
-    Every per-step build (this factor, `TreeStepper.general_steps`, `inverse_steps`,
+    closure: S_n is SPD tridiagonal for a > 0, kept as its LDL^T factor (LAPACK dpttrf, through
+    `_lapack`).  dpttrs solves every row by the same loop, so no row depends on how many come
+    with it.  Every per-step build (this factor, `TreeStepper.general_steps`, `inverse_steps`,
     `pair_steps`, the forward pencil's maps) runs once for each distinct step and is shared
     by the steps whose coefficient bytes repeat it (`first_step`): with coefficients that do
-    not depend on t, once in all.  The build is the one that step would make alone, so no result moves a bit.
+    not depend on t, once in all.  The build is the one that step would make alone, so no
+    result moves a bit.
     """
 
     def __init__(self, grid: SpatialGrid, times: np.ndarray, dt: float, coeffs):
@@ -339,11 +339,8 @@ class TreeStepper(_StepperBase):
     @cached_property
     def general_steps(self) -> list:
         """Per level n: (G^T, B^T) = (I + dt A_n^T, B_n^T), the general `increments` of the
-        identity's rows.
-
-        They do not depend on the data, so every Riccati set-up on this stepper
-        (one per eps of a sweep) shares one build, and bit-identical steps share one entry.
-        """
+        identity's rows, shared by every Riccati set-up on this stepper (one per eps of a sweep)
+        and, like every per-step build, by bit-identical steps."""
         eye = np.eye(self.grid.N)
         return self._each_step(lambda n: self.increments(n, "general", eye))
 
@@ -381,9 +378,9 @@ class TreeStepper(_StepperBase):
         return self._each_step(step)
 
     def forward(self, y0, u=None, v=None, drift_src=None, drift_div=None,
-                mode: str = "general") -> ForwardSolution:
-        """March level 0 -> M by `step_up` with mode's pair (A, B) under the controls (u, v) and
-        sources (drift_src, weak_div(drift_div)), which adjoint_1_5 mode does not take."""
+                mode: str = "general", top: int | None = None) -> ForwardSolution:
+        """March level 0 -> top (None: M) by `step_up` with mode's pair (A, B) under the controls
+        (u, v) and sources (drift_src, weak_div(drift_div)), which adjoint_1_5 mode does not take."""
         if mode not in _PAIRS:
             raise ValueError(f"unknown forward mode {mode!r}")
         sources = {"u": u, "v": v, "src": drift_src, "div": drift_div}
@@ -395,7 +392,7 @@ class TreeStepper(_StepperBase):
             raise NumericsError("non-finite initial state")
         tree.n_nodes(tree.M)  # refuses a tree past the depth cap
         levels = [y0.copy()]
-        for n in range(tree.M):
+        for n in range(tree.M if top is None else top):
             levels.append(self.step_up(n, mode, levels[n], **_at(n, sources)))
         return ForwardSolution(y=AdaptedField(levels))
 
@@ -454,30 +451,19 @@ def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:
     t_v = 0.0 if v is None else qt_integral(tree, grid, [v[n] * bwd.Z[n] for n in range(tree.M)])
     gap = abs(t_terminal - t_initial - t_u - t_v)
     scale = abs(t_terminal) + abs(t_initial) + abs(t_u) + abs(t_v)
-    if scale == 0.0:
-        return 0.0
-    return gap / scale
+    return gap / scale if scale else 0.0
 
 
 def forward_state_matrix(stepper: TreeStepper) -> np.ndarray:
     """Dense matrix of y0 -> y(T) (leaf-flattened rows), homogeneous problem."""
-    grid, tree = stepper.grid, stepper.tree
-    leaf_dim = tree.n_nodes(tree.M) * grid.N
-    out = np.empty((leaf_dim, grid.N))
-    for j in range(grid.N):
-        e = np.zeros(grid.N)
-        e[j] = 1.0
-        out[:, j] = stepper.forward(e).y[tree.M].ravel()
-    return out
+    return np.stack([stepper.forward(e).y[stepper.tree.M].ravel() for e in np.eye(stepper.grid.N)], axis=1)
 
 
 def backward_state_matrix(stepper: TreeStepper) -> np.ndarray:
     """Dense matrix of zT -> z(0) for the adjoint backward solver."""
-    grid, tree = stepper.grid, stepper.tree
-    n_leaves = tree.n_nodes(tree.M)
-    out = np.empty((grid.N, n_leaves * grid.N))
-    zT = np.zeros((n_leaves, grid.N))
-    for k in range(n_leaves * grid.N):
+    zT = np.zeros((stepper.tree.n_nodes(stepper.tree.M), stepper.grid.N))
+    out = np.empty((stepper.grid.N, zT.size))
+    for k in range(zT.size):
         zT.ravel()[k] = 1.0
         out[:, k] = stepper.backward(zT, mode="adjoint_1_3").z[0][0]
         zT.ravel()[k] = 0.0

@@ -464,6 +464,31 @@ def test_sources_ratio_solves_only_sibling_means_above_its_quadrature_levels(gri
         assert rows == [1] * (path.M - 1 - exclude)  # levels 7 .. 1 + exclude
 
 
+def test_forward_ratio_marches_only_to_its_top_quadrature_level(grid32, tree8, full_coeffs, monkeypatch):
+    # M = 8: the march solves 2^n rows into level n, and a ratio reads levels 1 + exclude ..
+    # 7 - exclude only, so it stops there (a march to M solves 510 rows)
+    st = TreeStepper(grid32, tree8, full_coeffs)
+    w = eval_weights(build_psi(grid32), 10.0 * lambda_threshold_forward(tree8.T), 1.0, tree8)
+    rng = np.random.default_rng(26)
+    z0 = rng.standard_normal(grid32.N)
+    f1, f2 = (AdaptedField.random(tree8, grid32.N, rng, n_levels=tree8.M) for _ in range(2))
+
+    def ratio(exclude, **kwargs):
+        return lambda: carleman_ratio_forward(grid32, tree8, full_coeffs, w, z0, exclude=exclude,
+                                              stepper=st, **kwargs)
+
+    assert _rows_solved(monkeypatch, ratio(1, mode="adjoint_1_5")) == [2, 4, 8, 16, 32, 64]
+    assert sum(_rows_solved(monkeypatch, ratio(1, f1=f1, f2=f2))) == 126
+    assert sum(_rows_solved(monkeypatch, ratio(0, f1=f1))) == 254
+    assert sum(_rows_solved(monkeypatch, ratio(2, mode="adjoint_1_5"))) == 62
+    assert sum(_rows_solved(monkeypatch, lambda: st.forward(z0, mode="adjoint_1_5"))) == 510
+    path = build_path(8, 1.0)
+    pst = TreeStepper(grid32, path, full_coeffs)
+    rows = _rows_solved(monkeypatch, lambda: carleman_ratio_forward(
+        grid32, path, full_coeffs, w, z0, mode="adjoint_1_5", exclude=2, stepper=pst))
+    assert rows == [1] * 5  # levels 1 .. 5
+
+
 @pytest.mark.parametrize("exclude", [0, 1])
 @pytest.mark.parametrize("tree", [build_tree(8, 1.0), build_path(8, 1.0)], ids=["tree", "path"])
 def test_generic_fold_sources_match_their_zero_filled_spelling(grid32, tree, full_coeffs, exclude):

@@ -324,6 +324,20 @@ def test_carleman_check_solves_each_instance_once(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+def test_carleman_check_names_a_lambda_below_1_before_any_solve(tmp_path, capsys, monkeypatch):
+    # demos/desk.ini at T = 0.1 has lambda_threshold 0.748906: the multiple 1 gives lambda < 1
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a backward fold ran")
+
+    monkeypatch.setattr(TreeStepper, "fold", no_fold)
+    desk = Path(__file__).resolve().parents[1] / "demos" / "desk.ini"
+    cfg_path = write(tmp_path, desk.read_text().replace("T = 1.0", "T = 0.1"))
+    assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: [carleman] lambda_multiples: 1 x lambda_threshold 0.748906 "
+                                       "is below 1; raise the multiple or [carleman] c0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _table(path, *columns):
     """The named CSV columns as floats, one row per data line."""
     lines = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]

@@ -474,7 +474,8 @@ def test_riccati_matches_scipy_cholesky_reference(lq_setup, eps):
     ric = _ForwardRiccati(lq_setup, eps)
     p0, gains = _reference_riccati(lq_setup, eps)
     assert np.array_equal(ric.p0, p0)
-    for (ku, kv), (ku_ref, kv_ref) in zip(ric.gains, gains):
+    for n, (ku_ref, kv_ref) in enumerate(gains):
+        ku, kv = ric.gains(n)
         assert np.array_equal(ku, ku_ref)
         assert (kv is None and kv_ref is None) or np.array_equal(kv, kv_ref)
 
@@ -693,7 +694,9 @@ def test_riccati_loop_matches_a_60_digit_recursion(eps, phi_bound, psi_bound):
     coeffs = ProblemCoefficients(a=0.15, a1=1.0, a2=0.5, b1=lambda t, x: 0.5 * np.sin(np.pi * x), b2=0.5)
     st = TreeStepper(grid, build_tree(4, 1.0), coeffs)
     ref = _mp_loop(st, eps)
-    loop = _ForwardRiccati(st, eps).loop
+    ric = _ForwardRiccati(st, eps)
+    ric.reach(0)
+    loop = ric.loop
     for k, bound in ((0, phi_bound), (1, psi_bound)):
         error = max(np.max(np.abs(a[k] - b[k])) / np.max(np.abs(b[k])) for a, b in zip(loop, ref))
         assert error <= bound, (k, error)
@@ -841,10 +844,10 @@ def test_one_iteration_forward_solve_builds_neither_p0_nor_drives(lq_setup, full
     P_0 read afterwards is the reference recursion's, bit for bit."""
     st, eps = lq_setup, 1e-2
     made, p0_builds = [], []
-    init, riccati_p = _ForwardRiccati.__init__, _ForwardRiccati._riccati_p
+    init, value = _ForwardRiccati.__init__, _ForwardRiccati.value
     monkeypatch.setattr(_ForwardRiccati, "__init__", lambda self, *args: made.append(self) or init(self, *args))
-    monkeypatch.setattr(_ForwardRiccati, "_riccati_p",
-                        lambda self, n, *args: (n == 0 and p0_builds.append(n)) or riccati_p(self, n, *args))
+    monkeypatch.setattr(_ForwardRiccati, "value",
+                        lambda self, n: (n == 0 and p0_builds.append(n)) or value(self, n))
     res = hum_forward(st.grid, st.tree, full_coeffs, np.sin(np.pi * st.grid.x),
                       HumConfig(epsilon=eps, cg_tol=1e-10), stepper=st)
     assert res.report.cg_iterations == 1 and len(made) == 1

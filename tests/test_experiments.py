@@ -306,33 +306,78 @@ def _desk_problem(t_dependent: bool):
     return grid, coeffs
 
 
-@pytest.mark.parametrize("t_dependent", [False, True], ids=["desk", "t-dependent"])
+# every sweep row kind, on the desk coefficients and with a1 = 1 + t / 2; a forward
+# observability row's id names only the coefficients
+_ROW_KINDS = [pytest.param(quantity, direction, t_dependent,
+                           id=("t-dependent" if t_dependent else "desk") + kind)
+              for quantity, direction, kind in (("observability", "forward_1_5", ""),
+                                                ("observability", "backward_1_3", "-backward_1_3"),
+                                                ("control_cost", "forward_1_5", "-control_cost"))
+              for t_dependent in (False, True)]
+
+
+def _alone(grid, coeffs, quantity, direction, T, m_per_time, iters, seed):
+    """The value of a sweep row run alone, on its own tree."""
+    tree = build_tree(max(2, round(m_per_time * T)), T)
+    if quantity == "observability":
+        return observability_constant(grid, tree, coeffs, direction=direction, iters=iters, seed=seed).c_obs
+    ric = _ForwardRiccati(TreeStepper(grid, tree, coeffs), grid.h ** 2)
+    return ric.feedback_costs(np.sin(np.pi * grid.x / grid.L))[0]
+
+
+@pytest.mark.parametrize("quantity,direction,t_dependent", _ROW_KINDS)
 @pytest.mark.parametrize("m_per_time", [6.0, 8.0, 32.0])
-def test_scaling_sweep_forward_rows_are_their_own_observability_constants(t_dependent, m_per_time):
-    """Forward rows read off a longer row's recursion are bit for bit the row on its own tree."""
+def test_scaling_sweep_forward_rows_are_their_own_observability_constants(quantity, direction, t_dependent,
+                                                                         m_per_time):
+    """Rows of every kind read off a longer row's recursion are bit for bit the row on its own
+    tree: `observability_constant` in either direction, or the control cost of its own Riccati."""
     grid, coeffs = _desk_problem(t_dependent)
     t_values = [0.25, 0.5, 1.0, 2.0]
-    table = cost_scaling_sweep(coeffs, grid, t_values, m_per_time=m_per_time, iters=12, seed=4)
-    alone = [observability_constant(grid, build_tree(max(2, round(m_per_time * T)), T), coeffs,
-                                    iters=12, seed=4).c_obs for T in t_values]
+    table = cost_scaling_sweep(coeffs, grid, t_values, quantity=quantity, direction=direction,
+                               m_per_time=m_per_time, iters=12, seed=4)
+    alone = [_alone(grid, coeffs, quantity, direction, T, m_per_time, 12, 4) for T in t_values]
     assert [r["value"] for r in table.rows] == alone
 
 
-@pytest.mark.parametrize("t_dependent,steppers,levels", [(False, 1, 64), (True, 4, 120)],
-                         ids=["desk", "t-dependent"])
-def test_scaling_sweep_forward_rows_share_one_recursion(monkeypatch, t_dependent, steppers, levels):
+@pytest.mark.parametrize("quantity,direction,t_dependent", _ROW_KINDS)
+def test_scaling_sweep_forward_rows_share_one_recursion(monkeypatch, quantity, direction, t_dependent):
     """Desk rows T = 0.25, 0.5, 1, 2 at m_per_time = 32 (M = 8, 16, 32, 64, one dt) build one
     stepper and step one 64-level recursion, where one per row took four and 120 levels; with a
-    coefficient that depends on t no row's steps repeat another's, so nothing is shared."""
-    made, stepped = [], []
-    stepper, moment_forms = experiments.TreeStepper, control._moment_forms
+    coefficient that depends on t no row's steps repeat another's, so nothing is shared.  The
+    recursion is the forward rows' moment recursion and the other rows' Riccati set-up; a
+    control-cost row's moment recursion steps the same levels of the Riccati's loop."""
+    made, moments, riccati = [], [], []
+    stepper, moment_forms, step = experiments.TreeStepper, control._moment_forms, _ForwardRiccati._step
     monkeypatch.setattr(experiments, "TreeStepper", lambda *args: made.append(args) or stepper(*args))
     monkeypatch.setattr(control, "_moment_forms", lambda st, level, depths=None: moment_forms(
-        st, lambda n: stepped.append(n) or level(n), depths))
+        st, lambda n: moments.append(n) or level(n), depths))
+    monkeypatch.setattr(_ForwardRiccati, "_step", lambda self, n, q: riccati.append(n) or step(self, n, q))
     grid, coeffs = _desk_problem(t_dependent)
-    table = cost_scaling_sweep(coeffs, grid, [0.25, 0.5, 1.0, 2.0], m_per_time=32.0, iters=5)
+    table = cost_scaling_sweep(coeffs, grid, [0.25, 0.5, 1.0, 2.0], quantity=quantity, direction=direction,
+                               m_per_time=32.0, iters=5)
     assert [r["M"] for r in table.rows] == [8, 16, 32, 64]
-    assert (len(made), len(stepped)) == (steppers, levels)
+    steppers, levels = (4, 120) if t_dependent else (1, 64)
+    assert len(made) == steppers
+    assert len(moments) == (0 if direction == "backward_1_3" else levels)
+    assert len(riccati) == (0 if quantity == "observability" and direction == "forward_1_5" else levels)
+
+
+def test_backward_sweep_fails_only_the_rows_that_reach_a_failing_level(monkeypatch):
+    """The Riccati set-up steps only as far as its rows ask: with level 31 of the host (M = 64)
+    made to fail, the rows M = 8, 16 and 32 (levels 32 .. 63) complete and M = 64 fails."""
+    cholesky = control._cholesky
+
+    def failing(matrix, what):
+        if int(what.rsplit(" ", 1)[1]) < 32:
+            raise NumericsError(f"{what} made to fail")
+        return cholesky(matrix, what)
+
+    monkeypatch.setattr(control, "_cholesky", failing)
+    grid, coeffs = _desk_problem(False)
+    with pytest.raises(SweepError, match="T = 2.0 failed: I [+] dt Q_gg of level 31 made to fail") as err:
+        cost_scaling_sweep(coeffs, grid, [0.25, 0.5, 1.0, 2.0], direction="backward_1_3",
+                           m_per_time=32.0, iters=5)
+    assert [r["M"] for r in err.value.partial] == [8, 16, 32]
 
 
 @pytest.mark.parametrize("t_values", [[0.5, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]],
