@@ -20,6 +20,7 @@ batches are independent and safe to run concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,17 +383,20 @@ def _quad_levels(tree: ScenarioTree, exclude: int) -> range:
     return range(lo, hi + 1)
 
 
-def _ratio(grid, tree, weights, sums, sources, levels, mu) -> CarlemanRatio:
-    """The weighted inequality shared by both estimates.
+def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backward: bool):
+    """The weighted inequality shared by both estimates, for one weight set (a CarlemanRatio) or
+    each of a sequence of them (a list), on the fields of `per_level`:
 
     lhs  = lam^3 mu^4 I[th^2 phi^3 z^2] + lam mu^2 I[th^2 phi |grad z|^2]
     rhs  = lam^3 mu^4 I_{G0}[th^2 phi^3 z^2] + sum of factor * I[th^2 phi^power F^2]
 
-    from `sums`, the per-level node sums of `_node_sums`: z's, grad z's, then one per source
-    of `sources`, a sequence of (name, power) whose factor is 1 at power 0 and lam^2 mu^2 at
-    power 2; an absent source (sums None) has term 0.  The forward estimate passes mu = 1.
+    per_level yields (n, (z, F, ...)) for each quadrature level n, the sources F in the order of
+    `sources`, a sequence of (name, power) whose factor is 1 at power 0 and lam^2 mu^2 at power 2;
+    an absent source (None) has term 0.  The backward estimate reads mu from each set; the forward
+    one freezes mu in the weight, so its prefactors take mu = 1.
 
-    Every term is a sum of per-level node sums,
+    Each level is reduced to its node sums as it comes, z's, grad z's and each source's, whatever
+    the number of sets, and every term is a sum of them,
 
         I[th^2 phi^p F^2] = sum_n dt 2^-n h <w_n^p, sum over the nodes of F_n^2>,
 
@@ -401,61 +405,60 @@ def _ratio(grid, tree, weights, sums, sources, levels, mu) -> CarlemanRatio:
     product (the state and observation terms share z's sums), and the G0 mask zeroes
     entries of the weight rows.
     """
-    shift = weights.max_log_theta2(levels)
-    rows = slice(weights.row(levels[0]), weights.row(levels[-1]) + 1)
-    two_l = 2.0 * weights.l[rows]
-    quad = np.array([tree.dt * tree.node_weight(n) * grid.h for n in levels])[:, None]
-    tables = {}  # power -> weight rows, built once however many terms use them
-
-    def weight(power):
-        if power not in tables:  # exp(2l + power*log_phi - shift) * quad, in place
-            w = np.multiply(power, weights.log_phi[rows])
-            w += two_l
-            w -= shift
-            tables[power] = np.multiply(np.exp(w, out=w), quad, out=w)
-        return tables[power]
-
-    lam = weights.lam
-    lam3mu4 = lam ** 3 * mu ** 4
-    z_sums, grad_sums, *f_sums = sums
-    lhs_terms = {
-        "state": lam3mu4 * float(np.vdot(weight(3.0), z_sums)),
-        "gradient": lam * mu * mu * float(np.vdot(weight(1.0), grad_sums)),
-    }
-    rhs_terms = {"observation": lam3mu4 * float(np.vdot(weight(3.0) * grid.g0_mask, z_sums))}
-    for (name, power), f in zip(sources, f_sums, strict=True):
-        factor = lam * lam * mu * mu if power else 1.0
-        rhs_terms[name] = 0.0 if f is None else factor * float(np.vdot(weight(power), f))
-    lhs = sum(lhs_terms.values())
-    rhs = sum(rhs_terms.values())
-    if rhs == 0.0:
-        if lhs > 0.0:
-            raise NumericsError("Carleman rhs vanished while lhs is positive")
-        lhs = rhs = ratio = 0.0
-    else:
-        ratio = lhs / rhs
-    return CarlemanRatio(lhs=lhs, lhs_terms=lhs_terms, rhs=rhs, rhs_terms=rhs_terms,
-                         ratio=ratio, log_shift=shift)
-
-
-def _node_sums(grid, n_rows: int, per_level) -> list:
-    """Node sums of z, grad z, then each source F, one (n_rows, N) array a field (None for an absent
-    source): for each (row, (z, F, ...)) from `per_level`, its row sums a level's nodes' squares."""
+    grid, tree, single = st.grid, st.tree, isinstance(weights, CarlemanWeightSet)
     sums = []
-    for row, fields in per_level:
+    for n, fields in per_level:
         fields = (fields[0], gradient(grid, fields[0]), *fields[1:])
-        sums = sums or [None if f is None else np.empty((n_rows, grid.N)) for f in fields]
+        sums = sums or [None if f is None else np.empty((len(levels), grid.N)) for f in fields]
         for out, field in zip(sums, fields):
             if field is not None:
-                np.einsum("ij,ij->j", *[np.asarray(field, dtype=float)] * 2, out=out[row])
-    return sums
+                np.einsum("ij,ij->j", *[np.asarray(field, dtype=float)] * 2, out=out[n - levels[0]])
+    z_sums, grad_sums, *f_sums = sums
+    quad = np.array([tree.dt * tree.node_weight(n) * grid.h for n in levels])[:, None]
+    ratios = []
+    for ws in (weights,) if single else weights:
+        shift = ws.max_log_theta2(levels)
+        rows = slice(ws.row(levels[0]), ws.row(levels[-1]) + 1)
+        two_l = 2.0 * ws.l[rows]
+        tables = {}  # power -> weight rows, built once however many terms use them
+
+        def weight(power):
+            if power not in tables:  # exp(2l + power*log_phi - shift) * quad, in place
+                w = np.multiply(power, ws.log_phi[rows])
+                w += two_l
+                w -= shift
+                tables[power] = np.multiply(np.exp(w, out=w), quad, out=w)
+            return tables[power]
+
+        lam, mu = ws.lam, ws.mu if backward else 1.0
+        lam3mu4 = lam ** 3 * mu ** 4
+        lhs_terms = {
+            "state": lam3mu4 * float(np.vdot(weight(3.0), z_sums)),
+            "gradient": lam * mu * mu * float(np.vdot(weight(1.0), grad_sums)),
+        }
+        rhs_terms = {"observation": lam3mu4 * float(np.vdot(weight(3.0) * grid.g0_mask, z_sums))}
+        for (name, power), f in zip(sources, f_sums, strict=True):
+            factor = lam * lam * mu * mu if power else 1.0
+            rhs_terms[name] = 0.0 if f is None else factor * float(np.vdot(weight(power), f))
+        lhs = sum(lhs_terms.values())
+        rhs = sum(rhs_terms.values())
+        if rhs == 0.0:
+            if lhs > 0.0:
+                raise NumericsError("Carleman rhs vanished while lhs is positive")
+            lhs = rhs = ratio = 0.0
+        else:
+            ratio = lhs / rhs
+        ratios.append(CarlemanRatio(lhs=lhs, lhs_terms=lhs_terms, rhs=rhs, rhs_terms=rhs_terms,
+                                    ratio=ratio, log_shift=shift))
+    return ratios[0] if single else ratios
 
 
 def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
-                            weights: CarlemanWeightSet, zT, mode: str = "adjoint_1_3",
-                            f0=None, f_div=None, exclude: int = 1,
-                            stepper: TreeStepper | None = None) -> CarlemanRatio:
-    """Weighted-inequality ratio for the backward solution driven by zT.
+                            weights: CarlemanWeightSet | Sequence[CarlemanWeightSet], zT,
+                            mode: str = "adjoint_1_3", f0=None, f_div=None, exclude: int = 1,
+                            stepper: TreeStepper | None = None) -> CarlemanRatio | list[CarlemanRatio]:
+    """Weighted-inequality ratio for the backward solution driven by zT: for one
+    CarlemanWeightSet a CarlemanRatio, for a sequence of them a list, one per set, from one fold.
 
     mode "sources": generic backward equation with supplied sources F0 and
     divergence flux F (F = 0 recovers the no-flux special case).
@@ -465,46 +468,41 @@ def carleman_ratio_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     lhs  = lam^3 mu^4 I[th^2 phi^3 z^2] + lam mu^2 I[th^2 phi |grad z|^2]
     rhs  = lam^3 mu^4 I_{G0}[th^2 phi^3 z^2] + I[th^2 F0^2]
            + lam^2 mu^2 I[th^2 phi^2 |F|^2] + lam^2 mu^2 I[th^2 phi^2 Z^2]
+
+    The fold holds one level's fields at a time.  No level below the lowest quadrature level is
+    folded: none enters the ratio, and an error that would arise only there does not surface.
+    Z is read on the quadrature levels only, so in sources mode (generic, no couplings) the
+    levels above them solve only the sibling means.
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    return _backward_ratios(st, (weights,), zT, mode, f0, f_div, exclude)[0]
-
-
-def _backward_ratios(st: TreeStepper, weight_sets, zT, mode: str = "adjoint_1_3",
-                     f0=None, f_div=None, exclude: int = 1) -> list[CarlemanRatio]:
-    """carleman_ratio_backward for each weight set, from one backward fold that holds one
-    level's fields at a time, reducing each quadrature level to its node sums as it comes.  No
-    level below the lowest quadrature level is folded: none enters the ratio, and an error that
-    would arise only there does not surface.  Z is read on the quadrature levels only, so in
-    sources mode (generic, no couplings) the levels above them solve only the sibling means."""
-    grid, levels = st.grid, _quad_levels(st.tree, exclude)
+    levels = _quad_levels(st.tree, exclude)
     if mode not in ("adjoint_1_3", "sources"):
         raise ValueError(f"unknown ratio mode {mode!r}")
     if mode == "adjoint_1_3" and (f0 is not None or f_div is not None):
         raise ValueError("adjoint_1_3 mode derives its sources from the solution")
     fold = st.fold(zT, "generic", f0, f_div, mart_levels=levels) if mode == "sources" else st.fold(zT, mode)
 
-    def reduce():  # a quadrature level's fields, then the next level's solve consumes z
+    def per_level():  # a quadrature level's fields, then the next level's solve consumes z
         for n, z, z_half, z_mart in fold:
             if n in levels:
                 if mode == "adjoint_1_3":
                     (s0, s_div), = st.apply(n, "adjoint_1_3", (z_half, z_mart), split=True)
                 else:
                     s0, s_div = (None if f is None else f[n] for f in (f0, f_div))
-                yield n - levels[0], (z, s0, s_div, z_mart)
+                yield n, (z, s0, s_div, z_mart)
             if n == levels[0]:
                 return
 
-    sums = _node_sums(grid, len(levels), reduce())
     sources = (("f0", 0.0), ("flux", 2.0), ("martingale", 2.0))
-    return [_ratio(grid, st.tree, weights, sums, sources, levels, weights.mu) for weights in weight_sets]
+    return _reduce(st, weights, levels, per_level(), sources, backward=True)
 
 
 def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
-                           weights: CarlemanWeightSet, z0, f1=None, f2=None, f_div=None,
-                           mode: str = "sources", exclude: int = 1,
-                           stepper: TreeStepper | None = None) -> CarlemanRatio:
-    """Weighted-inequality ratio for the forward equation.
+                           weights: CarlemanWeightSet | Sequence[CarlemanWeightSet], z0,
+                           f1=None, f2=None, f_div=None, mode: str = "sources", exclude: int = 1,
+                           stepper: TreeStepper | None = None) -> CarlemanRatio | list[CarlemanRatio]:
+    """Weighted-inequality ratio for the forward equation: for one CarlemanWeightSet a
+    CarlemanRatio, for a sequence of them a list, one per set, from one march.
 
     mu is frozen in the weight (phi and theta are those of `weights`), so the
     prefactors carry no mu: lam^3, lam and lam^2 where the backward estimate
@@ -520,7 +518,7 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
            + lam^2 I[th^2 phi^2 F2^2] + lam^2 I[th^2 phi^2 |F|^2]
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    levels = _quad_levels(tree, exclude)  # the march stops at the top one: no higher level is read
+    levels = _quad_levels(st.tree, exclude)  # the march stops at the top one: no higher level is read
     if mode == "sources":
         sol = st.forward(z0, v=f2, drift_src=f1, drift_div=f_div, mode="uncoupled", top=levels[-1])
     elif mode == "adjoint_1_5":
@@ -532,7 +530,6 @@ def carleman_ratio_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs,
             (f1[n], f_div[n]), (f2[n], _) = st.apply(n, "adjoint_1_5", (sol.y[n],), split=True)
     else:
         raise ValueError(f"unknown ratio mode {mode!r}")
-    fields = ((row, (sol.y[n], *(None if f is None else f[n] for f in (f1, f2, f_div))))
-              for row, n in enumerate(levels))
+    fields = ((n, (sol.y[n], *(None if f is None else f[n] for f in (f1, f2, f_div)))) for n in levels)
     sources = (("f1", 0.0), ("f2", 2.0), ("flux", 2.0))
-    return _ratio(grid, tree, weights, _node_sums(grid, len(levels), fields), sources, levels, 1.0)
+    return _reduce(st, weights, levels, fields, sources, backward=False)

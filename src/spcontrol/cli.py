@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carleman import (_backward_ratios, build_psi, eval_weights, lambda_threshold,
+from .carleman import (build_psi, carleman_ratio_backward, eval_weights, lambda_threshold,
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
@@ -390,6 +390,10 @@ def _cmd_carleman_check(cfg):
     for mult in (m for m in mults if m * lam0 < 1.0):  # eval_weights would refuse it after the solves
         raise ConfigError(f"[carleman] lambda_multiples: {mult:.6g} x lambda_threshold {lam0:.6g} is "
                           "below 1; raise the multiple or [carleman] c0")
+    exclude = cfg.carleman.exclude
+    if tree.M < 2 + 2 * exclude:  # no quadrature level would remain between the excluded ones
+        raise ConfigError(f"[carleman] exclude = {exclude} leaves no quadrature level: [problem] M = "
+                          f"{tree.M} must be >= 2 + 2 x exclude = {2 + 2 * exclude}")
     st = TreeStepper(grid, tree, coeffs)
     rng = np.random.default_rng(cfg.experiment.seed)
     instances = [(rng.standard_normal((tree.n_nodes(tree.M), grid.N)),
@@ -398,8 +402,8 @@ def _cmd_carleman_check(cfg):
                  for _ in range(cfg.carleman.samples)]
     weight_sets = [eval_weights(psi, mult * lam0, mu, tree) for mult in mults]
     # the backward solution does not depend on lambda: one solve per instance
-    results = [_backward_ratios(st, weight_sets, zT, mode="sources", f0=f0, f_div=fd,
-                                exclude=cfg.carleman.exclude) for zT, f0, fd in instances]
+    results = [carleman_ratio_backward(grid, tree, coeffs, weight_sets, zT, mode="sources", f0=f0, f_div=fd,
+                                       exclude=exclude, stepper=st) for zT, f0, fd in instances]
     rows, lines = [], [f"mu = {_fmt(mu)}", f"lambda_threshold = {_fmt(lam0)}"]
     for j, mult in enumerate(mults):
         ratios = [res[j].ratio for res in results]

@@ -252,7 +252,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
 
 def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: ScenarioTree,
                   y0, eps_values, cg_tol: float = 1e-10, cg_max_iter: int = 8000) -> list:
-    """Run hum_forward across decreasing eps; rows carry norm/cost/iteration data.
+    """Run hum_forward across decreasing eps; rows carry norm/cost/iteration/identity-residual data.
 
     Every eps must be positive and finite (ValueError before any row runs).
     All rows share one stepper and one free solution: the uncontrolled sweep
@@ -285,6 +285,6 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
             raise SweepError(f"sweep row eps = {eps} failed: {exc}", rows) from exc
         rows.append({"epsilon": eps, "terminal_norm": r.terminal_norm,
                      "control_cost": r.control_cost, "cg_iterations": r.cg_iterations,
-                     "cg_converged": r.cg_converged,
+                     "cg_converged": r.cg_converged, "identity_residual": r.identity_residual,
                      "uncontrolled_norm": r.uncontrolled_norm})
     return rows

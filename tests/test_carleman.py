@@ -5,8 +5,8 @@ import pytest
 
 from spcontrol import (AdaptedField, NumericsError, ProblemCoefficients, TreeStepper,
                        build_grid, build_path, build_tree)
-from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, _backward_ratios, appendix_coeffs,
-                                build_psi, carleman_ratio_backward,
+from spcontrol.carleman import (CarlemanRatio, DiffusionCoefficient, appendix_coeffs, build_psi,
+                                carleman_ratio_backward,
                                 carleman_ratio_forward, eval_weights, lambda_threshold,
                                 lambda_threshold_forward, leading_order_check)
 
@@ -422,7 +422,8 @@ def test_backward_ratios_leave_their_data_unchanged(grid32, full_coeffs):
             carleman_ratio_backward(grid32, tree, full_coeffs, weights[0], zT, exclude=exclude, stepper=st)
             carleman_ratio_backward(grid32, tree, full_coeffs, weights[0], zT, mode="sources",
                                     f0=f0, f_div=f_div, exclude=exclude, stepper=st)
-            _backward_ratios(st, weights, zT, "sources", f0, f_div, exclude)  # as cli calls it
+            carleman_ratio_backward(grid32, tree, full_coeffs, weights, zT, mode="sources", f0=f0,
+                                    f_div=f_div, exclude=exclude, stepper=st)  # as cli calls it
             assert [a.tobytes() for a in data] == before, (tree.branching, exclude)
 
 
@@ -493,7 +494,8 @@ def test_forward_ratio_marches_only_to_its_top_quadrature_level(grid32, tree8, f
 @pytest.mark.parametrize("tree", [build_tree(8, 1.0), build_path(8, 1.0)], ids=["tree", "path"])
 def test_generic_fold_sources_match_their_zero_filled_spelling(grid32, tree, full_coeffs, exclude):
     # an absent f0 or f_div is a zero source bit for bit, with (exclude 1) and without (exclude 0)
-    # a level that solves only the sibling means
+    # a level that solves only the sibling means; and in either direction a sequence of weight sets
+    # gives each set's own ratio bit for bit
     st = TreeStepper(grid32, tree, full_coeffs)
     psi = build_psi(grid32)
     weights = [eval_weights(psi, m * lambda_threshold(1.0, psi, tree.T), 1.0, tree) for m in (1, 4)]
@@ -502,14 +504,26 @@ def test_generic_fold_sources_match_their_zero_filled_spelling(grid32, tree, ful
     given = [AdaptedField.random(tree, grid32.N, rng, n_levels=tree.M) for _ in range(2)]
     zero = AdaptedField([np.zeros((tree.n_nodes(n), grid32.N)) for n in range(tree.M)])
 
-    def bits(f0, f_div):
-        return [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio, *r.lhs_terms.values(),
+    def bits(ratios):
+        return [tuple(float(x).hex() for x in (r.lhs, r.rhs, r.ratio, r.log_shift, *r.lhs_terms.values(),
                                                *r.rhs_terms.values()))
-                for r in _backward_ratios(st, weights, zT, "sources", f0, f_div, exclude)]
+                for r in ratios]
+
+    def backward(w, f0, f_div):
+        return carleman_ratio_backward(grid32, tree, full_coeffs, w, zT, mode="sources", f0=f0, f_div=f_div,
+                                       exclude=exclude, stepper=st)
 
     for f0 in (None, given[0]):
         for f_div in (None, given[1]):
-            assert bits(f0, f_div) == bits(zero if f0 is None else f0, zero if f_div is None else f_div)
+            got = bits(backward(weights, f0, f_div))
+            assert got == bits(backward(weights, zero if f0 is None else f0, zero if f_div is None else f_div))
+            assert got == bits([backward(w, f0, f_div) for w in weights])
+    f1, f2 = given
+    for mode, sources in (("sources", {"f1": f1, "f2": f2, "f_div": f1}), ("adjoint_1_5", {})):
+        many, *ones = (carleman_ratio_forward(grid32, tree, full_coeffs, w, zT[0], mode=mode,
+                                              exclude=exclude, stepper=st, **sources)
+                       for w in (weights, *weights))
+        assert bits(many) == bits(ones)
 
 
 def test_forward_adjoint_ratio_refuses_given_sources(grid32, tree8, full_coeffs):

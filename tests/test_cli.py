@@ -338,6 +338,20 @@ def test_carleman_check_names_a_lambda_below_1_before_any_solve(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_carleman_check_names_an_exclude_that_leaves_no_quadrature_level(tmp_path, capsys, monkeypatch):
+    # demos/desk.ini has M = 8: exclude 3 keeps level 4 alone, exclude 4 keeps none
+    desk = (Path(__file__).resolve().parents[1] / "demos" / "desk.ini").read_text()
+    for exclude, code in ((3, 0), (4, 1)):
+        cfg_path = write(tmp_path, desk + f"\n[carleman]\nexclude = {exclude}\nsamples = 1\n")
+        out = tmp_path / f"out{exclude}"
+        assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(out)]) == code
+    assert capsys.readouterr().err == ("error: [carleman] exclude = 4 leaves no quadrature level: "
+                                       "[problem] M = 8 must be >= 2 + 2 x exclude = 10\n")
+    assert not out.exists()
+    monkeypatch.setattr(cli, "TreeStepper", lambda *args: pytest.fail("a stepper was built"))
+    assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(out)]) == 1
+
+
 def _table(path, *columns):
     """The named CSV columns as floats, one row per data line."""
     lines = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]

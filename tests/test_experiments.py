@@ -444,7 +444,7 @@ def test_epsilon_sweep_rows_are_the_per_eps_hum_forward_reports():
     eps_values = [1e-1, 1e-2, 1e-3, 1e-4]
     rows = epsilon_sweep(coeffs, grid, tree, y0, eps_values, cg_tol=1e-10, cg_max_iter=8000)
     st = TreeStepper(grid, tree, coeffs)
-    keys = ("terminal_norm", "control_cost", "cg_iterations", "cg_converged")
+    keys = ("terminal_norm", "control_cost", "cg_iterations", "cg_converged", "identity_residual")
     for eps, row in zip(eps_values, rows, strict=True):
         report = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=1e-10, cg_max_iter=8000),
                              stepper=st).report

@@ -15,7 +15,8 @@ from test_control import _stencil_gram  # noqa: E402
 
 from spcontrol import (ProblemCoefficients, TreeStepper, backward_state_matrix, build_grid,  # noqa: E402
                        build_path, build_tree, duality_gap, forward_state_matrix)
-from spcontrol.carleman import _backward_ratios, build_psi, eval_weights, lambda_threshold  # noqa: E402
+from spcontrol.carleman import (build_psi, carleman_ratio_backward, eval_weights,  # noqa: E402
+                                lambda_threshold)
 from spcontrol.grid import gradient  # noqa: E402
 from spcontrol.control import _ForwardDual, _forward_pencil  # noqa: E402
 
@@ -97,7 +98,7 @@ def test_dense_backward_map_is_the_forward_transpose(instance):
                                      ("sources", True, False), ("sources", False, True),
                                      ("sources", False, False)]))
 def test_node_sum_carleman_quadrature_is_the_node_by_node_one(instance, case):
-    """`_backward_ratios` on per-level node sums, folding as it goes: every lhs and rhs term of
+    """`carleman_ratio_backward` on per-level node sums, folding as it goes: every lhs and rhs term of
     two weight sets within 1e-13 (relative) of the terms summed node by node over the
     quadrature levels of `backward()`'s full solution, the sources given (random or None) or
     the adjoint_1_3 couplings -a1 z_half - a2 Z, b1 z_half + b2 Z from the coefficient tables."""
@@ -109,7 +110,7 @@ def test_node_sum_carleman_quadrature_is_the_node_by_node_one(instance, case):
     psi = build_psi(grid, (0.3, 0.7))
     lam0 = lambda_threshold(1.0, psi, tree.T)
     weight_sets = [eval_weights(psi, m * lam0, mu, tree) for m, mu in ((1.0, 1.0), (3.0, 1.5))]
-    got = _backward_ratios(st, weight_sets, zT, mode, f0, f_div, exclude)
+    got = carleman_ratio_backward(grid, tree, tab, weight_sets, zT, mode, f0, f_div, exclude, stepper=st)
     if mode == "adjoint_1_3":
         sol = st.backward(zT, mode="adjoint_1_3")
         f0 = [-tab.a1[n] * sol.z_half[n] - tab.a2[n] * sol.Z[n] for n in range(tree.M)]

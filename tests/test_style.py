@@ -27,8 +27,8 @@ def _dpttrs_uses(tree, scope=""):
 
 
 def test_every_tridiagonal_solve_goes_through_stepper_solve():
-    # perfbench counts implicit solves by wrapping _StepperBase._solve; a dpttrs call anywhere else
+    # perfbench counts implicit solves by wrapping TreeStepper._solve; a dpttrs call anywhere else
     # would run solves it does not see
     uses = sorted((path.name, scope, kind) for path in sorted(SRC.glob("*.py")) if path.name != "_lapack.py"
                   for scope, kind in _dpttrs_uses(ast.parse(path.read_text())))
-    assert uses == [("spde.py", "", "import"), ("spde.py", "_StepperBase._solve.", "use")]
+    assert uses == [("spde.py", "", "import"), ("spde.py", "TreeStepper._solve.", "use")]
