@@ -53,6 +53,7 @@ __all__ = [
 
 DIRECTIONS = ("forward_1_5", "backward_1_3")  # observability_constant's two quotients
 MIN_POWER_ITERS = 5  # observability_constant's fewest iterations
+POWER_BLOCK = 30  # most power iterates per block: its 2^ceil(log2(b + 2)) rows stay <= 32
 
 
 @dataclass
@@ -78,10 +79,16 @@ def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
 
     The pencil is restricted to the numerically observable subspace
     (observation eigenvalues above rounding resolution); in the whitened
-    coordinates the iteration is plain symmetric power iteration, whose
-    Rayleigh quotients are certified lower bounds on the top generalized
-    eigenvalue.
+    coordinates it is plain symmetric power iteration on a matrix R, whose
+    Rayleigh quotients <v_k, v_{k+1}> / <v_k, v_k>, v_k = R^k q0 for k = 1..iters,
+    are certified lower bounds on the top generalized eigenvalue.  A block of at
+    most POWER_BLOCK iterates comes from squared powers of R over a power of two
+    above its infinity norm, so none overflows, and starts from the last block's
+    last iterate, normalized, so none underflows.
     """
+    for name, form in (("energy", energy), ("observation", obs)):
+        if not np.isfinite(form).all():
+            raise NumericsError(f"{name} form is not finite")
     lam_o, vec_o = np.linalg.eigh(obs)
     keep = lam_o > max(1e-14 * lam_o.max(), 0.0)
     if not keep.any():
@@ -89,15 +96,22 @@ def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
     basis = vec_o[:, keep] / np.sqrt(lam_o[keep])
     reduced = basis.T @ energy @ basis
     reduced = 0.5 * (reduced + reduced.T)
-    q = rng.standard_normal(reduced.shape[0])
-    rayleigh = []
-    for _ in range(iters):
-        q = reduced @ q
-        norm = float(np.dot(q, q))
-        if norm <= 0.0:
+    exp = np.frexp(np.abs(reduced).sum(axis=1).max())[1]  # 2^exp > ||R||_inf
+    q, rayleigh = rng.standard_normal(reduced.shape[0]), []
+    while len(rayleigh) < iters:
+        b = min(iters - len(rayleigh), POWER_BLOCK)
+        k = (b + 1).bit_length()  # ceil(log2(b + 2)): 2^k rows hold q and its first 2^k - 1 iterates
+        block, power = np.empty((2 ** k, len(q))), np.ldexp(reduced, -exp)
+        block[0] = q
+        for j in range(k):  # rows [2^j, 2^{j+1}) are R^{2^j} times rows [0, 2^j)
+            power = power @ power if j else power
+            np.matmul(block[:2 ** j], power, out=block[2 ** j:2 ** (j + 1)])
+        norms = np.einsum("ij,ij->i", block[1:b + 1], block[1:b + 1])
+        if not (norms > 0.0).all():
             raise NumericsError("observation form vanished on a nonzero iterate")
-        q = q / np.sqrt(norm)
-        rayleigh.append(float(q @ reduced @ q))
+        dots = np.einsum("ij,ij->i", block[1:b + 1], block[2:b + 2])
+        rayleigh.extend(np.ldexp(dots / norms, exp).tolist())
+        q = block[b] / np.sqrt(norms[-1])
     return rayleigh
 
 
@@ -151,12 +165,13 @@ class ScalingTable:
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    """Least-squares line y ~ slope * x + intercept and its R^2, from the centred sums."""
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(dx @ dy / (dx @ dx))
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return slope, float(y.mean() - slope * x.mean()), r2
 
 
 def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,

@@ -217,6 +217,85 @@ def test_vanishing_observation_flagged():
         _pencil_power_iteration(np.eye(3), np.zeros((3, 3)), 5, rng)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("form", ["energy", "observation"])
+def test_non_finite_pencil_flagged(form, bad):
+    """A NaN or inf entry in either form is named, not read as a quotient or a vanished form."""
+    pencil = {"energy": np.eye(3), "observation": np.eye(3)}
+    pencil[form][0, 0] = bad
+    with pytest.raises(NumericsError, match=f"{form} form is not finite"):
+        _pencil_power_iteration(pencil["energy"], pencil["observation"], 5, np.random.default_rng(0))
+
+
+def _power_loop(energy, obs, iters, rng):
+    """Oracle: the whitened generalized power iteration one iterate at a time, each quotient
+    that of the normalized iterate."""
+    lam_o, vec_o = np.linalg.eigh(obs)
+    keep = lam_o > max(1e-14 * lam_o.max(), 0.0)
+    basis = vec_o[:, keep] / np.sqrt(lam_o[keep])
+    reduced = basis.T @ energy @ basis
+    reduced = 0.5 * (reduced + reduced.T)
+    q, rayleigh = rng.standard_normal(reduced.shape[0]), []
+    for _ in range(iters):
+        q = reduced @ q
+        norm = float(np.dot(q, q))
+        if norm <= 0.0:
+            raise NumericsError("observation form vanished on a nonzero iterate")
+        q = q / np.sqrt(norm)
+        rayleigh.append(float(q @ reduced @ q))
+    return rayleigh
+
+
+def _assert_power_blocks_are_the_loop(energy, obs, iters, seed, rtol):
+    got = _pencil_power_iteration(energy, obs, iters, np.random.default_rng(seed))
+    want = np.array(_power_loop(energy, obs, iters, np.random.default_rng(seed)))
+    assert len(got) == iters
+    assert np.max(np.abs(np.array(got) - want) / np.abs(want)) <= rtol
+
+
+@pytest.fixture(scope="module")
+def sweep_pencils():
+    """The forward pencils of the sweep-t benchmark's rows (desk, m_per_time = 6, on trees) and
+    of criterion 11's (a = 0.05, N = 32, m_per_time = 32, on paths)."""
+    grid, coeffs = _desk_problem(False)
+    pencils = [_forward_pencil(TreeStepper(grid, build_tree(max(2, round(6.0 * T)), T), coeffs))
+               for T in (0.25, 0.5, 1.0, 2.0)]
+    grid = build_grid(1.0, 32, (0.3, 0.8), (0.45, 0.65))
+    return pencils + [_forward_pencil(TreeStepper(grid, build_path(round(32.0 * T), T),
+                                                  ProblemCoefficients(a=0.05)))
+                      for T in (0.25, 0.5, 1.0, 2.0)]
+
+
+# MIN_POWER_ITERS, one block, one past it, two blocks, one past them, and seven blocks
+@pytest.mark.parametrize("iters", [5, 30, 31, 60, 61, 200])
+def test_power_blocks_are_the_power_loop(sweep_pencils, iters):
+    for energy, obs in sweep_pencils:
+        for seed in (0, 5, 11):
+            _assert_power_blocks_are_the_loop(energy, obs, iters, seed, 1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e17, 1e-17])
+@pytest.mark.parametrize("iters", [5, 30, 31, 60, 61, 200])
+def test_power_blocks_are_the_power_loop_on_a_scaled_pencil(scale, iters):
+    rng = np.random.default_rng(7)
+    a, c = rng.standard_normal((2, 12, 12))
+    energy, obs = scale * (a @ a.T), (c @ c.T + np.eye(12)) / scale
+    _assert_power_blocks_are_the_loop(energy, obs, iters, 3, 1e-12)
+
+
+def test_power_blocks_renormalize_between_blocks():
+    """A rank-one pencil whose top eigenvalue is 254 / 2048 of the power of two over its infinity
+    norm: 200 iterates that no block renormalized would fall below the smallest double."""
+    u = np.r_[np.sqrt(127.0), np.ones(127)]
+    _assert_power_blocks_are_the_loop(np.outer(u, u), np.eye(128), 200, 0, 1e-13)
+
+
+@pytest.mark.parametrize("iters", [5, 61])
+def test_zero_energy_flagged(iters):
+    with pytest.raises(NumericsError, match="vanished"):
+        _pencil_power_iteration(np.zeros((3, 3)), np.eye(3), iters, np.random.default_rng(0))
+
+
 def test_iters_guard(obs_setup):
     grid, tree, coeffs = obs_setup
     with pytest.raises(ValueError):
@@ -236,6 +315,38 @@ def test_scaling_sweep_blowup_and_fit():
     # the exponent column reproduces the closed-form M formula exactly
     for r in table.rows:
         assert r["exponent"] == m_cost_exponent(r["T"], 0.0, 0.0, 0.0)
+
+
+def _polyfit_ols(x, y):
+    """Oracle: the line fit of y against x by np.polyfit, R^2 from its residuals."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    return slope, intercept, 1.0 - ss_res / float(np.sum((y - y.mean()) ** 2))
+
+
+@pytest.mark.parametrize("case", ["desk", "criterion-11"])
+def test_closed_form_fit_is_polyfit(case):
+    """The centred-sum fit of the table (e^{s/T} law) and of 1/T^4 within 1e-12 of np.polyfit's."""
+    if case == "desk":
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "demos" / "desk.ini")
+        grid, _, coeffs = cfg.build_problem()
+        ex = cfg.experiment
+        table = cost_scaling_sweep(coeffs, grid, ex.t_values, direction=ex.direction,
+                                   m_per_time=ex.m_per_time, iters=ex.power_iters, seed=ex.seed)
+    else:
+        table = cost_scaling_sweep(ProblemCoefficients(a=0.05), build_grid(1.0, 32, (0.3, 0.8), (0.45, 0.65)),
+                                   [0.25, 0.5, 1.0, 2.0], m_per_time=32.0, iters=30, seed=11)
+    x = 1.0 / np.array([r["T"] for r in table.rows])
+    y = np.log([r["value"] for r in table.rows])
+    assert (table.slope, table.intercept, table.r2) == experiments._ols(x, y)
+    assert table.r2_alt == experiments._ols(x ** 4, y)[2]
+    for xs in (x, x ** 4):
+        for got, want in zip(experiments._ols(xs, y), _polyfit_ols(xs, y), strict=True):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_closed_form_fit_of_constant_data():
+    assert experiments._ols(np.array([1.0, 2.0, 4.0, 8.0]), np.full(4, 0.5)) == (0.0, 0.5, 1.0)
 
 
 def test_scaling_sweep_k_exponent_column():

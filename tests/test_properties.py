@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as hs  # noqa: E402
 from test_control import _stencil_gram  # noqa: E402
+from test_experiments import _assert_power_blocks_are_the_loop  # noqa: E402
 
 from spcontrol import (ProblemCoefficients, TreeStepper, backward_state_matrix, build_grid,  # noqa: E402
                        build_path, build_tree, duality_gap, forward_state_matrix)
@@ -19,6 +20,7 @@ from spcontrol.carleman import (build_psi, carleman_ratio_backward, eval_weights
                                 lambda_threshold)
 from spcontrol.grid import gradient  # noqa: E402
 from spcontrol.control import _ForwardDual, _forward_pencil  # noqa: E402
+from spcontrol.experiments import MIN_POWER_ITERS  # noqa: E402
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -142,6 +144,16 @@ def test_node_sum_carleman_quadrature_is_the_node_by_node_one(instance, case):
         assert terms.keys() == want.keys()
         for name, value in want.items():
             assert abs(terms[name] - value) <= 1e-13 * abs(value), name
+
+
+@LAWS
+@given(instances())
+def test_power_blocks_are_the_power_loop_on_forward_pencils(instance):
+    """On the forward pencil, the block power iteration's quotients within 1e-12 (relative) of
+    the one-iterate-at-a-time loop's, from the same seeded start, over one to three blocks."""
+    st, _, rng = instance
+    iters, seed = int(rng.integers(MIN_POWER_ITERS, 91)), int(rng.integers(2 ** 32))
+    _assert_power_blocks_are_the_loop(*_forward_pencil(st), iters, seed, 1e-12)
 
 
 @hs.composite
