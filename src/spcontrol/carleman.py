@@ -48,6 +48,7 @@ __all__ = [
 
 # safety factor keeping the side pieces strictly monotone (see build_psi)
 _CAP_SAFETY = 0.9
+_PSI_MAX = 1.0  # max psi: the cap 1 - curv*(x - x_c)^2 peaks at x_c
 
 
 def _profile(g1, x_c, curv, quint_left, quint_right, x, order, side):
@@ -99,7 +100,6 @@ class PsiFunction:
     quint_right: float
     psi: np.ndarray
     dpsi: np.ndarray
-    psi_inf: float = 1.0
 
     def evaluate(self, x, order: int = 0, side: str = "auto") -> np.ndarray:
         """Evaluate psi or a derivative (order <= 5) at arbitrary points.
@@ -155,7 +155,7 @@ def lambda_threshold(mu: float, psi: PsiFunction, T: float, c0: float = 1.0) -> 
     """Parameter floor c0*(e^{2 mu max psi} * T + T^2) for the backward estimates."""
     if mu < 1.0:
         raise ValueError("mu must be >= 1")
-    return c0 * (np.exp(2.0 * mu * psi.psi_inf) * T + T * T)
+    return c0 * (np.exp(2.0 * mu * _PSI_MAX) * T + T * T)
 
 
 def lambda_threshold_forward(T: float, c0: float = 1.0) -> float:
@@ -199,7 +199,7 @@ def eval_weights(psi: PsiFunction, lam: float, mu: float, tree: ScenarioTree) ->
     times = tree.times[1:-1]
     tau = 1.0 / (times * (T - times))
     e_mu_psi = np.exp(mu * psi.psi)
-    e2 = np.exp(2.0 * mu * psi.psi_inf)
+    e2 = np.exp(2.0 * mu * _PSI_MAX)
     phi = tau[:, None] * e_mu_psi[None, :]
     alpha = tau[:, None] * (e_mu_psi - e2)[None, :]
     if not np.all(alpha < 0.0):
@@ -274,7 +274,7 @@ def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: flo
     tau = 1.0 / (t * (T - t))
     e_mu_psi = np.exp(mu * psi.evaluate(x, 0))
     phi = tau * e_mu_psi
-    alpha = tau * (e_mu_psi - np.exp(2.0 * mu * psi.psi_inf))
+    alpha = tau * (e_mu_psi - np.exp(2.0 * mu * _PSI_MAX))
     g = -(T - 2.0 * t) * tau
     g_t = 2.0 * tau + (T - 2.0 * t) ** 2 * tau * tau
 

@@ -28,11 +28,11 @@ from .carleman import (build_psi, carleman_ratio_backward, eval_weights, lambda_
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
-from .experiments import (DIRECTIONS, MIN_POWER_ITERS, SweepError, cost_scaling_sweep,
+from .experiments import (DIRECTIONS, MIN_POWER_ITERS, SweepError, _ols, cost_scaling_sweep,
                           epsilon_sweep, observability_constant)
 from .grid import build_grid
 from .scenario import AdaptedField, build_tree, mean_square_norm
-from .spde import ProblemCoefficients, TreeStepper, _sample
+from .spde import ProblemCoefficients, TreeStepper
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
@@ -387,7 +387,8 @@ def _cmd_carleman_check(cfg):
     mu = cfg.carleman.mu
     lam0 = lambda_threshold(mu, psi, tree.T, c0=cfg.carleman.c0)
     mults = cfg.carleman.lambda_multiples
-    for mult in (m for m in mults if m * lam0 < 1.0):  # eval_weights would refuse it after the solves
+    # eval_weights refuses it too, but only after the stepper is built and the samples are drawn
+    for mult in (m for m in mults if m * lam0 < 1.0):
         raise ConfigError(f"[carleman] lambda_multiples: {mult:.6g} x lambda_threshold {lam0:.6g} is "
                           "below 1; raise the multiple or [carleman] c0")
     exclude = cfg.carleman.exclude
@@ -416,13 +417,12 @@ def _cmd_carleman_check(cfg):
 def _cmd_appendix_check(cfg):
     grid, tree, coeffs = cfg.build_problem()
     psi = build_psi(grid)
-    # the coefficient formulas need analytic space/time derivatives of a; the
-    # config surface only supports the constant case
-    samples = _sample(coeffs.a, np.array([0.0, 0.5 * tree.T, tree.T]), grid.x)
-    if samples.max() - samples.min() > 1e-14 * max(abs(samples.max()), 1.0):
-        raise ConfigError("appendix-check requires a constant diffusion coefficient a")
-    rows = leading_order_check(psi, float(samples[0, 0]), cfg.carleman.mu_values, tree.T,
-                               grid, c0=cfg.carleman.c0)
+    # the coefficient formulas need analytic space/time derivatives of a; the config surface
+    # supports the constant case only: compile_expression gives a float for it
+    if not isinstance(coeffs.a, float):
+        raise ConfigError("appendix-check requires a constant diffusion coefficient a, "
+                          "an expression naming neither t nor x")
+    rows = leading_order_check(psi, coeffs.a, cfg.carleman.mu_values, tree.T, grid, c0=cfg.carleman.c0)
     # a relative deviation at rounding level (<= 64 eps) is noise, not the asymptotics
     noise = 64.0 * np.finfo(float).eps
     fit = [r for r in rows if r.dev_A > noise]
@@ -430,9 +430,9 @@ def _cmd_appendix_check(cfg):
     if len(fit) < len(rows):
         lines.append("left out of the slope fit, dev_A <= 64 eps: mu = "
                      + ", ".join(_fmt(r.mu) for r in rows if r.dev_A <= noise))
-    if len(fit) >= 2:
-        slope = np.polyfit(np.log([r.mu for r in fit]), np.log([r.dev_A for r in fit]), 1)[0]
-        lines.append(f"dev_A log-log slope = {_fmt(float(slope))}")
+    if len({r.mu for r in fit}) >= 2:
+        slope = _ols(np.log([r.mu for r in fit]), np.log([r.dev_A for r in fit]))[0]
+        lines.append(f"dev_A log-log slope = {_fmt(slope)}")
     return [(r.mu, r.lam, r.dev_A, r.dev_B, r.min_B, r.c11_margin) for r in rows], lines, None, []
 
 

@@ -733,5 +733,5 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
         config, trace, cost=qt_integral(tree, grid, z, square=True, mask=grid.g0_mask),
         final_norm=grid.inner(y_0, y_0), uncontrolled=uncontrolled, pairing=-grid.inner(b, p),
         exponent=m_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf),
-        data_norm=_ForwardDual(st).inner(yT, yT))
+        data_norm=tree.node_weight(tree.M) * grid.h * float((yT * yT).sum()))
     return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)

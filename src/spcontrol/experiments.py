@@ -94,9 +94,13 @@ def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
     if not keep.any():
         raise NumericsError("observation form vanished on a nonzero iterate")
     basis = vec_o[:, keep] / np.sqrt(lam_o[keep])
-    reduced = basis.T @ energy @ basis
-    reduced = 0.5 * (reduced + reduced.T)
-    exp = np.frexp(np.abs(reduced).sum(axis=1).max())[1]  # 2^exp > ||R||_inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        reduced = basis.T @ energy @ basis
+        reduced = 0.5 * (reduced + reduced.T)
+        norm = np.abs(reduced).sum(axis=1).max()
+    if not np.isfinite(norm):
+        raise NumericsError("whitened energy form is not finite")
+    exp = np.frexp(norm)[1]  # 2^exp > ||R||_inf
     q, rayleigh = rng.standard_normal(reduced.shape[0]), []
     while len(rayleigh) < iters:
         b = min(iters - len(rayleigh), POWER_BLOCK)
@@ -131,20 +135,23 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    st = TreeStepper(grid, tree, coeffs)
+    return next(_estimates(TreeStepper(grid, tree, coeffs), direction, [tree.M], iters, seed))
+
+
+def _estimates(st: TreeStepper, direction: str, depths, iters: int, seed: int):
+    """observability_constant's estimate at each of `depths`, off one recursion on `st`: forward,
+    the pencil of `control._forward_pencil`; backward, (P_n(eps), I) with eps = h^2."""
     if direction == "forward_1_5":
-        return _estimate(_forward_pencil(st), iters, seed, direction)
-    epsilon = grid.h ** 2
-    return _estimate((_ForwardRiccati(st, epsilon).p0, np.eye(grid.N)), iters, seed, direction, epsilon)
-
-
-def _estimate(pencil, iters: int, seed: int, direction: str, epsilon=None) -> ObservabilityEstimate:
-    """observability_constant's report from its (energy, observation) pencil."""
-    rayleigh = np.maximum.accumulate(_pencil_power_iteration(*pencil, iters, np.random.default_rng(seed)))
-    resid = abs(rayleigh[-1] - rayleigh[-2]) / abs(rayleigh[-1]) if len(rayleigh) > 1 else np.inf
-    return ObservabilityEstimate(c_obs=float(rayleigh[-1]), iterations=iters,
-                                 rayleigh=[float(r) for r in rayleigh],
-                                 residual=float(resid), direction=direction, epsilon=epsilon)
+        epsilon, pencils = None, _forward_pencil(st, depths)
+    else:
+        ric = _ForwardRiccati(st, st.grid.h ** 2)
+        epsilon, pencils = ric.eps, ((ric.value(st.tree.M - d), np.eye(st.grid.N)) for d in depths)
+    for pencil in pencils:
+        rayleigh = np.maximum.accumulate(_pencil_power_iteration(*pencil, iters, np.random.default_rng(seed)))
+        resid = abs(rayleigh[-1] - rayleigh[-2]) / abs(rayleigh[-1]) if len(rayleigh) > 1 else np.inf
+        yield ObservabilityEstimate(c_obs=float(rayleigh[-1]), iterations=iters,
+                                    rayleigh=[float(r) for r in rayleigh],
+                                    residual=float(resid), direction=direction, epsilon=epsilon)
 
 
 @dataclass
@@ -191,7 +198,8 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     recursion on the host's stepper gives each of its rows' values at the row's depth: the
     forward pencil, P_n (`control._ForwardRiccati.value`) with the identity, or the
     Riccati's `feedback_costs`.  It steps as deep as its rows ask, so a failing level fails
-    the first row that reaches it.  `epsilon` is the rows' penalty (None for forward
+    the first row that reaches it.  Rows are planned up to the first T whose tree or tables
+    fail to build; that error fails its row.  `epsilon` is the rows' penalty (None for forward
     observability).  An unknown name, a control-cost sweep in the backward direction, a T
     or m_per_time that is not positive and finite, fewer than 4 distinct T values or, for
     observability, iters < MIN_POWER_ITERS is a ValueError before any row runs.  Rows run
@@ -216,47 +224,41 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     forward_obs = observability and direction == "forward_1_5"
     epsilon = None if forward_obs else grid.h ** 2
-    plans = []  # per row: (tree, tables), or what building them raised, raised again when the row runs
+    plans, failure = [], None  # per row (tree, tables), up to the first T whose build fails
     for T in t_values:
         try:
             tree = build_tree(max(2, int(round(m_per_time * T))), T)
             tab = coeffs.sample(grid, tree.times)
-            # noise: forward observability's adjoint has -a2, every other row's state (a2, b2)
-            noisy = tab.a2_inf + (0.0 if forward_obs else tab.b2_inf) > 0.0
-            plans.append((replace(tree, branching=noisy), tab))
-        except Exception as exc:  # noqa: BLE001
-            plans.append(exc)
-    keys = [(p[0].dt, p[0].branching, step_keys(p[1])) if isinstance(p, tuple) else None for p in plans]
+        except Exception as exc:  # noqa: BLE001 - raised at its row, after the rows before it
+            failure = exc
+            break
+        # noise: forward observability's adjoint has -a2, every other row's state (a2, b2)
+        noisy = tab.a2_inf + (0.0 if forward_obs else tab.b2_inf) > 0.0
+        plans.append((replace(tree, branching=noisy), tab))
+    keys = [(tree.dt, tree.branching, step_keys(tab)) for tree, tab in plans]
     # a row's host: the last, so longest, row whose last steps are bit for bit the row's steps
-    host = [max(j for j, b in enumerate(keys) if j == i or j > i and a and b and a[:2] == b[:2]
-                and b[2][-len(a[2]):] == a[2]) for i, a in enumerate(keys)]
-
-    def values(st, depths):
-        """The values of the rows at `depths`, off one recursion on their host's stepper."""
-        if forward_obs:
-            return (_estimate(pencil, iters, seed, direction).c_obs for pencil in _forward_pencil(st, depths))
-        ric = _ForwardRiccati(st, epsilon)
-        if observability:
-            return (_estimate((ric.value(st.tree.M - d), np.eye(grid.N)), iters, seed, direction).c_obs
-                    for d in depths)
-        return (cost for cost, _ in ric.feedback_costs(np.sin(np.pi * grid.x / grid.L), depths))
-
+    host = [max(j for j, b in enumerate(keys[i:], i) if a[:2] == b[:2] and b[2][-len(a[2]):] == a[2])
+            for i, a in enumerate(keys)]
     rows, hosted = [], {}  # hosted: host row -> the values of the rows it hosts, in order
-    for i, T in enumerate(t_values):
-        try:
-            if isinstance(plans[i], Exception):
-                raise plans[i]
-            tree, tab = plans[i]
-            if (j := host[i]) not in hosted:  # i is the first row j hosts
+    try:
+        for T, (tree, tab), j in zip(t_values, plans, host):
+            if j not in hosted:  # this is the first row j hosts
+                st = TreeStepper(grid, *plans[j])
                 depths = [p[0].M for p, h in zip(plans, host) if h == j]
-                hosted[j] = values(TreeStepper(grid, *plans[j]), depths)
+                if observability:
+                    hosted[j] = (est.c_obs for est in _estimates(st, direction, depths, iters, seed))
+                else:
+                    y0 = np.sin(np.pi * grid.x / grid.L)
+                    hosted[j] = (cost for cost, _ in _ForwardRiccati(st, epsilon).feedback_costs(y0, depths))
             value = next(hosted[j])
             expo = (m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf) if forward_obs else
                     k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf))
             rows.append({"T": T, "M": tree.M, "collapsed": not tree.branching,
                          "value": value, "exponent": expo})
-        except Exception as exc:  # noqa: BLE001 - partial table must survive
-            raise SweepError(f"sweep row T = {T} failed: {exc}", rows) from exc
+        if failure is not None:
+            raise failure
+    except Exception as exc:  # noqa: BLE001 - partial table must survive
+        raise SweepError(f"sweep row T = {t_values[len(rows)]} failed: {exc}", rows) from exc
     x = 1.0 / np.array([r["T"] for r in rows])
     y = np.log(np.array([r["value"] for r in rows]))
     slope, intercept, r2 = _ols(x, y)

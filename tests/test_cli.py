@@ -637,6 +637,23 @@ def test_appendix_check_rejects_variable_diffusion(tmp_path, capsys):
     assert "constant diffusion coefficient" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+def test_appendix_check_rejects_time_dependent_diffusion(tmp_path, capsys):
+    # at the default T = 1 this a takes one value at t = 0, T/2 and T, to rounding
+    cfg_path = write(tmp_path, DESK.replace("a = 0.2", "a = 0.2 + 0.1 * sin(2 * pi * t)")
+                     + f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["appendix-check", "--config", str(cfg_path)]) == 1
+    assert "constant diffusion coefficient" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_appendix_slope_needs_two_distinct_mu(tmp_path):
+    cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n\n"
+                                      "[carleman]\nmu_values = 8, 8\n")
+    assert main(["appendix-check", "--config", str(cfg_path)]) == 0
+    assert "dev_A log-log slope" not in (tmp_path / "out" / "appendix-check_report.txt").read_text()
+    assert len(_table(tmp_path / "out" / "appendix-check.csv", "mu")) == 2
+
+
 def test_depth_cap_applies_where_nodes_are_counted(tmp_path, capsys):
     # M = 20 parses; commands that size per-node arrays exit 1 naming M and the
     # cap and leave no output directory, while the observability pencils of both

@@ -227,6 +227,39 @@ def test_non_finite_pencil_flagged(form, bad):
         _pencil_power_iteration(pencil["energy"], pencil["observation"], 5, np.random.default_rng(0))
 
 
+def test_overflowing_whitened_pencil_flagged():
+    """A finite pencil whose whitened energy form overflows is named, not read as a vanished
+    observation form (nor raised as numpy's overflow warning)."""
+    with pytest.raises(NumericsError, match="whitened energy form is not finite"):
+        _pencil_power_iteration(1e300 * np.eye(3), np.diag([1e-10, 1.0, 1.0]), 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("t_dependent", [False, True], ids=["constant", "t-dependent"])
+@pytest.mark.parametrize("noisy", [True, False], ids=["tree", "path"])
+@pytest.mark.parametrize("direction", ["forward_1_5", "backward_1_3"])
+def test_observability_estimates_are_the_power_iteration_of_their_pencil(direction, noisy, t_dependent):
+    """observability_constant and the sweep's observability rows are the running best of
+    `_pencil_power_iteration` on their direction's pencil, bit for bit: forward `_forward_pencil`,
+    backward (P_0(h^2), I); without noise the sweep's rows run on a path."""
+    grid = build_grid(1.0, 12, (0.2, 0.85), (0.4, 0.65))
+    coeffs = ProblemCoefficients(a=0.2, a1=(lambda t, x: 0.5 + 0.5 * t) if t_dependent else 0.5,
+                                 a2=0.3 * noisy, b2=0.2 * noisy, b=0.2)
+    build = build_tree if noisy else build_path
+
+    def oracle(M, T):
+        st = TreeStepper(grid, build(M, T), coeffs)
+        pencil = (_forward_pencil(st) if direction == "forward_1_5"
+                  else (_ForwardRiccati(st, grid.h ** 2).p0, np.eye(grid.N)))
+        return np.maximum.accumulate(_pencil_power_iteration(*pencil, 12, np.random.default_rng(3))).tolist()
+
+    est = observability_constant(grid, build(5, 1.0), coeffs, direction=direction, iters=12, seed=3)
+    assert est.rayleigh == oracle(5, 1.0) and est.c_obs == est.rayleigh[-1]
+    table = cost_scaling_sweep(coeffs, grid, [0.25, 0.5, 1.0, 2.0], direction=direction,
+                               m_per_time=4.0, iters=12, seed=3)
+    assert [r["collapsed"] for r in table.rows] == [not noisy] * 4
+    assert [r["value"] for r in table.rows] == [oracle(r["M"], r["T"])[-1] for r in table.rows]
+
+
 def _power_loop(energy, obs, iters, rng):
     """Oracle: the whitened generalized power iteration one iterate at a time, each quotient
     that of the normalized iterate."""
