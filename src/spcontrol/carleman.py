@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient
-from .scenario import ScenarioTree
+from .scenario import ScenarioTree, _level_weight
 from .spde import TreeStepper, _sample
 
 __all__ = [
@@ -414,7 +414,7 @@ def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backwar
             if field is not None:
                 np.einsum("ij,ij->j", *[np.asarray(field, dtype=float)] * 2, out=out[n - levels[0]])
     z_sums, grad_sums, *f_sums = sums
-    quad = np.array([tree.dt * tree.node_weight(n) * grid.h for n in levels])[:, None]
+    quad = np.array([_level_weight(tree, grid, n) for n in levels])[:, None]
     ratios = []
     for ws in (weights,) if single else weights:
         shift = ws.max_log_theta2(levels)

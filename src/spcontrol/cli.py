@@ -1,16 +1,17 @@
 """Batch front-end: INI-style config, subcommands, CSV + text reports.
 
 Each subcommand computes its CSV rows, report lines, `.dat` lines (or none)
-and CG failures; `run` alone writes them, to `<name>.csv`, `<name>.dat` and
-`<name>_report.txt`, once the computation returns.  Output files are
-deterministic for a fixed config and seed: headers echo the resolved
-configuration, floats are printed with 17 significant digits, no timestamps.
-Exit codes: 0 success, 1 config/validation error, 2 numerical failure.  A
-sweep row that fails leaves only the CSV of the completed rows.  A CG solve
-that misses its tolerance in control-forward, control-backward or sweep-eps
-is a numerical failure too: every output is written as usual, then the
-command reports the failure on stderr and exits 2.  The output directory is
-created at the first write, so a command that fails on its input leaves none.
+and the HUM solves it ran; `run` alone writes them, to `<name>.csv`,
+`<name>.dat` and `<name>_report.txt`, once the computation returns.  Output
+files are deterministic for a fixed config and seed: headers echo the
+resolved configuration, floats are printed with 17 significant digits, no
+timestamps.  Exit codes: 0 success, 1 config/validation error, 2 numerical
+failure.  A sweep row that fails leaves only the CSV of the completed rows.
+A HUM solve in control-forward, control-backward or sweep-eps whose CG
+misses cg_tol, or whose HUM identity residual exceeds sqrt(cg_tol), is a
+numerical failure too (`_exit_code`): every output is written as usual, then
+the command reports the failure on stderr and exits 2.  The output directory
+is created at the first write, so a command that fails on its input leaves none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .carleman import (build_psi, carleman_ratio_backward, eval_weights, lambda_
                        leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
-from .experiments import (DIRECTIONS, MIN_POWER_ITERS, SweepError, _ols, cost_scaling_sweep,
+from .experiments import (DIRECTIONS, MIN_POWER_ITERS, SweepError, _auto_epsilon, _ols, cost_scaling_sweep,
                           epsilon_sweep, observability_constant)
 from .grid import build_grid
 from .scenario import AdaptedField, build_tree, mean_square_norm
@@ -166,7 +167,7 @@ class RunConfig:
 
     def epsilon(self, grid) -> float:
         if self.hum.epsilon == "auto":
-            return grid.h ** 2
+            return _auto_epsilon(grid)
         try:
             return float(self.hum.epsilon)
         except ValueError:
@@ -341,19 +342,15 @@ def _cmd_simulate(cfg):
 
 def _hum_command(cfg, which: str):
     grid, tree, coeffs = cfg.build_problem()
-    hum_cfg = cfg.hum_config(grid)
+    hum_cfg, data = cfg.hum_config(grid), np.sin(np.pi * grid.x / grid.L)
     if which == "forward":
-        res = hum_forward(grid, tree, coeffs, np.sin(np.pi * grid.x / grid.L), hum_cfg)
-        exp_name = "K"
+        res, exp_name = hum_forward(grid, tree, coeffs, data, hum_cfg), "K"
     else:
-        yT = np.tile(np.sin(np.pi * grid.x / grid.L), (tree.n_nodes(tree.M), 1))
-        res = hum_backward(grid, tree, coeffs, yT, hum_cfg)
-        exp_name = "M"
+        data = np.tile(data, (tree.n_nodes(tree.M), 1))
+        res, exp_name = hum_backward(grid, tree, coeffs, data, hum_cfg), "M"
     r = res.report
     trace_rows = [(k + 1, rr, vv) for k, (rr, vv) in
                   enumerate(zip(res.cg_trace["residuals"], res.cg_trace["values"]))]
-    failures = ([] if r.cg_converged else
-                [f"{r.cg_iterations} iterations, relative residual {_fmt(r.cg_residual)}"])
     return trace_rows, [
         f"epsilon = {_fmt(r.epsilon)}",
         f"terminal_norm = {_fmt(r.terminal_norm)}",
@@ -365,7 +362,7 @@ def _hum_command(cfg, which: str):
         f"cg_iterations = {r.cg_iterations}",
         f"cg_converged = {r.cg_converged}",
         f"identity_residual = {_fmt(r.identity_residual)}",
-    ], None, failures
+    ], None, [vars(r)]
 
 
 def _cmd_observability(cfg):
@@ -468,14 +465,25 @@ def _cmd_sweep_eps(cfg):
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero cost: inf, or nan if all are
         variation = np.float64(max(costs)) / min(costs)
     dat = [f"{_fmt(r['epsilon'])} {_fmt(r['terminal_norm'])}" for r in rows]
-    failures = [f"eps = {_fmt(r['epsilon'])} after {r['cg_iterations']} iterations"
-                for r in rows if not r["cg_converged"]]
     return rows, [
         f"rows = {len(rows)}",
         f"terminal_norm strictly decreasing = {decreasing}",
         f"control_cost variation (max/min) = {_fmt(variation)}",
         f"uncontrolled_norm = {_fmt(rows[-1]['uncontrolled_norm'])}",
-    ], dat, failures
+    ], dat, rows
+
+
+def _exit_code(solves, cg_tol: float) -> int:
+    """0, or 2 after one stderr line naming each failed HUM solve (report fields or sweep-eps rows,
+    as dicts): CG missed cg_tol, or the HUM identity residual is not within sqrt(cg_tol)."""
+    bound = math.sqrt(cg_tol)
+    failures = ([f"CG did not converge (eps = {s['epsilon']:g} after {s['cg_iterations']} iterations)"
+                 for s in solves if not s["cg_converged"]]
+                + [f"identity_residual = {s['identity_residual']:.3g} exceeds sqrt(cg_tol) = {bound:.3g} "
+                   f"(eps = {s['epsilon']:g})" for s in solves if not s["identity_residual"] <= bound])
+    if failures:
+        print(f"numerical failure: {'; '.join(failures)}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 _CG_COLUMNS = ["iteration", "relative_residual", "dual_value"]
@@ -507,7 +515,7 @@ def run(subcommand: str, config: RunConfig) -> int:
                + [",".join(columns)] + [",".join(map(_fmt, row)) for row in table])
 
     try:
-        rows, report, dat, failures = command(config)
+        rows, report, dat, solves = command(config)
     except SweepError as exc:
         write_csv(exc.partial)
         raise
@@ -516,9 +524,7 @@ def run(subcommand: str, config: RunConfig) -> int:
         _write(out / f"{subcommand}.dat", dat)
     _write(out / f"{subcommand}_report.txt",
            [f"{subcommand} report", "=" * (len(subcommand) + 7), *echo, "", *report])
-    if failures:
-        print(f"numerical failure: CG did not converge ({'; '.join(failures)})", file=sys.stderr)
-    return 2 if failures else 0
+    return _exit_code(solves, config.hum.cg_tol)
 
 
 def main(argv=None) -> int:

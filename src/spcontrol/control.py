@@ -38,16 +38,12 @@ y(T)) respectively y_opt(0) = +eps * p_opt  (backward problem), so the
 terminal/initial energy decays like eps^2 |p|^2 as the penalty is driven to
 zero.
 
-A forward Gramian application also returns its by-products, in one flat
-buffer: the adjoint fields that become the controls, and the state those
-controls drive from zero.  They are linear in p, so CG keeps them current at
-its iterate as it keeps Gram p, with one scale or axpy of the buffer a step,
-and hum_forward builds the controls, the controlled state (free solution plus
-carried state) and the report from them: one Gramian application per CG
-iteration and no sweep on p after CG.  The control cost is one weighted dot
-over the buffer's leading [z_half | Z] blocks.  Summed over the CG steps rather
-than swept afresh from p, these fields differ from a fresh sweep by rounding
-only.
+A forward Gramian application also returns its by-products (_ForwardDual):
+the adjoint fields that become the controls, and the state they drive from
+zero.  CG keeps them current at its iterate by linearity, and hum_forward
+builds the controls, the controlled state (free solution plus carried state)
+and the report from them: one Gramian application per CG iteration and no
+sweep on p after CG, at the rounding of a fresh sweep.
 
 Forward problem: p is terminal adjoint data on the leaves, the control pair
 is (u, v) = (1_{G0} z_half, Z).  Backward problem: p is the deterministic
@@ -64,8 +60,8 @@ import numpy as np
 from ._lapack import dpotrf, dpotrs
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import (AdaptedField, ScenarioTree, martingale_part, mean_square_norm, qt_integral,
-                       reconstruct_children)
+from .scenario import (AdaptedField, ScenarioTree, _level_weight, martingale_part, mean_square_norm,
+                       qt_integral, reconstruct_children)
 from .spde import ForwardSolution, TreeStepper
 
 __all__ = [
@@ -336,7 +332,7 @@ class _ForwardDual:
     def __init__(self, stepper: TreeStepper):
         self.st = stepper
         grid, tree, n = stepper.grid, stepper.tree, stepper.grid.N
-        self.leaf_weight = tree.node_weight(tree.M) * grid.h
+        self.leaf_weight = _level_weight(tree, grid, tree.M, dt=False)
         rows = [tree.n_nodes(k) for k in range(tree.M + 1)]
         self._layout, end = [], 0
         for shape in [(r, 2 * n) for r in rows[:-1]] + [(1, n)] + [(r, n) for r in rows]:
@@ -344,10 +340,8 @@ class _ForwardDual:
             self._layout.append((slice(start, end), shape))
         self._observed = slice(0, self._layout[tree.M][0].start)  # the [z_half | Z] blocks
         # the observation quadrature dt 2^-n h [1_{G0}, 1], a row and a column factor
-        level_weight = tree.dt * grid.h * np.array([tree.node_weight(k) for k in range(tree.M)])
-        self._row_weight = np.repeat(level_weight, rows[:-1])
-        self._col_weight = np.ones(2 * n)
-        self._col_weight[:n] = grid.g0_mask
+        self._row_weight = np.repeat([_level_weight(tree, grid, k) for k in range(tree.M)], rows[:-1])
+        self._col_weight = np.concatenate([grid.g0_mask, np.ones(n)])
 
     def inner(self, p, q) -> float:
         return self.leaf_weight * float((p * q).sum())
@@ -364,13 +358,9 @@ class _ForwardDual:
         n = self.st.grid.N
         return [a[:, :n] for a in zz], [a[:, n:] for a in zz], [z0], y
 
-    def pack(self, z_half, Z) -> np.ndarray:
-        """The [z_half | Z] blocks of the buffer layout, for `observation`."""
-        return np.concatenate([np.hstack(pair) for pair in zip(z_half, Z)]).ravel()
-
     def observation(self, products) -> float:
         """E int_{Q0} z_half^2 + E int_Q Z^2 (all time levels), from the [z_half | Z] blocks
-        that lead the buffer layout (`pack` makes them from fields)."""
+        that lead a Gramian application's buffer."""
         observed = products[self._observed].reshape(-1, 2 * self.st.grid.N)
         return float(self._row_weight @ (np.square(observed) @ self._col_weight))
 
@@ -576,15 +566,13 @@ def dual_functional(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, eps: floa
     direction reproduces it to rounding (the functional is quadratic).
     """
     st = stepper if stepper is not None else TreeStepper(grid, tree, coeffs)
-    dual = _ForwardDual(st)
-    zT = np.asarray(zT, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    zT, y0 = np.asarray(zT, dtype=float), np.asarray(y0, dtype=float)
     bwd = st.backward(zT, mode="adjoint_1_3")
     y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
-    value = (0.5 * dual.observation(dual.pack(bwd.z_half, bwd.Z)) + 0.5 * eps * dual.inner(zT, zT)
-             + grid.inner(y0, bwd.z[0][0]))
-    gradient = y.y[tree.M] + eps * zT
-    return {"value": value, "gradient": gradient}
+    value = 0.5 * (qt_integral(tree, grid, bwd.z_half, square=True, mask=grid.g0_mask)
+                   + qt_integral(tree, grid, bwd.Z, square=True)
+                   + eps * mean_square_norm(tree, grid, bwd.z, tree.M)) + grid.inner(y0, bwd.z[0][0])
+    return {"value": value, "gradient": y.y[tree.M] + eps * zT}
 
 
 def hum_forward(grid: SpatialGrid, tree: ScenarioTree, coeffs, y0, config: HumConfig,
@@ -733,5 +721,5 @@ def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumC
         config, trace, cost=qt_integral(tree, grid, z, square=True, mask=grid.g0_mask),
         final_norm=grid.inner(y_0, y_0), uncontrolled=uncontrolled, pairing=-grid.inner(b, p),
         exponent=m_cost_exponent(tree.T, st.tab.a1_inf, st.tab.a2_inf, st.tab.b_inf),
-        data_norm=tree.node_weight(tree.M) * grid.h * float((yT * yT).sum()))
+        data_norm=_level_weight(tree, grid, tree.M, dt=False) * float((yT * yT).sum()))
     return HumResult(u=u, v=None, y=controlled, adjoint_data=p, report=report, cg_trace=trace)

@@ -14,8 +14,8 @@ adjoint, from N x N backward recursions over the time levels.  In the
 backward direction it is (P_0(eps), I): by LQ duality the penalized
 quotient is the top eigenvalue of the value matrix P_0 of the forward HUM
 problem's tracking LQ problem (`control._ForwardRiccati`), at eps = h^2
-(Boyer, Hubert & Le Rousseau 2010).  Control-cost rows take the same moment
-recursion on that problem's feedback loop.  So no cost_scaling_sweep row
+(`_auto_epsilon`; Boyer, Hubert & Le Rousseau 2010).  Control-cost rows take
+the same moment recursion on that problem's feedback loop.  So no cost_scaling_sweep row
 sweeps the tree, runs CG or allocates a per-node field, and none is clipped.
 Rows of one dt = T / M whose coefficients do not depend on t repeat one step,
 so a shorter row's recursions are a longer row's last steps: a row of any kind
@@ -72,6 +72,11 @@ class SweepError(RuntimeError):
     def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial
+
+
+def _auto_epsilon(grid: SpatialGrid) -> float:
+    """eps = h^2: `[hum] epsilon = auto`, the backward observability quotient, control-cost rows."""
+    return grid.h ** 2
 
 
 def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
@@ -144,7 +149,7 @@ def _estimates(st: TreeStepper, direction: str, depths, iters: int, seed: int):
     if direction == "forward_1_5":
         epsilon, pencils = None, _forward_pencil(st, depths)
     else:
-        ric = _ForwardRiccati(st, st.grid.h ** 2)
+        ric = _ForwardRiccati(st, _auto_epsilon(st.grid))
         epsilon, pencils = ric.eps, ((ric.value(st.tree.M - d), np.eye(st.grid.N)) for d in depths)
     for pencil in pencils:
         rayleigh = np.maximum.accumulate(_pencil_power_iteration(*pencil, iters, np.random.default_rng(seed)))
@@ -223,7 +228,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     if observability and iters < MIN_POWER_ITERS:
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     forward_obs = observability and direction == "forward_1_5"
-    epsilon = None if forward_obs else grid.h ** 2
+    epsilon = None if forward_obs else _auto_epsilon(grid)
     plans, failure = [], None  # per row (tree, tables), up to the first T whose build fails
     for T in t_values:
         try:

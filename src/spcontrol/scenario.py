@@ -139,6 +139,11 @@ class AdaptedField:
         return cls([rng.standard_normal((tree.n_nodes(n), n_space)) for n in range(n_levels)])
 
 
+def _level_weight(tree: ScenarioTree, grid, level: int, dt: bool = True) -> float:
+    """Every quadrature's level weight: dt * 2^-n * h, or 2^-n * h without dt, exact in any grouping."""
+    return (tree.dt if dt else 1.0) * tree.node_weight(level) * grid.h
+
+
 def expectation(tree: ScenarioTree, field, level: int) -> np.ndarray:
     """Probability-weighted node average at a level.
 
@@ -158,9 +163,9 @@ def qt_integral(tree: ScenarioTree, grid, field, square: bool = False,
                 mask: np.ndarray | None = None) -> float:
     """Time-space-probability integral with left-endpoint time quadrature.
 
-    Sums dt * 2^-n * h * field (or field squared) over the levels 0..M-1 the
-    field holds; `mask` restricts the spatial sum (e.g. to G0, as in the
-    backward-HUM control cost).
+    Sums `_level_weight` (dt * 2^-n * h) times field (or field squared) over
+    the levels 0..M-1 the field holds; `mask` restricts the spatial sum (e.g.
+    to G0, as in the backward-HUM control cost).
     """
     total = 0.0
     for n in range(min(len(field), tree.M)):
@@ -168,7 +173,7 @@ def qt_integral(tree: ScenarioTree, grid, field, square: bool = False,
         if mask is not None:
             vals = vals[:, mask]
         block = float(np.sum(vals * vals)) if square else float(np.sum(vals))
-        total += tree.dt * tree.node_weight(n) * grid.h * block
+        total += _level_weight(tree, grid, n) * block
     return total
 
 
@@ -202,6 +207,6 @@ def reconstruct_children(tree: ScenarioTree, cond_mean, z) -> np.ndarray:
 
 
 def mean_square_norm(tree: ScenarioTree, grid, field, level: int) -> float:
-    """E of the squared discrete L2 norm at a level: 2^-n * h * sum of squares."""
+    """E of the squared discrete L2 norm at a level: 2^-n * h (`_level_weight`) * sum of squares."""
     vals = np.asarray(field[level], dtype=float)
-    return tree.node_weight(level) * grid.h * float(np.sum(vals * vals))
+    return _level_weight(tree, grid, level, dt=False) * float(np.sum(vals * vals))

@@ -55,7 +55,8 @@ import numpy as np
 from ._lapack import dpttrf, dpttrs
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient, weak_divergence
-from .scenario import AdaptedField, ScenarioTree, martingale_part, qt_integral, reconstruct_children
+from .scenario import (AdaptedField, ScenarioTree, _level_weight, martingale_part, qt_integral,
+                       reconstruct_children)
 
 __all__ = [
     "ProblemCoefficients",
@@ -439,7 +440,7 @@ def duality_gap(grid, tree, coeffs, y0, u, v, zT) -> float:
     stepper = TreeStepper(grid, tree, coeffs)
     fwd = stepper.forward(y0, u=u, v=v)
     bwd = stepper.backward(zT, mode="adjoint_1_3")
-    t_terminal = tree.node_weight(tree.M) * grid.h * float(np.sum(fwd.y[tree.M] * bwd.z[tree.M]))
+    t_terminal = _level_weight(tree, grid, tree.M, dt=False) * float(np.sum(fwd.y[tree.M] * bwd.z[tree.M]))
     t_initial = grid.inner(y0, bwd.z[0][0])
     t_u = 0.0 if u is None else qt_integral(
         tree, grid, [(grid.g0_mask * u[n]) * bwd.z_half[n] for n in range(tree.M)])

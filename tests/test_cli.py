@@ -577,6 +577,56 @@ def test_cg_nonconvergence_exit_code_with_outputs(tmp_path, capsys, command, out
         assert "cg_converged = False" in (tmp_path / "out" / outputs[1]).read_text()
 
 
+@pytest.mark.parametrize("eps", ["1e-18", "1e-20"])
+def test_backward_solve_whose_identity_fails_exits_2_with_outputs(tmp_path, capsys, eps):
+    # weakly observable (cond(obs) ~ 5e15): CG converges in 3 iterations, yet the HUM identity
+    # residual reads 2.1e-2 (eps = 1e-18) and 0.67 (eps = 1e-20), far above sqrt(cg_tol) = 3.2e-5
+    cfg_path = write(tmp_path, f"""
+[problem]
+N = 16
+M = 6
+a = 0.2
+
+[hum]
+epsilon = {eps}
+
+[experiment]
+output_dir = {tmp_path / 'out'}
+""")
+    assert main(["control-backward", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "identity_residual" in err and "CG did not converge" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "control-backward.csv", "control-backward_report.txt"]
+    report = (tmp_path / "out" / "control-backward_report.txt").read_text()
+    assert "cg_converged = True" in report
+    assert _report(tmp_path / "out" / "control-backward_report.txt", "identity_residual")[0] > 1e-3
+
+
+def test_sweep_eps_row_whose_identity_fails_exits_2_with_outputs(tmp_path, capsys, monkeypatch):
+    # no forward solve is known whose CG converges while its identity fails, so the second row's
+    # report is given an identity residual of 1e-3 > sqrt(cg_tol) = 3.2e-5, CG untouched
+    calls, solve = [], experiments.hum_forward
+
+    def second_identity_fails(*args, **kwargs):
+        calls.append(1)
+        res = solve(*args, **kwargs)
+        if len(calls) == 2:
+            res.report.identity_residual = 1e-3
+        return res
+
+    monkeypatch.setattr(experiments, "hum_forward", second_identity_fails)
+    cfg_path = write(tmp_path, DESK + f"eps_values = 1e-1, 1e-2, 1e-3\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["sweep-eps", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "identity_residual = 0.001 exceeds sqrt(cg_tol) = 3.16e-05 (eps = 0.01)" in err
+    assert "CG did not converge" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "sweep-eps.csv", "sweep-eps.dat", "sweep-eps_report.txt"]
+    lines = (tmp_path / "out" / "sweep-eps.csv").read_text().splitlines()
+    assert [l.rsplit(",", 1)[1] for l in lines if not l.startswith("#")] == ["cg_converged"] + ["True"] * 3
+
+
 @pytest.mark.parametrize("budget", [0, -3])
 def test_cg_max_iter_must_be_positive(tmp_path, capsys, budget):
     cfg = DESK.replace("cg_max_iter = 500", f"cg_max_iter = {budget}")

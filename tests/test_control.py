@@ -10,7 +10,7 @@ from spcontrol.cli import parse_config
 from spcontrol.control import (HumConfig, _BackwardDual, _bound_ratio, _cg, _cholesky, _ForwardDual,
                                _ForwardRiccati, _log_bound_ratio, dual_functional, hum_backward, hum_forward,
                                k_cost_exponent, m_cost_exponent)
-from spcontrol.scenario import martingale_part, reconstruct_children
+from spcontrol.scenario import martingale_part, qt_integral, reconstruct_children
 
 
 def test_k_exponent_paper_substitutions():
@@ -59,6 +59,32 @@ def test_dual_functional_positive_quadratic(hum_setup):
         zT = rng.standard_normal((tree.n_nodes(tree.M), grid.N))
         out = dual_functional(grid, tree, coeffs, np.zeros(grid.N), eps, zT, stepper=st)
         assert out["value"] >= 0.5 * eps * leaf_w * np.sum(zT * zT)
+
+
+@pytest.mark.parametrize("build", [build_tree, build_path])
+def test_dual_functional_value_is_the_flat_buffer_formula(hum_setup, build):
+    """The value, through `qt_integral` and `mean_square_norm`, is the weighted dot over the
+    stacked [z_half | Z] blocks it replaced (weights dt 2^-n h [1_{G0}, 1], leaf weight 2^-M h)
+    to 1e-14 relative; the gradient, the controlled terminal state plus eps zT, keeps its bits."""
+    grid, tree, coeffs, st = hum_setup
+    if build is build_path:
+        tree = build_path(tree.M, tree.T)
+        st = TreeStepper(grid, tree, coeffs)
+    rng = np.random.default_rng(4)
+    eps, y0 = 1e-2, rng.standard_normal(grid.N)
+    zT = rng.standard_normal((tree.n_nodes(tree.M), grid.N))
+    out = dual_functional(grid, tree, coeffs, y0, eps, zT, stepper=st)
+    bwd = st.backward(zT, mode="adjoint_1_3")
+    rows = [tree.n_nodes(n) for n in range(tree.M)]
+    row_weight = np.repeat(tree.dt * grid.h * np.array([tree.node_weight(n) for n in range(tree.M)]), rows)
+    col_weight = np.concatenate([grid.g0_mask, np.ones(grid.N)])
+    blocks = np.concatenate([np.hstack(pair) for pair in zip(bwd.z_half, bwd.Z)])
+    old = (0.5 * float(row_weight @ (np.square(blocks) @ col_weight))
+           + 0.5 * eps * tree.node_weight(tree.M) * grid.h * float((zT * zT).sum())
+           + grid.inner(y0, bwd.z[0][0]))
+    assert out["value"] == pytest.approx(old, rel=1e-14, abs=0.0)
+    y = st.forward(y0, u=bwd.z_half, v=bwd.Z)
+    assert np.array_equal(out["gradient"], y.y[tree.M] + eps * zT)
 
 
 def test_dual_gradient_matches_central_differences(hum_setup):
@@ -766,8 +792,8 @@ def test_hum_forward_outputs_match_fresh_sweeps_of_p(carried_setup, monkeypatch,
     _assert_close_levels(res.u.levels, [grid.g0_mask * zh for zh in bwd.z_half.levels])
     _assert_close_levels(res.v.levels, bwd.Z.levels)
     _assert_close_levels(res.y.y.levels, y.y.levels)
-    dual = _ForwardDual(st)
-    cost = dual.observation(dual.pack(bwd.z_half.levels, bwd.Z.levels))
+    cost = (qt_integral(tree, grid, bwd.z_half, square=True, mask=grid.g0_mask)
+            + qt_integral(tree, grid, bwd.Z, square=True))
     assert res.report.control_cost == pytest.approx(cost, rel=1e-12, abs=0.0)
     if case == "zero":
         assert all(not a.any() for a in res.u.levels + res.v.levels + res.y.y.levels)
@@ -858,8 +884,9 @@ def test_one_iteration_forward_solve_builds_neither_p0_nor_drives(lq_setup, full
 
 
 def test_observation_sums_in_the_order_of_the_masked_fields():
-    """The observation quadrature, one weighted dot over the packed [z_half | Z] blocks, is the
-    per-level sum over the masked fields z_half[:, g0_mask] and Z to 1e-14 relative."""
+    """The observation quadrature, one weighted dot over the [z_half | Z] blocks that lead a Gramian
+    application's buffer, is the per-level sum over the masked fields z_half[:, g0_mask] and Z to
+    1e-14 relative."""
     grid = build_grid(1.0, 24, (0.1, 0.95), (0.3, 0.7))
     rng = np.random.default_rng(3)
     for tree in (build_tree(6, 1.0), build_path(6, 1.0)):
@@ -870,7 +897,8 @@ def test_observation_sums_in_the_order_of_the_masked_fields():
             Z = [rng.standard_normal((tree.n_nodes(n), grid.N)) for n in range(tree.M)]
             masked = sum(w * (float(np.sum(zh[:, grid.g0_mask] ** 2)) + float(np.sum(z ** 2)))
                          for w, zh, z in zip(weights, z_half, Z))
-            assert dual.observation(dual.pack(z_half, Z)) == pytest.approx(masked, rel=1e-14, abs=0.0)
+            blocks = np.concatenate([np.hstack(pair) for pair in zip(z_half, Z)]).ravel()
+            assert dual.observation(blocks) == pytest.approx(masked, rel=1e-14, abs=0.0)
 
 
 # -- the forward Gramian on the stepper's N x N step maps ----------------------

@@ -1,6 +1,7 @@
 """Conventions the package source keeps."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spcontrol"
@@ -32,3 +33,12 @@ def test_every_tridiagonal_solve_goes_through_stepper_solve():
     uses = sorted((path.name, scope, kind) for path in sorted(SRC.glob("*.py")) if path.name != "_lapack.py"
                   for scope, kind in _dpttrs_uses(ast.parse(path.read_text())))
     assert uses == [("spde.py", "", "import"), ("spde.py", "TreeStepper._solve.", "use")]
+
+
+def test_level_quadrature_weight_is_written_in_scenario_only():
+    # dt 2^-n h and 2^-n h are scenario._level_weight's; a product of node_weight with dt or h
+    # anywhere else spells the quadrature a second time
+    product = re.compile(r"\bdt\s*\*.*node_weight|node_weight\(.*?\)\s*\*\s*[\w.]*\bh\b|\bh\s*\*.*node_weight")
+    found = [f"{path.name}:{k}" for path in sorted(SRC.glob("*.py"))
+             for k, line in enumerate(path.read_text().splitlines(), 1) if product.search(line)]
+    assert found and all(f.startswith("scenario.py:") for f in found), found
