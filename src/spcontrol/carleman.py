@@ -151,10 +151,17 @@ def build_psi(grid: SpatialGrid, g1: tuple[float, float] | None = None) -> PsiFu
     return psi
 
 
+def _at_least(low: float, **params) -> None:
+    """The estimates' floors, lambda, mu >= 1 and exclude >= 0: a ValueError names the first
+    parameter that is not finite and >= low."""
+    for name, value in params.items():
+        if not low <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= {low:g}, got {value:g}")
+
+
 def lambda_threshold(mu: float, psi: PsiFunction, T: float, c0: float = 1.0) -> float:
     """Parameter floor c0*(e^{2 mu max psi} * T + T^2) for the backward estimates."""
-    if mu < 1.0:
-        raise ValueError("mu must be >= 1")
+    _at_least(1.0, mu=mu)
     return c0 * (np.exp(2.0 * mu * _PSI_MAX) * T + T * T)
 
 
@@ -193,8 +200,7 @@ class CarlemanWeightSet:
 
 def eval_weights(psi: PsiFunction, lam: float, mu: float, tree: ScenarioTree) -> CarlemanWeightSet:
     """Tabulate the weight family on the tree's interior time levels."""
-    if lam < 1.0 or mu < 1.0:
-        raise ValueError("lambda and mu must be >= 1")
+    _at_least(1.0, lam=lam, mu=mu)
     T = tree.T
     times = tree.times[1:-1]
     tau = 1.0 / (times * (T - times))
@@ -374,13 +380,13 @@ class CarlemanRatio:
 
 
 def _quad_levels(tree: ScenarioTree, exclude: int) -> range:
-    if exclude < 0:
-        raise ValueError(f"exclude must be >= 0, got {exclude}")
-    lo = 1 + exclude
-    hi = tree.M - 1 - exclude
-    if hi < lo:
-        raise ValueError(f"no quadrature levels remain for M = {tree.M} with exclude = {exclude}")
-    return range(lo, hi + 1)
+    """Levels 1 + exclude .. M - 1 - exclude, the ratios' quadrature: a ValueError if none remains."""
+    _at_least(0.0, exclude=exclude)
+    levels = range(1 + exclude, tree.M - exclude)
+    if not levels:
+        raise ValueError(f"exclude = {exclude} leaves no quadrature level: M = {tree.M} must be >= "
+                         f"2 + 2 x exclude = {2 + 2 * exclude}")
+    return levels
 
 
 def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backward: bool):
@@ -403,7 +409,8 @@ def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backwar
     in units of e^shift: the weight rows w_n^p = th^2 phi^p of a power come from one exp
     over all quadrature levels with the factors dt 2^-n h folded in, each term is one dot
     product (the state and observation terms share z's sums), and the G0 mask zeroes
-    entries of the weight rows.
+    entries of the weight rows.  A non-finite node sum is a NumericsError naming field and level,
+    a source's before z's, which a non-finite source makes non-finite too.
     """
     grid, tree, single = st.grid, st.tree, isinstance(weights, CarlemanWeightSet)
     sums = []
@@ -413,6 +420,10 @@ def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backwar
         for out, field in zip(sums, fields):
             if field is not None:
                 np.einsum("ij,ij->j", *[np.asarray(field, dtype=float)] * 2, out=out[n - levels[0]])
+    for name, s in [*zip(("z", "grad z", *(name for name, _ in sources)), sums)][::-1]:
+        if s is not None and not np.isfinite(s).all():
+            k = np.flatnonzero(~np.isfinite(s).all(axis=1))[0]
+            raise NumericsError(f"Carleman field {name} is not finite at level {levels[k]}")
     z_sums, grad_sums, *f_sums = sums
     quad = np.array([_level_weight(tree, grid, n) for n in levels])[:, None]
     ratios = []

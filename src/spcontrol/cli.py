@@ -5,13 +5,13 @@ and the HUM solves it ran; `run` alone writes them, to `<name>.csv`,
 `<name>.dat` and `<name>_report.txt`, once the computation returns.  Output
 files are deterministic for a fixed config and seed: headers echo the
 resolved configuration, floats are printed with 17 significant digits, no
-timestamps.  Exit codes: 0 success, 1 config/validation error, 2 numerical
-failure.  A sweep row that fails leaves only the CSV of the completed rows.
-A HUM solve in control-forward, control-backward or sweep-eps whose CG
-misses cg_tol, or whose HUM identity residual exceeds sqrt(cg_tol), is a
-numerical failure too (`_exit_code`): every output is written as usual, then
-the command reports the failure on stderr and exits 2.  The output directory
-is created at the first write, so a command that fails on its input leaves none.
+timestamps.  Exit codes: 0 success, 1 config/validation error or an output path
+that cannot be written, 2 numerical failure.  A failed sweep row leaves only the
+CSV of the completed rows.  A HUM solve in control-forward, control-backward or
+sweep-eps whose CG misses cg_tol, or whose HUM identity residual exceeds
+sqrt(cg_tol), is a numerical failure too (`_exit_code`): every output is written
+as usual, then the command reports the failure on stderr and exits 2.  The output
+directory is created at the first write, so a command that fails on its input leaves none.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .carleman import (build_psi, carleman_ratio_backward, eval_weights, lambda_threshold,
-                       leading_order_check)
+from .carleman import (_at_least, _quad_levels, build_psi, carleman_ratio_backward, eval_weights,
+                       lambda_threshold, leading_order_check)
 from .control import HumConfig, hum_backward, hum_forward
 from .errors import NumericsError
-from .experiments import (DIRECTIONS, MIN_POWER_ITERS, SweepError, _auto_epsilon, _ols, cost_scaling_sweep,
-                          epsilon_sweep, observability_constant)
+from .experiments import (MIN_POWER_ITERS, SweepError, _auto_epsilon, _direction, _ols, _sine_datum,
+                          _sweep_horizons, _sweep_penalties, cost_scaling_sweep, epsilon_sweep,
+                          observability_constant)
 from .grid import build_grid
 from .scenario import AdaptedField, build_tree, mean_square_norm
 from .spde import ProblemCoefficients, TreeStepper
@@ -159,8 +160,7 @@ class RunConfig:
             p = self.problem
             grid = build_grid(p.L, p.N, p.g0, p.g1)
             tree = build_tree(p.M, p.T)
-            coeffs = ProblemCoefficients(**{name: compile_expression(getattr(p, name),
-                                                                     f"[problem] {name}")
+            coeffs = ProblemCoefficients(**{name: compile_expression(getattr(p, name), name)
                                             for name in ("a", "a1", "a2", "b1", "b2", "b")})
             self._built = (key, (grid, tree, coeffs))
         return self._built[1]
@@ -180,8 +180,7 @@ class RunConfig:
     def echo(self) -> list[str]:
         """Header of every CSV and report: the seed, then the resolved configuration."""
         lines = [f"seed = {self.experiment.seed}"]
-        for section_name, section in (("problem", self.problem), ("carleman", self.carleman),
-                                       ("hum", self.hum), ("experiment", self.experiment)):
+        for section_name, section in ((name, getattr(self, name)) for name in _SECTION_TYPES):
             for f in fields(section):
                 val = getattr(section, f.name)
                 if isinstance(val, tuple):
@@ -266,45 +265,37 @@ def parse_config(path) -> RunConfig:
                 setattr(defaults, key, _parse_scalar(value, type(default), where))
         built[name] = defaults
 
-    cfg = RunConfig(problem=built["problem"], carleman=built["carleman"],
-                    hum=built["hum"], experiment=built["experiment"])
+    cfg = RunConfig(**built)
     _validate(cfg, path)
     return cfg
 
 
 def _validate(cfg: RunConfig, path) -> None:
-    p = cfg.problem
+    p, c, e = cfg.problem, cfg.carleman, cfg.experiment
     if len(p.g0) != 2 or len(p.g1) != 2:
         raise ConfigError(f"{path}: [problem] g0/g1 must be two numbers each")
-    try:
-        grid, _, _ = cfg.build_problem()
-    except ConfigError as exc:  # a coefficient expression; its message names the key
-        raise ConfigError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [problem] {exc}") from None
-    try:
-        cfg.hum_config(grid)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [hum] {exc}") from None
-    c, e = cfg.carleman, cfg.experiment
+    # a rule on one key is its library owner's, whose ValueError names the key: it gains its section here
+    for section, check in (("problem", cfg.build_problem),
+                           ("hum", lambda: cfg.hum_config(cfg.build_problem()[0])),
+                           ("carleman", lambda: [_at_least(1.0, mu=c.mu), _at_least(0.0, exclude=c.exclude),
+                                                 *(_at_least(1.0, mu_values=v) for v in c.mu_values)]),
+                           ("experiment", lambda: [_direction(e.direction),
+                                                   _sweep_horizons(e.t_values, e.m_per_time),
+                                                   _sweep_penalties(e.eps_values)])):
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from None
     positive = (lambda v: 0.0 < v < np.inf, "positive and finite")  # NaN fails every comparison
-    at_least_1 = (lambda v: 1.0 <= v < np.inf, "finite and >= 1")
     for key, values, (test, rule) in (
-            ("[carleman] mu", c.mu, at_least_1), ("[carleman] c0", c.c0, positive),
+            ("[carleman] c0", c.c0, positive),
             ("[carleman] lambda_multiples", c.lambda_multiples, positive),
-            ("[carleman] mu_values", c.mu_values, at_least_1),
             ("[carleman] samples", c.samples, (lambda v: v >= 1, ">= 1")),
-            ("[carleman] exclude", c.exclude, (lambda v: v >= 0, ">= 0")),
             ("[experiment] seed", e.seed, (lambda v: v >= 0, ">= 0")),
             ("[experiment] power_iters", e.power_iters,
-             (lambda v: v >= MIN_POWER_ITERS, f">= {MIN_POWER_ITERS}")),
-            ("[experiment] m_per_time", e.m_per_time, positive),
-            ("[experiment] t_values", e.t_values, positive),
-            ("[experiment] eps_values", e.eps_values, positive)):
+             (lambda v: v >= MIN_POWER_ITERS, f">= {MIN_POWER_ITERS}"))):
         if not all(map(test, np.atleast_1d(values))):
             raise ConfigError(f"{path}: {key} must be {rule}")
-    if e.direction not in DIRECTIONS:
-        raise ConfigError(f"{path}: [experiment] direction must be {' or '.join(DIRECTIONS)}")
 
 
 # -- output helpers ----------------------------------------------------------
@@ -332,7 +323,7 @@ def _write(path: Path, lines) -> None:
 
 def _cmd_simulate(cfg):
     grid, tree, coeffs = cfg.build_problem()
-    sol = TreeStepper(grid, tree, coeffs).forward(np.sin(np.pi * grid.x / grid.L))
+    sol = TreeStepper(grid, tree, coeffs).forward(_sine_datum(grid))
     rows = [(n, tree.times[n], mean_square_norm(tree, grid, sol.y, n)) for n in range(tree.M + 1)]
     return rows, [
         f"initial mean-square norm = {_fmt(rows[0][2])}",
@@ -342,27 +333,18 @@ def _cmd_simulate(cfg):
 
 def _hum_command(cfg, which: str):
     grid, tree, coeffs = cfg.build_problem()
-    hum_cfg, data = cfg.hum_config(grid), np.sin(np.pi * grid.x / grid.L)
+    hum_cfg, data = cfg.hum_config(grid), _sine_datum(grid)
     if which == "forward":
         res, exp_name = hum_forward(grid, tree, coeffs, data, hum_cfg), "K"
     else:
         data = np.tile(data, (tree.n_nodes(tree.M), 1))
         res, exp_name = hum_backward(grid, tree, coeffs, data, hum_cfg), "M"
-    r = res.report
     trace_rows = [(k + 1, rr, vv) for k, (rr, vv) in
                   enumerate(zip(res.cg_trace["residuals"], res.cg_trace["values"]))]
-    return trace_rows, [
-        f"epsilon = {_fmt(r.epsilon)}",
-        f"terminal_norm = {_fmt(r.terminal_norm)}",
-        f"uncontrolled_norm = {_fmt(r.uncontrolled_norm)}",
-        f"control_cost = {_fmt(r.control_cost)}",
-        f"{exp_name} = {_fmt(r.cost_exponent)}",
-        f"bound_ratio = {_fmt(r.bound_ratio)}",
-        f"log10_bound_ratio = {_fmt(r.log10_bound_ratio)}",
-        f"cg_iterations = {r.cg_iterations}",
-        f"cg_converged = {r.cg_converged}",
-        f"identity_residual = {_fmt(r.identity_residual)}",
-    ], None, [vars(r)]
+    r = vars(res.report)
+    keys = ("epsilon", "terminal_norm", "uncontrolled_norm", "control_cost", "cost_exponent", "bound_ratio",
+            "log10_bound_ratio", "cg_iterations", "cg_converged", "identity_residual")
+    return trace_rows, [f"{exp_name if k == 'cost_exponent' else k} = {_fmt(r[k])}" for k in keys], None, [r]
 
 
 def _cmd_observability(cfg):
@@ -381,24 +363,23 @@ def _cmd_observability(cfg):
 def _cmd_carleman_check(cfg):
     grid, tree, coeffs = cfg.build_problem()
     psi = build_psi(grid)
-    mu = cfg.carleman.mu
+    mu, mults, exclude = cfg.carleman.mu, cfg.carleman.lambda_multiples, cfg.carleman.exclude
     lam0 = lambda_threshold(mu, psi, tree.T, c0=cfg.carleman.c0)
-    mults = cfg.carleman.lambda_multiples
-    # eval_weights refuses it too, but only after the stepper is built and the samples are drawn
-    for mult in (m for m in mults if m * lam0 < 1.0):
-        raise ConfigError(f"[carleman] lambda_multiples: {mult:.6g} x lambda_threshold {lam0:.6g} is "
-                          "below 1; raise the multiple or [carleman] c0")
-    exclude = cfg.carleman.exclude
-    if tree.M < 2 + 2 * exclude:  # no quadrature level would remain between the excluded ones
-        raise ConfigError(f"[carleman] exclude = {exclude} leaves no quadrature level: [problem] M = "
-                          f"{tree.M} must be >= 2 + 2 x exclude = {2 + 2 * exclude}")
+    # the rules on two keys, applied by their owners before the stepper is built and the samples drawn
+    try:
+        weight_sets = [eval_weights(psi, mult * lam0, mu, tree) for mult in mults]
+    except ValueError as exc:
+        raise ConfigError(f"[carleman] lambda_multiples x lambda_threshold {lam0:.6g}: {exc}") from None
+    try:
+        _quad_levels(tree, exclude)
+    except ValueError as exc:
+        raise ConfigError(f"[carleman] {exc}") from None
     st = TreeStepper(grid, tree, coeffs)
     rng = np.random.default_rng(cfg.experiment.seed)
     instances = [(rng.standard_normal((tree.n_nodes(tree.M), grid.N)),
                   AdaptedField.random(tree, grid.N, rng, n_levels=tree.M),
                   AdaptedField.random(tree, grid.N, rng, n_levels=tree.M))
                  for _ in range(cfg.carleman.samples)]
-    weight_sets = [eval_weights(psi, mult * lam0, mu, tree) for mult in mults]
     # the backward solution does not depend on lambda: one solve per instance
     results = [carleman_ratio_backward(grid, tree, coeffs, weight_sets, zT, mode="sources", f0=f0, f_div=fd,
                                        exclude=exclude, stepper=st) for zT, f0, fd in instances]
@@ -435,8 +416,6 @@ def _cmd_appendix_check(cfg):
 
 def _cmd_sweep_t(cfg):
     grid, _, coeffs = cfg.build_problem()
-    if len(set(cfg.experiment.t_values)) < 4:
-        raise ConfigError("sweep-T needs at least 4 distinct T values in [experiment] t_values")
     table = cost_scaling_sweep(coeffs, grid, cfg.experiment.t_values,
                                quantity="observability", direction=cfg.experiment.direction,
                                m_per_time=cfg.experiment.m_per_time,
@@ -445,20 +424,14 @@ def _cmd_sweep_t(cfg):
         f"quantity = {table.quantity}",
         *([f"epsilon = {_fmt(table.epsilon)}"] if table.epsilon is not None else []),
         f"fit log(value) = slope / T + intercept",
-        f"slope = {_fmt(table.slope)}",
-        f"intercept = {_fmt(table.intercept)}",
-        f"r2 = {_fmt(table.r2)}",
+        *(f"{k} = {_fmt(getattr(table, k))}" for k in ("slope", "intercept", "r2")),
         f"r2 against 1/T^4 (reported only) = {_fmt(table.r2_alt)}",
     ], [f"{_fmt(1.0 / r['T'])} {_fmt(np.log(r['value']))}" for r in table.rows], []
 
 
 def _cmd_sweep_eps(cfg):
     grid, tree, coeffs = cfg.build_problem()
-    eps = cfg.experiment.eps_values
-    if len(eps) < 3 or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ConfigError("sweep-eps needs at least 3 strictly decreasing values in "
-                          "[experiment] eps_values")
-    rows = epsilon_sweep(coeffs, grid, tree, np.sin(np.pi * grid.x / grid.L), eps,
+    rows = epsilon_sweep(coeffs, grid, tree, _sine_datum(grid), cfg.experiment.eps_values,
                          cg_tol=cfg.hum.cg_tol, cg_max_iter=cfg.hum.cg_max_iter)
     decreasing = all(a["terminal_norm"] > b["terminal_norm"] for a, b in zip(rows, rows[1:]))
     costs = [r["control_cost"] for r in rows]
@@ -540,7 +513,7 @@ def main(argv=None) -> int:
         if args.output_dir is not None:
             cfg.experiment.output_dir = args.output_dir
         code = run(args.subcommand, cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: a config or output path, say
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericsError, SweepError, FloatingPointError) as exc:

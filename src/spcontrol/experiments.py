@@ -79,6 +79,34 @@ def _auto_epsilon(grid: SpatialGrid) -> float:
     return grid.h ** 2
 
 
+def _sine_datum(grid: SpatialGrid) -> np.ndarray:
+    """sin(pi x / L): the CLI's initial state and HUM data, and the state control-cost rows steer."""
+    return np.sin(np.pi * grid.x / grid.L)
+
+
+def _direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be {' or '.join(DIRECTIONS)}, got {direction!r}")
+
+
+def _sweep_horizons(t_values, m_per_time: float) -> list:
+    """cost_scaling_sweep's T values, sorted, once they and m_per_time pass its rules."""
+    t_values = sorted(float(t) for t in t_values)
+    if not (all(0.0 < T < np.inf for T in t_values) and len(set(t_values)) >= 4):
+        raise ValueError(f"t_values must be >= 4 distinct T values, positive and finite, got {t_values}")
+    if not 0.0 < m_per_time < np.inf:
+        raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
+    return t_values
+
+
+def _sweep_penalties(eps_values) -> list:
+    """epsilon_sweep's eps values, once they pass its rule."""
+    eps = [float(e) for e in eps_values]
+    if not (len(eps) >= 3 and all(a > b > 0.0 for a, b in zip(eps, eps[1:])) and eps[0] < np.inf):
+        raise ValueError(f"eps_values must be >= 3 strictly decreasing positive and finite values, got {eps}")
+    return eps
+
+
 def _pencil_power_iteration(energy, obs, iters: int, rng) -> list:
     """Generalized power iteration for a dense symmetric pencil.
 
@@ -138,8 +166,7 @@ def observability_constant(grid: SpatialGrid, tree: ScenarioTree, coeffs,
     """
     if iters < MIN_POWER_ITERS:
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    _direction(direction)
     return next(_estimates(TreeStepper(grid, tree, coeffs), direction, [tree.M], iters, seed))
 
 
@@ -205,26 +232,18 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
     Riccati's `feedback_costs`.  It steps as deep as its rows ask, so a failing level fails
     the first row that reaches it.  Rows are planned up to the first T whose tree or tables
     fail to build; that error fails its row.  `epsilon` is the rows' penalty (None for forward
-    observability).  An unknown name, a control-cost sweep in the backward direction, a T
-    or m_per_time that is not positive and finite, fewer than 4 distinct T values or, for
-    observability, iters < MIN_POWER_ITERS is a ValueError before any row runs.  Rows run
-    in sorted-T order; a row failure aborts the sweep with the completed rows attached to
-    the raised SweepError.
+    observability).  An unknown name, a control-cost sweep in the backward direction, T values
+    or m_per_time that `_sweep_horizons` refuses or, for observability, iters < MIN_POWER_ITERS
+    is a ValueError before any row runs.  Rows run in sorted-T order; a row failure aborts the
+    sweep with the completed rows attached to the raised SweepError.
     """
     if quantity not in ("observability", "control_cost"):
         raise ValueError(f"unknown quantity {quantity!r}")
     observability = quantity == "observability"
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    _direction(direction)
     if not observability and direction != "forward_1_5":
         raise ValueError(f"control-cost rows are forward HUM costs: direction {direction!r} does not apply")
-    t_values = sorted(float(t) for t in t_values)
-    if not all(0.0 < T < np.inf for T in t_values):
-        raise ValueError(f"T values must be positive and finite, got {t_values}")
-    if len(set(t_values)) < 4:
-        raise ValueError("need at least 4 distinct T values for the fit")
-    if not 0.0 < m_per_time < np.inf:
-        raise ValueError(f"m_per_time must be positive and finite, got {m_per_time}")
+    t_values = _sweep_horizons(t_values, m_per_time)
     if observability and iters < MIN_POWER_ITERS:
         raise ValueError(f"iters must be >= {MIN_POWER_ITERS}")
     forward_obs = observability and direction == "forward_1_5"
@@ -253,8 +272,8 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
                 if observability:
                     hosted[j] = (est.c_obs for est in _estimates(st, direction, depths, iters, seed))
                 else:
-                    y0 = np.sin(np.pi * grid.x / grid.L)
-                    hosted[j] = (cost for cost, _ in _ForwardRiccati(st, epsilon).feedback_costs(y0, depths))
+                    hosted[j] = (cost for cost, _ in
+                                 _ForwardRiccati(st, epsilon).feedback_costs(_sine_datum(grid), depths))
             value = next(hosted[j])
             expo = (m_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b_inf) if forward_obs else
                     k_cost_exponent(T, tab.a1_inf, tab.a2_inf, tab.b1_inf, tab.b2_inf))
@@ -276,7 +295,7 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
                   y0, eps_values, cg_tol: float = 1e-10, cg_max_iter: int = 8000) -> list:
     """Run hum_forward across decreasing eps; rows carry norm/cost/iteration/identity-residual data.
 
-    Every eps must be positive and finite (ValueError before any row runs).
+    eps_values breaking `_sweep_penalties`' rules is a ValueError before any row runs.
     All rows share one stepper and one free solution: the uncontrolled sweep
     of y0 does not depend on eps, so it runs once, inside the first row, and
     every row's hum_forward receives it whole, since the controlled state is
@@ -286,11 +305,7 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
     cost stays within the uniform penalty-free bound; both are the caller's
     (or the acceptance suite's) assertions, this function only tabulates.
     """
-    eps_values = [float(e) for e in eps_values]
-    if not all(0.0 < e < np.inf for e in eps_values):
-        raise ValueError(f"eps values must be positive and finite, got {eps_values}")
-    if len(eps_values) < 3 or any(a <= b for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("need >= 3 strictly decreasing eps values")
+    eps_values = _sweep_penalties(eps_values)
     tree.n_nodes(tree.M)  # a tree too deep to sweep is bad input, not a failed row
     st = TreeStepper(grid, tree, coeffs)
     y0 = np.asarray(y0, dtype=float)

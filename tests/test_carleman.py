@@ -198,10 +198,40 @@ def test_negative_exclude_is_rejected_by_name(grid32, tree8, full_coeffs):
     psi = build_psi(grid32)
     w = eval_weights(psi, lambda_threshold(1.0, psi, tree8.T), 1.0, tree8)
     zT = np.ones((tree8.n_nodes(tree8.M), grid32.N))
-    with pytest.raises(ValueError, match="exclude must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="exclude must be finite and >= 0, got -1"):
         carleman_ratio_backward(grid32, tree8, full_coeffs, w, zT, mode="sources", exclude=-1)
-    with pytest.raises(ValueError, match="exclude must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="exclude must be finite and >= 0, got -1"):
         carleman_ratio_forward(grid32, tree8, full_coeffs, w, np.ones(grid32.N), exclude=-1)
+
+
+def test_a_non_finite_source_fails_the_ratio_by_name(grid32, tree8, full_coeffs):
+    # the lowest quadrature level's f0 (backward) and the top one's f1 (forward) feed no later solve,
+    # so only the node sums see them: both ratios used to read nan
+    psi = build_psi(grid32)
+    w = eval_weights(psi, lambda_threshold(1.0, psi, tree8.T), 1.0, tree8)
+    rng = np.random.default_rng(0)
+    zT = rng.standard_normal((tree8.n_nodes(tree8.M), grid32.N))
+    f0, f1 = (AdaptedField.random(tree8, grid32.N, rng, n_levels=tree8.M) for _ in range(2))
+    f0[2][0, 3] = np.nan
+    f1[6][1, 0] = np.nan
+    with pytest.raises(NumericsError, match="^Carleman field f0 is not finite at level 2$"):
+        carleman_ratio_backward(grid32, tree8, full_coeffs, w, zT, mode="sources", f0=f0)
+    with pytest.raises(NumericsError, match="^Carleman field f1 is not finite at level 6$"):
+        carleman_ratio_forward(grid32, tree8, full_coeffs, w, np.ones(grid32.N), f1=f1)
+
+
+@pytest.mark.parametrize("lam,mu,message", [(np.nan, 1.0, "lam must be finite and >= 1, got nan"),
+                                            (np.inf, 1.0, "lam must be finite and >= 1, got inf"),
+                                            (0.5, 1.0, "lam must be finite and >= 1, got 0.5"),
+                                            (10.0, np.nan, "mu must be finite and >= 1, got nan")])
+def test_weights_name_a_parameter_that_is_not_finite_and_at_least_1(grid32, tree8, lam, mu, message):
+    # a NaN lambda used to pass, and gave carleman_ratio_backward a ratio of nan
+    psi = build_psi(grid32)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eval_weights(psi, lam, mu, tree8)
+    if np.isnan(mu):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lambda_threshold(mu, psi, tree8.T)
 
 
 def test_backward_ratio_median_sweep(grid32, tree8):

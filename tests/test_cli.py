@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -171,20 +172,21 @@ def test_invalid_region_names_both_intervals(tmp_path):
     (MINIMAL + "\n[hum]\nepsilon = x\n", ": [hum] epsilon must be 'auto' or a number"),
     (MINIMAL + "\n[hum]\ncg_max_iter = 1.5\n", ":9: [hum] cg_max_iter: expected int, got '1.5'"),
     (MINIMAL + "\n[experiment]\ndirection = up\n",
-     ": [experiment] direction must be forward_1_5 or backward_1_3"),
+     ": [experiment] direction must be forward_1_5 or backward_1_3, got 'up'"),
     # NaN fails every comparison, so a check written as `x <= 0` lets it through
     (MINIMAL + "\n[hum]\nepsilon = nan\n", ": [hum] epsilon must be positive and finite, got nan"),
     (MINIMAL + "T = nan\n", ": [problem] T must be positive and finite, got nan"),
     (MINIMAL + "L = inf\n", ": [problem] L must be positive and finite, got inf"),
     (MINIMAL + "\n[hum]\nbound_c = nan\n", ": [hum] bound_c must be finite, got nan"),
-    (MINIMAL + "\n[carleman]\nmu = nan\n", ": [carleman] mu must be finite and >= 1"),
+    (MINIMAL + "\n[carleman]\nmu = nan\n", ": [carleman] mu must be finite and >= 1, got nan"),
     (MINIMAL + "\n[carleman]\nc0 = nan\n", ": [carleman] c0 must be positive and finite"),
-    (MINIMAL + "\n[carleman]\nexclude = -1\n", ": [carleman] exclude must be >= 0"),
+    (MINIMAL + "\n[carleman]\nexclude = -1\n", ": [carleman] exclude must be finite and >= 0, got -1"),
     (MINIMAL + "\n[experiment]\npower_iters = 3\n", ": [experiment] power_iters must be >= 5"),
     (MINIMAL + "\n[experiment]\nt_values = -1, 0.5, 1, 2\n",
-     ": [experiment] t_values must be positive and finite"),
+     ": [experiment] t_values must be >= 4 distinct T values, positive and finite, "
+     "got [-1.0, 0.5, 1.0, 2.0]"),
     (MINIMAL + "\n[experiment]\nm_per_time = nan\n",
-     ": [experiment] m_per_time must be positive and finite"),
+     ": [experiment] m_per_time must be positive and finite, got nan"),
     (MINIMAL + "\n[experiment]\nseed = -1\n", ": [experiment] seed must be >= 0"),
 ], ids=["N", "g1", "a", "epsilon", "int", "direction", "epsilon-nan", "T-nan", "L-inf", "bound_c-nan",
         "mu-nan", "c0-nan", "exclude", "power_iters", "t_values", "m_per_time-nan", "seed"])
@@ -330,11 +332,13 @@ def test_carleman_check_names_a_lambda_below_1_before_any_solve(tmp_path, capsys
         raise AssertionError("a backward fold ran")
 
     monkeypatch.setattr(TreeStepper, "fold", no_fold)
+    monkeypatch.setattr(cli, "TreeStepper", lambda *args: pytest.fail("a stepper was built"))
+    monkeypatch.setattr(cli.np.random, "default_rng", lambda *args: pytest.fail("a sample was drawn"))
     desk = Path(__file__).resolve().parents[1] / "demos" / "desk.ini"
     cfg_path = write(tmp_path, desk.read_text().replace("T = 1.0", "T = 0.1"))
     assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == ("error: [carleman] lambda_multiples: 1 x lambda_threshold 0.748906 "
-                                       "is below 1; raise the multiple or [carleman] c0\n")
+    assert capsys.readouterr().err == ("error: [carleman] lambda_multiples x lambda_threshold 0.748906: "
+                                       "lam must be finite and >= 1, got 0.748906\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -346,9 +350,10 @@ def test_carleman_check_names_an_exclude_that_leaves_no_quadrature_level(tmp_pat
         out = tmp_path / f"out{exclude}"
         assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(out)]) == code
     assert capsys.readouterr().err == ("error: [carleman] exclude = 4 leaves no quadrature level: "
-                                       "[problem] M = 8 must be >= 2 + 2 x exclude = 10\n")
+                                       "M = 8 must be >= 2 + 2 x exclude = 10\n")
     assert not out.exists()
     monkeypatch.setattr(cli, "TreeStepper", lambda *args: pytest.fail("a stepper was built"))
+    monkeypatch.setattr(cli.np.random, "default_rng", lambda *args: pytest.fail("a sample was drawn"))
     assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(out)]) == 1
 
 
@@ -465,6 +470,35 @@ def test_fresh_interpreter_writes_the_in_process_bytes(tmp_path):
             assert echoed == (here / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "carleman-check"])
+@pytest.mark.parametrize("line,message", [
+    ("eps_values = 1e-1, 1e-2", "eps_values must be >= 3 strictly decreasing positive and finite values, "
+                                "got [0.1, 0.01]"),
+    ("t_values = 1, 2, 3", "t_values must be >= 4 distinct T values, positive and finite, "
+                           "got [1.0, 2.0, 3.0]")],
+    ids=["eps_values", "t_values"])
+def test_sweep_lists_fail_every_subcommand_at_parse_time(tmp_path, capsys, command, line, message):
+    # the sweeps' own rules, read at parse time: a command that runs no sweep refuses them too
+    cfg_path = write(tmp_path, DESK + f"{line}\noutput_dir = {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: [experiment] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["under", "at"])
+def test_an_output_dir_that_cannot_be_created_exits_1(tmp_path, capsys, where):
+    # a regular file where the output directory, or one of its parents, should be: this used to
+    # end in a NotADirectoryError (or FileExistsError) traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if where == "under" else blocker
+    cfg_path = write(tmp_path, DESK)
+    assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(out)]) == 1
+    code = errno.ENOTDIR if where == "under" else errno.EEXIST
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    assert blocker.read_text() == ""
+
+
 def test_sweep_t_requires_four_values(tmp_path):
     cfg = DESK + f"t_values = 0.5, 1.0, 2.0\noutput_dir = {tmp_path / 'out'}\n"
     cfg_path = write(tmp_path, cfg)
@@ -475,7 +509,8 @@ def test_sweep_t_requires_four_distinct_values(tmp_path, capsys):
     cfg = DESK + f"t_values = 1, 1, 1, 1\noutput_dir = {tmp_path / 'out'}\n"
     cfg_path = write(tmp_path, cfg)
     assert main(["sweep-T", "--config", str(cfg_path)]) == 1
-    assert "4 distinct T values in [experiment] t_values" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {cfg_path}: [experiment] t_values must be >= 4 distinct "
+                                       "T values, positive and finite, got [1.0, 1.0, 1.0, 1.0]\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -522,8 +557,9 @@ def test_sweep_eps_reports_a_zero_control_cost(tmp_path, eps_values, variation):
 def test_sweep_eps_values_must_decrease_strictly(tmp_path, capsys, eps_values):
     cfg_path = write(tmp_path, DESK + f"eps_values = {eps_values}\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["sweep-eps", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == ("error: sweep-eps needs at least 3 strictly decreasing values "
-                                       "in [experiment] eps_values\n")
+    listed = [float(e) for e in eps_values.split(",")]
+    assert capsys.readouterr().err == (f"error: {cfg_path}: [experiment] eps_values must be >= 3 strictly "
+                                       f"decreasing positive and finite values, got {listed}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -533,7 +533,8 @@ def test_scaling_sweep_needs_four_rows(t_values):
 
 
 @pytest.mark.parametrize("kwargs,what", [({"quantity": "bogus"}, "unknown quantity 'bogus'"),
-                                         ({"direction": "sideways"}, "unknown direction 'sideways'"),
+                                         ({"direction": "sideways"},
+                                          "direction must be forward_1_5 or backward_1_3, got 'sideways'"),
                                          ({"quantity": "control_cost", "direction": "backward_1_3"},
                                           "direction 'backward_1_3' does not apply"),
                                          ({"t_values": [0.25, 0.5, 1.0, np.nan, 2.0]}, "got .*nan"),

@@ -42,3 +42,19 @@ def test_level_quadrature_weight_is_written_in_scenario_only():
     found = [f"{path.name}:{k}" for path in sorted(SRC.glob("*.py"))
              for k, line in enumerate(path.read_text().splitlines(), 1) if product.search(line)]
     assert found and all(f.startswith("scenario.py:") for f in found), found
+
+
+def test_each_input_rule_is_written_by_its_owner_only():
+    # the CLI applies these rules through the library functions that own them, adding the config key
+    # to the owner's message, so each message is written in one module: experiments for the sweep
+    # lists and the direction, carleman for the parameter floors and for exclude against M
+    rules = {"eps-sweep list": ("eps_values must be",),
+             "T-sweep list": ("t_values must be", "distinct T values", "m_per_time must be"),
+             "direction": ("direction must be",),
+             "lambda, mu >= 1": ("must be finite and >= ",),
+             "exclude against M": ("leaves no quadrature level",)}
+    modules = {rule: sorted({path.name for path in SRC.glob("*.py") for text in texts
+                             if text in path.read_text()}) for rule, texts in rules.items()}
+    assert modules == {"eps-sweep list": ["experiments.py"], "T-sweep list": ["experiments.py"],
+                       "direction": ["experiments.py"], "lambda, mu >= 1": ["carleman.py"],
+                       "exclude against M": ["carleman.py"]}
