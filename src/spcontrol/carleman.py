@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .grid import SpatialGrid, gradient
-from .scenario import ScenarioTree, _level_weight
+from .scenario import ScenarioTree, _level_weight, _positive_horizon
 from .spde import TreeStepper, _sample
 
 __all__ = [
@@ -162,11 +162,14 @@ def _at_least(low: float, **params) -> None:
 def lambda_threshold(mu: float, psi: PsiFunction, T: float, c0: float = 1.0) -> float:
     """Parameter floor c0*(e^{2 mu max psi} * T + T^2) for the backward estimates."""
     _at_least(1.0, mu=mu)
-    return c0 * (np.exp(2.0 * mu * _PSI_MAX) * T + T * T)
+    _positive_horizon(T)
+    with np.errstate(over="ignore"):  # an overflow is lambda = inf, which the floors refuse
+        return c0 * (np.exp(2.0 * mu * _PSI_MAX) * T + T * T)
 
 
 def lambda_threshold_forward(T: float, c0: float = 1.0) -> float:
     """Parameter floor c0*(T + T^2) for the forward estimates (mu is frozen there)."""
+    _positive_horizon(T)
     return c0 * (T + T * T)
 
 
@@ -176,7 +179,7 @@ class CarlemanWeightSet:
 
     Row k corresponds to tree level k + 1.  theta = e^l is never formed
     directly: a weighted integral exponentiates 2l + power*log_phi less a
-    log shift (see max_log_theta2).
+    log shift, the maximum of 2l over its quadrature levels.
     """
 
     lam: float
@@ -193,9 +196,6 @@ class CarlemanWeightSet:
         if not 0 <= k < self.times.size:
             raise ValueError(f"tree level {tree_level} has no tabulated weights (t = 0, T excluded)")
         return k
-
-    def max_log_theta2(self, tree_levels) -> float:
-        return max(float(self.l[self.row(n)].max()) for n in tree_levels) * 2.0
 
 
 def eval_weights(psi: PsiFunction, lam: float, mu: float, tree: ScenarioTree) -> CarlemanWeightSet:
@@ -256,7 +256,7 @@ class AppendixCoefficients:
 
 def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: float,
                     x: np.ndarray) -> AppendixCoefficients:
-    """Evaluate A, B, c^{11}, Psi at time t in (0, T).
+    """Evaluate A, B, c^{11}, Psi at time t in (0, T), once lam and mu pass their floors.
 
     `a` is a constant or a DiffusionCoefficient.  1-D instantiation with
     Psi = -2 a l_xx:
@@ -271,6 +271,7 @@ def appendix_coeffs(psi: PsiFunction, a, lam: float, mu: float, t: float, T: flo
     B_lead = 2 beta^2 lam^3 mu^4 phi^3 psi'^4 and
     c11_lead = beta^2 lam mu^2 phi psi'^2, with beta = min a at time t.
     """
+    _at_least(1.0, lam=lam, mu=mu)
     if not isinstance(a, DiffusionCoefficient):
         a = DiffusionCoefficient(value=float(a))
     if not (0.0 < t < T):
@@ -428,9 +429,9 @@ def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backwar
     quad = np.array([_level_weight(tree, grid, n) for n in levels])[:, None]
     ratios = []
     for ws in (weights,) if single else weights:
-        shift = ws.max_log_theta2(levels)
         rows = slice(ws.row(levels[0]), ws.row(levels[-1]) + 1)
         two_l = 2.0 * ws.l[rows]
+        shift = float(two_l.max())  # max 2l over the quadrature levels: doubling is exact
         tables = {}  # power -> weight rows, built once however many terms use them
 
         def weight(power):
@@ -442,7 +443,12 @@ def _reduce(st: TreeStepper, weights, levels: range, per_level, sources, backwar
             return tables[power]
 
         lam, mu = ws.lam, ws.mu if backward else 1.0
-        lam3mu4 = lam ** 3 * mu ** 4
+        try:  # the largest prefactor, as lam, mu >= 1
+            lam3mu4 = lam ** 3 * mu ** 4
+        except OverflowError:
+            lam3mu4 = np.inf
+        if lam3mu4 == np.inf:
+            raise NumericsError(f"Carleman prefactor lam^3 mu^4 overflows at lam = {lam:.6g}, mu = {mu:.6g}")
         lhs_terms = {
             "state": lam3mu4 * float(np.vdot(weight(3.0), z_sums)),
             "gradient": lam * mu * mu * float(np.vdot(weight(1.0), grad_sums)),

@@ -400,7 +400,10 @@ def _cmd_appendix_check(cfg):
     if not isinstance(coeffs.a, float):
         raise ConfigError("appendix-check requires a constant diffusion coefficient a, "
                           "an expression naming neither t nor x")
-    rows = leading_order_check(psi, coeffs.a, cfg.carleman.mu_values, tree.T, grid, c0=cfg.carleman.c0)
+    try:  # lambda = lambda_threshold(mu) for each of mu_values, whose floor its owner applies
+        rows = leading_order_check(psi, coeffs.a, cfg.carleman.mu_values, tree.T, grid, c0=cfg.carleman.c0)
+    except ValueError as exc:
+        raise ConfigError(f"[carleman] c0 x lambda_threshold(mu_values): {exc}") from None
     # a relative deviation at rounding level (<= 64 eps) is noise, not the asymptotics
     noise = 64.0 * np.finfo(float).eps
     fit = [r for r in rows if r.dev_A > noise]

@@ -60,8 +60,8 @@ import numpy as np
 from ._lapack import dpotrf, dpotrs
 from .errors import NumericsError
 from .grid import SpatialGrid
-from .scenario import (AdaptedField, ScenarioTree, _level_weight, martingale_part, mean_square_norm,
-                       qt_integral, reconstruct_children)
+from .scenario import (AdaptedField, ScenarioTree, _level_weight, _positive_horizon, martingale_part,
+                       mean_square_norm, qt_integral, reconstruct_children)
 from .spde import ForwardSolution, TreeStepper
 
 __all__ = [
@@ -81,8 +81,7 @@ def k_cost_exponent(T: float, a1_inf: float, a2_inf: float, b1_inf: float, b2_in
 
     K = 1 + 1/T + |a1|^{2/3} + T|a1| + |a2|^{2/3} + T|a2|^2 + (1+T)|B1|^2 + |B2|^2
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    _positive_horizon(T)
     return (1.0 + 1.0 / T + a1_inf ** (2.0 / 3.0) + T * a1_inf
             + a2_inf ** (2.0 / 3.0) + T * a2_inf ** 2
             + (1.0 + T) * b1_inf ** 2 + b2_inf ** 2)
@@ -93,8 +92,7 @@ def m_cost_exponent(T: float, a1_inf: float, a2_inf: float, b_inf: float) -> flo
 
     M = 1 + 1/T + |a1|^{2/3} + T|a1| + (1+T)|a2|^2 + (1+T)|B|^2
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    _positive_horizon(T)
     return (1.0 + 1.0 / T + a1_inf ** (2.0 / 3.0) + T * a1_inf
             + (1.0 + T) * (a2_inf ** 2 + b_inf ** 2))
 
@@ -142,21 +140,6 @@ class HumResult:
     adjoint_data: np.ndarray
     report: HumReport
     cg_trace: dict
-
-
-def _axpy(step: float, new, acc):
-    """acc + step * new over by-products (one array each, None for none), in place.
-
-    acc None stands for zero; then `new`, the operator's own array, is scaled in
-    place and becomes the accumulator.
-    """
-    if new is None:
-        return acc
-    if acc is None:
-        new *= step
-        return new
-    acc += step * new
-    return acc
 
 
 def _cg(apply_op, b, inner, tol: float, max_iter: int, precond=None, *, z0=None):
@@ -228,7 +211,11 @@ def _cg(apply_op, b, inner, tol: float, max_iter: int, precond=None, *, z0=None)
         step = rz / dq
         x += step * d
         ax += step * q
-        products = _axpy(step * scale, q_products, products)
+        if q_products is not None and products is None:  # the first by-products, scaled in place
+            q_products *= step * scale
+            products = q_products
+        elif q_products is not None:
+            products += step * scale * q_products
         r -= step * q
         n_iter += 1
         residual = norm(r, "residual") / b_norm
@@ -671,24 +658,11 @@ def _moment_forms(stepper: TreeStepper, level, depths=None):
 def _forward_pencil(stepper: TreeStepper, depths=None):
     """Forward-direction (energy, observation) pair: z0 -> E|z(T)|^2, E int_{Q0} |z|^2.
 
-    `_moment_forms` of the forward adjoint: Phi_n^T, Psi_n^T are the stepper's adjoint_1_5
-    `increments` of the identity's rows solved with S_{n+1}^{-1}, once for each distinct step
-    (`first_step`); with `depths`, the pairs at those depths.
+    `_moment_forms` of the forward adjoint, whose Phi_n^T, Psi_n^T are the stepper's
+    `adjoint_steps`; with `depths`, the pairs at those depths.
     """
-    eye, observed = np.eye(stepper.grid.N), np.diag(stepper.grid.g0_mask)
-    built = {}
-
-    def level(n):
-        first = stepper.first_step[n]
-        if first not in built:
-            base, noise = stepper.increments(n, "adjoint_1_5", eye)
-            # a forward row runs on a path only where a2 = 0 makes the noise term exactly zero
-            built[first] = (stepper._solve(n + 1, base),
-                            stepper._solve(n + 1, noise) if stepper.tree.branching else None, observed)
-        # the recursion runs n = M-1..0, so step `first` is the last to ask for its maps
-        return built.pop(first) if n == first else built[first]
-
-    return _moment_forms(stepper, level, depths)
+    observed = np.diag(stepper.grid.g0_mask)
+    return _moment_forms(stepper, lambda n: (*stepper.adjoint_steps[n], observed), depths)
 
 
 def hum_backward(grid: SpatialGrid, tree: ScenarioTree, coeffs, yT, config: HumConfig,

@@ -293,7 +293,7 @@ def cost_scaling_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, t_values,
 
 def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: ScenarioTree,
                   y0, eps_values, cg_tol: float = 1e-10, cg_max_iter: int = 8000) -> list:
-    """Run hum_forward across decreasing eps; rows carry norm/cost/iteration/identity-residual data.
+    """Run hum_forward across decreasing eps; each row is the fields of its `HumReport`, as a dict.
 
     eps_values breaking `_sweep_penalties`' rules is a ValueError before any row runs.
     All rows share one stepper and one free solution: the uncontrolled sweep
@@ -315,13 +315,10 @@ def epsilon_sweep(coeffs: ProblemCoefficients, grid: SpatialGrid, tree: Scenario
             if free is None:
                 free = st.forward(y0)
             # only the report is kept, so a row's fields are freed before the next row runs
-            r = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=cg_tol,
-                                                              cg_max_iter=cg_max_iter),
-                            stepper=st, free=free).report
+            report = hum_forward(grid, tree, coeffs, y0, HumConfig(epsilon=eps, cg_tol=cg_tol,
+                                                                   cg_max_iter=cg_max_iter),
+                                 stepper=st, free=free).report
         except Exception as exc:  # noqa: BLE001
             raise SweepError(f"sweep row eps = {eps} failed: {exc}", rows) from exc
-        rows.append({"epsilon": eps, "terminal_norm": r.terminal_norm,
-                     "control_cost": r.control_cost, "cg_iterations": r.cg_iterations,
-                     "cg_converged": r.cg_converged, "identity_residual": r.identity_residual,
-                     "uncontrolled_norm": r.uncontrolled_norm})
+        rows.append(vars(report))
     return rows

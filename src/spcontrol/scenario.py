@@ -80,6 +80,12 @@ def build_tree(M: int, T: float) -> ScenarioTree:
     return replace(build_path(M, T), branching=True)
 
 
+def _positive_horizon(T: float) -> None:
+    """The horizon rule, 0 < T < inf (NaN fails it): a ValueError naming T otherwise."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+
+
 def build_path(M: int, T: float) -> ScenarioTree:
     """Single-branch path over [0, T] with M steps: one node of weight 1 per level.
 
@@ -87,8 +93,7 @@ def build_path(M: int, T: float) -> ScenarioTree:
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
+    _positive_horizon(T)
     dt = T / M
     times = dt * np.arange(M + 1)
     return ScenarioTree(M=int(M), T=float(T), dt=dt, sqrt_dt=float(np.sqrt(dt)), times=times,

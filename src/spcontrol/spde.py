@@ -115,7 +115,6 @@ class CoefficientTables:
     (adapted evaluation).
     """
 
-    times: np.ndarray
     a_faces: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
@@ -167,7 +166,7 @@ class ProblemCoefficients:
             k = bad.argmax()
             raise ValueError(f"coefficients a and b2 violate stochastic parabolicity: "
                              f"min(2a - b2^2) = {margin[k].min():.6g} <= 0 at t = {left[k]:.6g}")
-        return CoefficientTables(times=times, a_faces=a_faces, beta=beta, **tabs,
+        return CoefficientTables(a_faces=a_faces, beta=beta, **tabs,
                                  **{k + "_inf": float(v) for k, v in zip(tabs, sup)})
 
 
@@ -212,7 +211,7 @@ class TreeStepper:
     a_{i-1/2}(u_i - u_{i-1})] / h^2 with zero Dirichlet closure, is SPD tridiagonal for a > 0
     and kept as its LDL^T factor (LAPACK dpttrf, through `_lapack`).  dpttrs solves every row
     by the same loop, so no row depends on how many come with it.  Every per-step build (this
-    factor, `general_steps`, `inverse_steps`, `pair_steps`, the forward pencil's maps) runs once
+    factor, `general_steps`, `inverse_steps`, `pair_steps`, `adjoint_steps`) runs once
     for each distinct step and is shared by the steps whose coefficient bytes repeat it
     (`first_step`): with coefficients that do not depend on t, once in all.  The build is the
     one that step would make alone, so no result moves a bit.
@@ -340,6 +339,19 @@ class TreeStepper:
     def inverse_steps(self) -> list:
         """Per level n = 1..M: S_n^{-1} = `_solve(n, I)`, shared like general_steps (None at level 0)."""
         return [None] + self._each_step(lambda n: self._solve(n + 1, np.eye(self.grid.N)))
+
+    @cached_property
+    def adjoint_steps(self) -> list:
+        """Per level n: (Phi^T, Psi^T), the adjoint_1_5 `increments` of the identity's rows solved
+        with S_{n+1}^{-1}, the forward pencil's maps, shared like general_steps.  Psi^T is None on a
+        path, where a forward row runs only if a2 = 0 makes the noise term exactly zero."""
+        eye = np.eye(self.grid.N)
+
+        def step(n):
+            base, noise = self.increments(n, "adjoint_1_5", eye)
+            return self._solve(n + 1, base), self._solve(n + 1, noise) if self.tree.branching else None
+
+        return self._each_step(step)
 
     @cached_property
     def pair_steps(self) -> list:

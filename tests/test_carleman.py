@@ -111,6 +111,26 @@ def test_lambda_threshold_values():
     assert lambda_threshold_forward(2.0, c0=3.0) == pytest.approx(18.0)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+def test_lambda_thresholds_refuse_a_horizon_build_path_refuses(T):
+    psi = build_psi(build_grid(1.0, 16, (0.3, 0.8), (0.45, 0.65)))
+    with pytest.raises(ValueError) as path:
+        build_path(4, T)
+    for threshold in (lambda: lambda_threshold(2.0, psi, T), lambda: lambda_threshold_forward(T)):
+        with pytest.raises(ValueError) as exc:
+            threshold()
+        assert str(exc.value) == str(path.value) == f"T must be positive and finite, got {T}"
+
+
+@pytest.mark.parametrize("lam, mu, name", [(np.nan, 2.0, "lam"), (0.5, 2.0, "lam"), (30.0, np.inf, "mu"),
+                                           (30.0, 0.5, "mu"), (np.inf, np.nan, "lam")])
+def test_appendix_coeffs_apply_the_floors_first(lam, mu, name):
+    # before the floors, lambda = NaN read as "coefficient A overflowed" and mu = 1e300 overflowed mu ** 3
+    grid = build_grid(1.0, 16, (0.3, 0.8), (0.45, 0.65))
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 1, got "):
+        appendix_coeffs(build_psi(grid), 1.0, lam, mu, 0.5, 1.0, grid.x)
+
+
 def test_appendix_critical_node_reduction():
     # at the critical node psi' = 0 and a = 1: A = l_xx - l_t
     grid = build_grid(1.0, 15, (0.2, 0.55), (0.25, 0.5))

@@ -732,6 +732,26 @@ def test_appendix_check_rejects_time_dependent_diffusion(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", ["lambda_multiples = 1e300", "c0 = 1e300"])
+def test_carleman_check_overflowing_prefactor_is_a_numerical_failure(tmp_path, capsys, line):
+    # lambda_threshold is e^2 + 1 = 8.38906 at mu = 1, T = 1: lambda = 8.4e300 is finite, lambda^3 is not
+    cfg_path = write(tmp_path, MINIMAL + f"\n[carleman]\n{line}\nsamples = 2\n")
+    assert main(["carleman-check", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("numerical failure: Carleman prefactor lam^3 mu^4 overflows at "
+                                       "lam = 8.38906e+300, mu = 1\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, lam", [("c0 = 1e-300", "8.88611e-294"), ("mu_values = 8, 1e300", "inf")])
+def test_appendix_check_names_a_lambda_off_its_floor(tmp_path, capsys, line, lam):
+    # c0 = 1e-300 once gave exit 0 with dev_A = inf rows and a nan slope, mu = 1e300 an OverflowError
+    cfg_path = write(tmp_path, MINIMAL + f"\n[carleman]\n{line}\n")
+    assert main(["appendix-check", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: [carleman] c0 x lambda_threshold(mu_values): "
+                                       f"lam must be finite and >= 1, got {lam}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_appendix_slope_needs_two_distinct_mu(tmp_path):
     cfg_path = write(tmp_path, DESK + f"output_dir = {tmp_path / 'out'}\n\n"
                                       "[carleman]\nmu_values = 8, 8\n")

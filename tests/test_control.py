@@ -25,6 +25,16 @@ def test_m_exponent_paper_substitutions():
     assert m_cost_exponent(2.0, 0.0, 1.0, 0.0) == pytest.approx(4.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+def test_cost_exponents_refuse_a_horizon_build_path_refuses(T):
+    with pytest.raises(ValueError) as path:
+        build_path(4, T)
+    for exponent in (lambda: k_cost_exponent(T, 0.0, 0.0, 0.0, 0.0), lambda: m_cost_exponent(T, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError) as exc:
+            exponent()
+        assert str(exc.value) == str(path.value) == f"T must be positive and finite, got {T}"
+
+
 def test_hum_config_validation():
     with pytest.raises(ValueError):
         HumConfig(epsilon=0.0)

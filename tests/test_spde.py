@@ -443,12 +443,19 @@ _FIRST_STEPS = {"constant": [0, 0, 0, 0], **{f"t in {name}": [0, 1, 2, 3] for na
                 "piecewise": [0, 0, 2, 2], "piecewise a": [0, 1, 1, 1], "negative-zero": [0, 0, 2, 0]}
 
 
+def _step_bytes(built):
+    """The bytes of a per-step build's arrays, nested as it nests them (None stays None)."""
+    if isinstance(built, (list, tuple)):
+        return [_step_bytes(x) for x in built]
+    return None if built is None else built.tobytes()
+
+
 @pytest.mark.parametrize("tree", [build_tree(4, 1.0), build_path(4, 1.0)], ids=["tree", "path"])
 @pytest.mark.parametrize("case", list(_FIRST_STEPS))
 def test_shared_step_builds_match_per_level_builds(grid16, tree, case):
     """Each per-step object is built once per distinct step (by bytes, so -0.0 is not 0.0) and
     is bit for bit what a fresh build at every level gives: the dpttrf factors, general_steps,
-    inverse_steps and the forward pencil."""
+    inverse_steps, pair_steps, adjoint_steps and the forward pencil on them."""
     st = TreeStepper(grid16, tree, _step_tables(case, grid16, tree))
     assert st.first_step == _FIRST_STEPS[case]
     eye, dt, h2 = np.eye(grid16.N), st.dt, grid16.h * grid16.h
@@ -463,8 +470,12 @@ def test_shared_step_builds_match_per_level_builds(grid16, tree, case):
         assert st._facts[n + 1] is st._facts[first + 1]
         assert st.general_steps[n] is st.general_steps[first]
         assert st.inverse_steps[n + 1] is st.inverse_steps[first + 1]
+    unshared = TreeStepper(grid16, tree, st.tab)
+    unshared.first_step = list(range(tree.M))  # each build made afresh at its own level
+    for name in ("general_steps", "inverse_steps", "pair_steps", "adjoint_steps"):
+        assert _step_bytes(getattr(st, name)) == _step_bytes(getattr(unshared, name)), name
     distinct = len(set(st.first_step))
-    for built in (st._facts[1:], st.general_steps, st.inverse_steps[1:]):
+    for built in (st._facts[1:], st.general_steps, st.inverse_steps[1:], st.pair_steps, st.adjoint_steps):
         assert len({id(x) for x in built}) == distinct
     if case == "negative-zero":  # a value-keyed share would have handed step 2 step 0's +0.0 noise
         assert st.general_steps[2][1].tobytes() != st.general_steps[0][1].tobytes()
@@ -474,5 +485,7 @@ def test_shared_step_builds_match_per_level_builds(grid16, tree, case):
         return (st._solve(n + 1, eye + dt * drift),
                 st._solve(n + 1, noise) if tree.branching else None, np.diag(grid16.g0_mask))
 
+    for n in range(tree.M):
+        assert _step_bytes(st.adjoint_steps[n]) == _step_bytes(fresh(n)[:2])
     for shared, ref in zip(_forward_pencil(st), _moment_forms(st, fresh)):
         assert shared.tobytes() == ref.tobytes()

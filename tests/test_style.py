@@ -47,14 +47,22 @@ def test_level_quadrature_weight_is_written_in_scenario_only():
 def test_each_input_rule_is_written_by_its_owner_only():
     # the CLI applies these rules through the library functions that own them, adding the config key
     # to the owner's message, so each message is written in one module: experiments for the sweep
-    # lists and the direction, carleman for the parameter floors and for exclude against M
+    # lists and the direction, carleman for the parameter floors and for exclude against M, scenario
+    # for the horizon
     rules = {"eps-sweep list": ("eps_values must be",),
              "T-sweep list": ("t_values must be", "distinct T values", "m_per_time must be"),
              "direction": ("direction must be",),
              "lambda, mu >= 1": ("must be finite and >= ",),
-             "exclude against M": ("leaves no quadrature level",)}
+             "exclude against M": ("leaves no quadrature level",),
+             "horizon": ("T must be positive",)}
     modules = {rule: sorted({path.name for path in SRC.glob("*.py") for text in texts
                              if text in path.read_text()}) for rule, texts in rules.items()}
     assert modules == {"eps-sweep list": ["experiments.py"], "T-sweep list": ["experiments.py"],
                        "direction": ["experiments.py"], "lambda, mu >= 1": ["carleman.py"],
-                       "exclude against M": ["carleman.py"]}
+                       "exclude against M": ["carleman.py"], "horizon": ["scenario.py"]}
+
+
+def test_per_step_sharing_is_read_in_spde_only():
+    # every per-step build goes through TreeStepper._each_step; a cache keyed by first_step anywhere
+    # else would build a step's maps a second way
+    assert sorted(path.name for path in SRC.glob("*.py") if "first_step" in path.read_text()) == ["spde.py"]
